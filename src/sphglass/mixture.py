@@ -147,11 +147,29 @@ def xi_scalar(spec: MixtureSpec, j: int, j2: int, x: float) -> float:
     return float(total)
 
 
-def _entrywise(spec: MixtureSpec, a: np.ndarray, weight) -> np.ndarray:
-    """sum_p weight(p) * (beta_p outer beta_p) . a^{o p-ish}; helper core."""
+def _check_levels(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
+    """One symmetric n x n matrix, or a stack (m, n, n) of them."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 3:
+        if a.shape[1:] != (spec.n, spec.n) or not np.array_equal(a, a.swapaxes(1, 2)):
+            raise ValueError(
+                f"A must be a stack of exactly symmetric ({spec.n}, {spec.n}) matrices, "
+                f"got shape {a.shape}"
+            )
+        return a
     a = check_symmetric(a, "A")
     if a.shape != (spec.n, spec.n):
         raise ValueError(f"A has shape {a.shape}, expected ({spec.n}, {spec.n})")
+    return a
+
+
+def _entrywise(spec: MixtureSpec, a: np.ndarray, weight) -> np.ndarray:
+    """sum_p weight(p) * (beta_p outer beta_p) . a^{o p-ish}; helper core.
+
+    ``a`` is one matrix or a stack of matrices; a stack is handled in one
+    pass, level by level identical to one call per matrix.
+    """
+    a = _check_levels(spec, a)
     out = np.zeros_like(a)
     for p, beta in spec.terms.items():
         coeff, power = weight(p)
@@ -174,9 +192,10 @@ def theta_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
     """theta(A) = A . xi'(A) - xi(A), Hadamard product entrywise.
 
     Equivalently sum_p (p-1) beta_p(j) beta_p(j') x^p entrywise; computed via
-    the defining combination so tests can cross-check the two forms.
+    the defining combination so tests can cross-check the two forms.  Like
+    ``xi_matrix`` it also takes a stack (m, n, n) of matrices.
     """
-    a = check_symmetric(a, "A")
+    a = _check_levels(spec, a)
     return a * xi_prime_matrix(spec, a) - xi_matrix(spec, a)
 
 
@@ -184,25 +203,24 @@ def smallest_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
-def delta_increments(spec: MixtureSpec, path) -> list[np.ndarray]:
+def delta_increments(spec: MixtureSpec, path) -> np.ndarray:
     """Increment matrices Delta_k = xi'(Q_k) - xi'(Q_{k-1}), k = 1..r.
 
-    Each increment must be PSD up to the rounding floor; a violation reports
-    the level index (1-based) and the offending eigenvalue.
+    Returns a read-only (r, n, n) array; ``[k - 1]`` is Delta_k.  Each
+    increment must be PSD up to the rounding floor; a violation reports the
+    level index (1-based) and the offending eigenvalue.
     """
-    qs = path.qs
-    deltas = []
-    for k in range(1, qs.shape[0]):
-        d = xi_prime_matrix(spec, qs[k]) - xi_prime_matrix(spec, qs[k - 1])
-        eigs = np.linalg.eigvalsh(d)
-        # noise floor relative to the increment scale, with an absolute floor
-        # because rounding in xi' is set by the chain scale, not the increment
-        tol = PSD_TOLERANCE * max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-        if eigs.size and eigs[0] < -tol:
-            raise ValueError(
-                f"increment {k} is not PSD: smallest eigenvalue {eigs[0]:.3e} "
-                f"(tolerance {-tol:.1e}); invalid path or mixture"
-            )
-        d.setflags(write=False)
-        deltas.append(d)
+    deltas = np.diff(xi_prime_matrix(spec, path.qs), axis=0)
+    eigs = np.linalg.eigvalsh(deltas)
+    # noise floor relative to each increment's scale, with an absolute floor
+    # because rounding in xi' is set by the chain scale, not the increment
+    tols = PSD_TOLERANCE * np.maximum(1.0, np.max(np.abs(eigs), axis=1))
+    bad = np.flatnonzero(eigs[:, 0] < -tols)
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"increment {k + 1} is not PSD: smallest eigenvalue {eigs[k, 0]:.3e} "
+            f"(tolerance {-tols[k]:.1e}); invalid path or mixture"
+        )
+    deltas.setflags(write=False)
     return deltas

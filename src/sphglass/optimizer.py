@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from sphglass.geometry import ConstraintMatrix, DiscretePath, refine_path
-from sphglass.functional import MEMBERSHIP_MARGIN, NotInL, logdet_increment, logdet_pd, solve_pd
+from sphglass.functional import MEMBERSHIP_MARGIN, NotInL, logdet_pd, solve_pd
 from sphglass.mixture import MixtureSpec, check_symmetric, delta_increments, theta_matrix
 
 __all__ = [
@@ -48,10 +48,13 @@ X_UPPER = 1.0 - 1e-6  # breakpoints may approach but not reach 1
 X_LOWER = 1e-9
 DEGENERACY_RTOL = 1e-12
 CERTIFICATE_D11 = (1e10, 1e95, 1e180)
+# a Newton decrement below this fraction of max(1, |value|) is rounding noise
+NEWTON_DECREMENT_FLOOR = 16.0 * np.finfo(float).eps
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 @lru_cache(maxsize=32)
@@ -82,7 +85,12 @@ def _from_coords(v: np.ndarray, n: int) -> np.ndarray:
 
 
 class _PathContext:
-    """Per-path precomputation shared by objective, gradient and Hessian."""
+    """Per-path precomputation shared by objective, gradient and Hessian.
+
+    Every evaluation works on the whole multiplier chain
+    L_k = Lambda - tails[k], k = 0..r, as one (r + 1, n, n) stack, so it
+    costs one stacked Cholesky factorization whatever the number of levels.
+    """
 
     def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec):
         self.path = path
@@ -90,28 +98,21 @@ class _PathContext:
         self.h = np.asarray(h, dtype=float)
         self.n = path.n
         self.r = path.r
-        deltas = delta_increments(spec, path)
-        self.deltas = deltas
+        self.deltas = delta_increments(spec, path)
         x_all = path.xs[1:]  # x_0 .. x_r = 1
         self.x_levels = x_all
         # tails[k] = sum_{l >= k} x_l Delta_{l+1}; Lambda_k = Lambda - tails[k]
-        tails = np.zeros((self.r + 1, self.n, self.n))
-        for k in range(self.r - 1, -1, -1):
-            tails[k] = tails[k + 1] + x_all[k] * deltas[k]
-        self.tails = tails
+        scaled = x_all[:-1, None, None] * self.deltas
+        self.tails = np.concatenate(
+            [np.cumsum(scaled[::-1], axis=0)[::-1], np.zeros((1, self.n, self.n))]
+        )
         # logdet coefficients: the cascade sum telescopes into
         # sum_j w_j log|Lambda_j| with w_0 < 0 and w_j >= 0 otherwise
-        w = np.zeros(self.r + 1)
-        w[0] = -0.5 / x_all[0]
-        for j in range(1, self.r):
-            w[j] = 0.5 / x_all[j - 1] - 0.5 / x_all[j]
-        w[self.r] = (0.5 / x_all[self.r - 1] if self.r >= 1 else 0.5) - 0.5
-        self.logdet_coeffs = w
-        theta_levels = [theta_matrix(spec, path.qs[k]) for k in range(self.r + 1)]
-        self.theta_const = sum(
-            0.5 * x_all[k] * float(np.sum(theta_levels[k + 1] - theta_levels[k]))
-            for k in range(self.r)
-        )
+        self.logdet_coeffs = -np.diff(0.5 / x_all, prepend=0.0)
+        # the value keeps the cascade in its increment form instead
+        self.increment_coeffs = 0.5 / x_all[:-1] - 0.5
+        theta_steps = np.sum(np.diff(theta_matrix(spec, path.qs), axis=0), axis=(1, 2))
+        self.theta_const = float(np.sum(0.5 * x_all[:-1] * theta_steps))
         self.has_field = bool(np.any(self.h))
 
     def lambda_start(self) -> np.ndarray:
@@ -121,48 +122,53 @@ class _PathContext:
         return lam[None, :, :] - self.tails
 
     def value(self, lam: np.ndarray) -> float:
-        """Objective at lam; raises LinAlgError outside the PD cone.
+        """Objective at lam; raises LinAlgError outside the PD cone."""
+        return self._value(lam, np.linalg.cholesky(self.chain(lam)))
+
+    def _value(self, lam: np.ndarray, chol: np.ndarray) -> float:
+        """Objective at lam from the Cholesky factors of its chain.
 
         The cascade sum is accumulated through stable log-determinant
-        increments: at breakpoints near 0 the coefficient 1/x would amplify
-        the cancellation of two nearly equal log-determinants.
+        increments log|L_{k+1}| - log|L_k| = sum_i log1p(x_k mu_i), where mu
+        are the generalized eigenvalues of (Delta_{k+1}, L_k): at breakpoints
+        near 0 the coefficient 1/x would amplify the cancellation of two
+        nearly equal log-determinants.
         """
-        lam0 = lam - self.tails[0]
+        lower = chol[:-1]
+        half = np.linalg.solve(lower, self.deltas)
+        conj = np.linalg.solve(lower, half.swapaxes(1, 2))
+        mu = np.linalg.eigvalsh(_sym(conj))
+        increments = np.sum(np.log1p(self.x_levels[:-1, None] * mu), axis=1)
         total = (
             0.5 * float(np.trace(lam @ self.qmat))
             - 0.5 * self.n
             - self.theta_const
-            - 0.5 * logdet_pd(lam0)
+            - float(np.sum(np.log(np.diagonal(chol[0]))))
+            + float(self.increment_coeffs @ increments)
         )
-        cur = lam0
-        for k in range(self.r):
-            x_k = self.x_levels[k]
-            total += (0.5 / x_k - 0.5) * logdet_increment(cur, x_k, self.deltas[k])
-            cur = cur + x_k * self.deltas[k]
         if self.has_field:
-            total += 0.5 * float(self.h @ solve_pd(lam0, self.h))
+            y = np.linalg.solve(chol[0], self.h)
+            total += 0.5 * float(y @ y)
         return total
 
     def value_grad_hess(self, lam: np.ndarray):
-        chain = self.chain(lam)
+        chol = np.linalg.cholesky(self.chain(lam))
+        total = self._value(lam, chol)
         n = self.n
         basis = _sym_basis(n)
-        total = self.value(lam)
-        grad = 0.5 * self.qmat.copy()
-        m = basis.shape[0]
-        hess = np.zeros((m, m))
-        for j in range(self.r + 1):
-            cj = self.logdet_coeffs[j]
-            inv = _sym(solve_pd(chain[j], np.eye(n)))
-            grad += cj * inv
-            hess += (-cj) * (basis @ np.kron(inv, inv) @ basis.T)
+        # L_j^{-1} = C_j^{-T} (C_j^{-1} I), two stacked triangular solves
+        eye = np.broadcast_to(np.eye(n), chol.shape)
+        inv = _sym(np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, eye)))
+        grad = 0.5 * self.qmat + np.einsum("j,jab->ab", self.logdet_coeffs, inv)
+        # sum_j -w_j kron(inv_j, inv_j): rows (a, b), columns (c, d)
+        curvature = np.einsum("j,jac,jbd->abcd", -self.logdet_coeffs, inv, inv)
+        curvature = curvature.reshape(n * n, n * n)
         if self.has_field:
-            inv0 = _sym(solve_pd(chain[0], np.eye(n)))
-            wvec = inv0 @ self.h
-            grad += -0.5 * np.outer(wvec, wvec)
-            cross = basis @ np.kron(np.outer(wvec, wvec), inv0) @ basis.T
-            hess += 0.5 * (cross + cross.T)
-        return total, _sym(grad), hess
+            wvec = inv[0] @ self.h
+            grad -= 0.5 * np.outer(wvec, wvec)
+            cross = np.kron(np.outer(wvec, wvec), inv[0])
+            curvature += 0.5 * (cross + cross.T)
+        return total, _sym(grad), basis @ curvature @ basis.T
 
     def min_eig0(self, lam: np.ndarray) -> float:
         return float(np.linalg.eigvalsh(lam - self.tails[0])[0])
@@ -170,14 +176,17 @@ class _PathContext:
     def feasible_value(self, lam: np.ndarray) -> float | None:
         """Objective value, or None when the chain leaves the PD cone.
 
-        Cholesky is the feasibility test: cheaper than an eigendecomposition
-        and exactly the factorization the log-determinants need anyway.
+        Cholesky is the feasibility test: L_0 less the membership margin is
+        factored in the same stacked call as the chain, whose factors the
+        log-determinants need anyway.
         """
+        chain = self.chain(lam)
+        guarded = np.concatenate([chain[:1] - MEMBERSHIP_MARGIN * np.eye(self.n), chain])
         try:
-            np.linalg.cholesky(lam - self.tails[0] - MEMBERSHIP_MARGIN * np.eye(self.n))
-            return self.value(lam)
+            chol = np.linalg.cholesky(guarded)
         except np.linalg.LinAlgError:
             return None
+        return self._value(lam, chol[1:])
 
 
 def inner_gradient(
@@ -270,7 +279,8 @@ def _inner_minimize_ctx(ctx: _PathContext, config: PathSearchConfig, lam0=None) 
             step_vec = np.linalg.solve(hess + 1e-12 * np.eye(hess.shape[0]), -gvec)
         except np.linalg.LinAlgError:
             step_vec = None
-        if step_vec is None or float(step_vec @ gvec) >= 0.0:
+        newton = step_vec is not None and float(step_vec @ gvec) < 0.0
+        if not newton:
             step_vec = -gvec  # Hessian ill-conditioned: steepest descent
         step = _from_coords(step_vec, n)
 
@@ -289,7 +299,11 @@ def _inner_minimize_ctx(ctx: _PathContext, config: PathSearchConfig, lam0=None) 
                 break
             t *= 0.5
         if not improved:
-            status = "boundary_stall" if gnorm > gtol * max(1.0, abs(value)) else "converged"
+            # a full Newton step that predicts a decrease within a few ulps
+            # of the value cannot pass the Armijo test: the solve already
+            # sits at the optimum to rounding, whatever the gradient norm
+            at_optimum = newton and -slope <= NEWTON_DECREMENT_FLOOR * max(1.0, abs(value))
+            status = "converged" if at_optimum else "boundary_stall"
             break
         value, grad, hess = ctx.value_grad_hess(lam)
         gnorm = float(np.linalg.norm(grad))
@@ -314,7 +328,7 @@ def inner_minimize(
 
     The objective is convex on the admissible set, so the local optimum found
     by damped Newton is global; for positive definite Q the solve never
-    diverges (asserted).
+    diverges, and a diverging report there raises RuntimeError.
     """
     config = config or PathSearchConfig()
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
@@ -322,9 +336,11 @@ def inner_minimize(
     report = _inner_minimize_ctx(ctx, config, lam0=lambda_init)
     if report.status == "diverging":
         eigs = np.linalg.eigvalsh(qmat)
-        assert eigs[0] <= DEGENERACY_RTOL * max(1.0, eigs[-1]), (
-            "inner solve diverged on a positive definite constraint"
-        )
+        if eigs[0] > DEGENERACY_RTOL * max(1.0, eigs[-1]):
+            raise RuntimeError(
+                "inner solve diverged on a positive definite constraint: "
+                f"smallest eigenvalue of Q is {eigs[0]:.3e}"
+            )
     return report
 
 
