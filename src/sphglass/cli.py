@@ -75,8 +75,14 @@ def _parse_matrix(raw, n: int, name: str) -> np.ndarray:
     mat = np.asarray(raw, dtype=float)
     _require(mat.shape == (n, n), f'"{name}" must be an {n}x{n} matrix, got shape {mat.shape}')
     _require(bool(np.all(np.isfinite(mat))), f'"{name}" contains non-finite entries')
-    _require(bool(np.allclose(mat, mat.T, atol=0.0)), f'"{name}" must be symmetric')
-    return (mat + mat.T) / 2.0
+    gap = np.abs(mat - mat.T)
+    i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    _require(
+        gap[i, j] == 0.0,
+        f'"{name}" must be exactly symmetric: entry ({i}, {j}) = {float(mat[i, j])!r} '
+        f"but ({j}, {i}) = {float(mat[j, i])!r}",
+    )
+    return mat
 
 
 def load_config(text: str) -> RunConfig:

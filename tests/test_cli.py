@@ -40,6 +40,18 @@ def test_diagonal_error_message():
         load_config(text)
 
 
+def test_asymmetric_matrix_rejected_and_named():
+    # 1e-7 is inside allclose's default rtol, so a tolerant check would accept it
+    q = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.1], [0.2, 0.1 + 1e-7, 1.0]]
+    text = config_text(n=3, mixture={"2": [0.3] * 3}, Q=q, h=[0.0] * 3)
+    with pytest.raises(ConfigError, match=r'"Q" must be exactly symmetric: entry \(1, 2\)'):
+        load_config(text)
+    lam = [[2.0, 0.3], [0.3 - 1e-12, 2.0]]
+    text = config_text(n=2, mixture={"2": [0.3, 0.3]}, Q=[[1.0, 0.5], [0.5, 1.0]], h=[0.0, 0.0], **{"lambda": lam})
+    with pytest.raises(ConfigError, match=r'"lambda" must be exactly symmetric: entry \(0, 1\)'):
+        load_config(text)
+
+
 def test_path_error_names_offending_index():
     text = config_text(
         path={"xs": [0.0, 0.7, 0.3, 1.0], "Qs": [[[0.0]], [[0.5]], [[1.0]]]}

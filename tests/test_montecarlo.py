@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy.special import betainc, logsumexp
 from scipy.stats import kstest
 
 from sphglass.geometry import ConstraintMatrix
@@ -16,6 +16,9 @@ from sphglass.montecarlo import (
 )
 
 Q2 = ConstraintMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+Q3 = ConstraintMatrix(np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.3], [-0.2, 0.3, 1.0]]))
+CONSTRAINTS = {1: ConstraintMatrix(np.array([[1.0]])), 2: Q2, 3: Q3}
+BETAS = {2: [0.4, 0.3, 0.25], 4: [0.2, 0.1, 0.15]}
 
 
 def sum_xi_cross(spec: MixtureSpec, r12: np.ndarray) -> float:
@@ -43,6 +46,50 @@ def test_batch_matches_single_config():
     batch = hamiltonian_batch(sig, disorder, spec)
     singles = np.array([hamiltonian(block, disorder, spec) for block in sig])
     assert np.allclose(batch, singles, rtol=1e-12)
+
+
+def assert_batch_matches_singles(sig, disorder, spec):
+    batch = hamiltonian_batch(sig, disorder, spec)
+    singles = np.array([hamiltonian(block, disorder, spec) for block in sig])
+    np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12 * np.abs(singles).max())
+    return batch
+
+
+@pytest.mark.parametrize("degrees", [(2,), (4,), (2, 4)])
+@pytest.mark.parametrize("n_sites", [12, 13, 32])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_matches_single_config_grid(n, n_sites, degrees):
+    spec = MixtureSpec(n, {p: BETAS[p][:n] for p in degrees})
+    disorder = draw_disorder(spec.degrees, n_sites, seed=100 * n + n_sites)
+    sig = sample_constrained(CONSTRAINTS[n], n_sites, 0.01, 6, seed=n_sites)
+    assert_batch_matches_singles(sig, disorder, spec)
+
+
+@pytest.mark.parametrize("n_sites", [12, 13, 32])
+def test_batch_skips_silent_copy(n_sites):
+    # copy 0 has beta = 0 at every degree: its spins must not enter H
+    spec = MixtureSpec(3, {2: [0.0, 0.3, 0.25], 4: [0.0, 0.1, 0.15]})
+    disorder = draw_disorder(spec.degrees, n_sites, seed=7)
+    sig = sample_constrained(Q3, n_sites, 0.01, 6, seed=8)
+    batch = assert_batch_matches_singles(sig, disorder, spec)
+    sig[:, 0, :] = 1e3
+    assert np.array_equal(hamiltonian_batch(sig, disorder, spec), batch)
+
+
+def test_batch_rejects_mismatched_input():
+    spec = MixtureSpec(2, {2: [0.4, 0.3], 4: [0.2, 0.1]})
+    disorder = draw_disorder(spec.degrees, 12, seed=8)
+    sig = sample_constrained(Q2, 12, 0.01, 3, seed=9)
+    wrong_sites = sample_constrained(Q2, 13, 0.01, 3, seed=9)
+    for bad in (sig[:, :1, :], wrong_sites, sig[0]):
+        with pytest.raises(ValueError, match=r"sigmas must have shape \(S, n, N\) = \(S, 2, 12\)"):
+            hamiltonian_batch(bad, disorder, spec)
+    with pytest.raises(ValueError, match="sigma must have shape"):
+        hamiltonian(sig[0, :1], disorder, spec)
+    only_p2 = draw_disorder([2], 12, seed=8)
+    for energy, spins in ((hamiltonian_batch, sig), (hamiltonian, sig[0])):
+        with pytest.raises(ValueError, match="lacks the degree-4 tensor"):
+            energy(spins, only_p2, spec)
 
 
 def test_covariance_fidelity_two_spin():
@@ -154,6 +201,25 @@ def test_estimator_with_field_runs(rng):
     res = estimate_free_energy(q1, 16, 0.01, spec, np.array([0.3]), 5, 200, seed=6)
     assert np.isfinite(res.value)
     assert res.analytic_reference is None
+
+
+def test_estimator_matches_plain_loop_with_field():
+    # same seed streams as the estimator, single-configuration H plus an explicit field
+    spec = MixtureSpec(2, {2: [0.3, 0.2], 4: [0.1, 0.15]})
+    h = np.array([0.3, -0.2])
+    n_sites, reps, samples, seed = 13, 3, 40, 41
+    res = estimate_free_energy(Q2, n_sites, 0.01, spec, h, reps, samples, seed=seed)
+    values = []
+    for rep in range(reps):
+        disorder_seed, config_seed = (
+            int(np.random.SeedSequence(seed, spawn_key=(rep, k)).generate_state(1)[0]) for k in (0, 1)
+        )
+        disorder = draw_disorder(spec.degrees, n_sites, disorder_seed)
+        sigmas = sample_constrained(Q2, n_sites, 0.01, samples, config_seed)
+        energies = [hamiltonian(b, disorder, spec) + float(h @ b.sum(axis=1)) for b in sigmas]
+        values.append((logsumexp(energies) - np.log(samples)) / n_sites + overlap_log_volume(Q2))
+    assert res.value == pytest.approx(np.mean(values), rel=0, abs=1e-12)
+    assert res.stderr == pytest.approx(np.std(values, ddof=1) / np.sqrt(reps), rel=0, abs=1e-12)
 
 
 def test_budget_guards():
