@@ -7,7 +7,10 @@ Three independent verification routes:
   z_k ~ N(0, Delta_k), with only the innermost Gaussian integral replaced by
   its known closed form (the leaf value -1/2 log|L| + 1/2 (L^{-1}(sum z + h),
   sum z + h)).  Agreement with ``closed_form_Y0`` checks every determinant
-  identity the functional relies on.
+  identity the functional relies on.  The leaf level is drawn and reduced in
+  blocks of whole leaf groups, taking the normals in the order one whole draw
+  would, so its memory is O(max(LEAF_BLOCK, leaves per group) * n) rather
+  than O(all leaves * n).
 - ``theta_cascade_value`` computes the exact large-system limit of the
   cascade-averaged tree Gaussian with covariance Sum(theta(Q_{level}))
   level by level: each level is a log-Gaussian moment contributing
@@ -47,7 +50,10 @@ __all__ = [
 
 MAX_NESTED_LEVELS = 3
 MAX_NESTED_COPIES = 3
+# caps the work of nested_recursion_mc and the size of a finite cascade
 MAX_LEAVES = 20_000_000
+# leaves drawn and reduced at once by nested_recursion_mc (1 MB per array at n=2)
+LEAF_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,14 @@ def nested_recursion_mc(
 
     ``samples[k]`` draws are used for the expectation at level k (over
     z_{k+1}); cost is the product of the per-level counts.
+
+    The increments of levels 1..r-1 are drawn whole, in C order.  The leaf
+    level r is drawn in blocks of whole leaf groups, walking the parents in C
+    order, so the generator yields the same normals in the same order as one
+    draw of the full ``counts + (n,)`` leaf array would.  Each block is
+    reduced by the level-r log-mean-exp before the next is drawn, so the
+    leaf level holds O(max(LEAF_BLOCK, samples[-1]) * n) floats at a time
+    (for r = 1 the single parent row is one block).
     """
     path, spec, lam, h = cspec.path, cspec.spec, cspec.lam, cspec.h
     r, n = path.r, path.n
@@ -128,20 +142,38 @@ def nested_recursion_mc(
     leaf_const = -0.5 * logdet_pd(lam)
     lam_inv = solve_pd(lam, np.eye(n))
     rng = stream(seed, 0)
+    factors = [_gaussian_factor(cov) for cov in cspec.increment_covariances]
 
-    # accumulate sum_k z_k; every level uses fresh draws for every branch of
-    # the nesting (shape counts[:k] + (n,)), never reusing inner samples
-    zsum = np.zeros(n)
-    for k in range(1, r + 1):
-        factor = _gaussian_factor(cspec.increment_covariances[k - 1])
-        z = rng.standard_normal(counts[:k] + (n,)) @ factor.T
+    # accumulate h + sum_{k<r} z_k; every level uses fresh draws for every
+    # branch of the nesting (shape counts[:k] + (n,)), never reusing inner
+    # samples
+    zsum = h
+    for k in range(1, r):
+        z = rng.standard_normal(counts[:k] + (n,)) @ factors[k - 1].T
         zsum = zsum[..., None, :] + z
+    parents = zsum.reshape(-1, n)
 
-    w = zsum + h
-    quad = np.einsum("...i,ij,...j->...", w, lam_inv, w)
-    y = leaf_const + 0.5 * quad  # shape counts
+    # level r, one block of whole leaf groups at a time.  With r = 1 level r
+    # is the outermost level: its single parent row is one block, kept whole
+    # for the delta-method standard error below.
+    leaves = counts[-1]
+    x_leaf = path.xs[r]
+    rows = max(1, LEAF_BLOCK // leaves)
+    half = np.full(n, 0.5)
+    y = np.empty((len(parents), leaves) if r == 1 else len(parents))
+    for start in range(0, len(parents), rows):
+        block = parents[start : start + rows]
+        w = rng.standard_normal((len(block) * leaves, n)) @ factors[-1].T
+        w = w.reshape(len(block), leaves, n)
+        w += block[:, None, :]
+        quad = w @ lam_inv
+        quad *= w
+        values = quad @ half  # half the row sums; .sum(-1) over n <= 3 is slower
+        values += leaf_const
+        y[start : start + len(block)] = values if r == 1 else _log_mean_exp_rows(values, x_leaf)
+    y = y.reshape(counts[:-1] if r > 1 else counts)
 
-    for k in range(r - 1, 0, -1):
+    for k in range(r - 2, 0, -1):
         x_k = path.xs[k + 1]
         y = (logsumexp(x_k * y, axis=-1) - np.log(counts[k])) / x_k
 
@@ -156,6 +188,19 @@ def nested_recursion_mc(
     else:
         stderr = float("inf")
     return NestedMCResult(estimate=float(estimate), stderr=stderr, samples_per_level=counts, seed=int(seed))
+
+
+def _log_mean_exp_rows(values: np.ndarray, x: float) -> np.ndarray:
+    """(1/x) log mean_j exp(x values[i, j]) for every row i, overwriting ``values``.
+
+    A plain max shift per row: scipy's ``logsumexp`` costs more in per-call
+    overhead than the arithmetic on one block.
+    """
+    values *= x
+    top = values.max(axis=1)
+    values -= top[:, None]
+    np.exp(values, out=values)
+    return (top + np.log(values.mean(axis=1))) / x
 
 
 def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -195,16 +195,7 @@ def serialize_config(config: RunConfig) -> dict:
         "h": config.h.tolist(),
         "workers": config.workers,
         "format": config.fmt,
-        "search": {
-            "max_levels": config.search.max_levels,
-            "x_grid_resolution": config.search.x_grid_resolution,
-            "q_parameterization": config.search.q_parameterization,
-            "restarts": config.search.restarts,
-            "tolerance_value": config.search.tolerance_value,
-            "max_iterations": config.search.max_iterations,
-            "inner_max_iterations": config.search.inner_max_iterations,
-            "inner_gradient_tolerance": config.search.inner_gradient_tolerance,
-        },
+        "search": asdict(config.search),
     }
     if config.task is not None:
         out["task"] = config.task

@@ -80,12 +80,11 @@ def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class LambdaChain:
     """Backward multiplier recursion L_k = L_{k+1} - x_k Delta_{k+1}.
 
-    ``lambdas[k]`` is L_k for k = 0..r; det0 and min_eig0 describe L_0, whose
-    positivity decides membership in the admissible set.
+    ``lambdas[k]`` is L_k for k = 0..r; min_eig0 is the smallest eigenvalue
+    of L_0, whose positivity decides membership in the admissible set.
     """
 
     lambdas: np.ndarray  # (r + 1, n, n)
-    det0: float
     min_eig0: float
 
     @property
@@ -110,8 +109,7 @@ def lambda_chain(lam: np.ndarray, path: DiscretePath, spec: MixtureSpec) -> Lamb
         x_k = path.xs[k + 1]
         chain[k] = chain[k + 1] - x_k * deltas[k]
     chain.setflags(write=False)
-    eigs0 = np.linalg.eigvalsh(chain[0])
-    return LambdaChain(lambdas=chain, det0=float(np.prod(eigs0)), min_eig0=float(eigs0[0]))
+    return LambdaChain(lambdas=chain, min_eig0=float(np.linalg.eigvalsh(chain[0])[0]))
 
 
 @dataclass(frozen=True)

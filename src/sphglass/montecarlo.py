@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
-from sphglass.geometry import ConstraintMatrix
+from sphglass.geometry import ConstraintMatrix, is_degenerate_spectrum
 from sphglass.mixture import MixtureSpec
 from sphglass.parallel import run_tasks, stream
 
@@ -292,8 +292,7 @@ def overlap_log_volume(q: ConstraintMatrix | np.ndarray) -> float:
     """
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
     eigs = np.linalg.eigvalsh(qmat)
-    top = max(float(eigs[-1]), np.finfo(float).tiny)
-    if float(np.prod(np.clip(eigs, 0.0, None) / top)) <= 1e-12:
+    if is_degenerate_spectrum(eigs):
         return float("-inf")
     return 0.5 * float(np.sum(np.log(eigs)))
 

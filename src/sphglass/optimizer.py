@@ -29,7 +29,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from sphglass.geometry import ConstraintMatrix, DiscretePath, refine_path
+from sphglass.geometry import (
+    DEGENERACY_RTOL,
+    ConstraintMatrix,
+    DiscretePath,
+    is_degenerate_spectrum,
+    refine_path,
+)
 from sphglass.functional import MEMBERSHIP_MARGIN, NotInL, logdet_pd, solve_pd
 from sphglass.mixture import MixtureSpec, check_symmetric, delta_increments, theta_matrix
 
@@ -46,7 +52,6 @@ __all__ = [
 
 X_UPPER = 1.0 - 1e-6  # breakpoints may approach but not reach 1
 X_LOWER = 1e-9
-DEGENERACY_RTOL = 1e-12
 CERTIFICATE_D11 = (1e10, 1e95, 1e180)
 # a Newton decrement below this fraction of max(1, |value|) is rounding noise
 NEWTON_DECREMENT_FLOOR = 16.0 * np.finfo(float).eps
@@ -336,7 +341,7 @@ def inner_minimize(
     report = _inner_minimize_ctx(ctx, config, lam0=lambda_init)
     if report.status == "diverging":
         eigs = np.linalg.eigvalsh(qmat)
-        if eigs[0] > DEGENERACY_RTOL * max(1.0, eigs[-1]):
+        if not is_degenerate_spectrum(eigs):
             raise RuntimeError(
                 "inner solve diverged on a positive definite constraint: "
                 f"smallest eigenvalue of Q is {eigs[0]:.3e}"
@@ -402,13 +407,12 @@ def detect_degenerate(
     """
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
     eigs, vecs = np.linalg.eigh(qmat)
-    top = max(float(eigs[-1]), np.finfo(float).tiny)
-    if float(np.prod(np.clip(eigs, 0.0, None) / top)) > DEGENERACY_RTOL:
+    if not is_degenerate_spectrum(eigs):
         return None
 
     ctx = _PathContext(path, qmat, h, spec)
     u = vecs  # ascending eigenvalues: column 0 is the null direction
-    mu_clamped = np.where(eigs > DEGENERACY_RTOL * top, np.clip(eigs, 0.0, None), 0.0)
+    mu_clamped = np.where(eigs > DEGENERACY_RTOL * eigs[-1], eigs, 0.0)
 
     # Gershgorin padding against every chain tail, margin 1
     base = np.zeros(ctx.n)

@@ -1,17 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from sphglass.cascade import (
+    LEAF_BLOCK,
     CascadeSpec,
     cascade_free_energy_mc,
     nested_recursion_mc,
     sample_finite_cascade,
     theta_cascade_value,
+    _gaussian_factor,
     _weighted_logsumexp,
 )
-from sphglass.functional import closed_form_Y0, logdet_pd, theta_term
+from sphglass.functional import closed_form_Y0, logdet_pd, solve_pd, theta_term
 from sphglass.geometry import DiscretePath
 from sphglass.mixture import MixtureSpec, delta_increments
+from sphglass.parallel import stream
 
 from conftest import random_constraint, random_mixture, random_multiplier, random_path
 
@@ -94,6 +100,68 @@ def test_nested_mc_leaf_budget_guard(rng):
     cs = CascadeSpec(path=path, spec=spec, lam=lam, h=np.zeros(2))
     with pytest.raises(ValueError, match="leaf limit"):
         nested_recursion_mc(cs, [400, 300, 200], seed=0)
+
+
+def whole_array_nested_mc(cs: CascadeSpec, counts: tuple[int, ...], seed: int) -> tuple[float, float]:
+    """Reference: every leaf held at once, each level drawn whole in C order."""
+    path, n = cs.path, cs.path.n
+    rng = stream(seed, 0)
+    zsum = np.zeros(n)
+    for k in range(1, path.r + 1):
+        z = rng.standard_normal(counts[:k] + (n,)) @ _gaussian_factor(cs.increment_covariances[k - 1]).T
+        zsum = zsum[..., None, :] + z
+    w = zsum + cs.h
+    quad = np.einsum("...i,ij,...j->...", w, solve_pd(cs.lam, np.eye(n)), w)
+    y = -0.5 * logdet_pd(cs.lam) + 0.5 * quad
+    for k in range(path.r - 1, 0, -1):
+        x_k = path.xs[k + 1]
+        y = (logsumexp(x_k * y, axis=-1) - np.log(counts[k])) / x_k
+    x0 = path.xs[1]
+    wts = np.exp(x0 * y - np.max(x0 * y))
+    estimate = (np.max(x0 * y) + np.log(np.mean(wts))) / x0
+    stderr = np.std(wts, ddof=1) / np.sqrt(counts[0]) / (x0 * np.mean(wts))
+    return float(estimate), float(stderr)
+
+
+# No leaf count divides LEAF_BLOCK, and for r >= 2 the last block of parents
+# is ragged; (7, 70001) has leaf groups larger than one block.
+PARITY_COUNTS = [(70001,), (257, 311), (7, 70001), (13, 90, 397)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("counts", PARITY_COUNTS)
+def test_nested_mc_matches_whole_array_reference(rng, n, counts):
+    rows = max(1, LEAF_BLOCK // counts[-1])
+    assert LEAF_BLOCK % counts[-1] != 0
+    assert rows == 1 or int(np.prod(counts[:-1])) % rows != 0
+    q = random_constraint(rng, n)
+    path = random_path(rng, q.matrix, len(counts))
+    spec = random_mixture(rng, n, scale=0.4)
+    lam = random_multiplier(rng, path, spec, margin=0.6)
+    h = np.zeros(n) if n == 1 else rng.uniform(-0.3, 0.3, size=n)
+    cs = CascadeSpec(path=path, spec=spec, lam=lam, h=h)
+    res = nested_recursion_mc(cs, counts, seed=29)
+    estimate, stderr = whole_array_nested_mc(cs, counts, seed=29)
+    assert res.estimate == pytest.approx(estimate, rel=1e-12)
+    assert res.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+def test_nested_mc_leaf_memory_is_bounded(rng):
+    # 3M leaves at n=2: the whole-array algorithm peaks at about 340 MB of
+    # numpy buffers; streaming the leaf level keeps a few LEAF_BLOCK arrays
+    q = random_constraint(rng, 2)
+    path = random_path(rng, q.matrix, 2)
+    spec = random_mixture(rng, 2, scale=0.4)
+    lam = random_multiplier(rng, path, spec, margin=0.6)
+    cs = CascadeSpec(path=path, spec=spec, lam=lam, h=np.array([0.1, -0.2]))
+    tracemalloc.start()
+    try:
+        res = nested_recursion_mc(cs, [1000, 3000], seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(res.estimate)
+    assert peak < 16e6
 
 
 def test_cascade_free_energy_worker_invariance():

@@ -36,7 +36,6 @@ def test_lambda_chain_scalar():
     spec = MixtureSpec(1, {2: [1.0]})
     chain = lambda_chain(np.array([[3.0]]), scalar_path(0.5), spec)
     assert chain.lambdas[0][0, 0] == pytest.approx(2.0, abs=0)
-    assert chain.det0 == pytest.approx(2.0, abs=0)
     assert chain.in_admissible_set()
 
 

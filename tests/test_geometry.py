@@ -4,6 +4,7 @@ import pytest
 from sphglass.geometry import (
     ConstraintMatrix,
     DiscretePath,
+    is_degenerate_spectrum,
     path_distance,
     refine_path,
     validate_path,
@@ -31,6 +32,23 @@ def test_constraint_invariants():
 def test_constraint_degeneracy_flag():
     assert ConstraintMatrix(np.array([[1.0, 1.0], [1.0, 1.0]])).is_degenerate()
     assert not ConstraintMatrix(q2(0.5)).is_degenerate()
+
+
+def equicorrelated(n: int, rho: float) -> np.ndarray:
+    return (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_equicorrelated_degeneracy_follows_smallest_eigenvalue(n):
+    # rho = 0.9 has smallest eigenvalue 0.1 at every n, while the product of
+    # eig / eig_max falls below 1e-12 from n = 8 on
+    well = equicorrelated(n, 0.9)
+    assert not ConstraintMatrix(well).is_degenerate()
+    assert not is_degenerate_spectrum(np.linalg.eigvalsh(well))
+    assert ConstraintMatrix(equicorrelated(n, 1.0)).is_degenerate()
+    singular = equicorrelated(n, 0.9)
+    singular[:2, :2] = 1.0  # copies 1 and 2 coincide
+    assert ConstraintMatrix(singular).is_degenerate()
 
 
 def test_validate_simple_pd_path_passes():

@@ -254,6 +254,18 @@ def test_overlap_log_volume_identity_and_pair():
     assert overlap_log_volume(np.array([[1.0, 1.0], [1.0, 1.0]])) == -np.inf
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+def test_overlap_log_volume_equicorrelated(n):
+    rho = 0.9
+    q = (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
+    half_log_det = 0.5 * (np.log1p((n - 1) * rho) + (n - 1) * np.log(1.0 - rho))
+    assert overlap_log_volume(q) == pytest.approx(half_log_det, rel=1e-12)
+    assert overlap_log_volume(ConstraintMatrix(q)) == pytest.approx(
+        0.5 * np.sum(np.log(np.linalg.eigvalsh(q))), rel=1e-12
+    )
+    assert overlap_log_volume(np.ones((n, n))) == -np.inf
+
+
 def test_overlap_window_quadrature_matches_asymptote():
     target = 0.5 * np.log(0.75)
     got = overlap_window_log_volume(0.5, 2000, 0.003)

@@ -262,6 +262,14 @@ def test_detect_degenerate_passes_pd():
     assert detect_degenerate(np.eye(2), DiscretePath.simple(np.eye(2), 0.5), np.zeros(2), spec) is None
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+def test_detect_degenerate_passes_equicorrelated(n):
+    # smallest eigenvalue 0.1 at every n; a determinant test misfires from n = 8
+    q = 0.1 * np.eye(n) + 0.9 * np.ones((n, n))
+    spec = MixtureSpec(n, {2: [0.3] * n})
+    assert detect_degenerate(q, DiscretePath.simple(q, 0.5), np.zeros(n), spec) is None
+
+
 def test_small_but_positive_eigenvalue_is_not_degenerate():
     off = 0.999  # smallest eigenvalue 1e-3
     q = ConstraintMatrix(np.array([[1.0, off], [off, 1.0]]))
