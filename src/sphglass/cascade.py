@@ -214,7 +214,7 @@ def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
     """
     if np.any(np.diff(path.xs) <= 0):
         raise ValueError("invalid path: breakpoints must increase strictly")
-    cov = [float(np.sum(theta_matrix(spec, path.qs[k]))) for k in range(path.r + 1)]
+    cov = _tree_covariances(path, spec)
     total = 0.0
     for k in range(path.r):
         x_k = path.xs[k + 1]
@@ -281,9 +281,9 @@ def sample_finite_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascad
     )
 
 
-def _tree_covariance_increments(path: DiscretePath, spec: MixtureSpec) -> np.ndarray:
-    cov = np.array([float(np.sum(theta_matrix(spec, path.qs[k]))) for k in range(path.r + 1)])
-    return np.clip(np.diff(cov), 0.0, None)
+def _tree_covariances(path: DiscretePath, spec: MixtureSpec) -> np.ndarray:
+    """C_k = Sum(theta(Q_k)) for k = 0..r, from one stacked mixture pass."""
+    return np.array([float(np.sum(theta)) for theta in theta_matrix(spec, path.qs)])
 
 
 def _weighted_logsumexp(log_weights: np.ndarray, values: np.ndarray) -> float:
@@ -294,10 +294,9 @@ def _weighted_logsumexp(log_weights: np.ndarray, values: np.ndarray) -> float:
 
 
 def _cascade_rep(args) -> float:
-    path, spec, m_eff, K, seed = args
+    path, v, m_eff, K, seed = args
     cascade = sample_finite_cascade(path, K, seed=int(seed))
     rng = stream(seed, 1)
-    v = _tree_covariance_increments(path, spec)
     r = path.r
     y = np.zeros(1)
     for k in range(1, r + 1):
@@ -333,9 +332,9 @@ def cascade_free_energy_mc(
     if cascade.depth != path.r:
         raise ValueError("cascade depth must match the path")
     seeds = [np.random.SeedSequence(int(seed), spawn_key=(17, rep)).generate_state(1)[0] for rep in range(reps)]
-    args = [
-        (path, cspec.spec, float(m_effective), int(cascade.branching), int(s)) for s in seeds
-    ]
+    # tree covariance increments, clipped at zero against rounding
+    v = np.clip(np.diff(_tree_covariances(path, cspec.spec)), 0.0, None)
+    args = [(path, v, float(m_effective), int(cascade.branching), int(s)) for s in seeds]
     values = np.array(run_tasks(_cascade_rep, args, workers=workers))
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(reps)) if reps > 1 else float("inf")

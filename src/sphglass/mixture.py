@@ -13,6 +13,13 @@ semidefinite because Hadamard powers of PSD-ordered matrices stay ordered
 (Schur product theorem); deviations beyond floating-point noise indicate an
 invalid path or mixture and are reported, not silently clamped.
 
+One kernel does the arithmetic: ``xi_pair`` validates a matrix, or a stack
+of matrices, once and accumulates xi and xi' in the same loop over degrees.
+``path_levels`` runs it once on a path's (r + 1, n, n) chain and returns the
+PSD-checked increments together with theta of every level; ``xi_matrix``,
+``xi_prime_matrix``, ``theta_matrix`` and ``delta_increments`` are thin users
+of the same pass, so every caller sees the same bits.
+
 All functions are pure and operate on immutable inputs; they are safe to call
 concurrently.
 """
@@ -30,6 +37,8 @@ __all__ = [
     "xi_matrix",
     "xi_prime_matrix",
     "theta_matrix",
+    "xi_pair",
+    "path_levels",
     "delta_increments",
     "PSD_TOLERANCE",
 ]
@@ -163,29 +172,33 @@ def _check_levels(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _entrywise(spec: MixtureSpec, a: np.ndarray, weight) -> np.ndarray:
-    """sum_p weight(p) * (beta_p outer beta_p) . a^{o p-ish}; helper core.
+def xi_pair(spec: MixtureSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """xi(A) and xi'(A) entrywise, from one validated pass over the degrees.
 
-    ``a`` is one matrix or a stack of matrices; a stack is handled in one
-    pass, level by level identical to one call per matrix.
+    ``a`` is one symmetric matrix or a stack (m, n, n) of them; a stack is
+    level by level identical to one call per matrix.  xi accumulates
+    (beta_p beta_p^T) . A^{o p} and xi' accumulates p (beta_p beta_p^T) .
+    A^{o (p-1)}, each power by ``int_power``.  The outputs are exactly
+    symmetric because the inputs are and every update is entrywise.
     """
     a = _check_levels(spec, a)
-    out = np.zeros_like(a)
+    xi = np.zeros_like(a)
+    xi_prime = np.zeros_like(a)
     for p, beta in spec.terms.items():
-        coeff, power = weight(p)
-        out += coeff * np.outer(beta, beta) * int_power(a, power)
-    # exact symmetry: inputs symmetric and the update is entrywise symmetric
-    return out
+        outer = np.outer(beta, beta)
+        xi += outer * int_power(a, p)
+        xi_prime += float(p) * outer * int_power(a, p - 1)
+    return xi, xi_prime
 
 
 def xi_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
     """Entrywise xi: (xi(A))_{j,j'} = xi_{j,j'}(A_{j,j'})."""
-    return _entrywise(spec, a, lambda p: (1.0, p))
+    return xi_pair(spec, a)[0]
 
 
 def xi_prime_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
     """Entrywise derivative: xi'_{j,j'}(x) = sum_p p beta_p(j) beta_p(j') x^{p-1}."""
-    return _entrywise(spec, a, lambda p: (float(p), p - 1))
+    return xi_pair(spec, a)[1]
 
 
 def theta_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
@@ -195,22 +208,13 @@ def theta_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
     the defining combination so tests can cross-check the two forms.  Like
     ``xi_matrix`` it also takes a stack (m, n, n) of matrices.
     """
-    a = _check_levels(spec, a)
-    return a * xi_prime_matrix(spec, a) - xi_matrix(spec, a)
+    xi, xi_prime = xi_pair(spec, a)
+    return np.asarray(a, dtype=float) * xi_prime - xi
 
 
-def smallest_eigenvalue(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(a)[0])
-
-
-def delta_increments(spec: MixtureSpec, path) -> np.ndarray:
-    """Increment matrices Delta_k = xi'(Q_k) - xi'(Q_{k-1}), k = 1..r.
-
-    Returns a read-only (r, n, n) array; ``[k - 1]`` is Delta_k.  Each
-    increment must be PSD up to the rounding floor; a violation reports the
-    level index (1-based) and the offending eigenvalue.
-    """
-    deltas = np.diff(xi_prime_matrix(spec, path.qs), axis=0)
+def _psd_increments(xi_prime: np.ndarray) -> np.ndarray:
+    """Read-only Delta_k = xi'(Q_k) - xi'(Q_{k-1}), checked PSD up to rounding."""
+    deltas = np.diff(xi_prime, axis=0)
     eigs = np.linalg.eigvalsh(deltas)
     # noise floor relative to each increment's scale, with an absolute floor
     # because rounding in xi' is set by the chain scale, not the increment
@@ -224,3 +228,24 @@ def delta_increments(spec: MixtureSpec, path) -> np.ndarray:
         )
     deltas.setflags(write=False)
     return deltas
+
+
+def path_levels(spec: MixtureSpec, path) -> tuple[np.ndarray, np.ndarray]:
+    """Increments Delta_k and theta(Q_k) of a path from one mixture pass.
+
+    Returns ``(deltas, thetas)``: the read-only (r, n, n) increments of
+    ``delta_increments`` and the (r + 1, n, n) stack theta(Q_0..Q_r), both
+    from the xi and xi' of one ``xi_pair`` call on ``path.qs``.
+    """
+    xi, xi_prime = xi_pair(spec, path.qs)
+    return _psd_increments(xi_prime), path.qs * xi_prime - xi
+
+
+def delta_increments(spec: MixtureSpec, path) -> np.ndarray:
+    """Increment matrices Delta_k = xi'(Q_k) - xi'(Q_{k-1}), k = 1..r.
+
+    Returns a read-only (r, n, n) array; ``[k - 1]`` is Delta_k.  Each
+    increment must be PSD up to the rounding floor; a violation reports the
+    level index (1-based) and the offending eigenvalue.
+    """
+    return _psd_increments(xi_pair(spec, path.qs)[1])

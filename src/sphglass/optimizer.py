@@ -37,7 +37,7 @@ from sphglass.geometry import (
     refine_path,
 )
 from sphglass.functional import MEMBERSHIP_MARGIN, NotInL, logdet_pd, solve_pd
-from sphglass.mixture import MixtureSpec, check_symmetric, delta_increments, theta_matrix
+from sphglass.mixture import MixtureSpec, check_symmetric, path_levels
 
 __all__ = [
     "PathSearchConfig",
@@ -95,6 +95,15 @@ class _PathContext:
     Every evaluation works on the whole multiplier chain
     L_k = Lambda - tails[k], k = 0..r, as one (r + 1, n, n) stack, so it
     costs one stacked Cholesky factorization whatever the number of levels.
+    The increments Delta_k and the theta levels come from one mixture pass
+    (``path_levels``) over the path's chain Q_0..Q_r.
+
+    ``feasible_value`` hands back the chain's factors with the value, and
+    ``value_grad_hess`` accepts that pair instead of factoring again.  The
+    chain's factors from the guarded stacked call are bitwise those of a
+    fresh ``cholesky(chain(lam))``: a stacked factorization treats each
+    matrix on its own, so reusing them changes no bit of the value, gradient
+    or Hessian.
     """
 
     def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec):
@@ -103,7 +112,7 @@ class _PathContext:
         self.h = np.asarray(h, dtype=float)
         self.n = path.n
         self.r = path.r
-        self.deltas = delta_increments(spec, path)
+        self.deltas, thetas = path_levels(spec, path)
         x_all = path.xs[1:]  # x_0 .. x_r = 1
         self.x_levels = x_all
         # tails[k] = sum_{l >= k} x_l Delta_{l+1}; Lambda_k = Lambda - tails[k]
@@ -116,7 +125,7 @@ class _PathContext:
         self.logdet_coeffs = -np.diff(0.5 / x_all, prepend=0.0)
         # the value keeps the cascade in its increment form instead
         self.increment_coeffs = 0.5 / x_all[:-1] - 0.5
-        theta_steps = np.sum(np.diff(theta_matrix(spec, path.qs), axis=0), axis=(1, 2))
+        theta_steps = np.sum(np.diff(thetas, axis=0), axis=(1, 2))
         self.theta_const = float(np.sum(0.5 * x_all[:-1] * theta_steps))
         self.has_field = bool(np.any(self.h))
 
@@ -156,9 +165,18 @@ class _PathContext:
             total += 0.5 * float(y @ y)
         return total
 
-    def value_grad_hess(self, lam: np.ndarray):
-        chol = np.linalg.cholesky(self.chain(lam))
-        total = self._value(lam, chol)
+    def value_grad_hess(self, lam: np.ndarray, factored: tuple[float, np.ndarray] | None = None):
+        """Value, gradient matrix and Hessian in the symmetric basis at lam.
+
+        ``factored`` is the ``(value, chol)`` pair that ``feasible_value``
+        returned for this same lam; without it the chain is factored here
+        (and LinAlgError is raised outside the PD cone).
+        """
+        if factored is None:
+            chol = np.linalg.cholesky(self.chain(lam))
+            total = self._value(lam, chol)
+        else:
+            total, chol = factored
         n = self.n
         basis = _sym_basis(n)
         # L_j^{-1} = C_j^{-T} (C_j^{-1} I), two stacked triangular solves
@@ -178,12 +196,13 @@ class _PathContext:
     def min_eig0(self, lam: np.ndarray) -> float:
         return float(np.linalg.eigvalsh(lam - self.tails[0])[0])
 
-    def feasible_value(self, lam: np.ndarray) -> float | None:
-        """Objective value, or None when the chain leaves the PD cone.
+    def feasible_value(self, lam: np.ndarray) -> tuple[float, np.ndarray] | None:
+        """``(value, chol)`` at lam, or None when the chain leaves the PD cone.
 
         Cholesky is the feasibility test: L_0 less the membership margin is
         factored in the same stacked call as the chain, whose factors the
-        log-determinants need anyway.
+        log-determinants need anyway.  ``chol`` holds the chain's factors,
+        ready for ``value_grad_hess``.
         """
         chain = self.chain(lam)
         guarded = np.concatenate([chain[:1] - MEMBERSHIP_MARGIN * np.eye(self.n), chain])
@@ -191,7 +210,8 @@ class _PathContext:
             chol = np.linalg.cholesky(guarded)
         except np.linalg.LinAlgError:
             return None
-        return self._value(lam, chol[1:])
+        chol = chol[1:]
+        return self._value(lam, chol), chol
 
 
 def inner_gradient(
@@ -257,17 +277,28 @@ class PathSearchConfig:
 
 
 def _inner_minimize_ctx(ctx: _PathContext, config: PathSearchConfig, lam0=None) -> InnerSolveReport:
+    """Damped Newton solve over the multiplier for one path context.
+
+    Every point the loop moves to has just been factored by
+    ``feasible_value``: the warm-start probe at ``lam0`` and each accepted
+    line-search trial.  Their ``(value, chol)`` pair goes straight into
+    ``value_grad_hess``, so each iterate costs one stacked Cholesky call, and
+    the result is bitwise that of re-factoring.  Only the cold start
+    (``lambda_start``) is factored inside ``value_grad_hess``.
+    """
     lam = None
+    factored = None
     if lam0 is not None:
         candidate = _sym(np.asarray(lam0, dtype=float))
-        if ctx.feasible_value(candidate) is not None:
+        factored = ctx.feasible_value(candidate)
+        if factored is not None:
             lam = candidate
     if lam is None:
         lam = ctx.lambda_start()
     n = ctx.n
     gtol = config.inner_gradient_tolerance
     status = "max_iterations"
-    value, grad, hess = ctx.value_grad_hess(lam)
+    value, grad, hess = ctx.value_grad_hess(lam, factored)
     gnorm = float(np.linalg.norm(grad))
     iterations = 0
     for iterations in range(1, config.inner_max_iterations + 1):
@@ -297,9 +328,10 @@ def _inner_minimize_ctx(ctx: _PathContext, config: PathSearchConfig, lam0=None) 
         for _ in range(40):
             if t * abs(slope) < 1e-17 * max(1.0, abs(value)):
                 break  # predicted decrease below float resolution
-            trial_value = ctx.feasible_value(_sym(lam + t * step))
-            if trial_value is not None and trial_value <= value + 1e-4 * t * slope:
-                lam = _sym(lam + t * step)
+            trial = _sym(lam + t * step)
+            factored = ctx.feasible_value(trial)
+            if factored is not None and factored[0] <= value + 1e-4 * t * slope:
+                lam = trial
                 improved = True
                 break
             t *= 0.5
@@ -310,7 +342,7 @@ def _inner_minimize_ctx(ctx: _PathContext, config: PathSearchConfig, lam0=None) 
             at_optimum = newton and -slope <= NEWTON_DECREMENT_FLOOR * max(1.0, abs(value))
             status = "converged" if at_optimum else "boundary_stall"
             break
-        value, grad, hess = ctx.value_grad_hess(lam)
+        value, grad, hess = ctx.value_grad_hess(lam, factored)
         gnorm = float(np.linalg.norm(grad))
     else:
         iterations = config.inner_max_iterations
@@ -650,9 +682,11 @@ def minimize_over_paths(
 ) -> OptimizationReport:
     """Search inf over multipliers and discrete paths with r = 1..max_levels.
 
-    Degenerate constraints short-circuit to -inf with a certificate.  The
-    reported best path is the smallest r whose value is within
-    ``tolerance_value`` of the overall best (parsimony tie-break).
+    Degenerate constraints short-circuit to -inf with a certificate, but only
+    once its objective values strictly decrease along the ray; a certificate
+    that does not raises RuntimeError.  The reported best path is the
+    smallest r whose value is within ``tolerance_value`` of the overall best
+    (parsimony tie-break).
     """
     config = config or PathSearchConfig()
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
@@ -661,6 +695,12 @@ def minimize_over_paths(
     probe = DiscretePath.simple(qmat, 0.5)
     certificate = detect_degenerate(qmat, probe, h, spec)
     if certificate is not None:
+        values = certificate.objective_values
+        if not all(later < earlier for earlier, later in zip(values, values[1:])):
+            raise RuntimeError(
+                "degeneracy certificate does not show a divergence: objective values "
+                f"{[float(v) for v in values]} along the ray are not strictly decreasing"
+            )
         return OptimizationReport(
             best_value=-np.inf,
             best_path=None,

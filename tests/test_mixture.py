@@ -7,8 +7,11 @@ from sphglass.geometry import DiscretePath
 from sphglass.mixture import (
     MixtureSpec,
     delta_increments,
+    int_power,
+    path_levels,
     theta_matrix,
     xi_matrix,
+    xi_pair,
     xi_prime_matrix,
     xi_scalar,
 )
@@ -126,6 +129,39 @@ def test_delta_rejects_nonmonotone_chain():
     path = DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=np.stack([np.zeros((2, 2)), q1, q2]))
     with pytest.raises(ValueError, match="increment 2"):
         delta_increments(spec, path)
+    with pytest.raises(ValueError, match="increment 2"):
+        path_levels(spec, path)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_one_pass_matches_single_kernels_bitwise(rng, n, r):
+    # the stacked one-pass kernel against a per-matrix, per-function
+    # reference with the same arithmetic: every bit must agree
+    q = random_constraint(rng, n)
+    path = random_path(rng, q.matrix, r)
+    terms = {2: rng.uniform(0.1, 1.0, n), 4: rng.uniform(0.0, 0.5, n), 6: rng.uniform(0.0, 0.3, n)}
+    spec = MixtureSpec(n, terms)
+    xi, xi_prime = xi_pair(spec, path.qs)
+    deltas, thetas = path_levels(spec, path)
+    assert xi.shape == xi_prime.shape == thetas.shape == (r + 1, n, n)
+    ref_primes = []
+    for k, a in enumerate(path.qs):
+        ref_xi = np.zeros((n, n))
+        ref_prime = np.zeros((n, n))
+        for p, beta in spec.terms.items():
+            ref_xi += np.outer(beta, beta) * int_power(a, p)
+            ref_prime += float(p) * np.outer(beta, beta) * int_power(a, p - 1)
+        ref_primes.append(ref_prime)
+        assert np.array_equal(xi[k], ref_xi)
+        assert np.array_equal(xi[k], xi_matrix(spec, a))
+        assert np.array_equal(xi_prime[k], ref_prime)
+        assert np.array_equal(xi_prime[k], xi_prime_matrix(spec, a))
+        assert np.array_equal(thetas[k], a * ref_prime - ref_xi)
+        assert np.array_equal(thetas[k], theta_matrix(spec, a))
+    assert np.array_equal(deltas, np.diff(ref_primes, axis=0))
+    assert np.array_equal(deltas, delta_increments(spec, path))
+    assert not deltas.flags.writeable
 
 
 def test_odd_degree_rejected_at_construction():

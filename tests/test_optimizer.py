@@ -8,6 +8,7 @@ from sphglass.optimizer import (
     InnerSolveReport,
     PathSearchConfig,
     _PathContext,
+    _inner_minimize_ctx,
     detect_degenerate,
     inner_gradient,
     inner_minimize,
@@ -103,6 +104,63 @@ def test_path_context_value_matches_evaluate(rng, n, r):
             got = _PathContext(path, q.matrix, h, spec).value(lam)
             expected = evaluate(lam, path, q, h, spec).total
             assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("field", [False, True])
+def test_value_grad_hess_from_feasible_factor_is_bitwise_fresh(rng, n, r, field):
+    # the (value, chol) pair feasible_value hands on is what value_grad_hess
+    # would compute itself: reusing it must not change a single bit
+    q = random_constraint(rng, n)
+    path = random_path(rng, q.matrix, r)
+    spec = random_mixture(rng, n)
+    h = rng.uniform(-0.5, 0.5, size=n) if field else np.zeros(n)
+    ctx = _PathContext(path, q.matrix, h, spec)
+    for lam in (ctx.lambda_start(), random_multiplier(rng, path, spec)):
+        factored = ctx.feasible_value(lam)
+        assert factored is not None
+        fresh = ctx.value_grad_hess(lam)
+        reused = ctx.value_grad_hess(lam, factored)
+        assert factored[0] == fresh[0] == reused[0]
+        assert np.array_equal(fresh[1], reused[1])
+        assert np.array_equal(fresh[2], reused[2])
+
+
+def test_warm_inner_solve_factors_each_point_once(rng, monkeypatch):
+    # every point the warm-started Newton loop moves to has been factored by
+    # feasible_value; value_grad_hess must reuse those factors, so the solve
+    # makes exactly one Cholesky call per feasibility test
+    q = random_constraint(rng, 2)
+    spec = random_mixture(rng, 2)
+    h = np.array([0.2, -0.1])
+    path = random_path(rng, q.matrix, 2)
+    config = PathSearchConfig()
+    lam0 = _inner_minimize_ctx(_PathContext(path, q.matrix, h, spec), config).lambda_star
+    # a smaller x_0 shrinks only the tail of L_0, so lam0 stays feasible
+    xs = path.xs.copy()
+    xs[1] *= 0.9
+    ctx = _PathContext(DiscretePath(xs=xs, qs=path.qs), q.matrix, h, spec)
+
+    calls = {"cholesky": 0, "feasible_value": 0}
+    cholesky = np.linalg.cholesky
+    feasible_value = _PathContext.feasible_value
+
+    def counting_cholesky(a):
+        calls["cholesky"] += 1
+        return cholesky(a)
+
+    def counting_feasible_value(self, lam):
+        calls["feasible_value"] += 1
+        return feasible_value(self, lam)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(_PathContext, "feasible_value", counting_feasible_value)
+    rep = _inner_minimize_ctx(ctx, config, lam0=lam0)
+    assert rep.status == "converged"
+    assert rep.iterations >= 1
+    assert calls["feasible_value"] >= 2
+    assert calls["cholesky"] == calls["feasible_value"]
 
 
 def test_gradient_requires_admissible_multiplier():
@@ -323,6 +381,40 @@ def test_minimize_degenerate_short_circuits():
     assert report.best_value == -np.inf
     assert report.certificate is not None
     assert report.certificate.objective_values[2] < -100.0
+
+
+def test_minimize_rejects_non_decreasing_certificate(monkeypatch):
+    # -inf is declared only when the ray values strictly decrease
+    import sphglass.optimizer as optimizer
+
+    spec = MixtureSpec(2, {2: [0.3, 0.3]})
+    q = np.array([[1.0, 1.0], [1.0, 1.0]])
+    for values in ([-5.0, -5.0, -7.0], [-5.0, -6.0, -4.0], [1.0, 2.0, 3.0]):
+        remaining = iter(values)
+        monkeypatch.setattr(optimizer, "_ray_objective", lambda *args: next(remaining))
+        with pytest.raises(RuntimeError, match="not strictly decreasing"):
+            minimize_over_paths(q, np.zeros(2), spec, fast_config(), seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rank_deficient_constraints_certify_divergence(n):
+    # Gram matrices of n unit vectors in R^{n-1}: unit diagonal, one null
+    # direction; the certificate must show a strict decrease and minimize
+    # must report -inf with it
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(10):
+        f = rng.standard_normal((n, n - 1))
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        q = f @ f.T
+        q = (q + q.T) / 2.0
+        np.fill_diagonal(q, 1.0)
+        spec = random_mixture(rng, n)
+        h = rng.uniform(-0.5, 0.5, size=n)
+        report = minimize_over_paths(q, h, spec, fast_config(), seed=0)
+        assert report.degenerate
+        assert report.best_value == -np.inf
+        values = report.certificate.objective_values
+        assert values[0] > values[1] > values[2]
 
 
 def test_single_copy_exactly_solvable_values():
