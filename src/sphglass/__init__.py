@@ -7,7 +7,7 @@ independent Monte Carlo oracles for every closed form the functional uses:
 
 - ``mixture``    covariance kernels xi, xi', theta and path increment matrices
 - ``geometry``   constraint matrices, discrete monotone PSD paths, path metric
-- ``functional`` multiplier chain, admissible set, functional evaluation
+- ``functional`` the path kernel, admissible set and functional evaluation
 - ``optimizer``  inner Newton solve over the multiplier, outer path search,
                  degeneracy dichotomy
 - ``cascade``    nested Monte Carlo recursion oracle and finite weight cascades
@@ -19,10 +19,8 @@ from sphglass.mixture import MixtureSpec, xi_matrix, xi_prime_matrix, theta_matr
 from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path, path_distance, refine_path
 from sphglass.functional import (
     FunctionalBreakdown,
-    LambdaChain,
     NotInL,
     InvalidPath,
-    lambda_chain,
     evaluate,
     theta_term,
     closed_form_Y0,

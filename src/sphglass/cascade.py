@@ -60,16 +60,15 @@ LEAF_BLOCK = 1 << 16
 class CascadeSpec:
     """Model bundle for the recursion oracles.
 
-    ``increment_covariances`` are the z_k covariances; they must equal the
-    path increment matrices (recomputed and checked at construction when
-    provided, computed when omitted).
+    ``increment_covariances`` are the z_k covariances, the path increment
+    matrices Delta_k, computed at construction.
     """
 
     path: DiscretePath
     spec: MixtureSpec
     lam: np.ndarray
     h: np.ndarray
-    increment_covariances: tuple[np.ndarray, ...] = field(default=())
+    increment_covariances: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
         lam = check_symmetric(self.lam, "Lambda")
@@ -79,14 +78,7 @@ class CascadeSpec:
         h = np.asarray(self.h, dtype=float).copy()
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
-        deltas = delta_increments(self.spec, self.path)
-        if self.increment_covariances:
-            if len(self.increment_covariances) != len(deltas):
-                raise ValueError("increment_covariances length must equal the number of levels")
-            for k, (given, computed) in enumerate(zip(self.increment_covariances, deltas), start=1):
-                if not np.allclose(given, computed, atol=1e-12):
-                    raise ValueError(f"increment covariance {k} does not match the path increments")
-        object.__setattr__(self, "increment_covariances", tuple(deltas))
+        object.__setattr__(self, "increment_covariances", tuple(delta_increments(self.spec, self.path)))
 
 
 @dataclass(frozen=True)
@@ -307,7 +299,7 @@ def _cascade_rep(args) -> float:
 
 
 def cascade_free_energy_mc(
-    cascade: FiniteCascade,
+    branching: int,
     cspec: CascadeSpec,
     m_effective: float,
     reps: int,
@@ -316,28 +308,26 @@ def cascade_free_energy_mc(
 ) -> NestedMCResult:
     """Direct simulation of (1/M) E log sum_alpha v_alpha exp(sqrt(M) Y(alpha)).
 
-    ``cascade`` supplies the tree shape (depth, branching, x-parameters);
-    every replicate redraws both the weights and the tree Gaussian, so the
-    average is over disorder and cascade.  Converges to
+    The tree has the path's depth r, ``branching`` atoms per node and the
+    path's x-parameters; every replicate samples its own cascade and tree
+    Gaussian, so the average is over disorder and cascade.  Converges to
     ``theta_cascade_value`` as M and K grow (slowly; tolerances are loose by
     design).
     """
-    if cascade.depth > 2:
+    path = cspec.path
+    if path.r > 2:
         raise ValueError("free-energy simulation supports depth <= 2")
     if not 1.0 <= m_effective <= 64.0:
         raise ValueError("M_effective must lie in [1, 64]")
     if reps < 100:
         raise ValueError("need at least 100 replicates")
-    path = cspec.path
-    if cascade.depth != path.r:
-        raise ValueError("cascade depth must match the path")
     seeds = [np.random.SeedSequence(int(seed), spawn_key=(17, rep)).generate_state(1)[0] for rep in range(reps)]
     # tree covariance increments, clipped at zero against rounding
     v = np.clip(np.diff(_tree_covariances(path, cspec.spec)), 0.0, None)
-    args = [(path, v, float(m_effective), int(cascade.branching), int(s)) for s in seeds]
+    args = [(path, v, float(m_effective), int(branching), int(s)) for s in seeds]
     values = np.array(run_tasks(_cascade_rep, args, workers=workers))
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(reps)) if reps > 1 else float("inf")
     return NestedMCResult(
-        estimate=estimate, stderr=stderr, samples_per_level=(int(cascade.branching),) * path.r, seed=int(seed)
+        estimate=estimate, stderr=stderr, samples_per_level=(int(branching),) * path.r, seed=int(seed)
     )

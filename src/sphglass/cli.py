@@ -392,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, np.linalg.LinAlgError) as err:
         print(to_json({"error": {"kind": "value", "message": str(err)}}), file=sys.stderr)
         return 1
+    except RuntimeError as err:
+        print(to_json({"error": {"kind": "runtime", "message": str(err)}}), file=sys.stderr)
+        return 1
 
     columns = report["body"].get("columns") if isinstance(report["body"], dict) else None
     if config.fmt == "csv" and columns:

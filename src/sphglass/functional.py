@@ -12,35 +12,35 @@ L_k = L_{k+1} - x_k Delta_{k+1}, and membership in the admissible set
 requires L_0 to stay positive definite.  Because the increments Delta are
 PSD, the chain is monotone, so L_0 > 0 already forces every L_k > 0.
 
-Log-determinants are always taken through a Cholesky factorization (never the
-raw determinant) for conditioning near the admissibility boundary, and the
-field term uses a linear solve rather than an explicit inverse.
+One kernel, ``_PathContext``, computes it: ``evaluate`` and
+``closed_form_Y0`` read their terms from it, and the optimizer minimizes over
+it.  Log-determinants are always taken through a Cholesky factorization
+(never the raw determinant) for conditioning near the admissibility boundary,
+and the field term uses a linear solve rather than an explicit inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
-from sphglass.mixture import MixtureSpec, check_symmetric, delta_increments, theta_matrix
+from sphglass.mixture import MixtureSpec, check_symmetric, path_levels
 
 __all__ = [
     "NotInL",
     "InvalidPath",
     "DivergentGaussianIntegral",
-    "LambdaChain",
     "FunctionalBreakdown",
     "MEMBERSHIP_MARGIN",
-    "lambda_chain",
     "evaluate",
     "theta_term",
     "closed_form_Y0",
     "jacobi_limit_term",
     "gaussian_quadratic_identity",
     "logdet_pd",
-    "logdet_increment",
 ]
 
 # Determinant positivity is numerically meaningless near the boundary; the
@@ -76,40 +76,28 @@ def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(chol.T, y)
 
 
-@dataclass(frozen=True)
-class LambdaChain:
-    """Backward multiplier recursion L_k = L_{k+1} - x_k Delta_{k+1}.
-
-    ``lambdas[k]`` is L_k for k = 0..r; min_eig0 is the smallest eigenvalue
-    of L_0, whose positivity decides membership in the admissible set.
-    """
-
-    lambdas: np.ndarray  # (r + 1, n, n)
-    min_eig0: float
-
-    @property
-    def r(self) -> int:
-        return self.lambdas.shape[0] - 1
-
-    def in_admissible_set(self, margin: float = MEMBERSHIP_MARGIN) -> bool:
-        return self.min_eig0 > margin
+def _sym(a: np.ndarray) -> np.ndarray:
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def lambda_chain(lam: np.ndarray, path: DiscretePath, spec: MixtureSpec) -> LambdaChain:
-    """Build the chain from L_r = lam down to L_0.
-
-    Membership failure is data (inspect ``min_eig0``), not an exception.
-    """
-    lam = check_symmetric(lam, "Lambda")
-    deltas = delta_increments(spec, path)
-    r = path.r
-    chain = np.empty((r + 1,) + lam.shape)
-    chain[r] = lam
-    for k in range(r - 1, -1, -1):
-        x_k = path.xs[k + 1]
-        chain[k] = chain[k + 1] - x_k * deltas[k]
-    chain.setflags(write=False)
-    return LambdaChain(lambdas=chain, min_eig0=float(np.linalg.eigvalsh(chain[0])[0]))
+@lru_cache(maxsize=32)
+def _sym_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of symmetric n x n matrices, rows are vec(E_a)."""
+    rows = []
+    for i in range(n):
+        e = np.zeros((n, n))
+        e[i, i] = 1.0
+        rows.append(e.ravel())
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n))
+            e[i, j] = e[j, i] = inv_sqrt2
+            rows.append(e.ravel())
+    basis = np.array(rows)
+    basis.setflags(write=False)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -129,85 +117,171 @@ class FunctionalBreakdown:
     theta_term: float
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "trace_term": self.trace_term,
-            "const_term": self.const_term,
-            "logdet_term": self.logdet_term,
-            "field_term": self.field_term,
-            "cascade_term": self.cascade_term,
-            "theta_term": self.theta_term,
-        }
+        return asdict(self)
 
 
-def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
-    """1/2 sum_{k=0}^{r-1} x_k Sum(theta(Q_{k+1}) - theta(Q_k)).
+def _theta_sum(x_all: np.ndarray, thetas: np.ndarray) -> float:
+    """1/2 sum_k x_k Sum(theta(Q_{k+1}) - theta(Q_k)) from the theta levels."""
+    theta_steps = np.sum(np.diff(thetas, axis=0), axis=(1, 2))
+    return float(np.sum(0.5 * x_all[:-1] * theta_steps))
 
-    Carries the overall 1/2 prefactor of the functional: that convention
-    reproduces the annealed high-temperature value beta^2/2 for a single
-    copy of the pure 2-spin model and is what the cascade log-moment
-    recursion yields level by level.
+
+class _PathContext:
+    """Per-path precomputation shared by objective, gradient and Hessian.
+
+    This is the one implementation of the functional: ``evaluate``,
+    ``closed_form_Y0`` and the optimizer all run on it.  Every evaluation
+    works on the whole multiplier chain L_k = Lambda - tails[k], k = 0..r, as
+    one (r + 1, n, n) stack, so it costs one stacked Cholesky factorization
+    whatever the number of levels.  The increments Delta_k and the theta
+    levels come from one mixture pass (``path_levels``) over the path's chain
+    Q_0..Q_r.
+
+    ``feasible_value`` hands back the chain's factors with the value, and
+    ``value_grad_hess`` accepts that pair instead of factoring again.  The
+    chain's factors from the guarded stacked call are bitwise those of a
+    fresh ``cholesky(chain(lam))``: a stacked factorization treats each
+    matrix on its own, so reusing them changes no bit of the value, gradient
+    or Hessian.
     """
-    _require_valid_increments(path, spec)
-    total = 0.0
-    for k in range(path.r):
-        x_k = path.xs[k + 1]
-        diff = theta_matrix(spec, path.qs[k + 1]) - theta_matrix(spec, path.qs[k])
-        total += 0.5 * x_k * float(np.sum(diff))
-    return total
 
-
-def _require_valid_increments(path: DiscretePath, spec: MixtureSpec) -> None:
-    xs = path.xs
-    if np.any(np.diff(xs) <= 0) or xs[0] != 0.0 or xs[-1] != 1.0:
-        raise InvalidPath("breakpoints must satisfy 0 = x_{-1} < x_0 < ... < x_r = 1")
-    try:
-        delta_increments(spec, path)
-    except ValueError as err:
-        raise InvalidPath(str(err)) from None
-
-
-def logdet_increment(base: np.ndarray, scale: float, increment: np.ndarray) -> float:
-    """log det(base + scale * increment) - log det(base), computed stably.
-
-    Equals sum_i log1p(scale * mu_i) for the generalized eigenvalues mu of
-    (increment, base); safe when scale * increment is far smaller than base,
-    where differencing two log-determinants would cancel catastrophically.
-    """
-    chol = np.linalg.cholesky(base)
-    half = np.linalg.solve(chol, increment)
-    conj = np.linalg.solve(chol, half.T).T
-    mu = np.linalg.eigvalsh((conj + conj.T) / 2.0)
-    return float(np.sum(np.log1p(scale * mu)))
-
-
-def _closed_form_terms(
-    chain: LambdaChain, path: DiscretePath, h: np.ndarray, deltas: list[np.ndarray]
-) -> tuple[float, float, float]:
-    """(logdet_term, field_term, cascade_term) shared by the functional and
-    the recursion closed form."""
-    logdet_term = -0.5 * logdet_pd(chain.lambdas[-1])
-    cascade_term = 0.0
-    for k in range(chain.r):
-        x_k = path.xs[k + 1]
-        inc = logdet_increment(chain.lambdas[k], x_k, deltas[k])
-        cascade_term += 0.5 * inc / x_k
-    h = np.asarray(h, dtype=float)
-    if np.any(h):
-        field_term = 0.5 * float(h @ solve_pd(chain.lambdas[0], h))
-    else:
-        field_term = 0.0
-    return logdet_term, field_term, cascade_term
-
-
-def _checked_chain(lam: np.ndarray, path: DiscretePath, spec: MixtureSpec) -> LambdaChain:
-    chain = lambda_chain(lam, path, spec)
-    if not chain.in_admissible_set():
-        raise NotInL(
-            f"Lambda_0 not positive definite: smallest eigenvalue {chain.min_eig0:.3e} "
-            f"<= margin {MEMBERSHIP_MARGIN:.0e}"
+    def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec):
+        self.qmat = qmat
+        self.h = np.asarray(h, dtype=float)
+        self.n = path.n
+        self.r = path.r
+        self.deltas, thetas = path_levels(spec, path)
+        x_all = path.xs[1:]  # x_0 .. x_r = 1
+        self.x_levels = x_all
+        # tails[k] = sum_{l >= k} x_l Delta_{l+1}; Lambda_k = Lambda - tails[k]
+        scaled = x_all[:-1, None, None] * self.deltas
+        self.tails = np.concatenate(
+            [np.cumsum(scaled[::-1], axis=0)[::-1], np.zeros((1, self.n, self.n))]
         )
-    return chain
+        # logdet coefficients: the cascade sum telescopes into
+        # sum_j w_j log|Lambda_j| with w_0 < 0 and w_j >= 0 otherwise
+        self.logdet_coeffs = -np.diff(0.5 / x_all, prepend=0.0)
+        # the value keeps the cascade in its increment form instead
+        self.increment_coeffs = 0.5 / x_all[:-1] - 0.5
+        self.theta_const = _theta_sum(x_all, thetas)
+        self.has_field = bool(np.any(self.h))
+
+    def lambda_start(self) -> np.ndarray:
+        return _sym(self.tails[0] + solve_pd(self.qmat, np.eye(self.n)))
+
+    def chain(self, lam: np.ndarray) -> np.ndarray:
+        return lam[None, :, :] - self.tails
+
+    def value(self, lam: np.ndarray) -> float:
+        """Objective at lam; raises LinAlgError outside the PD cone."""
+        return self._value(lam, np.linalg.cholesky(self.chain(lam)))
+
+    def _increments(self, chol: np.ndarray) -> np.ndarray:
+        """log|L_{k+1}| - log|L_k| = sum_i log1p(x_k mu_i), k = 0..r-1.
+
+        mu are the generalized eigenvalues of (Delta_{k+1}, L_k), taken from
+        the factors of the chain: at breakpoints near 0 the coefficient 1/x
+        would amplify the cancellation of two nearly equal log-determinants.
+        """
+        lower = chol[:-1]
+        half = np.linalg.solve(lower, self.deltas)
+        conj = np.linalg.solve(lower, half.swapaxes(1, 2))
+        mu = np.linalg.eigvalsh(_sym(conj))
+        return np.sum(np.log1p(self.x_levels[:-1, None] * mu), axis=1)
+
+    def _value(self, lam: np.ndarray, chol: np.ndarray) -> float:
+        """Objective at lam from the Cholesky factors of its chain.
+
+        The cascade sum is accumulated through the stable log-determinant
+        increments of ``_increments``.
+        """
+        increments = self._increments(chol)
+        total = (
+            0.5 * float(np.trace(lam @ self.qmat))
+            - 0.5 * self.n
+            - self.theta_const
+            - float(np.sum(np.log(np.diagonal(chol[0]))))
+            + float(self.increment_coeffs @ increments)
+        )
+        if self.has_field:
+            y = np.linalg.solve(chol[0], self.h)
+            total += 0.5 * float(y @ y)
+        return total
+
+    def breakdown(self, lam: np.ndarray) -> FunctionalBreakdown:
+        """The functional at lam term by term; raises NotInL outside L.
+
+        ``total`` is the objective value the optimizer sees, from the same
+        guarded factors as the terms.
+        """
+        factored = self.feasible_value(lam)
+        if factored is None:
+            raise NotInL(
+                f"Lambda_0 not positive definite: smallest eigenvalue {self.min_eig0(lam):.3e} "
+                f"<= margin {MEMBERSHIP_MARGIN:.0e}"
+            )
+        total, chol = factored
+        field = 0.0
+        if self.has_field:
+            y = np.linalg.solve(chol[0], self.h)
+            field = 0.5 * float(y @ y)
+        return FunctionalBreakdown(
+            total=total,
+            trace_term=0.5 * float(np.trace(lam @ self.qmat)),
+            const_term=-0.5 * self.n,
+            logdet_term=-float(np.sum(np.log(np.diagonal(chol[-1])))),
+            field_term=field,
+            cascade_term=float(np.sum(0.5 * self._increments(chol) / self.x_levels[:-1])),
+            theta_term=self.theta_const,
+        )
+
+    def value_grad_hess(self, lam: np.ndarray, factored: tuple[float, np.ndarray] | None = None):
+        """Value, gradient matrix and Hessian in the symmetric basis at lam.
+
+        ``factored`` is the ``(value, chol)`` pair that ``feasible_value``
+        returned for this same lam; without it the chain is factored here
+        (and LinAlgError is raised outside the PD cone).
+        """
+        if factored is None:
+            chol = np.linalg.cholesky(self.chain(lam))
+            total = self._value(lam, chol)
+        else:
+            total, chol = factored
+        n = self.n
+        basis = _sym_basis(n)
+        # L_j^{-1} = C_j^{-T} (C_j^{-1} I), two stacked triangular solves
+        eye = np.broadcast_to(np.eye(n), chol.shape)
+        inv = _sym(np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, eye)))
+        grad = 0.5 * self.qmat + np.einsum("j,jab->ab", self.logdet_coeffs, inv)
+        # sum_j -w_j kron(inv_j, inv_j): rows (a, b), columns (c, d)
+        curvature = np.einsum("j,jac,jbd->abcd", -self.logdet_coeffs, inv, inv)
+        curvature = curvature.reshape(n * n, n * n)
+        if self.has_field:
+            wvec = inv[0] @ self.h
+            grad -= 0.5 * np.outer(wvec, wvec)
+            cross = np.kron(np.outer(wvec, wvec), inv[0])
+            curvature += 0.5 * (cross + cross.T)
+        return total, _sym(grad), basis @ curvature @ basis.T
+
+    def min_eig0(self, lam: np.ndarray) -> float:
+        return float(np.linalg.eigvalsh(lam - self.tails[0])[0])
+
+    def feasible_value(self, lam: np.ndarray) -> tuple[float, np.ndarray] | None:
+        """``(value, chol)`` at lam, or None when the chain leaves the PD cone.
+
+        Cholesky is the feasibility test: L_0 less the membership margin is
+        factored in the same stacked call as the chain, whose factors the
+        log-determinants need anyway.  ``chol`` holds the chain's factors,
+        ready for ``value_grad_hess``.
+        """
+        chain = self.chain(lam)
+        guarded = np.concatenate([chain[:1] - MEMBERSHIP_MARGIN * np.eye(self.n), chain])
+        try:
+            chol = np.linalg.cholesky(guarded)
+        except np.linalg.LinAlgError:
+            return None
+        chol = chol[1:]
+        return self._value(lam, chol), chol
 
 
 def evaluate(
@@ -223,23 +297,29 @@ def evaluate(
     if not report.ok:
         raise InvalidPath(f"invalid path: {[v.to_dict() for v in report.violations]}")
     lam = check_symmetric(lam, "Lambda")
-    chain = _checked_chain(lam, path, spec)
+    try:
+        ctx = _PathContext(path, qmat, h, spec)
+    except ValueError as err:  # path_levels rejects an increment Delta_k
+        raise InvalidPath(str(err)) from None
+    return ctx.breakdown(lam)
 
-    trace = 0.5 * float(np.trace(lam @ qmat))
-    const = -0.5 * path.n
-    deltas = delta_increments(spec, path)
-    logdet, field, cascade = _closed_form_terms(chain, path, np.asarray(h, dtype=float), deltas)
-    theta = theta_term(path, spec)
-    total = trace + const + logdet + field + cascade - theta
-    return FunctionalBreakdown(
-        total=total,
-        trace_term=trace,
-        const_term=const,
-        logdet_term=logdet,
-        field_term=field,
-        cascade_term=cascade,
-        theta_term=theta,
-    )
+
+def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
+    """1/2 sum_{k=0}^{r-1} x_k Sum(theta(Q_{k+1}) - theta(Q_k)).
+
+    Carries the overall 1/2 prefactor of the functional: that convention
+    reproduces the annealed high-temperature value beta^2/2 for a single
+    copy of the pure 2-spin model and is what the cascade log-moment
+    recursion yields level by level.
+    """
+    xs = path.xs
+    if np.any(np.diff(xs) <= 0) or xs[0] != 0.0 or xs[-1] != 1.0:
+        raise InvalidPath("breakpoints must satisfy 0 = x_{-1} < x_0 < ... < x_r = 1")
+    try:
+        _, thetas = path_levels(spec, path)
+    except ValueError as err:
+        raise InvalidPath(str(err)) from None
+    return _theta_sum(xs[1:], thetas)
 
 
 def closed_form_Y0(
@@ -253,10 +333,8 @@ def closed_form_Y0(
     construction; the nested Monte Carlo oracle checks it stochastically.
     """
     lam = check_symmetric(lam, "Lambda")
-    chain = _checked_chain(lam, path, spec)
-    deltas = delta_increments(spec, path)
-    logdet, field, cascade = _closed_form_terms(chain, path, np.asarray(h, dtype=float), deltas)
-    return logdet + field + cascade
+    b = _PathContext(path, path.qs[-1], h, spec).breakdown(lam)
+    return b.logdet_term + b.field_term + b.cascade_term
 
 
 def jacobi_limit_term(lam1: np.ndarray, delta1: np.ndarray) -> float:

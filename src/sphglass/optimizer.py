@@ -24,7 +24,6 @@ Structure of the double infimum:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
@@ -36,8 +35,16 @@ from sphglass.geometry import (
     is_degenerate_spectrum,
     refine_path,
 )
-from sphglass.functional import MEMBERSHIP_MARGIN, NotInL, logdet_pd, solve_pd
-from sphglass.mixture import MixtureSpec, check_symmetric, path_levels
+from sphglass.functional import (
+    MEMBERSHIP_MARGIN,
+    NotInL,
+    _PathContext,
+    _sym,
+    _sym_basis,
+    logdet_pd,
+    solve_pd,
+)
+from sphglass.mixture import MixtureSpec, check_symmetric
 
 __all__ = [
     "PathSearchConfig",
@@ -57,161 +64,12 @@ CERTIFICATE_D11 = (1e10, 1e95, 1e180)
 NEWTON_DECREMENT_FLOOR = 16.0 * np.finfo(float).eps
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    """Symmetric part of a matrix, or of each matrix in a stack."""
-    return (a + a.swapaxes(-1, -2)) / 2.0
-
-
-@lru_cache(maxsize=32)
-def _sym_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of symmetric n x n matrices, rows are vec(E_a)."""
-    rows = []
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        rows.append(e.ravel())
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = inv_sqrt2
-            rows.append(e.ravel())
-    basis = np.array(rows)
-    basis.setflags(write=False)
-    return basis
-
-
 def _to_coords(g: np.ndarray) -> np.ndarray:
     return _sym_basis(g.shape[0]) @ g.ravel()
 
 
 def _from_coords(v: np.ndarray, n: int) -> np.ndarray:
     return (_sym_basis(n).T @ v).reshape(n, n)
-
-
-class _PathContext:
-    """Per-path precomputation shared by objective, gradient and Hessian.
-
-    Every evaluation works on the whole multiplier chain
-    L_k = Lambda - tails[k], k = 0..r, as one (r + 1, n, n) stack, so it
-    costs one stacked Cholesky factorization whatever the number of levels.
-    The increments Delta_k and the theta levels come from one mixture pass
-    (``path_levels``) over the path's chain Q_0..Q_r.
-
-    ``feasible_value`` hands back the chain's factors with the value, and
-    ``value_grad_hess`` accepts that pair instead of factoring again.  The
-    chain's factors from the guarded stacked call are bitwise those of a
-    fresh ``cholesky(chain(lam))``: a stacked factorization treats each
-    matrix on its own, so reusing them changes no bit of the value, gradient
-    or Hessian.
-    """
-
-    def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec):
-        self.path = path
-        self.qmat = qmat
-        self.h = np.asarray(h, dtype=float)
-        self.n = path.n
-        self.r = path.r
-        self.deltas, thetas = path_levels(spec, path)
-        x_all = path.xs[1:]  # x_0 .. x_r = 1
-        self.x_levels = x_all
-        # tails[k] = sum_{l >= k} x_l Delta_{l+1}; Lambda_k = Lambda - tails[k]
-        scaled = x_all[:-1, None, None] * self.deltas
-        self.tails = np.concatenate(
-            [np.cumsum(scaled[::-1], axis=0)[::-1], np.zeros((1, self.n, self.n))]
-        )
-        # logdet coefficients: the cascade sum telescopes into
-        # sum_j w_j log|Lambda_j| with w_0 < 0 and w_j >= 0 otherwise
-        self.logdet_coeffs = -np.diff(0.5 / x_all, prepend=0.0)
-        # the value keeps the cascade in its increment form instead
-        self.increment_coeffs = 0.5 / x_all[:-1] - 0.5
-        theta_steps = np.sum(np.diff(thetas, axis=0), axis=(1, 2))
-        self.theta_const = float(np.sum(0.5 * x_all[:-1] * theta_steps))
-        self.has_field = bool(np.any(self.h))
-
-    def lambda_start(self) -> np.ndarray:
-        return _sym(self.tails[0] + solve_pd(self.qmat, np.eye(self.n)))
-
-    def chain(self, lam: np.ndarray) -> np.ndarray:
-        return lam[None, :, :] - self.tails
-
-    def value(self, lam: np.ndarray) -> float:
-        """Objective at lam; raises LinAlgError outside the PD cone."""
-        return self._value(lam, np.linalg.cholesky(self.chain(lam)))
-
-    def _value(self, lam: np.ndarray, chol: np.ndarray) -> float:
-        """Objective at lam from the Cholesky factors of its chain.
-
-        The cascade sum is accumulated through stable log-determinant
-        increments log|L_{k+1}| - log|L_k| = sum_i log1p(x_k mu_i), where mu
-        are the generalized eigenvalues of (Delta_{k+1}, L_k): at breakpoints
-        near 0 the coefficient 1/x would amplify the cancellation of two
-        nearly equal log-determinants.
-        """
-        lower = chol[:-1]
-        half = np.linalg.solve(lower, self.deltas)
-        conj = np.linalg.solve(lower, half.swapaxes(1, 2))
-        mu = np.linalg.eigvalsh(_sym(conj))
-        increments = np.sum(np.log1p(self.x_levels[:-1, None] * mu), axis=1)
-        total = (
-            0.5 * float(np.trace(lam @ self.qmat))
-            - 0.5 * self.n
-            - self.theta_const
-            - float(np.sum(np.log(np.diagonal(chol[0]))))
-            + float(self.increment_coeffs @ increments)
-        )
-        if self.has_field:
-            y = np.linalg.solve(chol[0], self.h)
-            total += 0.5 * float(y @ y)
-        return total
-
-    def value_grad_hess(self, lam: np.ndarray, factored: tuple[float, np.ndarray] | None = None):
-        """Value, gradient matrix and Hessian in the symmetric basis at lam.
-
-        ``factored`` is the ``(value, chol)`` pair that ``feasible_value``
-        returned for this same lam; without it the chain is factored here
-        (and LinAlgError is raised outside the PD cone).
-        """
-        if factored is None:
-            chol = np.linalg.cholesky(self.chain(lam))
-            total = self._value(lam, chol)
-        else:
-            total, chol = factored
-        n = self.n
-        basis = _sym_basis(n)
-        # L_j^{-1} = C_j^{-T} (C_j^{-1} I), two stacked triangular solves
-        eye = np.broadcast_to(np.eye(n), chol.shape)
-        inv = _sym(np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, eye)))
-        grad = 0.5 * self.qmat + np.einsum("j,jab->ab", self.logdet_coeffs, inv)
-        # sum_j -w_j kron(inv_j, inv_j): rows (a, b), columns (c, d)
-        curvature = np.einsum("j,jac,jbd->abcd", -self.logdet_coeffs, inv, inv)
-        curvature = curvature.reshape(n * n, n * n)
-        if self.has_field:
-            wvec = inv[0] @ self.h
-            grad -= 0.5 * np.outer(wvec, wvec)
-            cross = np.kron(np.outer(wvec, wvec), inv[0])
-            curvature += 0.5 * (cross + cross.T)
-        return total, _sym(grad), basis @ curvature @ basis.T
-
-    def min_eig0(self, lam: np.ndarray) -> float:
-        return float(np.linalg.eigvalsh(lam - self.tails[0])[0])
-
-    def feasible_value(self, lam: np.ndarray) -> tuple[float, np.ndarray] | None:
-        """``(value, chol)`` at lam, or None when the chain leaves the PD cone.
-
-        Cholesky is the feasibility test: L_0 less the membership margin is
-        factored in the same stacked call as the chain, whose factors the
-        log-determinants need anyway.  ``chol`` holds the chain's factors,
-        ready for ``value_grad_hess``.
-        """
-        chain = self.chain(lam)
-        guarded = np.concatenate([chain[:1] - MEMBERSHIP_MARGIN * np.eye(self.n), chain])
-        try:
-            chol = np.linalg.cholesky(guarded)
-        except np.linalg.LinAlgError:
-            return None
-        chol = chol[1:]
-        return self._value(lam, chol), chol
 
 
 def inner_gradient(

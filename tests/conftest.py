@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from sphglass.functional import FunctionalBreakdown
 from sphglass.geometry import ConstraintMatrix, DiscretePath
-from sphglass.mixture import MixtureSpec, delta_increments
+from sphglass.mixture import MixtureSpec, delta_increments, theta_matrix
 
 
 def random_constraint(rng: np.random.Generator, n: int, min_eig: float = 0.05) -> ConstraintMatrix:
@@ -93,6 +94,49 @@ def scalar_functional_value(lam: float, xs, q_levels, terms: dict, h: float = 0.
         xs[k + 1] * (theta(q_levels[k + 1]) - theta(q_levels[k])) for k in range(r)
     )
     return value
+
+
+def reference_breakdown(lam, path: DiscretePath, q, h, spec: MixtureSpec) -> FunctionalBreakdown:
+    """Level-by-level reference for the stacked path kernel of ``functional``.
+
+    Builds the multiplier chain L_r = lam, L_k = L_{k+1} - x_k Delta_{k+1}
+    one matrix at a time and takes each cascade increment
+    log|L_{k+1}| - log|L_k| as sum_i log1p(x_k mu_i) over the generalized
+    eigenvalues mu of (Delta_{k+1}, L_k), stable at breakpoints near 0.
+    Raises LinAlgError when a chain matrix is not positive definite.
+    """
+    qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    h = np.asarray(h, dtype=float)
+    deltas = delta_increments(spec, path)
+    r, xs = path.r, path.xs
+    chain = [lam] * (r + 1)
+    for k in range(r - 1, -1, -1):
+        chain[k] = chain[k + 1] - xs[k + 1] * deltas[k]
+    cascade = 0.0
+    for k in range(r):
+        chol = np.linalg.cholesky(chain[k])
+        half = np.linalg.solve(chol, deltas[k])
+        conj = np.linalg.solve(chol, half.T).T
+        mu = np.linalg.eigvalsh((conj + conj.T) / 2.0)
+        cascade += 0.5 * float(np.sum(np.log1p(xs[k + 1] * mu))) / xs[k + 1]
+    theta = 0.0
+    for k in range(r):
+        diff = theta_matrix(spec, path.qs[k + 1]) - theta_matrix(spec, path.qs[k])
+        theta += 0.5 * xs[k + 1] * float(np.sum(diff))
+    trace = 0.5 * float(np.trace(lam @ qmat))
+    const = -0.5 * path.n
+    logdet = -float(np.sum(np.log(np.diag(np.linalg.cholesky(lam)))))
+    field = 0.5 * float(h @ np.linalg.solve(chain[0], h))
+    return FunctionalBreakdown(
+        total=trace + const + logdet + field + cascade - theta,
+        trace_term=trace,
+        const_term=const,
+        logdet_term=logdet,
+        field_term=field,
+        cascade_term=cascade,
+        theta_term=theta,
+    )
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from sphglass.cascade import (
     CascadeSpec,
     cascade_free_energy_mc,
     nested_recursion_mc,
-    sample_finite_cascade,
     theta_cascade_value,
 )
 from sphglass.cli import load_config, run
@@ -328,8 +327,7 @@ def test_criterion_11_theta_term_adjudication():
     path = DiscretePath(xs=[0.0, 1.0 - 1e-6, 1.0], qs=[[[0.0]], [[1.0]]])
     target = theta_cascade_value(path, spec)
     cspec = CascadeSpec(path=path, spec=spec, lam=np.array([[1 + 2 * beta**2]]), h=np.zeros(1))
-    cascade = sample_finite_cascade(path, 10_000, seed=SEED)
-    sim = cascade_free_energy_mc(cascade, cspec, m_effective=32.0, reps=200, seed=SEED)
+    sim = cascade_free_energy_mc(10_000, cspec, m_effective=32.0, reps=200, seed=SEED)
     rel = abs(sim.estimate - target) / target
     ok_sim = rel <= 0.10
     elapsed = time.perf_counter() - start

@@ -16,7 +16,7 @@ from sphglass.cascade import (
 )
 from sphglass.functional import closed_form_Y0, logdet_pd, solve_pd, theta_term
 from sphglass.geometry import DiscretePath
-from sphglass.mixture import MixtureSpec, delta_increments
+from sphglass.mixture import MixtureSpec
 from sphglass.parallel import stream
 
 from conftest import random_constraint, random_mixture, random_multiplier, random_path
@@ -24,23 +24,6 @@ from conftest import random_constraint, random_mixture, random_multiplier, rando
 
 def scalar_path(x0: float = 0.9) -> DiscretePath:
     return DiscretePath(xs=[0.0, x0, 1.0], qs=[[[0.0]], [[1.0]]])
-
-
-def test_cascade_spec_validates_covariances(rng):
-    q = random_constraint(rng, 2)
-    path = random_path(rng, q.matrix, 2)
-    spec = random_mixture(rng, 2)
-    lam = random_multiplier(rng, path, spec)
-    deltas = delta_increments(spec, path)
-    CascadeSpec(path=path, spec=spec, lam=lam, h=np.zeros(2), increment_covariances=tuple(deltas))
-    with pytest.raises(ValueError):
-        CascadeSpec(
-            path=path,
-            spec=spec,
-            lam=lam,
-            h=np.zeros(2),
-            increment_covariances=tuple(d + 0.1 for d in deltas),
-        )
 
 
 def test_nested_mc_zero_mixture_exact(rng):
@@ -168,9 +151,8 @@ def test_cascade_free_energy_worker_invariance():
     path = scalar_path(0.6)
     spec = MixtureSpec(1, {2: [0.3]})
     cs = CascadeSpec(path=path, spec=spec, lam=np.array([[1.3]]), h=np.zeros(1))
-    fc = sample_finite_cascade(path, 300, seed=1)
-    a = cascade_free_energy_mc(fc, cs, 8.0, 120, seed=9, workers=1)
-    b = cascade_free_energy_mc(fc, cs, 8.0, 120, seed=9, workers=3)
+    a = cascade_free_energy_mc(300, cs, 8.0, 120, seed=9, workers=1)
+    b = cascade_free_energy_mc(300, cs, 8.0, 120, seed=9, workers=3)
     assert a.estimate == b.estimate and a.stderr == b.stderr
 
 
@@ -268,8 +250,7 @@ def test_cascade_free_energy_zero_mixture():
     path = scalar_path(0.5)
     spec = MixtureSpec.zero(1)
     cs = CascadeSpec(path=path, spec=spec, lam=np.array([[2.0]]), h=np.zeros(1))
-    fc = sample_finite_cascade(path, 200, seed=2)
-    res = cascade_free_energy_mc(fc, cs, m_effective=8.0, reps=100, seed=3)
+    res = cascade_free_energy_mc(200, cs, m_effective=8.0, reps=100, seed=3)
     assert res.estimate == pytest.approx(0.0, abs=1e-15)
     assert res.stderr == pytest.approx(0.0, abs=1e-15)
 
@@ -280,8 +261,7 @@ def test_cascade_free_energy_near_rs_smoke():
     path = DiscretePath(xs=[0.0, 1.0 - 1e-6, 1.0], qs=[[[0.0]], [[1.0]]])
     target = theta_cascade_value(path, spec)
     cs = CascadeSpec(path=path, spec=spec, lam=np.array([[1 + 2 * beta**2]]), h=np.zeros(1))
-    fc = sample_finite_cascade(path, 4000, seed=5)
-    res = cascade_free_energy_mc(fc, cs, m_effective=16.0, reps=120, seed=21)
+    res = cascade_free_energy_mc(4000, cs, m_effective=16.0, reps=120, seed=21)
     assert abs(res.estimate - target) <= 0.15 * target
 
 
@@ -291,8 +271,8 @@ def test_cascade_free_energy_truncation_stability():
     spec = MixtureSpec(1, {2: [beta]})
     path = DiscretePath(xs=[0.0, 1.0 - 1e-6, 1.0], qs=[[[0.0]], [[1.0]]])
     cs = CascadeSpec(path=path, spec=spec, lam=np.array([[1 + 2 * beta**2]]), h=np.zeros(1))
-    small = cascade_free_energy_mc(sample_finite_cascade(path, 5000, seed=5), cs, 16.0, 300, seed=41)
-    large = cascade_free_energy_mc(sample_finite_cascade(path, 10000, seed=5), cs, 16.0, 300, seed=41)
+    small = cascade_free_energy_mc(5000, cs, 16.0, 300, seed=41)
+    large = cascade_free_energy_mc(10000, cs, 16.0, 300, seed=41)
     assert abs(large.estimate - small.estimate) <= max(small.stderr, large.stderr)
 
 
@@ -300,8 +280,7 @@ def test_cascade_free_energy_validations():
     path = scalar_path(0.5)
     spec = MixtureSpec(1, {2: [0.3]})
     cs = CascadeSpec(path=path, spec=spec, lam=np.array([[1.5]]), h=np.zeros(1))
-    fc = sample_finite_cascade(path, 200, seed=1)
     with pytest.raises(ValueError):
-        cascade_free_energy_mc(fc, cs, m_effective=100.0, reps=100, seed=0)
+        cascade_free_energy_mc(200, cs, m_effective=100.0, reps=100, seed=0)
     with pytest.raises(ValueError):
-        cascade_free_energy_mc(fc, cs, m_effective=8.0, reps=10, seed=0)
+        cascade_free_energy_mc(200, cs, m_effective=8.0, reps=10, seed=0)

@@ -132,6 +132,28 @@ def test_minimize_degenerate_exit_code(tmp_path):
     assert values[0] > values[1] > values[2] and values[2] < -100
 
 
+def test_solver_runtime_error_reported_as_json(tmp_path, monkeypatch, capsys):
+    # a certificate whose values do not decrease makes minimize raise
+    # RuntimeError; main reports it in the error format, not as a traceback
+    from sphglass import optimizer
+
+    monkeypatch.setattr(optimizer, "_ray_objective", lambda *args: 0.0)
+    cfg_file = tmp_path / "degen.json"
+    cfg_file.write_text(
+        config_text(
+            n=2,
+            mixture={"2": [0.3, 0.3]},
+            Q=[[1.0, 1.0], [1.0, 1.0]],
+            h=[0.0, 0.0],
+            search={"max_levels": 1, "restarts": 1, "max_iterations": 40},
+        )
+    )
+    assert main(["minimize", "--config", str(cfg_file)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "runtime"
+    assert "degeneracy certificate does not show a divergence" in error["message"]
+
+
 def test_verify_identities_subcommand(tmp_path):
     cfg_file = tmp_path / "verify.json"
     cfg_file.write_text(

@@ -7,12 +7,11 @@ from sphglass.functional import (
     DivergentGaussianIntegral,
     InvalidPath,
     NotInL,
+    _PathContext,
     closed_form_Y0,
     evaluate,
     gaussian_quadratic_identity,
     jacobi_limit_term,
-    lambda_chain,
-    logdet_increment,
     logdet_pd,
     theta_term,
 )
@@ -34,18 +33,19 @@ def scalar_path(x0: float = 0.5) -> DiscretePath:
 
 def test_lambda_chain_scalar():
     spec = MixtureSpec(1, {2: [1.0]})
-    chain = lambda_chain(np.array([[3.0]]), scalar_path(0.5), spec)
-    assert chain.lambdas[0][0, 0] == pytest.approx(2.0, abs=0)
-    assert chain.in_admissible_set()
+    ctx = _PathContext(scalar_path(0.5), np.array([[1.0]]), np.zeros(1), spec)
+    lam = np.array([[3.0]])
+    assert ctx.chain(lam)[0][0, 0] == pytest.approx(2.0, abs=0)
+    assert ctx.feasible_value(lam) is not None
 
 
 def test_lambda_chain_zero_mixture_is_constant(rng):
     q = random_constraint(rng, 3)
     path = random_path(rng, q.matrix, 3)
     lam = random_multiplier(rng, path, MixtureSpec.zero(3))
-    chain = lambda_chain(lam, path, MixtureSpec.zero(3))
-    for k in range(chain.r + 1):
-        assert np.array_equal(chain.lambdas[k], lam)
+    chain = _PathContext(path, q.matrix, np.zeros(3), MixtureSpec.zero(3)).chain(lam)
+    for k in range(path.r + 1):
+        assert np.array_equal(chain[k], lam)
 
 
 def test_lambda_chain_forward_reconstruction(rng):
@@ -55,9 +55,9 @@ def test_lambda_chain_forward_reconstruction(rng):
         path = random_path(rng, q.matrix, 2)
         spec = random_mixture(rng, 2)
         lam = random_multiplier(rng, path, spec)
-        chain = lambda_chain(lam, path, spec)
+        chain = _PathContext(path, q.matrix, np.zeros(2), spec).chain(lam)
         deltas = delta_increments(spec, path)
-        rebuilt = chain.lambdas[0] + sum(path.xs[k + 1] * deltas[k] for k in range(path.r))
+        rebuilt = chain[0] + sum(path.xs[k + 1] * deltas[k] for k in range(path.r))
         assert np.allclose(rebuilt, lam, atol=1e-14 * max(1.0, np.abs(lam).max()))
 
 
@@ -260,12 +260,14 @@ def test_theta_term_abel_resummation(rng):
 
 
 def test_logdet_increment_stable_for_tiny_scale(rng):
+    # at x_0 = 1e-9 the cascade term (1 / (2 x_0)) log(|L_1| / |L_0|) is its
+    # Jacobi limit up to O(x_0): the kernel's log1p increments keep the
+    # digits that differencing two log-determinants would cancel
     n = 3
-    g = rng.standard_normal((n, n))
-    base = g @ g.T / n + 0.5 * np.eye(n)
-    a = rng.standard_normal((n, n))
-    inc = a @ a.T / n
-    scale = 1e-9
-    got = logdet_increment(base, scale, inc)
-    first_order = scale * float(np.trace(np.linalg.solve(base, inc)))
-    assert got == pytest.approx(first_order, rel=1e-6)
+    q = random_constraint(rng, n)
+    spec = random_mixture(rng, n)
+    path = DiscretePath.simple(q.matrix, 1e-9)
+    lam = random_multiplier(rng, path, spec)
+    got = _PathContext(path, q.matrix, np.zeros(n), spec).breakdown(lam).cascade_term
+    limit = jacobi_limit_term(lam, delta_increments(spec, path)[0])
+    assert got == pytest.approx(limit, rel=1e-6)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sphglass.functional import NotInL, evaluate
+from sphglass.functional import NotInL, closed_form_Y0, evaluate
 from sphglass.geometry import ConstraintMatrix, DiscretePath
 from sphglass.mixture import MixtureSpec
 from sphglass.optimizer import (
@@ -15,7 +15,13 @@ from sphglass.optimizer import (
     minimize_over_paths,
 )
 
-from conftest import random_constraint, random_mixture, random_multiplier, random_path
+from conftest import (
+    random_constraint,
+    random_mixture,
+    random_multiplier,
+    random_path,
+    reference_breakdown,
+)
 
 Q1 = ConstraintMatrix(np.array([[1.0]]))
 
@@ -92,8 +98,9 @@ def test_hessian_matches_gradient_differences(rng):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_path_context_value_matches_evaluate(rng, n, r):
-    # the optimizer's stacked kernel against the reference functional,
-    # with and without a field; x_0 = 1e-7 exercises the log1p increments
+    # the stacked kernel behind evaluate, closed_form_Y0 and the optimizer
+    # against the level-by-level reference, term by term, with and without a
+    # field; x_0 = 1e-7 exercises the log1p increments
     q = random_constraint(rng, n)
     spec = random_mixture(rng, n)
     random_xs = random_path(rng, q.matrix, r)
@@ -101,9 +108,15 @@ def test_path_context_value_matches_evaluate(rng, n, r):
     for path in (random_xs, tiny_x0):
         lam = random_multiplier(rng, path, spec, margin=0.5)
         for h in (np.zeros(n), rng.uniform(-0.5, 0.5, size=n)):
-            got = _PathContext(path, q.matrix, h, spec).value(lam)
-            expected = evaluate(lam, path, q, h, spec).total
-            assert got == pytest.approx(expected, rel=1e-12, abs=0)
+            expected = reference_breakdown(lam, path, q, h, spec)
+            got = evaluate(lam, path, q, h, spec)
+            for term, value in expected.to_dict().items():
+                assert getattr(got, term) == pytest.approx(value, rel=1e-12, abs=0), term
+            assert _PathContext(path, q.matrix, h, spec).value(lam) == pytest.approx(
+                expected.total, rel=1e-12, abs=0
+            )
+            y0 = expected.logdet_term + expected.field_term + expected.cascade_term
+            assert closed_form_Y0(lam, path, h, spec) == pytest.approx(y0, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
