@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from sphglass.functional import solve_pd, logdet_pd
-from sphglass.geometry import DiscretePath
+from sphglass.geometry import DiscretePath, _frozen, check_breakpoints
 from sphglass.mixture import MixtureSpec, check_symmetric, delta_increments, theta_matrix
 from sphglass.parallel import run_tasks, stream
 
@@ -61,7 +61,8 @@ class CascadeSpec:
     """Model bundle for the recursion oracles.
 
     ``increment_covariances`` are the z_k covariances, the path increment
-    matrices Delta_k, computed at construction.
+    matrices Delta_k, computed at construction.  The path's breakpoints must
+    satisfy 0 = x_{-1} < x_0 < ... < x_r = 1 (InvalidPath otherwise).
     """
 
     path: DiscretePath
@@ -71,13 +72,9 @@ class CascadeSpec:
     increment_covariances: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
-        lam = check_symmetric(self.lam, "Lambda")
-        lam = lam.copy()
-        lam.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
-        h = np.asarray(self.h, dtype=float).copy()
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
+        check_breakpoints(self.path)
+        object.__setattr__(self, "lam", _frozen(check_symmetric(self.lam, "Lambda")))
+        object.__setattr__(self, "h", _frozen(self.h))
         object.__setattr__(self, "increment_covariances", tuple(delta_increments(self.spec, self.path)))
 
 
@@ -204,8 +201,7 @@ def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
     1/2 sum_k x_k (C_{k+1} - C_k), adjudicating the prefactor of the theta
     sum in the functional.
     """
-    if np.any(np.diff(path.xs) <= 0):
-        raise ValueError("invalid path: breakpoints must increase strictly")
+    check_breakpoints(path)
     cov = _tree_covariances(path, spec)
     total = 0.0
     for k in range(path.r):
@@ -222,15 +218,12 @@ class FiniteCascade:
     """Depth-r cascade truncated to K atoms per node.
 
     ``weights`` is the flat leaf array over {1..K}^r in lexicographic order
-    (level-1 index major); ``log_weights`` carries the same data for
-    overflow-free reweighting.
+    (level-1 index major).
     """
 
     depth: int
     branching: int
     weights: np.ndarray
-    log_weights: np.ndarray
-    xs: np.ndarray
 
     def ancestor_index(self, level: int) -> np.ndarray:
         """Map leaf index -> node index at ``level`` (1-based levels)."""
@@ -268,9 +261,7 @@ def sample_finite_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascad
     logw = logw - norm
     weights = np.exp(logw)
     weights /= weights.sum()  # exact unit mass after the log-space shift
-    return FiniteCascade(
-        depth=r, branching=K, weights=weights, log_weights=np.log(weights), xs=path.xs.copy()
-    )
+    return FiniteCascade(depth=r, branching=K, weights=weights)
 
 
 def _tree_covariances(path: DiscretePath, spec: MixtureSpec) -> np.ndarray:
@@ -295,7 +286,7 @@ def _cascade_rep(args) -> float:
         nodes = K ** (k - 1)
         eta = rng.standard_normal((nodes, K)) * np.sqrt(v[k - 1])
         y = (y[:, None] + eta).ravel()
-    return _weighted_logsumexp(cascade.log_weights, np.sqrt(m_eff) * y) / m_eff
+    return _weighted_logsumexp(np.log(cascade.weights), np.sqrt(m_eff) * y) / m_eff
 
 
 def cascade_free_energy_mc(

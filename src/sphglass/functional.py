@@ -14,19 +14,20 @@ PSD, the chain is monotone, so L_0 > 0 already forces every L_k > 0.
 
 One kernel, ``_PathContext``, computes it: ``evaluate`` and
 ``closed_form_Y0`` read their terms from it, and the optimizer minimizes over
-it.  Log-determinants are always taken through a Cholesky factorization
+it and certifies divergence with it.  Log-determinants are always taken through a Cholesky factorization
 (never the raw determinant) for conditioning near the admissibility boundary,
 and the field term uses a linear solve rather than an explicit inverse.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
+from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, check_breakpoints, validate_path
 from sphglass.mixture import MixtureSpec, check_symmetric, path_levels
 
 __all__ = [
@@ -50,10 +51,6 @@ MEMBERSHIP_MARGIN = 1e-12
 
 class NotInL(ValueError):
     """The multiplier leaves the admissible set: L_0 is not positive definite."""
-
-
-class InvalidPath(ValueError):
-    """The discrete path violates its invariants."""
 
 
 class DivergentGaussianIntegral(ValueError):
@@ -165,6 +162,19 @@ class _PathContext:
         self.increment_coeffs = 0.5 / x_all[:-1] - 0.5
         self.theta_const = _theta_sum(x_all, thetas)
         self.has_field = bool(np.any(self.h))
+
+    def rotated(self, u: np.ndarray, mu: np.ndarray) -> "_PathContext":
+        """This context conjugated by the orthonormal u, with Q = diag(mu).
+
+        Delta_k, the tails and h become u^T Delta_k u, u^T tails_k u and
+        u^T h; the breakpoints, theta levels and coefficients do not change.
+        """
+        out = copy.copy(self)
+        out.qmat = np.diag(mu)
+        out.h = u.T @ self.h
+        out.deltas = _sym(u.T @ self.deltas @ u)
+        out.tails = _sym(u.T @ self.tails @ u)
+        return out
 
     def lambda_start(self) -> np.ndarray:
         return _sym(self.tails[0] + solve_pd(self.qmat, np.eye(self.n)))
@@ -312,14 +322,12 @@ def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
     copy of the pure 2-spin model and is what the cascade log-moment
     recursion yields level by level.
     """
-    xs = path.xs
-    if np.any(np.diff(xs) <= 0) or xs[0] != 0.0 or xs[-1] != 1.0:
-        raise InvalidPath("breakpoints must satisfy 0 = x_{-1} < x_0 < ... < x_r = 1")
+    check_breakpoints(path)
     try:
         _, thetas = path_levels(spec, path)
     except ValueError as err:
         raise InvalidPath(str(err)) from None
-    return _theta_sum(xs[1:], thetas)
+    return _theta_sum(path.xs[1:], thetas)
 
 
 def closed_form_Y0(
@@ -331,7 +339,9 @@ def closed_form_Y0(
 
     Equals logdet_term + field_term + cascade_term of ``evaluate`` by
     construction; the nested Monte Carlo oracle checks it stochastically.
+    Raises InvalidPath unless 0 = x_{-1} < x_0 < ... < x_r = 1.
     """
+    check_breakpoints(path)
     lam = check_symmetric(lam, "Lambda")
     b = _PathContext(path, path.qs[-1], h, spec).breakdown(lam)
     return b.logdet_term + b.field_term + b.cascade_term

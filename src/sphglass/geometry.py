@@ -24,7 +24,9 @@ __all__ = [
     "DiscretePath",
     "PathViolation",
     "PathReport",
+    "InvalidPath",
     "validate_path",
+    "check_breakpoints",
     "path_distance",
     "refine_path",
     "MIN_X_GAP",
@@ -188,6 +190,17 @@ def validate_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray) -> PathR
             bad.append(PathViolation("increment_psd", k, float(eigs[0])))
 
     return PathReport(tuple(bad))
+
+
+class InvalidPath(ValueError):
+    """The discrete path violates its invariants."""
+
+
+def check_breakpoints(path: DiscretePath) -> None:
+    """Raise InvalidPath unless 0 = x_{-1} < x_0 < ... < x_r = 1 (no MIN_X_GAP)."""
+    xs = path.xs
+    if xs[0] != 0.0 or xs[-1] != 1.0 or np.any(np.diff(xs) <= 0):
+        raise InvalidPath("breakpoints must satisfy 0 = x_{-1} < x_0 < ... < x_r = 1")
 
 
 def path_distance(a: DiscretePath, b: DiscretePath) -> float:

@@ -11,8 +11,8 @@ Structure of the double infimum:
   divergence is certified constructively: rotate to the constraint
   eigenbasis, pad the diagonal so every chain matrix keeps a Gershgorin
   margin, then push the diagonal entry aligned with the null direction to
-  infinity.  The certificate reports strictly decreasing objective values
-  along that ray.
+  infinity.  The certificate's objective values along that ray, computed by
+  the functional's own kernel, strictly decrease.
 - ``minimize_over_paths``: the outer infimum over discrete paths has no known
   algorithm, so it is a restarted derivative-free search (Nelder-Mead over a
   smooth parameterization of the monotone chain and the breakpoints), with
@@ -23,7 +23,7 @@ Structure of the double infimum:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
@@ -41,8 +41,6 @@ from sphglass.functional import (
     _PathContext,
     _sym,
     _sym_basis,
-    logdet_pd,
-    solve_pd,
 )
 from sphglass.mixture import MixtureSpec, check_symmetric
 
@@ -60,6 +58,10 @@ __all__ = [
 X_UPPER = 1.0 - 1e-6  # breakpoints may approach but not reach 1
 X_LOWER = 1e-9
 CERTIFICATE_D11 = (1e10, 1e95, 1e180)
+INNER_MAX_ITERATIONS = 80  # Newton steps per inner solve
+INNER_GRADIENT_TOLERANCE = 1e-8  # relative to max(1, |value|)
+# values within this of the best count as ties; Nelder-Mead stops on 1e-3 of it
+VALUE_TOLERANCE = 1e-6
 # a Newton decrement below this fraction of max(1, |value|) is rounding noise
 NEWTON_DECREMENT_FLOOR = 16.0 * np.finfo(float).eps
 
@@ -103,13 +105,7 @@ class InnerSolveReport:
     status: str  # converged | max_iterations | boundary_stall | diverging
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_star": self.lambda_star.tolist(),
-            "value": self.value,
-            "gradient_norm": self.gradient_norm,
-            "iterations": self.iterations,
-            "status": self.status,
-        }
+        return {**asdict(self), "lambda_star": self.lambda_star.tolist()}
 
 
 @dataclass(frozen=True)
@@ -118,10 +114,7 @@ class PathSearchConfig:
     x_grid_resolution: float = 0.25
     q_parameterization: str = "scalar_profile"  # or "cholesky_increments"
     restarts: int = 2
-    tolerance_value: float = 1e-6
     max_iterations: int = 300  # outer Nelder-Mead budget per start
-    inner_max_iterations: int = 80
-    inner_gradient_tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.max_levels < 1:
@@ -130,11 +123,11 @@ class PathSearchConfig:
             raise ValueError("x_grid_resolution must be positive")
         if self.q_parameterization not in ("scalar_profile", "cholesky_increments"):
             raise ValueError(f"unknown q_parameterization {self.q_parameterization!r}")
-        if self.restarts < 0 or self.max_iterations < 1 or self.inner_max_iterations < 1:
+        if self.restarts < 0 or self.max_iterations < 1:
             raise ValueError("iteration/restart budgets must be positive")
 
 
-def _inner_minimize_ctx(ctx: _PathContext, config: PathSearchConfig, lam0=None) -> InnerSolveReport:
+def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> InnerSolveReport:
     """Damped Newton solve over the multiplier for one path context.
 
     Every point the loop moves to has just been factored by
@@ -154,12 +147,12 @@ def _inner_minimize_ctx(ctx: _PathContext, config: PathSearchConfig, lam0=None) 
     if lam is None:
         lam = ctx.lambda_start()
     n = ctx.n
-    gtol = config.inner_gradient_tolerance
+    gtol = INNER_GRADIENT_TOLERANCE
     status = "max_iterations"
     value, grad, hess = ctx.value_grad_hess(lam, factored)
     gnorm = float(np.linalg.norm(grad))
     iterations = 0
-    for iterations in range(1, config.inner_max_iterations + 1):
+    for iterations in range(1, INNER_MAX_ITERATIONS + 1):
         if gnorm <= gtol * max(1.0, abs(value)):
             status = "converged"
             iterations -= 1
@@ -203,7 +196,7 @@ def _inner_minimize_ctx(ctx: _PathContext, config: PathSearchConfig, lam0=None) 
         value, grad, hess = ctx.value_grad_hess(lam, factored)
         gnorm = float(np.linalg.norm(grad))
     else:
-        iterations = config.inner_max_iterations
+        iterations = INNER_MAX_ITERATIONS
     if status == "max_iterations" and gnorm <= gtol * max(1.0, abs(value)):
         status = "converged"
     return InnerSolveReport(
@@ -216,7 +209,6 @@ def inner_minimize(
     q: ConstraintMatrix | np.ndarray,
     h: np.ndarray,
     spec: MixtureSpec,
-    config: PathSearchConfig | None = None,
     lambda_init: np.ndarray | None = None,
 ) -> InnerSolveReport:
     """Convex minimization over the multiplier for a fixed path.
@@ -225,10 +217,9 @@ def inner_minimize(
     by damped Newton is global; for positive definite Q the solve never
     diverges, and a diverging report there raises RuntimeError.
     """
-    config = config or PathSearchConfig()
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
     ctx = _PathContext(path, qmat, h, spec)
-    report = _inner_minimize_ctx(ctx, config, lam0=lambda_init)
+    report = _inner_minimize_ctx(ctx, lam0=lambda_init)
     if report.status == "diverging":
         eigs = np.linalg.eigvalsh(qmat)
         if not is_degenerate_spectrum(eigs):
@@ -245,7 +236,7 @@ def inner_minimize(
 
 @dataclass(frozen=True)
 class DivergenceCertificate:
-    """Three multipliers along the constructed ray with decreasing values."""
+    """Three multipliers along the constructed ray with strictly decreasing values."""
 
     d11_values: tuple[float, ...]
     objective_values: tuple[float, ...]
@@ -259,29 +250,6 @@ class DivergenceCertificate:
         }
 
 
-def _ray_objective(
-    ctx: _PathContext, u: np.ndarray, mu_clamped: np.ndarray, d_diag: np.ndarray
-) -> float:
-    """Objective at Lambda = U diag(d) U^T, evaluated in the eigenbasis of Q.
-
-    Working on D - U^T tail U keeps the huge ray entry on the diagonal, where
-    the chain matrices stay diagonally dominant: assembling Lambda in the
-    original basis would bury the O(1) eigenvalues under rounding of entries
-    as large as D_11.  Clamping the near-null constraint eigenvalues to exact
-    zero likewise keeps the trace term finite (a float remnant ~1e-16 times
-    D_11 = 1e180 would dominate otherwise).
-    """
-    total = 0.5 * float(d_diag @ mu_clamped) - 0.5 * ctx.n - ctx.theta_const
-    for j in range(ctx.r + 1):
-        rotated = _sym(u.T @ ctx.tails[j] @ u)
-        total += ctx.logdet_coeffs[j] * logdet_pd(np.diag(d_diag) - rotated)
-    if ctx.has_field:
-        rotated0 = _sym(u.T @ ctx.tails[0] @ u)
-        h_rot = u.T @ ctx.h
-        total += 0.5 * float(h_rot @ solve_pd(np.diag(d_diag) - rotated0, h_rot))
-    return total
-
-
 def detect_degenerate(
     q: ConstraintMatrix | np.ndarray,
     path: DiscretePath,
@@ -293,30 +261,38 @@ def detect_degenerate(
 
     The ray fixes the constraint eigenbasis U with (U^T Q U)_{11} = 0, pads
     the diagonal D so every chain matrix keeps a positive Gershgorin margin,
-    and drives D_11 through ``d11_values``.
+    and drives D_11 through ``d11_values``.  The values are those of the path
+    context conjugated by U at diag(D): in the original basis, entries as
+    large as D_11 would bury the O(1) eigenvalues of the chain in rounding.
+    The near-null eigenvalues of Q are clamped to exact zero, or a remnant
+    ~1e-16 times D_11 = 1e180 would dominate the trace term.  Raises
+    RuntimeError unless the values strictly decrease.
     """
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
     eigs, vecs = np.linalg.eigh(qmat)
     if not is_degenerate_spectrum(eigs):
         return None
 
-    ctx = _PathContext(path, qmat, h, spec)
-    u = vecs  # ascending eigenvalues: column 0 is the null direction
+    # ascending eigenvalues: column 0 of vecs is the null direction
     mu_clamped = np.where(eigs > DEGENERACY_RTOL * eigs[-1], eigs, 0.0)
+    ctx = _PathContext(path, qmat, h, spec).rotated(vecs, mu_clamped)
 
-    # Gershgorin padding against every chain tail, margin 1
-    base = np.zeros(ctx.n)
-    for k in range(ctx.r + 1):
-        s = u.T @ ctx.tails[k] @ u
-        radius = np.sum(np.abs(s), axis=1) - np.abs(np.diag(s)) + np.diag(s)
-        base = np.maximum(base, radius)
-    d_diag = base + 1.0
+    # Gershgorin padding against every chain tail, margin 1; the zero tail
+    # of the last level keeps it nonnegative
+    tails = ctx.tails
+    diag = np.diagonal(tails, axis1=1, axis2=2)
+    d_diag = np.max(np.sum(np.abs(tails), axis=2) - np.abs(diag) + diag, axis=0) + 1.0
 
     values = []
     for d11 in d11_values:
         d = d_diag.copy()
         d[0] = max(d11, d_diag[0])
-        values.append(_ray_objective(ctx, u, mu_clamped, d))
+        values.append(ctx.value(np.diag(d)))
+    if not all(later < earlier for earlier, later in zip(values, values[1:])):
+        raise RuntimeError(
+            "degeneracy certificate does not show a divergence: objective values "
+            f"{values} along the ray are not strictly decreasing"
+        )
     return DivergenceCertificate(
         d11_values=tuple(float(v) for v in d11_values),
         objective_values=tuple(values),
@@ -540,11 +516,10 @@ def minimize_over_paths(
 ) -> OptimizationReport:
     """Search inf over multipliers and discrete paths with r = 1..max_levels.
 
-    Degenerate constraints short-circuit to -inf with a certificate, but only
-    once its objective values strictly decrease along the ray; a certificate
-    that does not raises RuntimeError.  The reported best path is the
-    smallest r whose value is within ``tolerance_value`` of the overall best
-    (parsimony tie-break).
+    Degenerate constraints short-circuit to -inf with the certificate of
+    ``detect_degenerate``, which raises RuntimeError when its values do not
+    strictly decrease.  The reported best path is the smallest r whose value
+    is within ``VALUE_TOLERANCE`` of the overall best (parsimony tie-break).
     """
     config = config or PathSearchConfig()
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
@@ -553,12 +528,6 @@ def minimize_over_paths(
     probe = DiscretePath.simple(qmat, 0.5)
     certificate = detect_degenerate(qmat, probe, h, spec)
     if certificate is not None:
-        values = certificate.objective_values
-        if not all(later < earlier for earlier, later in zip(values, values[1:])):
-            raise RuntimeError(
-                "degeneracy certificate does not show a divergence: objective values "
-                f"{[float(v) for v in values]} along the ray are not strictly decreasing"
-            )
         return OptimizationReport(
             best_value=-np.inf,
             best_path=None,
@@ -582,7 +551,7 @@ def minimize_over_paths(
             try:
                 path = param.path(vec)
                 ctx = _PathContext(path, qmat, h, spec)
-                rep = _inner_minimize_ctx(ctx, config, lam0=warm_lambda[0])
+                rep = _inner_minimize_ctx(ctx, lam0=warm_lambda[0])
                 warm_lambda[0] = rep.lambda_star
                 return rep.value
             except (ValueError, np.linalg.LinAlgError):
@@ -599,7 +568,7 @@ def minimize_over_paths(
                     "maxiter": config.max_iterations,
                     "maxfev": 2 * config.max_iterations,
                     "xatol": 1e-7,
-                    "fatol": config.tolerance_value * 1e-3,
+                    "fatol": VALUE_TOLERANCE * 1e-3,
                     "adaptive": True,
                 },
             )
@@ -616,10 +585,10 @@ def minimize_over_paths(
         warm = _embed(level_path) if level_path is not None else None
 
     best_value = min(v for _, v in per_level)
-    best_r = min(r for r, v in per_level if v <= best_value + config.tolerance_value)
+    best_r = min(r for r, v in per_level if v <= best_value + VALUE_TOLERANCE)
     best_path = level_best_paths[best_r]
     ctx = _PathContext(best_path, qmat, h, spec)
-    inner = _inner_minimize_ctx(ctx, config)
+    inner = _inner_minimize_ctx(ctx)
     return OptimizationReport(
         best_value=best_value,
         best_path=best_path,

@@ -24,9 +24,18 @@ def random_constraint(rng: np.random.Generator, n: int, min_eig: float = 0.05) -
 
 
 def random_path(rng: np.random.Generator, q: np.ndarray, r: int) -> DiscretePath:
-    """Random monotone PSD chain from 0 to q with r levels and random breakpoints."""
+    """Random monotone PSD chain from 0 to q with r levels and random breakpoints.
+
+    The levels are chol W_k chol^T for partial sums W_k of random Gram
+    matrices normalized to W_r = I; for a singular q, whose Cholesky
+    factorization fails, chol is a square root of q from its eigenbasis.
+    """
     n = q.shape[0]
-    chol = np.linalg.cholesky(q)
+    try:
+        chol = np.linalg.cholesky(q)
+    except np.linalg.LinAlgError:
+        evals, evecs = np.linalg.eigh(q)
+        chol = evecs * np.sqrt(np.clip(evals, 0.0, None))
     grams = []
     for _ in range(r):
         a = rng.standard_normal((n, n))

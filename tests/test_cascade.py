@@ -14,7 +14,7 @@ from sphglass.cascade import (
     _gaussian_factor,
     _weighted_logsumexp,
 )
-from sphglass.functional import closed_form_Y0, logdet_pd, solve_pd, theta_term
+from sphglass.functional import InvalidPath, closed_form_Y0, logdet_pd, solve_pd, theta_term
 from sphglass.geometry import DiscretePath
 from sphglass.mixture import MixtureSpec
 from sphglass.parallel import stream
@@ -176,6 +176,32 @@ def test_nested_mc_budget_validation(rng):
         nested_recursion_mc(cs, [100], seed=0)  # wrong level count
     with pytest.raises(ValueError):
         nested_recursion_mc(cs, [0, 10], seed=0)
+
+
+BAD_BREAKPOINTS = (
+    [0.0, 0.7, 0.3, 1.0],  # decreasing
+    [0.0, 0.5, 0.5, 1.0],  # repeated
+    [0.1, 0.4, 0.8, 1.0],  # x_{-1} != 0
+    [0.0, 0.4, 0.8, 0.9],  # x_r != 1
+)
+
+
+@pytest.mark.parametrize("xs", BAD_BREAKPOINTS)
+def test_closed_forms_and_oracles_share_the_breakpoint_rule(xs):
+    # theta_term, closed_form_Y0, CascadeSpec (hence nested_recursion_mc)
+    # and theta_cascade_value all reject a path unless
+    # 0 = x_{-1} < x_0 < ... < x_r = 1
+    spec = MixtureSpec(1, {2: [0.5]})
+    path = DiscretePath(xs=xs, qs=[[[0.0]], [[0.5]], [[1.0]]])
+    lam = np.array([[3.0]])
+    with pytest.raises(InvalidPath, match="breakpoints must satisfy"):
+        theta_term(path, spec)
+    with pytest.raises(InvalidPath, match="breakpoints must satisfy"):
+        closed_form_Y0(lam, path, np.zeros(1), spec)
+    with pytest.raises(ValueError, match="breakpoints must satisfy"):
+        CascadeSpec(path=path, spec=spec, lam=lam, h=np.zeros(1))
+    with pytest.raises(ValueError, match="breakpoints must satisfy"):
+        theta_cascade_value(path, spec)
 
 
 def test_theta_cascade_zero_mixture(rng):

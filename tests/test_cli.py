@@ -137,7 +137,7 @@ def test_solver_runtime_error_reported_as_json(tmp_path, monkeypatch, capsys):
     # RuntimeError; main reports it in the error format, not as a traceback
     from sphglass import optimizer
 
-    monkeypatch.setattr(optimizer, "_ray_objective", lambda *args: 0.0)
+    monkeypatch.setattr(optimizer._PathContext, "value", lambda self, lam: 0.0)
     cfg_file = tmp_path / "degen.json"
     cfg_file.write_text(
         config_text(

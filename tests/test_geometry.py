@@ -4,6 +4,7 @@ import pytest
 from sphglass.geometry import (
     ConstraintMatrix,
     DiscretePath,
+    check_breakpoints,
     is_degenerate_spectrum,
     path_distance,
     refine_path,
@@ -67,6 +68,14 @@ def test_validate_reports_nonincreasing_xs():
     assert not report.ok
     names = {(v.invariant, v.index) for v in report.violations}
     assert ("x_strictly_increasing", 1) in names
+
+
+def test_check_breakpoints_enforces_strict_unit_interval_rule():
+    qs = [[[0.0]], [[0.5]], [[1.0]]]
+    check_breakpoints(DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=qs))
+    for xs in ([0.0, 0.7, 0.3, 1.0], [0.0, 0.5, 0.5, 1.0], [0.1, 0.4, 0.8, 1.0], [0.0, 0.4, 0.8, 0.9]):
+        with pytest.raises(ValueError, match="breakpoints must satisfy"):
+            check_breakpoints(DiscretePath(xs=xs, qs=qs))
 
 
 def test_validate_reports_psd_increment_violation():

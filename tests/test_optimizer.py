@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -148,8 +150,7 @@ def test_warm_inner_solve_factors_each_point_once(rng, monkeypatch):
     spec = random_mixture(rng, 2)
     h = np.array([0.2, -0.1])
     path = random_path(rng, q.matrix, 2)
-    config = PathSearchConfig()
-    lam0 = _inner_minimize_ctx(_PathContext(path, q.matrix, h, spec), config).lambda_star
+    lam0 = _inner_minimize_ctx(_PathContext(path, q.matrix, h, spec)).lambda_star
     # a smaller x_0 shrinks only the tail of L_0, so lam0 stays feasible
     xs = path.xs.copy()
     xs[1] *= 0.9
@@ -169,7 +170,7 @@ def test_warm_inner_solve_factors_each_point_once(rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(_PathContext, "feasible_value", counting_feasible_value)
-    rep = _inner_minimize_ctx(ctx, config, lam0=lam0)
+    rep = _inner_minimize_ctx(ctx, lam0=lam0)
     assert rep.status == "converged"
     assert rep.iterations >= 1
     assert calls["feasible_value"] >= 2
@@ -272,7 +273,7 @@ def test_inner_minimize_divergence_on_pd_constraint_raises(monkeypatch):
     # assert would vanish under python -O)
     import sphglass.optimizer as optimizer
 
-    def diverging(ctx, config, lam0=None):
+    def diverging(ctx, lam0=None):
         return InnerSolveReport(
             lambda_star=np.eye(ctx.n), value=-2e12, gradient_norm=1.0, iterations=1, status="diverging"
         )
@@ -299,33 +300,39 @@ def test_detect_degenerate_certificate():
 
 
 def test_detect_degenerate_moderate_ray_matches_evaluate():
-    # the ray evaluator agrees with the standard evaluation at moderate scale
-    spec = MixtureSpec(2, {2: [0.4, 0.3]})
-    q = np.array([[1.0, 1.0], [1.0, 1.0]])
-    path = DiscretePath.simple(q, 0.5)
-    h = np.array([0.1, 0.2])
-    cert = detect_degenerate(q, path, h, spec, d11_values=(10.0, 1e3, 1e6))
-    vals = cert.objective_values
-    assert vals[0] > vals[1] > vals[2]
-    # gaps dominated by -1/2 log d11: at least (1/2) log 100 per step
-    assert vals[0] - vals[1] >= 0.5 * np.log(100.0)
-    assert vals[1] - vals[2] >= 0.5 * np.log(100.0)
-    # reconstruct the ray points and evaluate through the public functional
-    eigs, vecs = np.linalg.eigh(q)
-    from sphglass.optimizer import _PathContext
-
-    ctx = _PathContext(path, q, h, spec)
-    base = np.zeros(2)
-    for k in range(ctx.r + 1):
-        s = vecs.T @ ctx.tails[k] @ vecs
-        base = np.maximum(base, np.sum(np.abs(s), axis=1) - np.abs(np.diag(s)) + np.diag(s))
-    d = base + 1.0
-    for d11, expected in zip((10.0, 1e3, 1e6), vals):
-        dd = d.copy()
-        dd[0] = max(d11, dd[0])
-        lam = vecs @ np.diag(dd) @ vecs.T
-        got = evaluate((lam + lam.T) / 2.0, path, q, h, spec).total
-        assert got == pytest.approx(expected, rel=1e-9)
+    # the certificate, computed in the eigenbasis of Q, agrees with the
+    # standard evaluation at moderate scale; Q is the Gram matrix of n unit
+    # vectors in R^{n-1}, reached by a random monotone path of r levels
+    for n, r, with_field in itertools.product((2, 3, 4), (1, 2, 3), (False, True)):
+        rng = np.random.default_rng(100 * n + 10 * r + with_field)
+        f = rng.standard_normal((n, n - 1))
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        q = f @ f.T
+        q = (q + q.T) / 2.0
+        np.fill_diagonal(q, 1.0)
+        path = random_path(rng, q, r)
+        spec = random_mixture(rng, n)
+        h = rng.uniform(-0.5, 0.5, size=n) if with_field else np.zeros(n)
+        cert = detect_degenerate(q, path, h, spec, d11_values=(10.0, 1e3, 1e6))
+        vals = cert.objective_values
+        assert vals[0] > vals[1] > vals[2]
+        # gaps dominated by -1/2 log d11: at least (1/2) log 100 per step
+        assert vals[0] - vals[1] >= 0.5 * np.log(100.0)
+        assert vals[1] - vals[2] >= 0.5 * np.log(100.0)
+        # reconstruct the ray points and evaluate through the public functional
+        eigs, vecs = np.linalg.eigh(q)
+        ctx = _PathContext(path, q, h, spec)
+        base = np.zeros(n)
+        for k in range(ctx.r + 1):
+            s = vecs.T @ ctx.tails[k] @ vecs
+            base = np.maximum(base, np.sum(np.abs(s), axis=1) - np.abs(np.diag(s)) + np.diag(s))
+        d = base + 1.0
+        for d11, expected in zip((10.0, 1e3, 1e6), vals):
+            dd = d.copy()
+            dd[0] = max(d11, dd[0])
+            lam = vecs @ np.diag(dd) @ vecs.T
+            got = evaluate((lam + lam.T) / 2.0, path, q, h, spec).total
+            assert got == pytest.approx(expected, rel=1e-9), (n, r, with_field, d11)
 
 
 def test_detect_degenerate_passes_pd():
@@ -404,7 +411,7 @@ def test_minimize_rejects_non_decreasing_certificate(monkeypatch):
     q = np.array([[1.0, 1.0], [1.0, 1.0]])
     for values in ([-5.0, -5.0, -7.0], [-5.0, -6.0, -4.0], [1.0, 2.0, 3.0]):
         remaining = iter(values)
-        monkeypatch.setattr(optimizer, "_ray_objective", lambda *args: next(remaining))
+        monkeypatch.setattr(optimizer._PathContext, "value", lambda self, lam: next(remaining))
         with pytest.raises(RuntimeError, match="not strictly decreasing"):
             minimize_over_paths(q, np.zeros(2), spec, fast_config(), seed=0)
 
@@ -465,7 +472,7 @@ def test_coupled_pair_replica_symmetric_corner():
 
 def test_scalar_profile_matches_cholesky_for_single_copy():
     spec = MixtureSpec(1, {2: [0.6]})
-    kw = dict(max_levels=2, restarts=2, max_iterations=200, tolerance_value=1e-6)
+    kw = dict(max_levels=2, restarts=2, max_iterations=200)
     rep_scalar = minimize_over_paths(
         Q1, np.zeros(1), spec, PathSearchConfig(q_parameterization="scalar_profile", **kw), seed=9
     )
