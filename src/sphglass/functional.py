@@ -14,7 +14,8 @@ PSD, the chain is monotone, so L_0 > 0 already forces every L_k > 0.
 
 One kernel, ``_PathContext``, computes it: ``evaluate`` and
 ``closed_form_Y0`` read their terms from it, and the optimizer minimizes over
-it and certifies divergence with it.  Log-determinants are always taken through a Cholesky factorization
+it, searches paths with its envelope gradient and certifies divergence with
+it.  Log-determinants are always taken through a Cholesky factorization
 (never the raw determinant) for conditioning near the admissibility boundary,
 and the field term uses a linear solve rather than an explicit inverse.
 """
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, check_breakpoints, validate_path
-from sphglass.mixture import MixtureSpec, check_symmetric, path_levels
+from sphglass.mixture import MixtureSpec, check_symmetric, path_levels, xi_second_matrix
 
 __all__ = [
     "NotInL",
@@ -117,9 +118,13 @@ class FunctionalBreakdown:
         return asdict(self)
 
 
-def _theta_sum(x_all: np.ndarray, thetas: np.ndarray) -> float:
-    """1/2 sum_k x_k Sum(theta(Q_{k+1}) - theta(Q_k)) from the theta levels."""
-    theta_steps = np.sum(np.diff(thetas, axis=0), axis=(1, 2))
+def _theta_steps(thetas: np.ndarray) -> np.ndarray:
+    """s_k = Sum(theta(Q_{k+1}) - theta(Q_k)), k = 0..r-1, from the theta levels."""
+    return np.sum(np.diff(thetas, axis=0), axis=(1, 2))
+
+
+def _theta_sum(x_all: np.ndarray, theta_steps: np.ndarray) -> float:
+    """1/2 sum_k x_k s_k."""
     return float(np.sum(0.5 * x_all[:-1] * theta_steps))
 
 
@@ -147,6 +152,8 @@ class _PathContext:
         self.h = np.asarray(h, dtype=float)
         self.n = path.n
         self.r = path.r
+        self.spec = spec
+        self.qs = path.qs
         self.deltas, thetas = path_levels(spec, path)
         x_all = path.xs[1:]  # x_0 .. x_r = 1
         self.x_levels = x_all
@@ -160,7 +167,8 @@ class _PathContext:
         self.logdet_coeffs = -np.diff(0.5 / x_all, prepend=0.0)
         # the value keeps the cascade in its increment form instead
         self.increment_coeffs = 0.5 / x_all[:-1] - 0.5
-        self.theta_const = _theta_sum(x_all, thetas)
+        self.theta_steps = _theta_steps(thetas)
+        self.theta_const = _theta_sum(x_all, self.theta_steps)
         self.has_field = bool(np.any(self.h))
 
     def rotated(self, u: np.ndarray, mu: np.ndarray) -> "_PathContext":
@@ -168,8 +176,11 @@ class _PathContext:
 
         Delta_k, the tails and h become u^T Delta_k u, u^T tails_k u and
         u^T h; the breakpoints, theta levels and coefficients do not change.
+        xi'' acts entrywise, so it does not commute with the rotation: the
+        rotated context has no path levels and no ``envelope_gradient``.
         """
         out = copy.copy(self)
+        out.qs = None
         out.qmat = np.diag(mu)
         out.h = u.T @ self.h
         out.deltas = _sym(u.T @ self.deltas @ u)
@@ -273,6 +284,54 @@ class _PathContext:
             curvature += 0.5 * (cross + cross.T)
         return total, _sym(grad), basis @ curvature @ basis.T
 
+    def envelope_gradient(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of the functional in the path at fixed lam.
+
+        Returns ``(grad_x, grad_q)``: d/dx_m for the breakpoints x_0..x_{r-1}
+        and the (r - 1, n, n) matrices d/dQ_k for Q_1..Q_{r-1} (Q_0 = 0 and
+        Q_r = Q are fixed).  At the inner minimizer lam* this is the gradient
+        of V(path) = min_Lambda P(Lambda, path) (Danskin: the inner problem
+        is strictly convex).  With w_j the ``logdet_coeffs``, v = L_0^{-1} h
+        and s_m the theta steps:
+
+            dP/dx_m = (log|L_m| - log|L_{m+1}|) / (2 x_m^2)
+                      - sum_{j<=m} w_j <L_j^{-1}, Delta_{m+1}>
+                      + 1/2 v^T Delta_{m+1} v - 1/2 s_m,
+            dP/dQ_k = xi''(Q_k) . (-sum_j w_j c_j L_j^{-1} + 1/2 c_0 v v^T
+                                   - 1/2 (x_{k-1} - x_k) Q_k),
+
+        with c_j = x_{k-1} - x_k for j < k, c_k = -x_k and c_j = 0 for j > k
+        (the coefficient of Q_k's xi' in tails_j).  The log-ratio is the
+        stable increment of ``_increments``.  Raises LinAlgError outside the
+        PD cone.
+        """
+        chol = np.linalg.cholesky(self.chain(lam))
+        eye = np.broadcast_to(np.eye(self.n), chol.shape)
+        inv = _sym(np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, eye)))
+        x = self.x_levels[:-1]
+        w = self.logdet_coeffs
+        # pair[j, m] = <L_j^{-1}, Delta_{m+1}>, summed over j <= m
+        pair = np.einsum("jab,mab->jm", inv[:-1], self.deltas)
+        grad_x = (
+            -self._increments(chol) / (2.0 * x * x)
+            - np.sum(np.triu(w[:-1, None] * pair), axis=0)
+            - 0.5 * self.theta_steps
+        )
+        if self.has_field:
+            v = inv[0] @ self.h
+            grad_x += 0.5 * np.einsum("a,mab,b->m", v, self.deltas, v)
+        if self.r < 2:
+            return grad_x, np.empty((0, self.n, self.n))
+        levels = self.qs[1:-1]
+        xi2 = xi_second_matrix(self.spec, levels)
+        gap = (x[:-1] - x[1:])[:, None, None]  # x_{k-1} - x_k, k = 1..r-1
+        below = np.cumsum(w[:, None, None] * inv, axis=0)[: self.r - 1]  # sum_{j<k}
+        weighted = gap * below - (x[1:] * w[1 : self.r])[:, None, None] * inv[1 : self.r]
+        outer = -weighted - 0.5 * gap * levels
+        if self.has_field:
+            outer += 0.5 * gap * np.outer(v, v)
+        return grad_x, xi2 * outer
+
     def min_eig0(self, lam: np.ndarray) -> float:
         return float(np.linalg.eigvalsh(lam - self.tails[0])[0])
 
@@ -327,7 +386,7 @@ def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
         _, thetas = path_levels(spec, path)
     except ValueError as err:
         raise InvalidPath(str(err)) from None
-    return _theta_sum(path.xs[1:], thetas)
+    return _theta_sum(path.xs[1:], _theta_steps(thetas))
 
 
 def closed_form_Y0(

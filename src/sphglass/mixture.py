@@ -18,7 +18,9 @@ of matrices, once and accumulates xi and xi' in the same loop over degrees.
 ``path_levels`` runs it once on a path's (r + 1, n, n) chain and returns the
 PSD-checked increments together with theta of every level; ``xi_matrix``,
 ``xi_prime_matrix``, ``theta_matrix`` and ``delta_increments`` are thin users
-of the same pass, so every caller sees the same bits.
+of the same pass, so every caller sees the same bits.  The second
+derivative xi'' has its own pass, ``xi_second_matrix``: only the path
+gradient of the optimizer needs it, once per gradient.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 concurrently.
@@ -38,6 +40,7 @@ __all__ = [
     "xi_prime_matrix",
     "theta_matrix",
     "xi_pair",
+    "xi_second_matrix",
     "path_levels",
     "delta_increments",
     "PSD_TOLERANCE",
@@ -199,6 +202,18 @@ def xi_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
 def xi_prime_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
     """Entrywise derivative: xi'_{j,j'}(x) = sum_p p beta_p(j) beta_p(j') x^{p-1}."""
     return xi_pair(spec, a)[1]
+
+
+def xi_second_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
+    """Entrywise second derivative: sum_p p (p-1) beta_p(j) beta_p(j') x^{p-2}.
+
+    Like ``xi_pair`` it takes one symmetric matrix or a stack (m, n, n).
+    """
+    a = _check_levels(spec, a)
+    out = np.zeros_like(a)
+    for p, beta in spec.terms.items():
+        out += float(p * (p - 1)) * np.outer(beta, beta) * int_power(a, p - 2)
+    return out
 
 
 def theta_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:

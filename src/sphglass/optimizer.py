@@ -13,11 +13,17 @@ Structure of the double infimum:
   margin, then push the diagonal entry aligned with the null direction to
   infinity.  The certificate's objective values along that ray, computed by
   the functional's own kernel, strictly decrease.
-- ``minimize_over_paths``: the outer infimum over discrete paths has no known
-  algorithm, so it is a restarted derivative-free search (Nelder-Mead over a
-  smooth parameterization of the monotone chain and the breakpoints), with
-  the inner Newton solve at every candidate.  Reported values are therefore
-  honest upper bounds on the infimum; level r + 1 is warm-started from the
+- ``minimize_over_paths``: the outer infimum over discrete paths is a
+  restarted gradient search (L-BFGS-B over a smooth parameterization of the
+  monotone chain and the breakpoints), with the inner Newton solve at every
+  candidate.  The inner problem is strictly convex, so the gradient of
+  V(path) = min_Lambda P(Lambda, path) is the envelope gradient
+  ``_PathContext.envelope_gradient`` at the inner minimizer (Danskin), and
+  each parameterization pulls it back to its parameters.  The starts are the
+  default path, the replica-symmetric corner, a breakpoint grid at r = 1,
+  the refined level r - 1 optimum and seeded random draws.  Every reported
+  value is the functional at an admissible multiplier and path, so it is an
+  honest upper bound on the infimum; level r + 1 is warm-started from the
   refined level-r optimum so per-level values never increase.
 """
 
@@ -60,8 +66,12 @@ X_LOWER = 1e-9
 CERTIFICATE_D11 = (1e10, 1e95, 1e180)
 INNER_MAX_ITERATIONS = 80  # Newton steps per inner solve
 INNER_GRADIENT_TOLERANCE = 1e-8  # relative to max(1, |value|)
-# values within this of the best count as ties; Nelder-Mead stops on 1e-3 of it
+# values within this of the best count as ties between levels
 VALUE_TOLERANCE = 1e-6
+# L-BFGS-B stops once a step gains less than 1e-3 of the tie tolerance
+# (relative to max(1, |value|)), or the projected gradient is below 1e-9
+SEARCH_FTOL = 1e-3 * VALUE_TOLERANCE
+SEARCH_GTOL = 1e-9
 # a Newton decrement below this fraction of max(1, |value|) is rounding noise
 NEWTON_DECREMENT_FLOOR = 16.0 * np.finfo(float).eps
 
@@ -114,7 +124,7 @@ class PathSearchConfig:
     x_grid_resolution: float = 0.25
     q_parameterization: str = "scalar_profile"  # or "cholesky_increments"
     restarts: int = 2
-    max_iterations: int = 300  # outer Nelder-Mead budget per start
+    max_iterations: int = 300  # L-BFGS-B iterations per start; 2x that in objective calls
 
     def __post_init__(self):
         if self.max_levels < 1:
@@ -304,19 +314,64 @@ def detect_degenerate(
 # path parameterizations
 
 
-def _xs_from_weights(u: np.ndarray) -> np.ndarray:
-    """Map r + 1 unconstrained reals to interior breakpoints x_0 < ... < x_{r-1}."""
+def _clamped_xs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_xs_from_weights`` with the source of each breakpoint.
+
+    source[i] is 0 when x_i is the softmax share itself, 1 when the lower
+    clamp sets it to x_{i-1} + X_LOWER, and 2 when the upper clamp fixes it.
+    """
     w = np.exp(np.clip(u, -60.0, 60.0))
     cum = np.cumsum(w)
     inner = cum[:-1] / cum[-1]
     out = np.empty_like(inner)
+    source = np.zeros(inner.size, dtype=int)
     prev = 0.0
     for i, v in enumerate(inner):
         remaining = inner.size - 1 - i
         hi = X_UPPER - remaining * X_LOWER
-        out[i] = min(max(v, prev + X_LOWER), hi)
-        prev = out[i]
-    return out
+        if v < prev + X_LOWER:
+            v, source[i] = prev + X_LOWER, 1
+        if v > hi:
+            v, source[i] = hi, 2
+        out[i] = v
+        prev = v
+    return out, source
+
+
+def _xs_from_weights(u: np.ndarray) -> np.ndarray:
+    """Map r + 1 unconstrained reals to interior breakpoints x_0 < ... < x_{r-1}."""
+    return _clamped_xs(u)[0]
+
+
+def _shares_pullback(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Pull d/d(cum_i / cum_last), i < len(u) - 1, back to the weights u.
+
+    d(cum_i / S)/du_j = (w_j / S)([j <= i] - cum_i / S), and zero where the
+    clip of u is active.
+    """
+    w = np.exp(np.clip(u, -60.0, 60.0))
+    cum = np.cumsum(w)
+    shares = cum[:-1] / cum[-1]
+    suffix = np.concatenate([np.cumsum(grad[::-1])[::-1], [0.0]])
+    out = (w / cum[-1]) * (suffix - float(grad @ shares))
+    return np.where(np.abs(u) < 60.0, out, 0.0)
+
+
+def _xs_pullback(u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product of ``_xs_from_weights``, clamps included.
+
+    A breakpoint set by the lower clamp passes its gradient on to the one
+    before it; one fixed by the upper clamp passes none.
+    """
+    _, source = _clamped_xs(u)
+    grad = np.array(grad_x, dtype=float)
+    to_share = np.zeros_like(grad)
+    for i in range(grad.size - 1, -1, -1):
+        if source[i] == 0:
+            to_share[i] = grad[i]
+        elif source[i] == 1 and i > 0:
+            grad[i - 1] += grad[i]
+    return _shares_pullback(u, to_share)
 
 
 def _weights_from_xs(inner_xs: np.ndarray) -> np.ndarray:
@@ -365,6 +420,15 @@ class _ScalarProfile:
             out.append(np.log(steps))
         return np.concatenate(out)
 
+    def pullback(self, params: np.ndarray, grad_x: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
+        """Gradient in the parameters from the path gradient (d/dx, d/dQ_k)."""
+        r = self.r
+        out = [_xs_pullback(params[: r + 1], grad_x)]
+        if r >= 2:
+            grad_profile = np.sum(grad_q * self.qmat, axis=(1, 2))
+            out.append(_shares_pullback(params[r + 1 : r + 1 + r], grad_profile))
+        return np.concatenate(out)
+
     def default(self) -> np.ndarray:
         r = self.r
         out = [np.zeros(r + 1)]
@@ -392,22 +456,23 @@ class _CholeskyIncrements:
         self.n_params = (r + 1) + r * self.m
         self._tril = np.tril_indices(self.n)
 
-    def _grams(self, params: np.ndarray) -> np.ndarray:
-        grams = np.empty((self.r, self.n, self.n))
-        for k in range(self.r):
-            vec = params[self.r + 1 + k * self.m : self.r + 1 + (k + 1) * self.m]
-            low = np.zeros((self.n, self.n))
-            low[self._tril] = vec
-            grams[k] = low @ low.T + self.RIDGE * np.eye(self.n)
-        return grams
+    def _grams(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The lower-triangular factors L_k and the Grams L_k L_k^T + ridge I."""
+        lows = np.zeros((self.r, self.n, self.n))
+        lows[:, self._tril[0], self._tril[1]] = params[self.r + 1 :].reshape(self.r, self.m)
+        return lows, lows @ lows.swapaxes(1, 2) + self.RIDGE * np.eye(self.n)
+
+    def _normalization(self, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """S^{-1/2} of S = sum of the Grams, with S's eigenvectors and root eigenvalues."""
+        evals, evecs = np.linalg.eigh(grams.sum(axis=0))
+        roots = np.sqrt(np.clip(evals, 1e-30, None))
+        return evecs @ np.diag(1.0 / roots) @ evecs.T, evecs, roots
 
     def path(self, params: np.ndarray) -> DiscretePath:
         r, n = self.r, self.n
         inner_xs = _xs_from_weights(params[: r + 1])
-        grams = self._grams(params)
-        total = grams.sum(axis=0)
-        evals, evecs = np.linalg.eigh(total)
-        inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(np.clip(evals, 1e-30, None))) @ evecs.T
+        _, grams = self._grams(params)
+        inv_sqrt = self._normalization(grams)[0]
         qs = np.empty((r + 1, n, n))
         qs[0] = 0.0
         partial = np.zeros((n, n))
@@ -417,6 +482,37 @@ class _CholeskyIncrements:
             qs[k] = _sym(self.chol @ w @ self.chol.T)
         qs[r] = self.qmat
         return DiscretePath(xs=np.concatenate([[0.0], inner_xs, [1.0]]), qs=qs)
+
+    def pullback(self, params: np.ndarray, grad_x: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
+        """Gradient in the parameters from the path gradient (d/dx, d/dQ_k).
+
+        With R = S^{-1/2} and P_k the partial Gram sums, Q_k = M R P_k R M^T.
+        d/dW_k = M^T G_k M; d/dP_k = R (d/dW_k) R; d/dR = sum_k 2 sym(d/dW_k
+        R P_k).  R is a spectral function of S, so d/dS is the Daleckii-Krein
+        form E (F . E^T (d/dR) E) E^T, with divided differences
+        F_ij = -1 / (s_i s_j (s_i + s_j)) of t -> t^{-1/2} at the roots s.
+        Each Gram L L^T + ridge I gets d/dS plus the d/dP_k it enters, and
+        pulls back to 2 (d/dGram) L on the lower triangle.
+        """
+        r, n = self.r, self.n
+        out = np.zeros(self.n_params)
+        out[: r + 1] = _xs_pullback(params[: r + 1], grad_x)
+        if r < 2:
+            return out  # no level between Q_0 = 0 and Q_1 = Q
+        lows, grams = self._grams(params)
+        inv_sqrt, evecs, roots = self._normalization(grams)
+        partial = np.cumsum(grams, axis=0)[: r - 1]  # P_1 .. P_{r-1}
+        grad_w = self.chol.T @ grad_q @ self.chol
+        grad_p = inv_sqrt @ grad_w @ inv_sqrt
+        grad_r = 2.0 * _sym(np.sum(grad_w @ inv_sqrt @ partial, axis=0))
+        divided = -1.0 / (np.outer(roots, roots) * (roots[:, None] + roots[None, :]))
+        grad_s = evecs @ (divided * (evecs.T @ grad_r @ evecs)) @ evecs.T
+        # Gram l enters P_k for every k > l
+        later = np.concatenate([np.cumsum(grad_p[::-1], axis=0)[::-1], np.zeros((1, n, n))])
+        grad_grams = grad_s + later
+        grad_lows = 2.0 * grad_grams @ lows
+        out[r + 1 :] = grad_lows[:, self._tril[0], self._tril[1]].ravel()
+        return out
 
     def params(self, path: DiscretePath) -> np.ndarray:
         out = [_weights_from_xs(path.xs[1:-1])]
@@ -547,15 +643,16 @@ def minimize_over_paths(
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         warm_lambda: list[np.ndarray | None] = [None]
 
-        def objective(vec: np.ndarray) -> float:
+        def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
             try:
                 path = param.path(vec)
                 ctx = _PathContext(path, qmat, h, spec)
                 rep = _inner_minimize_ctx(ctx, lam0=warm_lambda[0])
                 warm_lambda[0] = rep.lambda_star
-                return rep.value
+                grad_x, grad_q = ctx.envelope_gradient(rep.lambda_star)
+                return rep.value, param.pullback(vec, grad_x, grad_q)
             except (ValueError, np.linalg.LinAlgError):
-                return np.inf
+                return np.inf, np.zeros_like(vec)
 
         level_value = np.inf
         level_path = None
@@ -563,13 +660,13 @@ def minimize_over_paths(
             res = _scipy_minimize(
                 objective,
                 start,
-                method="Nelder-Mead",
+                jac=True,
+                method="L-BFGS-B",
                 options={
                     "maxiter": config.max_iterations,
-                    "maxfev": 2 * config.max_iterations,
-                    "xatol": 1e-7,
-                    "fatol": VALUE_TOLERANCE * 1e-3,
-                    "adaptive": True,
+                    "maxfun": 2 * config.max_iterations,
+                    "ftol": SEARCH_FTOL,
+                    "gtol": SEARCH_GTOL,
                 },
             )
             if res.fun < level_value:

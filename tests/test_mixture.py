@@ -14,6 +14,7 @@ from sphglass.mixture import (
     xi_pair,
     xi_prime_matrix,
     xi_scalar,
+    xi_second_matrix,
 )
 
 from conftest import random_constraint, random_path
@@ -203,6 +204,20 @@ def test_derivative_matches_finite_difference(x, b2, b4):
     assert abs(exact - fd) <= c * hstep**2
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_second_derivative_matches_central_differences_of_xi_prime(rng, n):
+    # xi'' entrywise against central differences of xi', on one matrix and
+    # on a stack, with degrees 2, 4 and 6
+    spec = MixtureSpec(n, {p: rng.uniform(0.1, 1.0, size=n) for p in (2, 4, 6)})
+    g = rng.uniform(-0.9, 0.9, (2, n, n))
+    stack = (g + g.swapaxes(1, 2)) / 2.0
+    step = 1e-5
+    fd = (xi_prime_matrix(spec, stack + step) - xi_prime_matrix(spec, stack - step)) / (2 * step)
+    assert np.allclose(xi_second_matrix(spec, stack), fd, rtol=1e-8, atol=1e-9)
+    assert np.array_equal(xi_second_matrix(spec, stack[0]), xi_second_matrix(spec, stack)[0])
+    assert not np.any(xi_second_matrix(MixtureSpec.zero(n), stack))
+
+
 def test_diagonal_convexity_on_grid():
     spec = MixtureSpec(1, {2: [0.8], 4: [0.5]})
     xs = np.linspace(-1.0, 1.0, 101)
@@ -226,6 +241,6 @@ def test_symmetry_preserved(rng):
     spec = MixtureSpec(3, {2: rng.uniform(0.1, 1.0, 3), 4: rng.uniform(0.0, 0.4, 3)})
     g = rng.uniform(-1.0, 1.0, (3, 3))
     a = (g + g.T) / 2.0
-    for fn in (xi_matrix, xi_prime_matrix, theta_matrix):
+    for fn in (xi_matrix, xi_prime_matrix, xi_second_matrix, theta_matrix):
         out = fn(spec, a)
         assert np.array_equal(out, out.T)

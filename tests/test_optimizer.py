@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -491,6 +492,61 @@ def test_level_monotonicity_two_copies(rng):
     values = [v for _, v in report.per_level_values]
     for a, b in zip(values[:-1], values[1:]):
         assert b <= a + 1e-6
+
+
+PAIR_SPEC = MixtureSpec(2, {2: [0.9, 0.9], 4: [0.4, 0.4]})
+PAIR_Q = np.array([[1.0, 0.3], [0.3, 1.0]])
+PAIR_CONFIG = dict(max_levels=2, restarts=0, max_iterations=60)  # the pair-sweep budget
+
+
+def test_cholesky_increments_searches_two_levels():
+    # the larger family must reach well below its own one-level value on the
+    # pair-sweep model at q12 = 0.3 (the scalar profile reaches 0.97418577
+    # against 0.99704078); a search whose r >= 2 candidates all fail would
+    # fall back to the level-1 value
+    config = PathSearchConfig(q_parameterization="cholesky_increments", **PAIR_CONFIG)
+    report = minimize_over_paths(PAIR_Q, np.zeros(2), PAIR_SPEC, config, seed=1)
+    (_, level1), (_, level2) = report.per_level_values
+    assert level2 <= level1 - 0.01
+
+
+def test_search_ignores_last_bit_noise_in_the_objective(monkeypatch):
+    # a seeded relative perturbation of +-2.3e-16 on every inner value must
+    # not steer the search elsewhere
+    import sphglass.optimizer as optimizer
+
+    config = PathSearchConfig(**PAIR_CONFIG)
+    base = minimize_over_paths(PAIR_Q, np.zeros(2), PAIR_SPEC, config, seed=1).best_value
+    solve = optimizer._inner_minimize_ctx
+    for noise_seed in range(3):
+        noise = np.random.default_rng(noise_seed)
+
+        def perturbed(ctx, lam0=None):
+            rep = solve(ctx, lam0=lam0)
+            return dataclasses.replace(rep, value=rep.value * (1.0 + noise.choice([-2.3e-16, 2.3e-16])))
+
+        monkeypatch.setattr(optimizer, "_inner_minimize_ctx", perturbed)
+        moved = minimize_over_paths(PAIR_Q, np.zeros(2), PAIR_SPEC, config, seed=1).best_value
+        assert abs(moved - base) < 1e-9
+
+
+def test_search_inner_solve_count_on_the_exact_model(monkeypatch):
+    # the outer search's cost in inner solves, counted rather than timed, on
+    # the single-copy pure 2-spin model at the sk-minimize budget
+    import sphglass.optimizer as optimizer
+
+    calls = [0]
+    solve = optimizer._inner_minimize_ctx
+
+    def counting(ctx, lam0=None):
+        calls[0] += 1
+        return solve(ctx, lam0=lam0)
+
+    monkeypatch.setattr(optimizer, "_inner_minimize_ctx", counting)
+    config = PathSearchConfig(max_levels=3, restarts=1, max_iterations=150, x_grid_resolution=0.5)
+    report = minimize_over_paths(Q1, np.zeros(1), MixtureSpec(1, {2: [1.0]}), config, seed=1)
+    assert report.best_value == pytest.approx(np.sqrt(2) - 0.75 - 0.25 * np.log(2.0), abs=2e-6)
+    assert calls[0] <= 600
 
 
 def test_config_validation():
