@@ -24,6 +24,10 @@ Nested sampling never reuses inner samples across outer samples: the
 log-of-mean transform is nonlinear and reuse would bias the estimator.
 Standard errors come from the delta method on the outermost log; inner-level
 bias is controlled by doubling-samples stability checks, not bias formulas.
+
+scipy's ``logsumexp`` is imported where it is called, in the r = 3 level loop
+of ``nested_recursion_mc`` and in ``sample_finite_cascade``; importing this
+module loads numpy only, and r <= 2 nested runs never load scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from sphglass.functional import solve_pd, logdet_pd
 from sphglass.geometry import DiscretePath, _frozen, check_breakpoints
@@ -162,7 +165,9 @@ def nested_recursion_mc(
         y[start : start + len(block)] = values if r == 1 else _log_mean_exp_rows(values, x_leaf)
     y = y.reshape(counts[:-1] if r > 1 else counts)
 
-    for k in range(r - 2, 0, -1):
+    for k in range(r - 2, 0, -1):  # only for r = 3 (MAX_NESTED_LEVELS)
+        from scipy.special import logsumexp
+
         x_k = path.xs[k + 1]
         y = (logsumexp(x_k * y, axis=-1) - np.log(counts[k])) / x_k
 
@@ -239,6 +244,8 @@ def sample_finite_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascad
     cumulative-exponential transform u_i = Gamma_i^{-1/x}; leaf weights are
     the normalized products down the tree.
     """
+    from scipy.special import logsumexp
+
     r = path.r
     if r < 1:
         raise ValueError("cascade depth must be >= 1")

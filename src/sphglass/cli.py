@@ -71,6 +71,18 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _budget(config: RunConfig, key: str, default, convert=int, minimum=None):
+    """``budgets[key]`` (or ``default``) through ``convert``; errors name the field."""
+    raw = config.budgets.get(key, default)
+    kind = "an integer" if convert is int else "a number"
+    try:
+        value = convert(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f'"budgets.{key}" must be {kind}, got {raw!r}') from None
+    _require(minimum is None or value >= minimum, f'"budgets.{key}" must be at least {minimum}, got {raw!r}')
+    return value
+
+
 def _parse_matrix(raw, n: int, name: str) -> np.ndarray:
     mat = np.asarray(raw, dtype=float)
     _require(mat.shape == (n, n), f'"{name}" must be an {n}x{n} matrix, got shape {mat.shape}')
@@ -234,14 +246,18 @@ def _run_minimize(config: RunConfig) -> tuple[int, dict]:
 
 def _run_verify(config: RunConfig) -> tuple[int, dict]:
     seed = config.seed or 0
-    budgets = config.budgets
-    checks = verify_mod.identity_suite(seed, count=int(budgets.get("identity_instances", 100)))
-    checks += verify_mod.jacobi_suite(seed, count=int(budgets.get("jacobi_instances", 50)))
-    mc_count = int(budgets.get("mc_instances", 0))
+    identity_count = _budget(config, "identity_instances", 100, minimum=0)
+    jacobi_count = _budget(config, "jacobi_instances", 50, minimum=0)
+    mc_count = _budget(config, "mc_instances", 0, minimum=0)
+    mc_samples = _budget(config, "mc_samples", 1_000_000, minimum=2)  # the stderr needs two
+    _require(
+        identity_count + jacobi_count + mc_count > 0,
+        '"budgets" selects no check: identity_instances, jacobi_instances and mc_instances are all 0',
+    )
+    checks = verify_mod.identity_suite(seed, count=identity_count)
+    checks += verify_mod.jacobi_suite(seed, count=jacobi_count)
     if mc_count:
-        checks += verify_mod.mc_identity_check(
-            seed, count=mc_count, samples=int(budgets.get("mc_samples", 1_000_000))
-        )
+        checks += verify_mod.mc_identity_check(seed, count=mc_count, samples=mc_samples)
     passed = all(c["pass"] for c in checks)
     body = {
         "checks": checks,
@@ -256,8 +272,12 @@ def _run_cascade_check(config: RunConfig) -> tuple[int, dict]:
     _require(config.path is not None, 'task "cascade-check" requires a "path"')
     _require(config.lam is not None, 'task "cascade-check" requires a "lambda"')
     seed = config.seed or 0
-    budgets = config.budgets
-    samples = budgets.get("samples_per_level", [2000] * config.path.r)
+    r = config.path.r
+    samples = config.budgets.get("samples_per_level", [2000] * r)
+    _require(
+        isinstance(samples, list) and len(samples) == r and all(isinstance(s, int) and s >= 1 for s in samples),
+        f'"budgets.samples_per_level" must be a list of {r} positive integers, got {samples!r}',
+    )
     cspec = cascade_mod.CascadeSpec(
         path=config.path, spec=config.mixture, lam=config.lam, h=config.h
     )
@@ -282,15 +302,14 @@ def _run_cascade_check(config: RunConfig) -> tuple[int, dict]:
 
 
 def _run_mc_estimate(config: RunConfig) -> tuple[int, dict]:
-    budgets = config.budgets
     result = mc_mod.estimate_free_energy(
         config.q,
-        int(budgets.get("N", 32)),
-        float(budgets.get("epsilon", 0.01)),
+        _budget(config, "N", 32),
+        _budget(config, "epsilon", 0.01, convert=float),
         config.mixture,
         config.h,
-        int(budgets.get("disorder_reps", 100)),
-        int(budgets.get("config_samples", 2000)),
+        _budget(config, "disorder_reps", 100, minimum=1),
+        _budget(config, "config_samples", 2000, minimum=1),
         config.seed or 0,
         workers=config.workers,
     )
@@ -304,17 +323,21 @@ def _run_sweep(config: RunConfig) -> tuple[int, dict]:
     values = sweep.get("values")
     _require(parameter in ("beta_scale", "q12"), '"sweep.parameter" must be "beta_scale" or "q12"')
     _require(isinstance(values, list) and values, '"sweep.values" must be a non-empty array')
+    _require(parameter == "beta_scale" or config.n == 2, 'sweep over "q12" requires n = 2')
+    models = []  # every row's model is checked before the first search runs
+    for i, raw in enumerate(values):
+        try:
+            value = float(raw)
+            if parameter == "beta_scale":
+                terms = {p: value * beta for p, beta in config.mixture.terms.items()}
+                models.append((value, MixtureSpec(n=config.n, terms=terms), config.q))
+            else:
+                q_i = ConstraintMatrix(np.array([[1.0, value], [value, 1.0]]))
+                models.append((value, config.mixture, q_i))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f'"sweep.values[{i}]" invalid: {raw!r}: {err}') from None
     rows = []
-    for i, value in enumerate(values):
-        value = float(value)
-        if parameter == "beta_scale":
-            terms = {p: value * beta for p, beta in config.mixture.terms.items()}
-            spec_i = MixtureSpec(n=config.n, terms=terms)
-            q_i = config.q
-        else:
-            _require(config.n == 2, 'sweep over "q12" requires n = 2')
-            spec_i = config.mixture
-            q_i = ConstraintMatrix(np.array([[1.0, value], [value, 1.0]]))
+    for i, (value, spec_i, q_i) in enumerate(models):
         report = minimize_over_paths(
             q_i, config.h, spec_i, config.search, seed=(config.seed or 0) + i
         )

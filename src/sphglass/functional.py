@@ -139,12 +139,14 @@ class _PathContext:
     levels come from one mixture pass (``path_levels``) over the path's chain
     Q_0..Q_r.
 
-    ``feasible_value`` hands back the chain's factors with the value, and
-    ``value_grad_hess`` accepts that pair instead of factoring again.  The
+    ``feasible_value`` hands back the chain's factors and log-determinant
+    increments with the value, and ``value_grad_hess`` and
+    ``envelope_gradient`` accept that triple instead of factoring again.  The
     chain's factors from the guarded stacked call are bitwise those of a
     fresh ``cholesky(chain(lam))``: a stacked factorization treats each
-    matrix on its own, so reusing them changes no bit of the value, gradient
-    or Hessian.
+    matrix on its own, so reusing them changes no bit of the value, gradient,
+    Hessian or path gradient.  ``solved`` holds the triple of the inner
+    solve's final iterate, set by the optimizer's Newton loop.
     """
 
     def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec):
@@ -170,6 +172,7 @@ class _PathContext:
         self.theta_steps = _theta_steps(thetas)
         self.theta_const = _theta_sum(x_all, self.theta_steps)
         self.has_field = bool(np.any(self.h))
+        self.solved: tuple[float, np.ndarray, np.ndarray] | None = None
 
     def rotated(self, u: np.ndarray, mu: np.ndarray) -> "_PathContext":
         """This context conjugated by the orthonormal u, with Q = diag(mu).
@@ -193,9 +196,13 @@ class _PathContext:
     def chain(self, lam: np.ndarray) -> np.ndarray:
         return lam[None, :, :] - self.tails
 
+    def factor(self, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(value, chol, increments)`` at lam; raises LinAlgError outside the PD cone."""
+        return self._factored(lam, np.linalg.cholesky(self.chain(lam)))
+
     def value(self, lam: np.ndarray) -> float:
         """Objective at lam; raises LinAlgError outside the PD cone."""
-        return self._value(lam, np.linalg.cholesky(self.chain(lam)))
+        return self.factor(lam)[0]
 
     def _increments(self, chol: np.ndarray) -> np.ndarray:
         """log|L_{k+1}| - log|L_k| = sum_i log1p(x_k mu_i), k = 0..r-1.
@@ -210,8 +217,8 @@ class _PathContext:
         mu = np.linalg.eigvalsh(_sym(conj))
         return np.sum(np.log1p(self.x_levels[:-1, None] * mu), axis=1)
 
-    def _value(self, lam: np.ndarray, chol: np.ndarray) -> float:
-        """Objective at lam from the Cholesky factors of its chain.
+    def _factored(self, lam: np.ndarray, chol: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(value, chol, increments)`` at lam from the Cholesky factors of its chain.
 
         The cascade sum is accumulated through the stable log-determinant
         increments of ``_increments``.
@@ -227,7 +234,7 @@ class _PathContext:
         if self.has_field:
             y = np.linalg.solve(chol[0], self.h)
             total += 0.5 * float(y @ y)
-        return total
+        return total, chol, increments
 
     def breakdown(self, lam: np.ndarray) -> FunctionalBreakdown:
         """The functional at lam term by term; raises NotInL outside L.
@@ -241,7 +248,7 @@ class _PathContext:
                 f"Lambda_0 not positive definite: smallest eigenvalue {self.min_eig0(lam):.3e} "
                 f"<= margin {MEMBERSHIP_MARGIN:.0e}"
             )
-        total, chol = factored
+        total, chol, increments = factored
         field = 0.0
         if self.has_field:
             y = np.linalg.solve(chol[0], self.h)
@@ -252,22 +259,19 @@ class _PathContext:
             const_term=-0.5 * self.n,
             logdet_term=-float(np.sum(np.log(np.diagonal(chol[-1])))),
             field_term=field,
-            cascade_term=float(np.sum(0.5 * self._increments(chol) / self.x_levels[:-1])),
+            cascade_term=float(np.sum(0.5 * increments / self.x_levels[:-1])),
             theta_term=self.theta_const,
         )
 
-    def value_grad_hess(self, lam: np.ndarray, factored: tuple[float, np.ndarray] | None = None):
+    def value_grad_hess(self, lam: np.ndarray, factored: tuple[float, np.ndarray, np.ndarray] | None = None):
         """Value, gradient matrix and Hessian in the symmetric basis at lam.
 
-        ``factored`` is the ``(value, chol)`` pair that ``feasible_value``
-        returned for this same lam; without it the chain is factored here
-        (and LinAlgError is raised outside the PD cone).
+        ``factored`` is the ``(value, chol, increments)`` triple that
+        ``feasible_value`` or ``factor`` returned for this same lam; without
+        it the chain is factored here (and LinAlgError is raised outside the
+        PD cone).
         """
-        if factored is None:
-            chol = np.linalg.cholesky(self.chain(lam))
-            total = self._value(lam, chol)
-        else:
-            total, chol = factored
+        total, chol, _ = self.factor(lam) if factored is None else factored
         n = self.n
         basis = _sym_basis(n)
         # L_j^{-1} = C_j^{-T} (C_j^{-1} I), two stacked triangular solves
@@ -284,7 +288,9 @@ class _PathContext:
             curvature += 0.5 * (cross + cross.T)
         return total, _sym(grad), basis @ curvature @ basis.T
 
-    def envelope_gradient(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def envelope_gradient(
+        self, lam: np.ndarray, factored: tuple[float, np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of the functional in the path at fixed lam.
 
         Returns ``(grad_x, grad_q)``: d/dx_m for the breakpoints x_0..x_{r-1}
@@ -302,10 +308,11 @@ class _PathContext:
 
         with c_j = x_{k-1} - x_k for j < k, c_k = -x_k and c_j = 0 for j > k
         (the coefficient of Q_k's xi' in tails_j).  The log-ratio is the
-        stable increment of ``_increments``.  Raises LinAlgError outside the
-        PD cone.
+        stable increment of ``_increments``.  ``factored`` is as in
+        ``value_grad_hess``; without it the chain is factored here (and
+        LinAlgError is raised outside the PD cone).
         """
-        chol = np.linalg.cholesky(self.chain(lam))
+        _, chol, increments = self.factor(lam) if factored is None else factored
         eye = np.broadcast_to(np.eye(self.n), chol.shape)
         inv = _sym(np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, eye)))
         x = self.x_levels[:-1]
@@ -313,7 +320,7 @@ class _PathContext:
         # pair[j, m] = <L_j^{-1}, Delta_{m+1}>, summed over j <= m
         pair = np.einsum("jab,mab->jm", inv[:-1], self.deltas)
         grad_x = (
-            -self._increments(chol) / (2.0 * x * x)
+            -increments / (2.0 * x * x)
             - np.sum(np.triu(w[:-1, None] * pair), axis=0)
             - 0.5 * self.theta_steps
         )
@@ -335,13 +342,13 @@ class _PathContext:
     def min_eig0(self, lam: np.ndarray) -> float:
         return float(np.linalg.eigvalsh(lam - self.tails[0])[0])
 
-    def feasible_value(self, lam: np.ndarray) -> tuple[float, np.ndarray] | None:
-        """``(value, chol)`` at lam, or None when the chain leaves the PD cone.
+    def feasible_value(self, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
+        """``(value, chol, increments)`` at lam, or None when the chain leaves the PD cone.
 
         Cholesky is the feasibility test: L_0 less the membership margin is
         factored in the same stacked call as the chain, whose factors the
         log-determinants need anyway.  ``chol`` holds the chain's factors,
-        ready for ``value_grad_hess``.
+        ready for ``value_grad_hess`` and ``envelope_gradient``.
         """
         chain = self.chain(lam)
         guarded = np.concatenate([chain[:1] - MEMBERSHIP_MARGIN * np.eye(self.n), chain])
@@ -349,8 +356,7 @@ class _PathContext:
             chol = np.linalg.cholesky(guarded)
         except np.linalg.LinAlgError:
             return None
-        chol = chol[1:]
-        return self._value(lam, chol), chol
+        return self._factored(lam, chol[1:])
 
 
 def evaluate(

@@ -20,6 +20,10 @@ Cov(H(s1), H(s2)) = N * Sum(xi(R_{1,2})) exactly.
 
 The simple-mean log-partition estimator is biased at finite sample sizes;
 callers audit the bias by doubling budgets rather than correcting it.
+
+scipy is imported by the two functions that call it: ``logsumexp`` in the
+per-replicate task ``_disorder_rep`` and ``quad``/``gammaln`` in
+``overlap_window_log_volume``.  Importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, logsumexp
 
 from sphglass.geometry import ConstraintMatrix, is_degenerate_spectrum
 from sphglass.mixture import MixtureSpec
@@ -226,6 +228,8 @@ class EstimatorResult:
 
 
 def _disorder_rep(args) -> float:
+    from scipy.special import logsumexp
+
     qmat, n_sites, epsilon, spec, h, config_samples, seed, rep = args
     disorder_seed = np.random.SeedSequence(seed, spawn_key=(rep, 0)).generate_state(1)[0]
     config_seed = np.random.SeedSequence(seed, spawn_key=(rep, 1)).generate_state(1)[0]
@@ -304,6 +308,9 @@ def overlap_window_log_volume(q12: float, n_sites: int, epsilon: float) -> float
     c_N (1 - t^2)^{(N-3)/2}; integrates the window [q - eps, q + eps] by 1-D
     quadrature (log-scaled to avoid underflow at large N).
     """
+    from scipy.integrate import quad
+    from scipy.special import gammaln
+
     if not -1.0 < q12 < 1.0:
         raise ValueError("q12 must lie in (-1, 1)")
     lo = max(q12 - epsilon, -1.0 + 1e-12)

@@ -25,6 +25,9 @@ Structure of the double infimum:
   value is the functional at an admissible multiplier and path, so it is an
   honest upper bound on the infimum; level r + 1 is warm-started from the
   refined level-r optimum so per-level values never increase.
+
+scipy's ``minimize`` is imported inside ``minimize_over_paths``, the one
+function that calls it, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from sphglass.geometry import (
     DEGENERACY_RTOL,
@@ -142,10 +144,11 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> InnerSolveReport:
 
     Every point the loop moves to has just been factored by
     ``feasible_value``: the warm-start probe at ``lam0`` and each accepted
-    line-search trial.  Their ``(value, chol)`` pair goes straight into
-    ``value_grad_hess``, so each iterate costs one stacked Cholesky call, and
-    the result is bitwise that of re-factoring.  Only the cold start
-    (``lambda_start``) is factored inside ``value_grad_hess``.
+    line-search trial.  Their ``(value, chol, increments)`` triple goes
+    straight into ``value_grad_hess``, so each iterate costs one stacked
+    Cholesky call, and the result is bitwise that of re-factoring.  Only the
+    cold start (``lambda_start``) is factored by ``factor``.  The final
+    iterate's triple is left in ``ctx.solved`` for ``envelope_gradient``.
     """
     lam = None
     factored = None
@@ -156,6 +159,7 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> InnerSolveReport:
             lam = candidate
     if lam is None:
         lam = ctx.lambda_start()
+        factored = ctx.factor(lam)
     n = ctx.n
     gtol = INNER_GRADIENT_TOLERANCE
     status = "max_iterations"
@@ -190,9 +194,9 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> InnerSolveReport:
             if t * abs(slope) < 1e-17 * max(1.0, abs(value)):
                 break  # predicted decrease below float resolution
             trial = _sym(lam + t * step)
-            factored = ctx.feasible_value(trial)
-            if factored is not None and factored[0] <= value + 1e-4 * t * slope:
-                lam = trial
+            trial_factored = ctx.feasible_value(trial)
+            if trial_factored is not None and trial_factored[0] <= value + 1e-4 * t * slope:
+                lam, factored = trial, trial_factored
                 improved = True
                 break
             t *= 0.5
@@ -209,6 +213,7 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> InnerSolveReport:
         iterations = INNER_MAX_ITERATIONS
     if status == "max_iterations" and gnorm <= gtol * max(1.0, abs(value)):
         status = "converged"
+    ctx.solved = factored
     return InnerSolveReport(
         lambda_star=lam, value=value, gradient_norm=gnorm, iterations=iterations, status=status
     )
@@ -617,9 +622,10 @@ def minimize_over_paths(
     strictly decrease.  The reported best path is the smallest r whose value
     is within ``VALUE_TOLERANCE`` of the overall best (parsimony tie-break).
     """
+    from scipy.optimize import minimize
+
     config = config or PathSearchConfig()
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
-    n = qmat.shape[0]
 
     probe = DiscretePath.simple(qmat, 0.5)
     certificate = detect_degenerate(qmat, probe, h, spec)
@@ -649,7 +655,7 @@ def minimize_over_paths(
                 ctx = _PathContext(path, qmat, h, spec)
                 rep = _inner_minimize_ctx(ctx, lam0=warm_lambda[0])
                 warm_lambda[0] = rep.lambda_star
-                grad_x, grad_q = ctx.envelope_gradient(rep.lambda_star)
+                grad_x, grad_q = ctx.envelope_gradient(rep.lambda_star, ctx.solved)
                 return rep.value, param.pullback(vec, grad_x, grad_q)
             except (ValueError, np.linalg.LinAlgError):
                 return np.inf, np.zeros_like(vec)
@@ -657,7 +663,7 @@ def minimize_over_paths(
         level_value = np.inf
         level_path = None
         for start in _level_starts(param, r, config, warm, rng):
-            res = _scipy_minimize(
+            res = minimize(
                 objective,
                 start,
                 jac=True,

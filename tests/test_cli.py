@@ -168,6 +168,50 @@ def test_verify_identities_subcommand(tmp_path):
     assert all(c["pass"] for c in report["body"]["checks"])
 
 
+def _config_error(tmp_path, capsys, task, **overrides) -> str:
+    # runs the subcommand and returns the message of its config error
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text(config_text(task=task, **overrides))
+    assert main([task, "--config", str(cfg_file)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config"
+    return error["message"]
+
+
+@pytest.mark.parametrize(
+    "task, overrides, field",
+    [
+        ("mc-estimate", {"budgets": {"N": "x"}}, '"budgets.N"'),
+        ("mc-estimate", {"budgets": {"disorder_reps": 0}}, '"budgets.disorder_reps"'),
+        ("mc-estimate", {"budgets": {"config_samples": 0}}, '"budgets.config_samples"'),
+        ("sweep", {"sweep": {"parameter": "q12", "values": [0.3, 1.5]}}, '"sweep.values[1]"'),
+        ("sweep", {"sweep": {"parameter": "q12", "values": ["a"]}}, '"sweep.values[0]"'),
+        ("cascade-check", {"budgets": {"samples_per_level": 5}}, '"budgets.samples_per_level"'),
+    ],
+    ids=["N-not-integer", "disorder-reps-zero", "config-samples-zero", "q12-out-of-range", "value-not-number",
+         "samples-per-level-not-list"],
+)
+def test_bad_budget_or_sweep_value_names_its_field(tmp_path, capsys, task, overrides, field):
+    q = [[1.0, 0.0], [0.0, 1.0]]
+    pair = {"n": 2, "mixture": {"2": [0.3, 0.3]}, "Q": q, "h": [0.0, 0.0], "lambda": [[2.0, 0.0], [0.0, 2.0]],
+            "path": {"xs": [0.0, 0.5, 1.0], "Qs": [[[0.0, 0.0], [0.0, 0.0]], q]}}
+    message = _config_error(tmp_path, capsys, task, **pair, **overrides)
+    assert message.startswith(field)
+
+
+def test_verify_identities_rejects_negative_instance_counts(tmp_path, capsys):
+    budgets = {"identity_instances": 2, "jacobi_instances": -1}
+    message = _config_error(tmp_path, capsys, "verify-identities", budgets=budgets)
+    assert message.startswith('"budgets.jacobi_instances"')
+
+
+def test_verify_identities_that_checks_nothing_is_an_error(tmp_path, capsys):
+    # a suite with zero checks must not report "passed": true
+    budgets = {"identity_instances": 0, "jacobi_instances": 0}
+    message = _config_error(tmp_path, capsys, "verify-identities", budgets=budgets)
+    assert "selects no check" in message
+
+
 def test_task_subcommand_conflict(tmp_path):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(config_text(task="evaluate"))

@@ -69,6 +69,23 @@ def test_envelope_gradient_matches_central_differences(rng, n, r, field):
                 assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-7), f"Q_{k}[{a}, {b}]"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("field", [False, True])
+def test_envelope_gradient_from_the_solved_factors_is_bitwise_fresh(rng, n, r, field):
+    # the inner solve leaves its final iterate's (value, chol, increments) in
+    # ctx.solved; the gradient from them must not differ in a single bit from
+    # the one that factors the chain again
+    q, h, spec = _model(rng, n, field)
+    path = random_path(rng, q, r)
+    ctx, rep = _solved(path, q, h, spec)
+    assert ctx.solved is not None and ctx.solved[0] == rep.value
+    fresh_x, fresh_q = ctx.envelope_gradient(rep.lambda_star)
+    handed_x, handed_q = ctx.envelope_gradient(rep.lambda_star, ctx.solved)
+    assert np.array_equal(fresh_x, handed_x)
+    assert np.array_equal(fresh_q, handed_q)
+
+
 def _check_pullback(param, params, q, h, spec, tol=1e-7):
     ctx, rep = _solved(param.path(params), q, h, spec)
     assert rep.status == "converged"

@@ -549,6 +549,23 @@ def test_search_inner_solve_count_on_the_exact_model(monkeypatch):
     assert calls[0] <= 600
 
 
+def test_search_cholesky_count_on_the_exact_model(monkeypatch):
+    # the path gradient reuses the factors of the inner solve's final
+    # iterate, so an objective call makes no Cholesky call of its own beyond
+    # the Newton loop's (sk-minimize config, seed 1)
+    calls = [0]
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls[0] += 1
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    config = PathSearchConfig(max_levels=3, restarts=1, max_iterations=150, x_grid_resolution=0.5)
+    minimize_over_paths(Q1, np.zeros(1), MixtureSpec(1, {2: [1.0]}), config, seed=1)
+    assert calls[0] <= 750
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PathSearchConfig(max_levels=0)
