@@ -71,16 +71,20 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _budget(config: RunConfig, key: str, default, convert=int, minimum=None):
-    """``budgets[key]`` (or ``default``) through ``convert``; errors name the field."""
-    raw = config.budgets.get(key, default)
+def _number(raw, name: str, convert=int, minimum=None):
+    """``raw`` through ``convert``; errors name the config field ``name``."""
     kind = "an integer" if convert is int else "a number"
     try:
         value = convert(raw)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f'"budgets.{key}" must be {kind}, got {raw!r}') from None
-    _require(minimum is None or value >= minimum, f'"budgets.{key}" must be at least {minimum}, got {raw!r}')
+        raise ConfigError(f'"{name}" must be {kind}, got {raw!r}') from None
+    _require(minimum is None or value >= minimum, f'"{name}" must be at least {minimum}, got {raw!r}')
     return value
+
+
+def _budget(config: RunConfig, key: str, default, convert=int, minimum=None):
+    """``budgets[key]`` (or ``default``) through ``_number``."""
+    return _number(config.budgets.get(key, default), f"budgets.{key}", convert, minimum)
 
 
 def _parse_matrix(raw, n: int, name: str) -> np.ndarray:
@@ -249,7 +253,6 @@ def _run_verify(config: RunConfig) -> tuple[int, dict]:
     identity_count = _budget(config, "identity_instances", 100, minimum=0)
     jacobi_count = _budget(config, "jacobi_instances", 50, minimum=0)
     mc_count = _budget(config, "mc_instances", 0, minimum=0)
-    mc_samples = _budget(config, "mc_samples", 1_000_000, minimum=2)  # the stderr needs two
     _require(
         identity_count + jacobi_count + mc_count > 0,
         '"budgets" selects no check: identity_instances, jacobi_instances and mc_instances are all 0',
@@ -257,6 +260,7 @@ def _run_verify(config: RunConfig) -> tuple[int, dict]:
     checks = verify_mod.identity_suite(seed, count=identity_count)
     checks += verify_mod.jacobi_suite(seed, count=jacobi_count)
     if mc_count:
+        mc_samples = _budget(config, "mc_samples", 1_000_000, minimum=2)  # the stderr needs two
         checks += verify_mod.mc_identity_check(seed, count=mc_count, samples=mc_samples)
     passed = all(c["pass"] for c in checks)
     body = {
@@ -272,12 +276,9 @@ def _run_cascade_check(config: RunConfig) -> tuple[int, dict]:
     _require(config.path is not None, 'task "cascade-check" requires a "path"')
     _require(config.lam is not None, 'task "cascade-check" requires a "lambda"')
     seed = config.seed or 0
-    r = config.path.r
-    samples = config.budgets.get("samples_per_level", [2000] * r)
-    _require(
-        isinstance(samples, list) and len(samples) == r and all(isinstance(s, int) and s >= 1 for s in samples),
-        f'"budgets.samples_per_level" must be a list of {r} positive integers, got {samples!r}',
-    )
+    raw = config.budgets.get("samples_per_level", [2000] * config.path.r)
+    _require(isinstance(raw, list), f'"budgets.samples_per_level" must be an array, got {raw!r}')
+    samples = [_number(s, f"budgets.samples_per_level[{i}]", minimum=1) for i, s in enumerate(raw)]
     cspec = cascade_mod.CascadeSpec(
         path=config.path, spec=config.mixture, lam=config.lam, h=config.h
     )

@@ -145,8 +145,7 @@ class _PathContext:
     chain's factors from the guarded stacked call are bitwise those of a
     fresh ``cholesky(chain(lam))``: a stacked factorization treats each
     matrix on its own, so reusing them changes no bit of the value, gradient,
-    Hessian or path gradient.  ``solved`` holds the triple of the inner
-    solve's final iterate, set by the optimizer's Newton loop.
+    Hessian or path gradient.
     """
 
     def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec):
@@ -172,7 +171,6 @@ class _PathContext:
         self.theta_steps = _theta_steps(thetas)
         self.theta_const = _theta_sum(x_all, self.theta_steps)
         self.has_field = bool(np.any(self.h))
-        self.solved: tuple[float, np.ndarray, np.ndarray] | None = None
 
     def rotated(self, u: np.ndarray, mu: np.ndarray) -> "_PathContext":
         """This context conjugated by the orthonormal u, with Q = diag(mu).

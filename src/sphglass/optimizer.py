@@ -26,8 +26,9 @@ Structure of the double infimum:
   honest upper bound on the infimum; level r + 1 is warm-started from the
   refined level-r optimum so per-level values never increase.
 
-scipy's ``minimize`` is imported inside ``minimize_over_paths``, the one
-function that calls it, so importing this module loads numpy only.
+scipy's ``minimize`` is imported inside ``scipy_minimize``, the outer
+search's one call into scipy, so importing this module loads numpy only and
+scipy.optimize loads on the first search.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ __all__ = [
     "inner_minimize",
     "detect_degenerate",
     "minimize_over_paths",
+    "scipy_minimize",
 ]
 
 X_UPPER = 1.0 - 1e-6  # breakpoints may approach but not reach 1
@@ -139,7 +141,9 @@ class PathSearchConfig:
             raise ValueError("iteration/restart budgets must be positive")
 
 
-def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> InnerSolveReport:
+def _inner_minimize_ctx(
+    ctx: _PathContext, lam0=None
+) -> tuple[InnerSolveReport, tuple[float, np.ndarray, np.ndarray]]:
     """Damped Newton solve over the multiplier for one path context.
 
     Every point the loop moves to has just been factored by
@@ -147,8 +151,8 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> InnerSolveReport:
     line-search trial.  Their ``(value, chol, increments)`` triple goes
     straight into ``value_grad_hess``, so each iterate costs one stacked
     Cholesky call, and the result is bitwise that of re-factoring.  Only the
-    cold start (``lambda_start``) is factored by ``factor``.  The final
-    iterate's triple is left in ``ctx.solved`` for ``envelope_gradient``.
+    cold start (``lambda_start``) is factored by ``factor``.  Returns the
+    report and the final iterate's triple, ready for ``envelope_gradient``.
     """
     lam = None
     factored = None
@@ -213,10 +217,10 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> InnerSolveReport:
         iterations = INNER_MAX_ITERATIONS
     if status == "max_iterations" and gnorm <= gtol * max(1.0, abs(value)):
         status = "converged"
-    ctx.solved = factored
-    return InnerSolveReport(
+    report = InnerSolveReport(
         lambda_star=lam, value=value, gradient_norm=gnorm, iterations=iterations, status=status
     )
+    return report, factored
 
 
 def inner_minimize(
@@ -234,7 +238,7 @@ def inner_minimize(
     """
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
     ctx = _PathContext(path, qmat, h, spec)
-    report = _inner_minimize_ctx(ctx, lam0=lambda_init)
+    report, _ = _inner_minimize_ctx(ctx, lam0=lambda_init)
     if report.status == "diverging":
         eigs = np.linalg.eigvalsh(qmat)
         if not is_degenerate_spectrum(eigs):
@@ -608,6 +612,20 @@ def _embed(path: DiscretePath) -> DiscretePath:
     return refine_path(path, k, mid)
 
 
+def scipy_minimize(fun, x0: np.ndarray, **options):
+    """``scipy.optimize.minimize(fun, x0, **options)``, imported on the call.
+
+    scipy.optimize takes most of a fresh interpreter's start-up, and only the
+    outer search needs it.  The result is scipy's ``OptimizeResult``; its
+    ``nfev`` is the number of objective calls.  The function is public so
+    that ``perfbench``'s tracer, which wraps every public name, counts those
+    calls as ``optimizer.objective_calls``.
+    """
+    from scipy.optimize import minimize
+
+    return minimize(fun, x0, **options)
+
+
 def minimize_over_paths(
     q: ConstraintMatrix | np.ndarray,
     h: np.ndarray,
@@ -622,8 +640,6 @@ def minimize_over_paths(
     strictly decrease.  The reported best path is the smallest r whose value
     is within ``VALUE_TOLERANCE`` of the overall best (parsimony tie-break).
     """
-    from scipy.optimize import minimize
-
     config = config or PathSearchConfig()
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
 
@@ -653,9 +669,9 @@ def minimize_over_paths(
             try:
                 path = param.path(vec)
                 ctx = _PathContext(path, qmat, h, spec)
-                rep = _inner_minimize_ctx(ctx, lam0=warm_lambda[0])
+                rep, factored = _inner_minimize_ctx(ctx, lam0=warm_lambda[0])
                 warm_lambda[0] = rep.lambda_star
-                grad_x, grad_q = ctx.envelope_gradient(rep.lambda_star, ctx.solved)
+                grad_x, grad_q = ctx.envelope_gradient(rep.lambda_star, factored)
                 return rep.value, param.pullback(vec, grad_x, grad_q)
             except (ValueError, np.linalg.LinAlgError):
                 return np.inf, np.zeros_like(vec)
@@ -663,7 +679,7 @@ def minimize_over_paths(
         level_value = np.inf
         level_path = None
         for start in _level_starts(param, r, config, warm, rng):
-            res = minimize(
+            res = scipy_minimize(
                 objective,
                 start,
                 jac=True,
@@ -691,7 +707,7 @@ def minimize_over_paths(
     best_r = min(r for r, v in per_level if v <= best_value + VALUE_TOLERANCE)
     best_path = level_best_paths[best_r]
     ctx = _PathContext(best_path, qmat, h, spec)
-    inner = _inner_minimize_ctx(ctx)
+    inner, _ = _inner_minimize_ctx(ctx)
     return OptimizationReport(
         best_value=best_value,
         best_path=best_path,

@@ -187,9 +187,10 @@ def _config_error(tmp_path, capsys, task, **overrides) -> str:
         ("sweep", {"sweep": {"parameter": "q12", "values": [0.3, 1.5]}}, '"sweep.values[1]"'),
         ("sweep", {"sweep": {"parameter": "q12", "values": ["a"]}}, '"sweep.values[0]"'),
         ("cascade-check", {"budgets": {"samples_per_level": 5}}, '"budgets.samples_per_level"'),
+        ("cascade-check", {"budgets": {"samples_per_level": ["x"]}}, '"budgets.samples_per_level[0]"'),
     ],
     ids=["N-not-integer", "disorder-reps-zero", "config-samples-zero", "q12-out-of-range", "value-not-number",
-         "samples-per-level-not-list"],
+         "samples-per-level-not-list", "samples-per-level-entry-not-integer"],
 )
 def test_bad_budget_or_sweep_value_names_its_field(tmp_path, capsys, task, overrides, field):
     q = [[1.0, 0.0], [0.0, 1.0]]
@@ -210,6 +211,32 @@ def test_verify_identities_that_checks_nothing_is_an_error(tmp_path, capsys):
     budgets = {"identity_instances": 0, "jacobi_instances": 0}
     message = _config_error(tmp_path, capsys, "verify-identities", budgets=budgets)
     assert "selects no check" in message
+
+
+def test_verify_identities_reads_mc_samples_only_for_mc_checks(tmp_path):
+    budgets = {"identity_instances": 2, "jacobi_instances": 0, "mc_instances": 0, "mc_samples": 1}
+    cfg_file = tmp_path / "verify.json"
+    cfg_file.write_text(config_text(task="verify-identities", budgets=budgets))
+    assert main(["verify-identities", "--config", str(cfg_file), "--out", str(tmp_path / "out.json")]) == 0
+
+
+def test_cascade_check_takes_integral_float_sample_counts(tmp_path):
+    reports = []
+    for samples in ([400], [400.0]):
+        cfg_file = tmp_path / "cc.json"
+        cfg_file.write_text(
+            config_text(
+                task="cascade-check",
+                path={"xs": [0.0, 0.9, 1.0], "Qs": [[[0.0]], [[1.0]]]},
+                budgets={"samples_per_level": samples},
+                **{"lambda": [[1.18]]},
+            )
+        )
+        out = tmp_path / "cc.json.out"
+        main(["cascade-check", "--config", str(cfg_file), "--out", str(out)])
+        reports.append(json.loads(out.read_text())["body"])
+    assert reports[0] == reports[1]
+    assert reports[0]["nested_mc"]["samples_per_level"] == [400]
 
 
 def test_task_subcommand_conflict(tmp_path):

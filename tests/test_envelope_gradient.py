@@ -25,7 +25,7 @@ STEP = 1e-6
 
 def _solved(path, q, h, spec):
     ctx = _PathContext(path, q, h, spec)
-    return ctx, _inner_minimize_ctx(ctx)
+    return ctx, _inner_minimize_ctx(ctx)[0]
 
 
 def _central(value_at):
@@ -73,15 +73,16 @@ def test_envelope_gradient_matches_central_differences(rng, n, r, field):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("field", [False, True])
 def test_envelope_gradient_from_the_solved_factors_is_bitwise_fresh(rng, n, r, field):
-    # the inner solve leaves its final iterate's (value, chol, increments) in
-    # ctx.solved; the gradient from them must not differ in a single bit from
-    # the one that factors the chain again
+    # the inner solve returns its final iterate's (value, chol, increments);
+    # the gradient from them must not differ in a single bit from the one
+    # that factors the chain again
     q, h, spec = _model(rng, n, field)
     path = random_path(rng, q, r)
-    ctx, rep = _solved(path, q, h, spec)
-    assert ctx.solved is not None and ctx.solved[0] == rep.value
+    ctx = _PathContext(path, q, h, spec)
+    rep, factored = _inner_minimize_ctx(ctx)
+    assert factored[0] == rep.value
     fresh_x, fresh_q = ctx.envelope_gradient(rep.lambda_star)
-    handed_x, handed_q = ctx.envelope_gradient(rep.lambda_star, ctx.solved)
+    handed_x, handed_q = ctx.envelope_gradient(rep.lambda_star, factored)
     assert np.array_equal(fresh_x, handed_x)
     assert np.array_equal(fresh_q, handed_q)
 

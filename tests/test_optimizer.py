@@ -151,7 +151,7 @@ def test_warm_inner_solve_factors_each_point_once(rng, monkeypatch):
     spec = random_mixture(rng, 2)
     h = np.array([0.2, -0.1])
     path = random_path(rng, q.matrix, 2)
-    lam0 = _inner_minimize_ctx(_PathContext(path, q.matrix, h, spec)).lambda_star
+    lam0 = _inner_minimize_ctx(_PathContext(path, q.matrix, h, spec))[0].lambda_star
     # a smaller x_0 shrinks only the tail of L_0, so lam0 stays feasible
     xs = path.xs.copy()
     xs[1] *= 0.9
@@ -171,7 +171,7 @@ def test_warm_inner_solve_factors_each_point_once(rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(_PathContext, "feasible_value", counting_feasible_value)
-    rep = _inner_minimize_ctx(ctx, lam0=lam0)
+    rep, _ = _inner_minimize_ctx(ctx, lam0=lam0)
     assert rep.status == "converged"
     assert rep.iterations >= 1
     assert calls["feasible_value"] >= 2
@@ -275,9 +275,10 @@ def test_inner_minimize_divergence_on_pd_constraint_raises(monkeypatch):
     import sphglass.optimizer as optimizer
 
     def diverging(ctx, lam0=None):
-        return InnerSolveReport(
+        report = InnerSolveReport(
             lambda_star=np.eye(ctx.n), value=-2e12, gradient_norm=1.0, iterations=1, status="diverging"
         )
+        return report, None
 
     monkeypatch.setattr(optimizer, "_inner_minimize_ctx", diverging)
     spec = MixtureSpec(2, {2: [0.3, 0.3]})
@@ -522,8 +523,9 @@ def test_search_ignores_last_bit_noise_in_the_objective(monkeypatch):
         noise = np.random.default_rng(noise_seed)
 
         def perturbed(ctx, lam0=None):
-            rep = solve(ctx, lam0=lam0)
-            return dataclasses.replace(rep, value=rep.value * (1.0 + noise.choice([-2.3e-16, 2.3e-16])))
+            rep, factored = solve(ctx, lam0=lam0)
+            value = rep.value * (1.0 + noise.choice([-2.3e-16, 2.3e-16]))
+            return dataclasses.replace(rep, value=value), factored
 
         monkeypatch.setattr(optimizer, "_inner_minimize_ctx", perturbed)
         moved = minimize_over_paths(PAIR_Q, np.zeros(2), PAIR_SPEC, config, seed=1).best_value
