@@ -16,7 +16,11 @@ Structure of the double infimum:
 - ``minimize_over_paths``: the outer infimum over discrete paths is a
   restarted gradient search (L-BFGS-B over a smooth parameterization of the
   monotone chain and the breakpoints), with the inner Newton solve at every
-  candidate.  The inner problem is strictly convex, so the gradient of
+  candidate.  The breakpoints are the cumulative shares x_i = cum_i / S of
+  r + 1 weights that L-BFGS-B keeps in the box [floor, 1], so every
+  breakpoint gap, x_0 and 1 - x_{r-1} included, is at least ``X_GAP`` and the
+  search reaches the x_{r-1} -> 1 corner to within it.  The inner problem is
+  strictly convex, so the gradient of
   V(path) = min_Lambda P(Lambda, path) is the envelope gradient
   ``_PathContext.envelope_gradient`` at the inner minimizer (Danskin), and
   each parameterization pulls it back to its parameters.  The starts are the
@@ -65,8 +69,7 @@ __all__ = [
     "scipy_minimize",
 ]
 
-X_UPPER = 1.0 - 1e-6  # breakpoints may approach but not reach 1
-X_LOWER = 1e-9
+X_GAP = 2e-9  # smallest breakpoint gap the search can reach, >= geometry.MIN_X_GAP
 CERTIFICATE_D11 = (1e10, 1e95, 1e180)
 INNER_MAX_ITERATIONS = 80  # Newton steps per inner solve
 INNER_GRADIENT_TOLERANCE = 1e-8  # relative to max(1, |value|)
@@ -323,77 +326,36 @@ def detect_degenerate(
 # path parameterizations
 
 
-def _clamped_xs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_xs_from_weights`` with the source of each breakpoint.
+def _weight_floor(r: int) -> float:
+    """Lower bound of the r + 1 breakpoint weights, each at most 1.
 
-    source[i] is 0 when x_i is the softmax share itself, 1 when the lower
-    clamp sets it to x_{i-1} + X_LOWER, and 2 when the upper clamp fixes it.
+    Their sum S is at most r + 1, so every gap w_j / S of the breakpoints is
+    at least ``X_GAP``.
     """
-    w = np.exp(np.clip(u, -60.0, 60.0))
+    return max(1e-8, (r + 1) * X_GAP)
+
+
+def _shares(w: np.ndarray) -> np.ndarray:
+    """cum_i / S for i < len(w) - 1: r + 1 positive weights to 0 < x_0 < ... < x_{r-1} < 1."""
     cum = np.cumsum(w)
-    inner = cum[:-1] / cum[-1]
-    out = np.empty_like(inner)
-    source = np.zeros(inner.size, dtype=int)
-    prev = 0.0
-    for i, v in enumerate(inner):
-        remaining = inner.size - 1 - i
-        hi = X_UPPER - remaining * X_LOWER
-        if v < prev + X_LOWER:
-            v, source[i] = prev + X_LOWER, 1
-        if v > hi:
-            v, source[i] = hi, 2
-        out[i] = v
-        prev = v
-    return out, source
+    return cum[:-1] / cum[-1]
 
 
-def _xs_from_weights(u: np.ndarray) -> np.ndarray:
-    """Map r + 1 unconstrained reals to interior breakpoints x_0 < ... < x_{r-1}."""
-    return _clamped_xs(u)[0]
-
-
-def _shares_pullback(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Pull d/d(cum_i / cum_last), i < len(u) - 1, back to the weights u.
-
-    d(cum_i / S)/du_j = (w_j / S)([j <= i] - cum_i / S), and zero where the
-    clip of u is active.
-    """
-    w = np.exp(np.clip(u, -60.0, 60.0))
-    cum = np.cumsum(w)
-    shares = cum[:-1] / cum[-1]
+def _shares_pullback(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Pull d/d(cum_i / S) back to the weights: d(cum_i / S)/dw_j = ([j <= i] - cum_i / S) / S."""
     suffix = np.concatenate([np.cumsum(grad[::-1])[::-1], [0.0]])
-    out = (w / cum[-1]) * (suffix - float(grad @ shares))
-    return np.where(np.abs(u) < 60.0, out, 0.0)
-
-
-def _xs_pullback(u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product of ``_xs_from_weights``, clamps included.
-
-    A breakpoint set by the lower clamp passes its gradient on to the one
-    before it; one fixed by the upper clamp passes none.
-    """
-    _, source = _clamped_xs(u)
-    grad = np.array(grad_x, dtype=float)
-    to_share = np.zeros_like(grad)
-    for i in range(grad.size - 1, -1, -1):
-        if source[i] == 0:
-            to_share[i] = grad[i]
-        elif source[i] == 1 and i > 0:
-            grad[i - 1] += grad[i]
-    return _shares_pullback(u, to_share)
+    return (suffix - float(grad @ _shares(w))) / np.sum(w)
 
 
 def _weights_from_xs(inner_xs: np.ndarray) -> np.ndarray:
-    xs = np.concatenate([[0.0], inner_xs, [1.0]])
-    w = np.clip(np.diff(xs), 1e-12, None)
-    return np.log(w)
+    """The gaps of the breakpoints, clipped into the weights' box."""
+    gaps = np.diff(np.concatenate([[0.0], inner_xs, [1.0]]))
+    return np.clip(gaps, _weight_floor(inner_xs.size), 1.0)
 
 
 def _monotone_unit(u: np.ndarray) -> np.ndarray:
     """Map r unconstrained reals to 0 <= q_1 <= ... <= q_{r-1} <= q_r = 1."""
-    w = np.exp(np.clip(u, -60.0, 60.0))
-    cum = np.cumsum(w)
-    return cum[:-1] / cum[-1]
+    return _shares(np.exp(np.clip(u, -60.0, 60.0)))
 
 
 class _ScalarProfile:
@@ -406,7 +368,7 @@ class _ScalarProfile:
 
     def path(self, params: np.ndarray) -> DiscretePath:
         r, n = self.r, self.qmat.shape[0]
-        inner_xs = _xs_from_weights(params[: r + 1])
+        inner_xs = _shares(params[: r + 1])
         if r >= 2:
             profile = _monotone_unit(params[r + 1 : r + 1 + r])
         else:
@@ -432,15 +394,17 @@ class _ScalarProfile:
     def pullback(self, params: np.ndarray, grad_x: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
         """Gradient in the parameters from the path gradient (d/dx, d/dQ_k)."""
         r = self.r
-        out = [_xs_pullback(params[: r + 1], grad_x)]
+        out = [_shares_pullback(params[: r + 1], grad_x)]
         if r >= 2:
+            u = params[r + 1 : r + 1 + r]
+            w = np.exp(np.clip(u, -60.0, 60.0))
             grad_profile = np.sum(grad_q * self.qmat, axis=(1, 2))
-            out.append(_shares_pullback(params[r + 1 : r + 1 + r], grad_profile))
+            out.append(np.where(np.abs(u) < 60.0, w * _shares_pullback(w, grad_profile), 0.0))
         return np.concatenate(out)
 
     def default(self) -> np.ndarray:
         r = self.r
-        out = [np.zeros(r + 1)]
+        out = [np.ones(r + 1)]
         if r >= 2:
             out.append(np.zeros(r))
         return np.concatenate(out)
@@ -479,7 +443,7 @@ class _CholeskyIncrements:
 
     def path(self, params: np.ndarray) -> DiscretePath:
         r, n = self.r, self.n
-        inner_xs = _xs_from_weights(params[: r + 1])
+        inner_xs = _shares(params[: r + 1])
         _, grams = self._grams(params)
         inv_sqrt = self._normalization(grams)[0]
         qs = np.empty((r + 1, n, n))
@@ -505,7 +469,7 @@ class _CholeskyIncrements:
         """
         r, n = self.r, self.n
         out = np.zeros(self.n_params)
-        out[: r + 1] = _xs_pullback(params[: r + 1], grad_x)
+        out[: r + 1] = _shares_pullback(params[: r + 1], grad_x)
         if r < 2:
             return out  # no level between Q_0 = 0 and Q_1 = Q
         lows, grams = self._grams(params)
@@ -537,7 +501,7 @@ class _CholeskyIncrements:
         return np.concatenate(out)
 
     def default(self) -> np.ndarray:
-        out = [np.zeros(self.r + 1)]
+        out = [np.ones(self.r + 1)]
         eye_vec = np.eye(self.n)[self._tril]
         for _ in range(self.r):
             out.append(eye_vec)
@@ -576,22 +540,22 @@ class OptimizationReport:
         }
 
 
-def _corner_xs(r: int) -> np.ndarray:
-    """Breakpoints stacked against 1: the replica-symmetric corner."""
-    return np.array([X_UPPER - (r - 1 - k) * 1e-7 for k in range(r)])
-
-
 def _level_starts(
     param, r: int, config: PathSearchConfig, warm_path: DiscretePath | None, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    starts = [param.default()]
-    corner = param.default().copy()
-    corner[: r + 1] = _weights_from_xs(_corner_xs(r))
-    starts.append(corner)
+    """Starts of the level-r search, their breakpoint weights inside the box.
+
+    L-BFGS-B clips a start into its bounds, so the random draws map their
+    weights into the box: exp(z - max z) keeps the shares of a softmax of z.
+    """
+    floor = _weight_floor(r)
+    corner = param.default()  # the replica-symmetric corner, breakpoints stacked against 1
+    corner[1 : r + 1] = floor
+    starts = [param.default(), corner]
     if r == 1:
         res = config.x_grid_resolution
         for g in np.arange(res, 1.0, res):
-            s = param.default().copy()
+            s = param.default()
             s[:2] = _weights_from_xs(np.array([g]))
             starts.append(s)
     if warm_path is not None:
@@ -600,7 +564,9 @@ def _level_starts(
         except (ValueError, np.linalg.LinAlgError):
             pass
     for _ in range(config.restarts):
-        starts.append(rng.normal(0.0, 1.5, size=param.n_params))
+        s = rng.normal(0.0, 1.5, size=param.n_params)
+        s[: r + 1] = np.maximum(np.exp(s[: r + 1] - s[: r + 1].max()), floor)
+        starts.append(s)
     return starts
 
 
@@ -637,8 +603,9 @@ def minimize_over_paths(
 
     Degenerate constraints short-circuit to -inf with the certificate of
     ``detect_degenerate``, which raises RuntimeError when its values do not
-    strictly decrease.  The reported best path is the smallest r whose value
-    is within ``VALUE_TOLERANCE`` of the overall best (parsimony tie-break).
+    strictly decrease.  The reported best path is that of the smallest r whose
+    value is within ``VALUE_TOLERANCE`` of the overall best (parsimony
+    tie-break), and ``best_value`` is that level's own value.
     """
     config = config or PathSearchConfig()
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
@@ -678,12 +645,15 @@ def minimize_over_paths(
 
         level_value = np.inf
         level_path = None
+        # the breakpoint weights live in [floor, 1]; every other parameter is free
+        bounds = [(_weight_floor(r), 1.0)] * (r + 1) + [(None, None)] * (param.n_params - r - 1)
         for start in _level_starts(param, r, config, warm, rng):
             res = scipy_minimize(
                 objective,
                 start,
                 jac=True,
                 method="L-BFGS-B",
+                bounds=bounds,
                 options={
                     "maxiter": config.max_iterations,
                     "maxfun": 2 * config.max_iterations,
@@ -703,8 +673,8 @@ def minimize_over_paths(
         prev_best = min(prev_best, level_value)
         warm = _embed(level_path) if level_path is not None else None
 
-    best_value = min(v for _, v in per_level)
-    best_r = min(r for r, v in per_level if v <= best_value + VALUE_TOLERANCE)
+    lowest = min(v for _, v in per_level)
+    best_r, best_value = next((r, v) for r, v in per_level if v <= lowest + VALUE_TOLERANCE)
     best_path = level_best_paths[best_r]
     ctx = _PathContext(best_path, qmat, h, spec)
     inner, _ = _inner_minimize_ctx(ctx)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from sphglass.functional import NotInL, closed_form_Y0, evaluate
-from sphglass.geometry import ConstraintMatrix, DiscretePath
+from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
 from sphglass.mixture import MixtureSpec
 from sphglass.optimizer import (
+    VALUE_TOLERANCE,
     InnerSolveReport,
     PathSearchConfig,
     _PathContext,
@@ -27,6 +28,7 @@ from conftest import (
 )
 
 Q1 = ConstraintMatrix(np.array([[1.0]]))
+SK_CONFIG = dict(max_levels=3, restarts=1, max_iterations=150, x_grid_resolution=0.5)  # the sk-minimize budget
 
 
 def fast_config(**kw) -> PathSearchConfig:
@@ -439,21 +441,52 @@ def test_rank_deficient_constraints_certify_divergence(n):
         assert values[0] > values[1] > values[2]
 
 
-def test_single_copy_exactly_solvable_values():
-    # the single-copy pure 2-spin model is exactly solvable: value beta^2/2
-    # up to the transition at 1/sqrt(2), then sqrt(2) beta - 3/4
-    # - log(sqrt(2) beta)/2; checks both branches and the matching point
-    def known(beta: float) -> float:
-        if beta <= 1 / np.sqrt(2):
-            return beta**2 / 2
-        a = np.sqrt(2) * beta
-        return a - 0.75 - 0.5 * np.log(a)
+def _single_copy_value(beta: float) -> float:
+    """The single-copy pure 2-spin model is exactly solvable: value beta^2/2
+    up to the transition at 1/sqrt(2), then sqrt(2) beta - 3/4 - log(sqrt(2) beta)/2."""
+    if beta <= 1 / np.sqrt(2):
+        return beta**2 / 2
+    a = np.sqrt(2) * beta
+    return a - 0.75 - 0.5 * np.log(a)
 
+
+def test_single_copy_exactly_solvable_values():
+    # checks both branches and the matching point
     config = PathSearchConfig(max_levels=2, restarts=2, max_iterations=250)
     for beta in (0.5, 0.8, 1.2):
         spec = MixtureSpec(1, {2: [beta]})
         rep = minimize_over_paths(Q1, np.zeros(1), spec, config, seed=11)
-        assert rep.best_value == pytest.approx(known(beta), abs=2e-6)
+        assert rep.best_value == pytest.approx(_single_copy_value(beta), abs=2e-6)
+
+
+def test_single_copy_values_to_the_breakpoint_floor():
+    # the optima sit at x_{r-1} -> 1, which the breakpoint box reaches to
+    # within 1e-8, so the search is exact far below the 2e-6 above
+    config = PathSearchConfig(max_levels=2, restarts=2, max_iterations=250)
+    for beta in (0.5, 0.8, 1.2):
+        spec = MixtureSpec(1, {2: [beta]})
+        rep = minimize_over_paths(Q1, np.zeros(1), spec, config, seed=11)
+        assert rep.best_value == pytest.approx(_single_copy_value(beta), abs=1e-8)
+
+
+def test_single_copy_level_one_reaches_the_replica_symmetric_corner():
+    # at r = 1 the infimum is the corner x_0 -> 1, value beta^2 / 2 = 0.5
+    spec = MixtureSpec(1, {2: [1.0]})
+    rep = minimize_over_paths(Q1, np.zeros(1), spec, PathSearchConfig(**SK_CONFIG), seed=1)
+    assert rep.per_level_values[0] == (1, pytest.approx(0.5, abs=1e-9))
+
+
+def test_best_value_is_the_returned_levels_own_value():
+    # at beta = 0.8 levels 2 and 3 tie within VALUE_TOLERANCE: parsimony
+    # returns the level-2 path, and best_value must be that path's value,
+    # which the final cold inner solve on it reproduces
+    spec = MixtureSpec(1, {2: [0.8]})
+    rep = minimize_over_paths(Q1, np.zeros(1), spec, PathSearchConfig(**SK_CONFIG), seed=1)
+    levels = dict(rep.per_level_values)
+    assert rep.best_path.r == 2
+    assert abs(levels[3] - levels[2]) <= VALUE_TOLERANCE
+    assert rep.best_value == levels[2]
+    assert rep.best_value == pytest.approx(rep.inner.value, abs=1e-12)
 
 
 def test_coupled_pair_replica_symmetric_corner():
@@ -511,6 +544,15 @@ def test_cholesky_increments_searches_two_levels():
     assert level2 <= level1 - 0.01
 
 
+@pytest.mark.parametrize("family", ["scalar_profile", "cholesky_increments"])
+def test_deep_search_returns_a_valid_path(family):
+    # twelve levels share the breakpoint box: every gap must stay above
+    # geometry.MIN_X_GAP
+    config = PathSearchConfig(q_parameterization=family, **{**PAIR_CONFIG, "max_levels": 12})
+    report = minimize_over_paths(PAIR_Q, np.zeros(2), PAIR_SPEC, config, seed=1)
+    assert validate_path(report.best_path, PAIR_Q).ok
+
+
 def test_search_ignores_last_bit_noise_in_the_objective(monkeypatch):
     # a seeded relative perturbation of +-2.3e-16 on every inner value must
     # not steer the search elsewhere
@@ -545,10 +587,10 @@ def test_search_inner_solve_count_on_the_exact_model(monkeypatch):
         return solve(ctx, lam0=lam0)
 
     monkeypatch.setattr(optimizer, "_inner_minimize_ctx", counting)
-    config = PathSearchConfig(max_levels=3, restarts=1, max_iterations=150, x_grid_resolution=0.5)
+    config = PathSearchConfig(**SK_CONFIG)
     report = minimize_over_paths(Q1, np.zeros(1), MixtureSpec(1, {2: [1.0]}), config, seed=1)
     assert report.best_value == pytest.approx(np.sqrt(2) - 0.75 - 0.25 * np.log(2.0), abs=2e-6)
-    assert calls[0] <= 600
+    assert calls[0] <= 160
 
 
 def test_search_cholesky_count_on_the_exact_model(monkeypatch):
@@ -563,7 +605,7 @@ def test_search_cholesky_count_on_the_exact_model(monkeypatch):
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
-    config = PathSearchConfig(max_levels=3, restarts=1, max_iterations=150, x_grid_resolution=0.5)
+    config = PathSearchConfig(**SK_CONFIG)
     minimize_over_paths(Q1, np.zeros(1), MixtureSpec(1, {2: [1.0]}), config, seed=1)
     assert calls[0] <= 750
 
