@@ -6,7 +6,7 @@ monotone matrix path gives the limiting constrained free energy, and it ships
 independent Monte Carlo oracles for every closed form the functional uses:
 
 - ``mixture``    covariance kernels xi, xi', theta and path increment matrices
-- ``geometry``   constraint matrices, discrete monotone PSD paths, path metric
+- ``geometry``   constraint matrices and discrete monotone PSD paths
 - ``functional`` the path kernel, admissible set and functional evaluation
 - ``optimizer``  inner Newton solve over the multiplier, outer path search,
                  degeneracy dichotomy
@@ -16,7 +16,7 @@ independent Monte Carlo oracles for every closed form the functional uses:
 """
 
 from sphglass.mixture import MixtureSpec, xi_matrix, xi_prime_matrix, theta_matrix, delta_increments
-from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path, path_distance, refine_path
+from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path, refine_path
 from sphglass.functional import (
     FunctionalBreakdown,
     NotInL,

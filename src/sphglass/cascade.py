@@ -25,9 +25,11 @@ log-of-mean transform is nonlinear and reuse would bias the estimator.
 Standard errors come from the delta method on the outermost log; inner-level
 bias is controlled by doubling-samples stability checks, not bias formulas.
 
-scipy's ``logsumexp`` is imported where it is called, in the r = 3 level loop
-of ``nested_recursion_mc`` and in ``sample_finite_cascade``; importing this
-module loads numpy only, and r <= 2 nested runs never load scipy.
+Every log-sum-exp here is numpy: the shared ``parallel.logsumexp`` for the
+r = 3 level loop of ``nested_recursion_mc``, the normalization of
+``sample_finite_cascade`` and the cascade replicates, and the in-place
+``_log_mean_exp_rows`` for the leaf level.  No routine of this module loads
+scipy.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from sphglass.functional import solve_pd, logdet_pd
 from sphglass.geometry import DiscretePath, _frozen, check_breakpoints
 from sphglass.mixture import MixtureSpec, check_symmetric, delta_increments, theta_matrix
-from sphglass.parallel import run_tasks, stream
+from sphglass.parallel import logsumexp, run_tasks, stream
 
 __all__ = [
     "CascadeSpec",
@@ -166,8 +168,6 @@ def nested_recursion_mc(
     y = y.reshape(counts[:-1] if r > 1 else counts)
 
     for k in range(r - 2, 0, -1):  # only for r = 3 (MAX_NESTED_LEVELS)
-        from scipy.special import logsumexp
-
         x_k = path.xs[k + 1]
         y = (logsumexp(x_k * y, axis=-1) - np.log(counts[k])) / x_k
 
@@ -187,8 +187,8 @@ def nested_recursion_mc(
 def _log_mean_exp_rows(values: np.ndarray, x: float) -> np.ndarray:
     """(1/x) log mean_j exp(x values[i, j]) for every row i, overwriting ``values``.
 
-    A plain max shift per row: scipy's ``logsumexp`` costs more in per-call
-    overhead than the arithmetic on one block.
+    A plain max shift per row, in place: the block is the largest array of the
+    leaf level, and ``logsumexp`` would allocate a shifted copy of it.
     """
     values *= x
     top = values.max(axis=1)
@@ -244,8 +244,6 @@ def sample_finite_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascad
     cumulative-exponential transform u_i = Gamma_i^{-1/x}; leaf weights are
     the normalized products down the tree.
     """
-    from scipy.special import logsumexp
-
     r = path.r
     if r < 1:
         raise ValueError("cascade depth must be >= 1")
@@ -276,13 +274,6 @@ def _tree_covariances(path: DiscretePath, spec: MixtureSpec) -> np.ndarray:
     return np.array([float(np.sum(theta)) for theta in theta_matrix(spec, path.qs)])
 
 
-def _weighted_logsumexp(log_weights: np.ndarray, values: np.ndarray) -> float:
-    """log sum_alpha v_alpha exp(values_alpha) with a max shift."""
-    s = log_weights + values
-    m = float(np.max(s))
-    return m + float(np.log(np.sum(np.exp(s - m))))
-
-
 def _cascade_rep(args) -> float:
     path, v, m_eff, K, seed = args
     cascade = sample_finite_cascade(path, K, seed=int(seed))
@@ -293,7 +284,8 @@ def _cascade_rep(args) -> float:
         nodes = K ** (k - 1)
         eta = rng.standard_normal((nodes, K)) * np.sqrt(v[k - 1])
         y = (y[:, None] + eta).ravel()
-    return _weighted_logsumexp(np.log(cascade.weights), np.sqrt(m_eff) * y) / m_eff
+    # log sum_alpha v_alpha exp(sqrt(M) y_alpha)
+    return logsumexp(np.log(cascade.weights) + np.sqrt(m_eff) * y) / m_eff
 
 
 def cascade_free_energy_mc(

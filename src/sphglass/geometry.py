@@ -4,8 +4,7 @@ A discrete path is the order parameter of the variational formula: a
 left-continuous step function from [0,1] into PSD matrices, encoded by
 breakpoints 0 = x_{-1} < x_0 < ... < x_r = 1 and matrices
 0 = Q_0 <= Q_1 <= ... <= Q_r = Q (PSD increments).  The value on (x_{k-1},
-x_k] is Q_k.  Distances between paths are L1-in-space, Lebesgue-in-x, and
-are computed exactly by merging breakpoints.
+x_k] is Q_k.
 
 Paths are stored as breakpoint lists, never closures, so integration is exact
 and instances hash/serialize reproducibly.  All types are immutable.
@@ -27,7 +26,6 @@ __all__ = [
     "InvalidPath",
     "validate_path",
     "check_breakpoints",
-    "path_distance",
     "refine_path",
     "MIN_X_GAP",
     "PSD_INCREMENT_TOL",
@@ -203,25 +201,11 @@ def check_breakpoints(path: DiscretePath) -> None:
         raise InvalidPath("breakpoints must satisfy 0 = x_{-1} < x_0 < ... < x_r = 1")
 
 
-def path_distance(a: DiscretePath, b: DiscretePath) -> float:
-    """integral_0^1 ||a(x) - b(x)||_1 dx, exact on the merged breakpoints."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    cuts = np.unique(np.concatenate([a.xs, b.xs]))
-    cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        # left-continuity: the value on (lo, hi] is the value at hi
-        diff = a.value_at(hi) - b.value_at(hi)
-        total += (hi - lo) * float(np.sum(np.abs(diff)))
-    return total
-
-
 def refine_path(path: DiscretePath, k: int, x_new: float) -> DiscretePath:
     """Insert breakpoint x_new in (x_{k-1}, x_k), duplicating Q_k.
 
-    The step function is unchanged, so the refined path has distance 0 from
-    the original and every downstream evaluation is invariant.
+    The step function is unchanged, so every downstream evaluation is
+    invariant.
     """
     if not 0 <= k <= path.r:
         raise IndexError(f"level k={k} out of range 0..{path.r}")

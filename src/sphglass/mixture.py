@@ -35,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "MixtureSpec",
-    "xi_scalar",
     "xi_matrix",
     "xi_prime_matrix",
     "theta_matrix",
@@ -140,23 +139,6 @@ class MixtureSpec:
 
     def json_terms(self) -> dict[str, list]:
         return {str(p): list(map(float, v)) for p, v in self.terms.items()}
-
-
-def _check_index(spec: MixtureSpec, j: int, name: str) -> None:
-    if not 1 <= j <= spec.n:
-        raise IndexError(f"{name}={j} out of range 1..{spec.n}")
-
-
-def xi_scalar(spec: MixtureSpec, j: int, j2: int, x: float) -> float:
-    """sum_p beta_p(j) beta_p(j') x^p.  Indices are 1-based like the copies."""
-    _check_index(spec, j, "j")
-    _check_index(spec, j2, "j2")
-    if abs(x) > 2.0:
-        raise ValueError(f"|x|={abs(x)} outside supported range [0, 2]")
-    total = 0.0
-    for p, beta in spec.terms.items():
-        total += beta[j - 1] * beta[j2 - 1] * int_power(x, p)
-    return float(total)
 
 
 def _check_levels(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:

@@ -21,9 +21,12 @@ Cov(H(s1), H(s2)) = N * Sum(xi(R_{1,2})) exactly.
 The simple-mean log-partition estimator is biased at finite sample sizes;
 callers audit the bias by doubling budgets rather than correcting it.
 
-scipy is imported by the two functions that call it: ``logsumexp`` in the
-per-replicate task ``_disorder_rep`` and ``quad``/``gammaln`` in
-``overlap_window_log_volume``.  Importing this module loads numpy only.
+Each disorder replicate holds its samples, the disorder tensors and the
+p = 4 pair form, and contracts the energies in blocks of ``SAMPLE_BLOCK``
+samples, so its memory does not grow with the pair-product arrays of every
+sample at once.  Its log-mean-exp is the numpy ``parallel.logsumexp``.
+scipy loads only in ``overlap_window_log_volume``, which imports ``quad`` and
+``gammaln`` where it calls them; importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from sphglass.geometry import ConstraintMatrix, is_degenerate_spectrum
 from sphglass.mixture import MixtureSpec
-from sphglass.parallel import run_tasks, stream
+from sphglass.parallel import logsumexp, run_tasks, stream
 
 __all__ = [
     "DisorderRealization",
@@ -50,6 +53,9 @@ __all__ = [
 
 MAX_SITES = 64
 MAX_DEGREE = 4
+# samples contracted at once by hamiltonian_batch (each p = 4 pair-product
+# array is 1 MB at N = 32)
+SAMPLE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -133,14 +139,17 @@ def _pair_form(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: MixtureSpec) -> np.ndarray:
     """Vectorized H over a batch of spin blocks, shape (S, n, N) -> (S,).
 
-    Each degree is one quadratic form ((y @ F) * y).sum(1), one matrix
-    product per copy x = sigmas[:, j, :]:
+    Each degree is one quadratic form, the row dot products of y @ F with y,
+    per copy x = sigmas[:, j, :]:
 
     - p = 2: y = x and F = G, since <G, x x> = x^T G x;
     - p = 4: y_ab = x_a x_b over the P = N(N+1)/2 pairs a <= b and F the pair
       form of G (``_pair_form``), folded once per call and shared by all
-      copies, since <G, x^{otimes 4}> = y^T F y.  That is 2 S P^2 flops per
-      copy instead of 2 S N^4.
+      copies and blocks, since <G, x^{otimes 4}> = y^T F y.  That is 2 S P^2
+      flops per copy instead of 2 S N^4.
+
+    The samples are walked in blocks of ``SAMPLE_BLOCK``, so beyond F the
+    contraction holds O(SAMPLE_BLOCK * P) floats rather than O(S * P).
 
     ``hamiltonian`` contracts the raw tensor directly and is the reference
     this is tested against.
@@ -149,7 +158,8 @@ def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: M
     if sigmas.ndim != 3 or sigmas.shape[1:] != (spec.n, disorder.n_sites):
         raise ValueError(f"sigmas must have shape (S, n, N) = (S, {spec.n}, {disorder.n_sites})")
     n_sites = disorder.n_sites
-    out = np.zeros(sigmas.shape[0])
+    count = sigmas.shape[0]
+    out = np.zeros(count)
     for p, beta in spec.terms.items():
         if not np.any(beta):
             continue
@@ -164,28 +174,26 @@ def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: M
         for j in range(spec.n):
             if beta[j] == 0.0:
                 continue
-            x = sigmas[:, j, :]
-            y = x if p == 2 else x[:, a] * x[:, b]
-            out += beta[j] * scale * ((y @ form) * y).sum(1)
+            coef = beta[j] * scale
+            for start in range(0, count, SAMPLE_BLOCK):
+                x = sigmas[start : start + SAMPLE_BLOCK, j, :]
+                y = x if p == 2 else x[:, a] * x[:, b]
+                out[start : start + SAMPLE_BLOCK] += coef * np.einsum("si,si->s", y @ form, y)
     return out
 
 
-def sample_constrained(
-    q: ConstraintMatrix | np.ndarray, n_sites: int, epsilon: float, count: int, seed: int
-) -> np.ndarray:
+def sample_constrained(q: ConstraintMatrix | np.ndarray, n_sites: int, count: int, seed: int) -> np.ndarray:
     """Exact-manifold samples: (count, n, N) blocks with R(sigma, sigma) = Q.
 
     Rows are sqrt(N) * L U with L the Cholesky factor of Q and U orthonormal
     rows from a Gaussian QR, so the law is invariant under ambient rotations
-    and the overlap matrix equals Q to rounding, hence lies in the epsilon
-    window for every epsilon > 0.
+    and the overlap matrix equals Q to rounding, hence lies in the overlap
+    window for every window width epsilon > 0.
     """
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
     n = qmat.shape[0]
     if n_sites < 4 * n:
         raise ValueError(f"need N >= 4n = {4 * n}, got N={n_sites}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     try:
         chol = np.linalg.cholesky(qmat)
     except np.linalg.LinAlgError:
@@ -228,18 +236,16 @@ class EstimatorResult:
 
 
 def _disorder_rep(args) -> float:
-    from scipy.special import logsumexp
-
-    qmat, n_sites, epsilon, spec, h, config_samples, seed, rep = args
+    qmat, n_sites, spec, h, config_samples, seed, rep = args
     disorder_seed = np.random.SeedSequence(seed, spawn_key=(rep, 0)).generate_state(1)[0]
     config_seed = np.random.SeedSequence(seed, spawn_key=(rep, 1)).generate_state(1)[0]
     disorder = draw_disorder(spec.degrees, n_sites, int(disorder_seed))
-    sigmas = sample_constrained(qmat, n_sites, epsilon, config_samples, int(config_seed))
+    sigmas = sample_constrained(qmat, n_sites, config_samples, int(config_seed))
     energies = hamiltonian_batch(sigmas, disorder, spec)
     h = np.asarray(h, dtype=float)
     if np.any(h):
         energies = energies + sigmas.sum(axis=2) @ h
-    return float(logsumexp(energies) - np.log(config_samples))
+    return logsumexp(energies) - float(np.log(config_samples))
 
 
 def estimate_free_energy(
@@ -260,14 +266,20 @@ def estimate_free_energy(
     max shift); the analytic window volume 1/2 log det Q is added and the
     disorder replicates give the standard error.  Biased at finite budgets:
     pair with a doubling-budget stability check.
+
+    ``epsilon`` is the overlap window width.  Every exact-manifold sample lies
+    in every window, so it is only checked to be positive and echoed in the
+    result.
     """
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
     _check_budget(n_sites, spec.degrees)
     if disorder_reps < 1 or config_samples < 1:
         raise ValueError("sample budgets must be positive")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     volume = overlap_log_volume(qmat)
     args = [
-        (qmat, n_sites, epsilon, spec, np.asarray(h, dtype=float), config_samples, int(seed), rep)
+        (qmat, n_sites, spec, np.asarray(h, dtype=float), config_samples, int(seed), rep)
         for rep in range(disorder_reps)
     ]
     logs = np.array(run_tasks(_disorder_rep, args, workers=workers))

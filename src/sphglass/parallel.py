@@ -4,6 +4,9 @@ Every stochastic routine derives one RNG stream per task from
 (seed, *task index) and reduces results in task order, so a fixed seed gives
 bit-identical output at any worker count.  Workers > 1 fan the tasks out to a
 process pool; the default is sequential.
+
+``logsumexp`` is the max-shift log-sum-exp that the Monte Carlo routines of
+``montecarlo`` and ``cascade`` share, in numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["stream", "run_tasks"]
+__all__ = ["stream", "run_tasks", "logsumexp"]
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -32,3 +35,15 @@ def run_tasks(fn: Callable, args: Sequence, workers: int = 1) -> list:
         return [fn(a) for a in args]
     with get_context("fork").Pool(processes=min(workers, len(args))) as pool:
         return pool.map(_call, [(fn, a) for a in args])
+
+
+def logsumexp(a, axis: int | None = None):
+    """log sum exp(a) over ``axis`` (all entries when None), for finite ``a``.
+
+    Shifted by the max, so exp(a - max) <= 1 never overflows.  Returns a float
+    for ``axis=None`` and an array otherwise.
+    """
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    total = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
+    return float(total.item()) if axis is None else np.squeeze(total, axis=axis)

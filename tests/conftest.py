@@ -105,6 +105,17 @@ def scalar_functional_value(lam: float, xs, q_levels, terms: dict, h: float = 0.
     return value
 
 
+def xi_scalar(spec: MixtureSpec, j: int, j2: int, x: float) -> float:
+    """Plain-float kernel entry sum_p beta_p(j) beta_p(j') x^p, the judge of ``xi_matrix``.
+
+    Indices are 1-based like the copies; one outside 1..n raises IndexError.
+    """
+    for name, index in (("j", j), ("j2", j2)):
+        if not 1 <= index <= spec.n:
+            raise IndexError(f"{name}={index} out of range 1..{spec.n}")
+    return sum(float(beta[j - 1]) * float(beta[j2 - 1]) * float(x) ** p for p, beta in spec.terms.items())
+
+
 def reference_breakdown(lam, path: DiscretePath, q, h, spec: MixtureSpec) -> FunctionalBreakdown:
     """Level-by-level reference for the stacked path kernel of ``functional``.
 

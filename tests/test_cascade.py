@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,11 +13,11 @@ from sphglass.cascade import (
     sample_finite_cascade,
     theta_cascade_value,
     _gaussian_factor,
-    _weighted_logsumexp,
 )
 from sphglass.functional import InvalidPath, closed_form_Y0, logdet_pd, solve_pd, theta_term
 from sphglass.geometry import DiscretePath
 from sphglass.mixture import MixtureSpec
+from sphglass import parallel
 from sphglass.parallel import stream
 
 from conftest import random_constraint, random_mixture, random_multiplier, random_path
@@ -266,10 +267,34 @@ def test_finite_cascade_two_levels_structure():
 def test_weighted_logsumexp_shift_correctness(rng):
     logw = np.log(rng.dirichlet(np.ones(1000)))
     values = rng.standard_normal(1000)
-    base = _weighted_logsumexp(logw, values)
+    base = parallel.logsumexp(logw + values)
     for shift in (1e3, 1e6):
-        shifted = _weighted_logsumexp(logw, values + shift)
+        shifted = parallel.logsumexp(logw + (values + shift))
         assert shifted - shift == pytest.approx(base, abs=1e-12 * max(1.0, shift / 1e3))
+
+
+def plain_logsumexp(values) -> float:
+    """log sum exp over a list of floats, with the math module and a max shift."""
+    top = max(values)
+    return top + math.log(math.fsum(math.exp(v - top) for v in values))
+
+
+@pytest.mark.parametrize("center", [0.0, 700.0, -700.0])
+def test_logsumexp_matches_plain_float_reference(rng, center):
+    # entries up to about 720: exp of one of them alone overflows a float
+    for size in (2, 7, 1000):
+        values = center + 5.0 * rng.standard_normal(size)
+        ref = plain_logsumexp(values.tolist())
+        assert parallel.logsumexp(values) == pytest.approx(ref, rel=1e-15, abs=1e-15)
+        rows = values.reshape(1, size).repeat(3, axis=0) + np.arange(3.0)[:, None]
+        got = parallel.logsumexp(rows, axis=-1)
+        assert got.shape == (3,)
+        for i in range(3):
+            assert got[i] == pytest.approx(plain_logsumexp(rows[i].tolist()), rel=1e-15, abs=1e-15)
+    # one sample: log exp(v) = v exactly
+    one = center + 0.25
+    assert parallel.logsumexp(np.array([one])) == one
+    assert np.array_equal(parallel.logsumexp(np.array([[one], [-one]]), axis=-1), [one, -one])
 
 
 def test_cascade_free_energy_zero_mixture():

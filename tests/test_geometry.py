@@ -6,7 +6,6 @@ from sphglass.geometry import (
     DiscretePath,
     check_breakpoints,
     is_degenerate_spectrum,
-    path_distance,
     refine_path,
     validate_path,
 )
@@ -97,44 +96,6 @@ def test_validate_reports_wrong_endpoint():
     assert any(v.invariant == "q_end_equals_constraint" for v in report.violations)
 
 
-def test_distance_identical_paths_is_zero(rng):
-    q = random_constraint(rng, 3)
-    path = random_path(rng, q.matrix, 2)
-    assert path_distance(path, path) == 0.0
-
-
-def test_distance_unit_jump_rectangle():
-    a = DiscretePath(xs=[0.0, 0.5, 1.0], qs=[[[0.0]], [[1.0]]])
-    b = DiscretePath(xs=[0.0, 0.75, 1.0], qs=[[[0.0]], [[1.0]]])
-    assert path_distance(a, b) == pytest.approx(0.25, abs=1e-15)
-
-
-def test_distance_matches_mc_quadrature(rng):
-    q = random_constraint(rng, 2)
-    a = random_path(rng, q.matrix, 2)
-    b = random_path(rng, q.matrix, 3)
-    exact = path_distance(a, b)
-    xs = rng.uniform(0.0, 1.0, size=100_000)
-    vals = [float(np.sum(np.abs(a.value_at(x) - b.value_at(x)))) for x in xs]
-    assert exact == pytest.approx(float(np.mean(vals)), abs=1e-3 * max(1.0, exact) + 3e-3)
-
-
-def test_distance_dimension_mismatch():
-    a = DiscretePath(xs=[0.0, 0.5, 1.0], qs=[[[0.0]], [[1.0]]])
-    b = DiscretePath.simple(q2(0.5), 0.5)
-    with pytest.raises(ValueError):
-        path_distance(a, b)
-
-
-def test_metric_properties(rng):
-    q = random_constraint(rng, 2)
-    paths = [random_path(rng, q.matrix, int(rng.integers(1, 4))) for _ in range(3)]
-    a, b, c = paths
-    assert path_distance(a, b) == pytest.approx(path_distance(b, a), rel=1e-12)
-    assert path_distance(a, c) <= path_distance(a, b) + path_distance(b, c) + 1e-12
-    assert path_distance(a, a) == 0.0
-
-
 def test_refine_keeps_step_function(rng):
     q = random_constraint(rng, 3)
     path = random_path(rng, q.matrix, 2)
@@ -142,7 +103,10 @@ def test_refine_keeps_step_function(rng):
         mid = 0.5 * (path.xs[k] + path.xs[k + 1])
         refined = refine_path(path, k, mid)
         assert refined.r == path.r + 1
-        assert path_distance(path, refined) == 0.0
+        # the same value at every breakpoint of the refined path and inside every piece
+        cuts = refined.xs
+        for x in np.concatenate([cuts, 0.5 * (cuts[:-1] + cuts[1:])]):
+            assert np.array_equal(refined.value_at(x), path.value_at(x))
         assert validate_path(refined, q).ok
 
 

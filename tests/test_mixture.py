@@ -13,11 +13,10 @@ from sphglass.mixture import (
     xi_matrix,
     xi_pair,
     xi_prime_matrix,
-    xi_scalar,
     xi_second_matrix,
 )
 
-from conftest import random_constraint, random_path
+from conftest import random_constraint, random_path, xi_scalar
 
 
 def test_xi_scalar_single_term():

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import betainc, logsumexp
 from scipy.stats import kstest
 
 from sphglass.geometry import ConstraintMatrix
-from sphglass.mixture import MixtureSpec, xi_scalar
+from sphglass.mixture import MixtureSpec
 from sphglass.montecarlo import (
+    SAMPLE_BLOCK,
+    _disorder_rep,
     draw_disorder,
     estimate_free_energy,
     hamiltonian,
@@ -14,6 +18,8 @@ from sphglass.montecarlo import (
     overlap_window_log_volume,
     sample_constrained,
 )
+
+from conftest import xi_scalar
 
 Q2 = ConstraintMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
 Q3 = ConstraintMatrix(np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.3], [-0.2, 0.3, 1.0]]))
@@ -33,7 +39,7 @@ def empirical_cov(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float]:
 
 
 def test_constraint_exactness(rng):
-    sig = sample_constrained(Q2, 32, 0.01, 8, seed=4)
+    sig = sample_constrained(Q2, 32, 8, seed=4)
     for block in sig:
         overlap = block @ block.T / 32
         assert np.max(np.abs(overlap - Q2.matrix)) <= 1e-10
@@ -42,7 +48,7 @@ def test_constraint_exactness(rng):
 def test_batch_matches_single_config():
     spec = MixtureSpec(2, {2: [0.4, 0.3], 4: [0.2, 0.1]})
     disorder = draw_disorder(spec.degrees, 12, seed=8)
-    sig = sample_constrained(Q2, 12, 0.01, 5, seed=9)
+    sig = sample_constrained(Q2, 12, 5, seed=9)
     batch = hamiltonian_batch(sig, disorder, spec)
     singles = np.array([hamiltonian(block, disorder, spec) for block in sig])
     assert np.allclose(batch, singles, rtol=1e-12)
@@ -61,7 +67,7 @@ def assert_batch_matches_singles(sig, disorder, spec):
 def test_batch_matches_single_config_grid(n, n_sites, degrees):
     spec = MixtureSpec(n, {p: BETAS[p][:n] for p in degrees})
     disorder = draw_disorder(spec.degrees, n_sites, seed=100 * n + n_sites)
-    sig = sample_constrained(CONSTRAINTS[n], n_sites, 0.01, 6, seed=n_sites)
+    sig = sample_constrained(CONSTRAINTS[n], n_sites, 6, seed=n_sites)
     assert_batch_matches_singles(sig, disorder, spec)
 
 
@@ -70,17 +76,50 @@ def test_batch_skips_silent_copy(n_sites):
     # copy 0 has beta = 0 at every degree: its spins must not enter H
     spec = MixtureSpec(3, {2: [0.0, 0.3, 0.25], 4: [0.0, 0.1, 0.15]})
     disorder = draw_disorder(spec.degrees, n_sites, seed=7)
-    sig = sample_constrained(Q3, n_sites, 0.01, 6, seed=8)
+    sig = sample_constrained(Q3, n_sites, 6, seed=8)
     batch = assert_batch_matches_singles(sig, disorder, spec)
     sig[:, 0, :] = 1e3
     assert np.array_equal(hamiltonian_batch(sig, disorder, spec), batch)
 
 
+@pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK + 1])
+def test_blocked_batch_matches_single_configs_with_field(count):
+    # one sample, one short of a block and one past it; p = 2 and p = 4 on
+    # every copy, and a field, through the replicate task itself
+    spec = MixtureSpec(2, {2: [0.3, 0.2], 4: [0.1, 0.15]})
+    h = np.array([0.3, -0.2])
+    n_sites, seed, rep = 13, 29, 1
+    disorder_seed, config_seed = (
+        int(np.random.SeedSequence(seed, spawn_key=(rep, k)).generate_state(1)[0]) for k in (0, 1)
+    )
+    disorder = draw_disorder(spec.degrees, n_sites, disorder_seed)
+    sig = sample_constrained(Q2, n_sites, count, config_seed)
+    assert_batch_matches_singles(sig, disorder, spec)
+    energies = [hamiltonian(b, disorder, spec) + float(h @ b.sum(axis=1)) for b in sig]
+    got = _disorder_rep((Q2.matrix, n_sites, spec, h, count, seed, rep))
+    assert got == pytest.approx(logsumexp(energies) - np.log(count), rel=0, abs=1e-12)
+
+
+def test_disorder_replicate_memory_is_bounded():
+    # one replicate at the mc-estimate workload's size; holding the pair
+    # products of all 2000 samples at once peaks at about 43 MB
+    spec = MixtureSpec(2, {2: [0.3, 0.3], 4: [0.1, 0.1]})
+    args = (Q2.matrix, 32, spec, np.zeros(2), 2000, 1, 0)
+    tracemalloc.start()
+    try:
+        value = _disorder_rep(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak <= 20e6
+
+
 def test_batch_rejects_mismatched_input():
     spec = MixtureSpec(2, {2: [0.4, 0.3], 4: [0.2, 0.1]})
     disorder = draw_disorder(spec.degrees, 12, seed=8)
-    sig = sample_constrained(Q2, 12, 0.01, 3, seed=9)
-    wrong_sites = sample_constrained(Q2, 13, 0.01, 3, seed=9)
+    sig = sample_constrained(Q2, 12, 3, seed=9)
+    wrong_sites = sample_constrained(Q2, 13, 3, seed=9)
     for bad in (sig[:, :1, :], wrong_sites, sig[0]):
         with pytest.raises(ValueError, match=r"sigmas must have shape \(S, n, N\) = \(S, 2, 12\)"):
             hamiltonian_batch(bad, disorder, spec)
@@ -97,7 +136,7 @@ def test_covariance_fidelity_two_spin():
     rng = np.random.default_rng(11)
     n_sites, draws = 24, 2000
     spec = MixtureSpec(2, {2: [0.4, 0.3]})
-    pairs = sample_constrained(Q2, n_sites, 0.01, 10, seed=14)
+    pairs = sample_constrained(Q2, n_sites, 10, seed=14)
     for pair_idx in range(5):
         s1, s2 = pairs[2 * pair_idx], pairs[2 * pair_idx + 1]
         h1 = np.empty(draws)
@@ -118,7 +157,7 @@ def test_covariance_fidelity_four_spin():
     rng = np.random.default_rng(12)
     n_sites, draws = 10, 1500
     spec = MixtureSpec(1, {4: [0.3]})
-    pair = sample_constrained(ConstraintMatrix(np.array([[1.0]])), n_sites, 0.01, 2, seed=15)
+    pair = sample_constrained(ConstraintMatrix(np.array([[1.0]])), n_sites, 2, seed=15)
     s1, s2 = pair[0][0], pair[1][0]
     h1 = np.empty(draws)
     h2 = np.empty(draws)
@@ -140,7 +179,7 @@ def test_variance_matches_kernel_diagonal():
     rng = np.random.default_rng(13)
     n_sites, draws = 20, 4000
     beta = 0.5
-    sig = sample_constrained(ConstraintMatrix(np.array([[1.0]])), n_sites, 0.01, 1, seed=3)[0][0]
+    sig = sample_constrained(ConstraintMatrix(np.array([[1.0]])), n_sites, 1, seed=3)[0][0]
     vals = np.empty(draws)
     for d in range(draws):
         g = rng.standard_normal((n_sites, n_sites))
@@ -153,7 +192,7 @@ def test_variance_matches_kernel_diagonal():
 def test_sphere_projection_kolmogorov_smirnov():
     # one copy: projections have the exact sphere-overlap law
     n_sites = 24
-    sig = sample_constrained(ConstraintMatrix(np.array([[1.0]])), n_sites, 0.01, 10_000, seed=21)
+    sig = sample_constrained(ConstraintMatrix(np.array([[1.0]])), n_sites, 10_000, seed=21)
     t = sig[:, 0, 0] / np.sqrt(n_sites)
 
     def cdf(x):
@@ -166,7 +205,7 @@ def test_sphere_projection_kolmogorov_smirnov():
 
 def test_rotation_invariance_low_moments(rng):
     n_sites = 16
-    sig = sample_constrained(Q2, n_sites, 0.01, 4000, seed=22)
+    sig = sample_constrained(Q2, n_sites, 4000, seed=22)
     gauss = rng.standard_normal((n_sites, n_sites))
     rot, _ = np.linalg.qr(gauss)
     rotated = sig @ rot.T
@@ -215,7 +254,7 @@ def test_estimator_matches_plain_loop_with_field():
             int(np.random.SeedSequence(seed, spawn_key=(rep, k)).generate_state(1)[0]) for k in (0, 1)
         )
         disorder = draw_disorder(spec.degrees, n_sites, disorder_seed)
-        sigmas = sample_constrained(Q2, n_sites, 0.01, samples, config_seed)
+        sigmas = sample_constrained(Q2, n_sites, samples, config_seed)
         energies = [hamiltonian(b, disorder, spec) + float(h @ b.sum(axis=1)) for b in sigmas]
         values.append((logsumexp(energies) - np.log(samples)) / n_sites + overlap_log_volume(Q2))
     assert res.value == pytest.approx(np.mean(values), rel=0, abs=1e-12)
@@ -229,9 +268,11 @@ def test_budget_guards():
     with pytest.raises(ValueError):
         draw_disorder([2], 100, seed=0)
     with pytest.raises(ValueError):
-        sample_constrained(Q2, 4, 0.01, 3, seed=0)  # N < 4n
+        sample_constrained(Q2, 4, 3, seed=0)  # N < 4n
     with pytest.raises(ValueError):
         estimate_free_energy(Q2, 16, 0.01, MixtureSpec.zero(2), np.zeros(2), 0, 10, seed=0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        estimate_free_energy(Q2, 16, 0.0, MixtureSpec.zero(2), np.zeros(2), 2, 10, seed=0)
 
 
 def test_direct_estimate_tracks_variational_value_two_copies():

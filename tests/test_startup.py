@@ -41,10 +41,16 @@ GUARD = """
     steps["import sphglass.cli"] = scipy_modules()
     minimize = cli.load_config(configs["minimize"])
     steps["load_config minimize"] = scipy_modules()
-    for task in ("evaluate", "cascade-check"):
+    for task in ("evaluate", "cascade-check", "cascade-check r=3", "mc-estimate"):
         code, _ = cli.run(cli.load_config(configs[task]))
         assert code == 0, task
         steps["run " + task] = scipy_modules()
+    from sphglass.cascade import sample_finite_cascade
+    from sphglass.geometry import DiscretePath
+
+    path = DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=[[[0.0]], [[0.5]], [[1.0]]])
+    sample_finite_cascade(path, 100, seed=5)
+    steps["sample_finite_cascade"] = scipy_modules()
     code, _ = cli.run(minimize)
     assert code == 0
     print(json.dumps({"steps": steps, "optimize_after_minimize": "scipy.optimize" in sys.modules}))
@@ -65,10 +71,25 @@ def test_scipy_is_loaded_only_by_the_code_that_calls_it():
             "lambda": [[2.0, 0.3], [0.3, 2.0]],
             "budgets": {"samples_per_level": [200]},
         },
+        "cascade-check r=3": {
+            **model,
+            "task": "cascade-check",
+            "path": {
+                "xs": [0.0, 0.3, 0.6, 0.8, 1.0],
+                "Qs": [[[0.0, 0.0], [0.0, 0.0]], [[0.3, 0.15], [0.15, 0.3]], [[0.6, 0.3], [0.3, 0.6]], q],
+            },
+            "lambda": [[2.0, 0.3], [0.3, 2.0]],
+            "budgets": {"samples_per_level": [20, 20, 20]},
+        },
+        "mc-estimate": {
+            **model,
+            "task": "mc-estimate",
+            "budgets": {"N": 16, "epsilon": 0.01, "disorder_reps": 2, "config_samples": 50},
+        },
     }
     out = run_fresh(GUARD, json.dumps({task: json.dumps(cfg) for task, cfg in configs.items()}))
     assert out["steps"] == {step: [] for step in out["steps"]}
-    assert len(out["steps"]) == 5
+    assert len(out["steps"]) == 8
     # the guard can see an import: the search loads scipy.optimize
     assert out["optimize_after_minimize"]
 
