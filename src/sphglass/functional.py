@@ -16,8 +16,10 @@ One kernel, ``_PathContext``, computes it: ``evaluate`` and
 ``closed_form_Y0`` read their terms from it, and the optimizer minimizes over
 it, searches paths with its envelope gradient and certifies divergence with
 it.  Log-determinants are always taken through a Cholesky factorization
-(never the raw determinant) for conditioning near the admissibility boundary,
-and the field term uses a linear solve rather than an explicit inverse.
+(never the raw determinant) for conditioning near the admissibility boundary.
+Each factorization is followed by one stacked solve for the triangular
+inverses of the factors; the cascade increments, the field term and the
+chain's inverses are matrix products of those.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import copy
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,6 +131,20 @@ def _theta_sum(x_all: np.ndarray, theta_steps: np.ndarray) -> float:
     return float(np.sum(0.5 * x_all[:-1] * theta_steps))
 
 
+class _Factors(NamedTuple):
+    """The functional at one multiplier with what its derivatives reuse.
+
+    ``chol`` holds the Cholesky factors C_k of the chain L_0..L_r,
+    ``increments`` the log-determinant increments log|L_{k+1}| - log|L_k|,
+    k = 0..r-1, and ``inv`` the exactly symmetric inverses L_k^{-1}.
+    """
+
+    value: float
+    chol: np.ndarray
+    increments: np.ndarray
+    inv: np.ndarray
+
+
 class _PathContext:
     """Per-path precomputation shared by objective, gradient and Hessian.
 
@@ -135,17 +152,17 @@ class _PathContext:
     ``closed_form_Y0`` and the optimizer all run on it.  Every evaluation
     works on the whole multiplier chain L_k = Lambda - tails[k], k = 0..r, as
     one (r + 1, n, n) stack, so it costs one stacked Cholesky factorization
-    whatever the number of levels.  The increments Delta_k and the theta
-    levels come from one mixture pass (``path_levels``) over the path's chain
-    Q_0..Q_r.
+    and one stacked triangular inverse whatever the number of levels.  The
+    increments Delta_k and the theta levels come from one mixture pass
+    (``path_levels``) over the path's chain Q_0..Q_r.
 
-    ``feasible_value`` hands back the chain's factors and log-determinant
-    increments with the value, and ``value_grad_hess`` and
-    ``envelope_gradient`` accept that triple instead of factoring again.  The
-    chain's factors from the guarded stacked call are bitwise those of a
-    fresh ``cholesky(chain(lam))``: a stacked factorization treats each
-    matrix on its own, so reusing them changes no bit of the value, gradient,
-    Hessian or path gradient.
+    ``feasible_value`` hands back the value with the chain's ``_Factors``,
+    and ``value_grad_hess`` and ``envelope_gradient`` accept them instead of
+    factoring again; they make no linear solve of their own.  The chain's
+    factors from the guarded stacked call are bitwise those of a fresh
+    ``cholesky(chain(lam))``: a stacked factorization treats each matrix on
+    its own, so reusing them changes no bit of the value, gradient, Hessian
+    or path gradient.
     """
 
     def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec):
@@ -160,9 +177,10 @@ class _PathContext:
         self.x_levels = x_all
         # tails[k] = sum_{l >= k} x_l Delta_{l+1}; Lambda_k = Lambda - tails[k]
         scaled = x_all[:-1, None, None] * self.deltas
-        self.tails = np.concatenate(
-            [np.cumsum(scaled[::-1], axis=0)[::-1], np.zeros((1, self.n, self.n))]
+        self._set_tails(
+            np.concatenate([np.cumsum(scaled[::-1], axis=0)[::-1], np.zeros((1, self.n, self.n))])
         )
+        self.eye = np.broadcast_to(np.eye(self.n), (self.r + 1, self.n, self.n))
         # logdet coefficients: the cascade sum telescopes into
         # sum_j w_j log|Lambda_j| with w_0 < 0 and w_j >= 0 otherwise
         self.logdet_coeffs = -np.diff(0.5 / x_all, prepend=0.0)
@@ -171,6 +189,15 @@ class _PathContext:
         self.theta_steps = _theta_steps(thetas)
         self.theta_const = _theta_sum(x_all, self.theta_steps)
         self.has_field = bool(np.any(self.h))
+
+    def _set_tails(self, tails: np.ndarray) -> None:
+        """The chain tails, and the stack ``feasible_value`` subtracts from lam.
+
+        Its first matrix is tails[0] + margin I, so lam less it is L_0 less
+        the membership margin; the rest are the tails themselves.
+        """
+        self.tails = tails
+        self.guarded_tails = np.concatenate([tails[:1] + MEMBERSHIP_MARGIN * np.eye(self.n), tails])
 
     def rotated(self, u: np.ndarray, mu: np.ndarray) -> "_PathContext":
         """This context conjugated by the orthonormal u, with Q = diag(mu).
@@ -185,7 +212,7 @@ class _PathContext:
         out.qmat = np.diag(mu)
         out.h = u.T @ self.h
         out.deltas = _sym(u.T @ self.deltas @ u)
-        out.tails = _sym(u.T @ self.tails @ u)
+        out._set_tails(_sym(u.T @ self.tails @ u))
         return out
 
     def lambda_start(self) -> np.ndarray:
@@ -194,34 +221,38 @@ class _PathContext:
     def chain(self, lam: np.ndarray) -> np.ndarray:
         return lam[None, :, :] - self.tails
 
-    def factor(self, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """``(value, chol, increments)`` at lam; raises LinAlgError outside the PD cone."""
+    def factor(self, lam: np.ndarray) -> _Factors:
+        """The ``_Factors`` at lam; raises LinAlgError outside the PD cone."""
         return self._factored(lam, np.linalg.cholesky(self.chain(lam)))
 
     def value(self, lam: np.ndarray) -> float:
         """Objective at lam; raises LinAlgError outside the PD cone."""
-        return self.factor(lam)[0]
+        return self.factor(lam).value
 
-    def _increments(self, chol: np.ndarray) -> np.ndarray:
+    def _increments(self, cinv: np.ndarray) -> np.ndarray:
         """log|L_{k+1}| - log|L_k| = sum_i log1p(x_k mu_i), k = 0..r-1.
 
-        mu are the generalized eigenvalues of (Delta_{k+1}, L_k), taken from
-        the factors of the chain: at breakpoints near 0 the coefficient 1/x
+        mu are the generalized eigenvalues of (Delta_{k+1}, L_k): those of
+        C_k^{-1} Delta_{k+1} C_k^{-T}, from the triangular inverses ``cinv``
+        of the chain's factors.  At breakpoints near 0 the coefficient 1/x
         would amplify the cancellation of two nearly equal log-determinants.
         """
-        lower = chol[:-1]
-        half = np.linalg.solve(lower, self.deltas)
-        conj = np.linalg.solve(lower, half.swapaxes(1, 2))
+        lower = cinv[:-1]
+        conj = lower @ self.deltas @ lower.swapaxes(1, 2)
         mu = np.linalg.eigvalsh(_sym(conj))
         return np.sum(np.log1p(self.x_levels[:-1, None] * mu), axis=1)
 
-    def _factored(self, lam: np.ndarray, chol: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """``(value, chol, increments)`` at lam from the Cholesky factors of its chain.
+    def _factored(self, lam: np.ndarray, chol: np.ndarray) -> _Factors:
+        """The ``_Factors`` at lam from the Cholesky factors of its chain.
 
-        The cascade sum is accumulated through the stable log-determinant
+        One stacked solve gives the triangular inverses C_k^{-1}; the
+        increments' conjugates, the field vector C_0^{-1} h and
+        L_k^{-1} = C_k^{-T} C_k^{-1} are matrix products of them.  The
+        cascade sum is accumulated through the stable log-determinant
         increments of ``_increments``.
         """
-        increments = self._increments(chol)
+        cinv = np.linalg.solve(chol, self.eye)
+        increments = self._increments(cinv)
         total = (
             0.5 * float(np.trace(lam @ self.qmat))
             - 0.5 * self.n
@@ -230,9 +261,10 @@ class _PathContext:
             + float(self.increment_coeffs @ increments)
         )
         if self.has_field:
-            y = np.linalg.solve(chol[0], self.h)
+            y = cinv[0] @ self.h
             total += 0.5 * float(y @ y)
-        return total, chol, increments
+        inv = _sym(cinv.swapaxes(1, 2) @ cinv)
+        return _Factors(total, chol, increments, inv)
 
     def breakdown(self, lam: np.ndarray) -> FunctionalBreakdown:
         """The functional at lam term by term; raises NotInL outside L.
@@ -246,35 +278,27 @@ class _PathContext:
                 f"Lambda_0 not positive definite: smallest eigenvalue {self.min_eig0(lam):.3e} "
                 f"<= margin {MEMBERSHIP_MARGIN:.0e}"
             )
-        total, chol, increments = factored
-        field = 0.0
-        if self.has_field:
-            y = np.linalg.solve(chol[0], self.h)
-            field = 0.5 * float(y @ y)
         return FunctionalBreakdown(
-            total=total,
+            total=factored.value,
             trace_term=0.5 * float(np.trace(lam @ self.qmat)),
             const_term=-0.5 * self.n,
-            logdet_term=-float(np.sum(np.log(np.diagonal(chol[-1])))),
-            field_term=field,
-            cascade_term=float(np.sum(0.5 * increments / self.x_levels[:-1])),
+            logdet_term=-float(np.sum(np.log(np.diagonal(factored.chol[-1])))),
+            field_term=0.5 * float(self.h @ factored.inv[0] @ self.h),
+            cascade_term=float(np.sum(0.5 * factored.increments / self.x_levels[:-1])),
             theta_term=self.theta_const,
         )
 
-    def value_grad_hess(self, lam: np.ndarray, factored: tuple[float, np.ndarray, np.ndarray] | None = None):
+    def value_grad_hess(self, lam: np.ndarray, factored: _Factors | None = None):
         """Value, gradient matrix and Hessian in the symmetric basis at lam.
 
-        ``factored`` is the ``(value, chol, increments)`` triple that
-        ``feasible_value`` or ``factor`` returned for this same lam; without
-        it the chain is factored here (and LinAlgError is raised outside the
-        PD cone).
+        ``factored`` is the ``_Factors`` that ``feasible_value`` or ``factor``
+        returned for this same lam; without it the chain is factored here
+        (and LinAlgError is raised outside the PD cone).  The gradient is
+        exactly symmetric: Q, every L_j^{-1} and v v^T are.
         """
-        total, chol, _ = self.factor(lam) if factored is None else factored
+        total, _, _, inv = self.factor(lam) if factored is None else factored
         n = self.n
         basis = _sym_basis(n)
-        # L_j^{-1} = C_j^{-T} (C_j^{-1} I), two stacked triangular solves
-        eye = np.broadcast_to(np.eye(n), chol.shape)
-        inv = _sym(np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, eye)))
         grad = 0.5 * self.qmat + np.einsum("j,jab->ab", self.logdet_coeffs, inv)
         # sum_j -w_j kron(inv_j, inv_j): rows (a, b), columns (c, d)
         curvature = np.einsum("j,jac,jbd->abcd", -self.logdet_coeffs, inv, inv)
@@ -284,10 +308,10 @@ class _PathContext:
             grad -= 0.5 * np.outer(wvec, wvec)
             cross = np.kron(np.outer(wvec, wvec), inv[0])
             curvature += 0.5 * (cross + cross.T)
-        return total, _sym(grad), basis @ curvature @ basis.T
+        return total, grad, basis @ curvature @ basis.T
 
     def envelope_gradient(
-        self, lam: np.ndarray, factored: tuple[float, np.ndarray, np.ndarray] | None = None
+        self, lam: np.ndarray, factored: _Factors | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of the functional in the path at fixed lam.
 
@@ -310,9 +334,7 @@ class _PathContext:
         ``value_grad_hess``; without it the chain is factored here (and
         LinAlgError is raised outside the PD cone).
         """
-        _, chol, increments = self.factor(lam) if factored is None else factored
-        eye = np.broadcast_to(np.eye(self.n), chol.shape)
-        inv = _sym(np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, eye)))
+        _, _, increments, inv = self.factor(lam) if factored is None else factored
         x = self.x_levels[:-1]
         w = self.logdet_coeffs
         # pair[j, m] = <L_j^{-1}, Delta_{m+1}>, summed over j <= m
@@ -340,18 +362,15 @@ class _PathContext:
     def min_eig0(self, lam: np.ndarray) -> float:
         return float(np.linalg.eigvalsh(lam - self.tails[0])[0])
 
-    def feasible_value(self, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
-        """``(value, chol, increments)`` at lam, or None when the chain leaves the PD cone.
+    def feasible_value(self, lam: np.ndarray) -> _Factors | None:
+        """The ``_Factors`` at lam, or None when the chain leaves the PD cone.
 
         Cholesky is the feasibility test: L_0 less the membership margin is
         factored in the same stacked call as the chain, whose factors the
-        log-determinants need anyway.  ``chol`` holds the chain's factors,
-        ready for ``value_grad_hess`` and ``envelope_gradient``.
+        log-determinants need anyway.
         """
-        chain = self.chain(lam)
-        guarded = np.concatenate([chain[:1] - MEMBERSHIP_MARGIN * np.eye(self.n), chain])
         try:
-            chol = np.linalg.cholesky(guarded)
+            chol = np.linalg.cholesky(lam[None, :, :] - self.guarded_tails)
         except np.linalg.LinAlgError:
             return None
         return self._factored(lam, chol[1:])

@@ -55,17 +55,24 @@ MAX_BETA = 8.0
 
 
 def int_power(x, p: int):
-    """x**p for integer p >= 0 by repeated squaring (works on arrays)."""
+    """x**p for integer p >= 0 by repeated squaring (works on arrays).
+
+    The result is a new array, never ``x`` itself; p = 0 gives ones.
+    """
     if p < 0:
         raise ValueError("negative power")
-    result = np.ones_like(np.asarray(x, dtype=float))
-    base = np.asarray(x, dtype=float).copy()
-    k = p
-    while k:
-        if k & 1:
-            result = result * base
+    base = np.asarray(x, dtype=float)
+    if p == 0:
+        return np.ones_like(base)
+    # the lowest set bit seeds the product (1 * base is base bitwise); an odd
+    # p seeds it with the input, so that one is copied
+    result = base.copy() if p & 1 else None
+    p >>= 1
+    while p:
         base = base * base
-        k >>= 1
+        if p & 1:
+            result = base if result is None else result * base
+        p >>= 1
     return result
 
 
@@ -89,6 +96,8 @@ class MixtureSpec:
 
     n: int
     terms: Mapping[int, np.ndarray] = field(default_factory=dict)
+    # beta_p beta_p^T per degree, read-only, built once at construction
+    outers: Mapping[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -113,6 +122,11 @@ class MixtureSpec:
             vec.setflags(write=False)
             clean[p] = vec
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
+        outers = {}
+        for p, vec in self.terms.items():
+            outers[p] = np.outer(vec, vec)
+            outers[p].setflags(write=False)
+        object.__setattr__(self, "outers", outers)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -163,14 +177,14 @@ def xi_pair(spec: MixtureSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``a`` is one symmetric matrix or a stack (m, n, n) of them; a stack is
     level by level identical to one call per matrix.  xi accumulates
     (beta_p beta_p^T) . A^{o p} and xi' accumulates p (beta_p beta_p^T) .
-    A^{o (p-1)}, each power by ``int_power``.  The outputs are exactly
-    symmetric because the inputs are and every update is entrywise.
+    A^{o (p-1)}, each outer product from ``spec.outers`` and each power by
+    ``int_power``.  The outputs are exactly symmetric because the inputs are
+    and every update is entrywise.
     """
     a = _check_levels(spec, a)
     xi = np.zeros_like(a)
     xi_prime = np.zeros_like(a)
-    for p, beta in spec.terms.items():
-        outer = np.outer(beta, beta)
+    for p, outer in spec.outers.items():
         xi += outer * int_power(a, p)
         xi_prime += float(p) * outer * int_power(a, p - 1)
     return xi, xi_prime
@@ -193,8 +207,8 @@ def xi_second_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
     """
     a = _check_levels(spec, a)
     out = np.zeros_like(a)
-    for p, beta in spec.terms.items():
-        out += float(p * (p - 1)) * np.outer(beta, beta) * int_power(a, p - 2)
+    for p, outer in spec.outers.items():
+        out += float(p * (p - 1)) * outer * int_power(a, p - 2)
     return out
 
 

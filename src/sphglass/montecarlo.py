@@ -24,9 +24,9 @@ callers audit the bias by doubling budgets rather than correcting it.
 Each disorder replicate holds its samples, the disorder tensors and the
 p = 4 pair form, and contracts the energies in blocks of ``SAMPLE_BLOCK``
 samples, so its memory does not grow with the pair-product arrays of every
-sample at once.  Its log-mean-exp is the numpy ``parallel.logsumexp``.
-scipy loads only in ``overlap_window_log_volume``, which imports ``quad`` and
-``gammaln`` where it calls them; importing this module loads numpy only.
+sample at once.  Its log-mean-exp is the numpy ``parallel.logsumexp``, so
+nothing here loads scipy.  The exact finite-N window mass that checks
+``overlap_log_volume`` is a quadrature judge in the test suite.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "sample_constrained",
     "estimate_free_energy",
     "overlap_log_volume",
-    "overlap_window_log_volume",
 ]
 
 MAX_SITES = 64
@@ -311,28 +310,3 @@ def overlap_log_volume(q: ConstraintMatrix | np.ndarray) -> float:
     if is_degenerate_spectrum(eigs):
         return float("-inf")
     return 0.5 * float(np.sum(np.log(eigs)))
-
-
-def overlap_window_log_volume(q12: float, n_sites: int, epsilon: float) -> float:
-    """Exact finite-N check for two copies: (1/N) log of the window mass.
-
-    The overlap t of two independent uniform sphere points has density
-    c_N (1 - t^2)^{(N-3)/2}; integrates the window [q - eps, q + eps] by 1-D
-    quadrature (log-scaled to avoid underflow at large N).
-    """
-    from scipy.integrate import quad
-    from scipy.special import gammaln
-
-    if not -1.0 < q12 < 1.0:
-        raise ValueError("q12 must lie in (-1, 1)")
-    lo = max(q12 - epsilon, -1.0 + 1e-12)
-    hi = min(q12 + epsilon, 1.0 - 1e-12)
-    log_c = gammaln(n_sites / 2.0) - gammaln((n_sites - 1) / 2.0) - 0.5 * np.log(np.pi)
-    exponent = 0.5 * (n_sites - 3)
-    ref = exponent * np.log1p(-min(abs(lo), abs(hi)) ** 2)
-
-    def integrand(t: float) -> float:
-        return float(np.exp(exponent * np.log1p(-t * t) - ref))
-
-    mass, _ = quad(integrand, lo, hi, limit=200)
-    return float((np.log(mass) + ref + log_c) / n_sites)

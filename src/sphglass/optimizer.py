@@ -38,6 +38,7 @@ scipy.optimize loads on the first search.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from sphglass.geometry import (
 from sphglass.functional import (
     MEMBERSHIP_MARGIN,
     NotInL,
+    _Factors,
     _PathContext,
     _sym,
     _sym_basis,
@@ -81,6 +83,14 @@ SEARCH_FTOL = 1e-3 * VALUE_TOLERANCE
 SEARCH_GTOL = 1e-9
 # a Newton decrement below this fraction of max(1, |value|) is rounding noise
 NEWTON_DECREMENT_FLOOR = 16.0 * np.finfo(float).eps
+
+
+@lru_cache(maxsize=32)
+def _newton_ridge(m: int) -> np.ndarray:
+    """The ridge 1e-12 I the Newton step adds to an m x m Hessian, read-only."""
+    ridge = 1e-12 * np.eye(m)
+    ridge.setflags(write=False)
+    return ridge
 
 
 def _to_coords(g: np.ndarray) -> np.ndarray:
@@ -144,18 +154,17 @@ class PathSearchConfig:
             raise ValueError("iteration/restart budgets must be positive")
 
 
-def _inner_minimize_ctx(
-    ctx: _PathContext, lam0=None
-) -> tuple[InnerSolveReport, tuple[float, np.ndarray, np.ndarray]]:
+def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport, _Factors]:
     """Damped Newton solve over the multiplier for one path context.
 
     Every point the loop moves to has just been factored by
     ``feasible_value``: the warm-start probe at ``lam0`` and each accepted
-    line-search trial.  Their ``(value, chol, increments)`` triple goes
-    straight into ``value_grad_hess``, so each iterate costs one stacked
-    Cholesky call, and the result is bitwise that of re-factoring.  Only the
-    cold start (``lambda_start``) is factored by ``factor``.  Returns the
-    report and the final iterate's triple, ready for ``envelope_gradient``.
+    line-search trial.  Their ``_Factors`` go straight into
+    ``value_grad_hess``, so each feasibility test costs one stacked Cholesky
+    call and one stacked solve, each Newton step one more solve, and the
+    result is bitwise that of re-factoring.  Only the cold start
+    (``lambda_start``) is factored by ``factor``.  Returns the report and
+    the final iterate's ``_Factors``, ready for ``envelope_gradient``.
     """
     lam = None
     factored = None
@@ -184,7 +193,7 @@ def _inner_minimize_ctx(
         gvec = _to_coords(grad)
         step_vec = None
         try:
-            step_vec = np.linalg.solve(hess + 1e-12 * np.eye(hess.shape[0]), -gvec)
+            step_vec = np.linalg.solve(hess + _newton_ridge(hess.shape[0]), -gvec)
         except np.linalg.LinAlgError:
             step_vec = None
         newton = step_vec is not None and float(step_vec @ gvec) < 0.0
@@ -202,7 +211,7 @@ def _inner_minimize_ctx(
                 break  # predicted decrease below float resolution
             trial = _sym(lam + t * step)
             trial_factored = ctx.feasible_value(trial)
-            if trial_factored is not None and trial_factored[0] <= value + 1e-4 * t * slope:
+            if trial_factored is not None and trial_factored.value <= value + 1e-4 * t * slope:
                 lam, factored = trial, trial_factored
                 improved = True
                 break

@@ -2,7 +2,10 @@
 
 Reports are {"header": {...}, "body": {...}} with the timestamp isolated in
 the header, so the body of any rerun with the same seed and worker count is
-byte-identical.  Floats print with 17 significant digits for bit-faithful
+byte-identical on the same BLAS thread count.  The header records that count
+as the thread variables were set in the environment (``blas_threads``, null
+where unset), since a BLAS matrix product's rounding can depend on how many
+threads split it.  Floats print with 17 significant digits for bit-faithful
 reproduction checks; non-finite floats render as quoted strings to stay
 valid JSON.
 """
@@ -10,10 +13,13 @@ valid JSON.
 from __future__ import annotations
 
 import math
+import os
 import time
 from typing import Any
 
 __all__ = ["render_float", "to_json", "to_csv", "make_report", "render_report"]
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def render_float(x: float) -> str:
@@ -101,6 +107,7 @@ def make_report(task: str, seed: int | None, workers: int, body: dict) -> dict:
             "task": task,
             "seed": seed,
             "workers": workers,
+            "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         },
         "body": body,

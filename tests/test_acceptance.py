@@ -22,11 +22,17 @@ from sphglass.functional import closed_form_Y0, evaluate, theta_term
 from sphglass.geometry import ConstraintMatrix, DiscretePath, refine_path
 from sphglass.mixture import MixtureSpec
 from sphglass.optimizer import PathSearchConfig, inner_gradient, minimize_over_paths
-from sphglass.montecarlo import estimate_free_energy, overlap_window_log_volume
+from sphglass.montecarlo import estimate_free_energy
 from sphglass.reporting import to_json
 from sphglass import verify as verify_mod
 
-from conftest import random_constraint, random_mixture, random_multiplier, random_path
+from conftest import (
+    overlap_window_log_volume,
+    random_constraint,
+    random_mixture,
+    random_multiplier,
+    random_path,
+)
 
 SEED = 987654321
 

@@ -260,6 +260,40 @@ def test_report_body_byte_identical_across_reruns(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+def test_header_records_blas_thread_pinning(tmp_path, monkeypatch):
+    # the thread variables go into the header as set, null where unset; the
+    # body of a fixed-seed run does not change with them
+    cfg_file = tmp_path / "mc.json"
+    cfg_file.write_text(
+        config_text(
+            task="mc-estimate",
+            n=2,
+            mixture={"2": [0.3, 0.3], "4": [0.1, 0.1]},
+            Q=[[1.0, 0.5], [0.5, 1.0]],
+            h=[0.0, 0.0],
+            budgets={"N": 16, "epsilon": 0.01, "disorder_reps": 2, "config_samples": 50},
+        )
+    )
+    settings = (
+        {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2"},
+        {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None},
+    )
+    bodies = []
+    for i, setting in enumerate(settings):
+        for name, value in setting.items():
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        out = tmp_path / f"mc{i}.out"
+        assert main(["mc-estimate", "--config", str(cfg_file), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["header"]["blas_threads"] == setting
+        assert "blas_threads" not in report["body"]
+        bodies.append(to_json(report["body"]))
+    assert bodies[0] == bodies[1]
+
+
 def test_sweep_csv(tmp_path):
     cfg_file = tmp_path / "sweep.json"
     cfg_file.write_text(

@@ -164,6 +164,33 @@ def test_one_pass_matches_single_kernels_bitwise(rng, n, r):
     assert not deltas.flags.writeable
 
 
+def test_int_power_is_ones_seeded_squaring_bitwise(rng):
+    # the reference seeds the product with ones; seeding it with the first
+    # factor instead must give the same bits, and never hand back the input
+    def reference(x, p):
+        result = np.ones_like(x)
+        base = x.copy()
+        while p:
+            if p & 1:
+                result = result * base
+            base = base * base
+            p >>= 1
+        return result
+
+    special = np.array([0.0, -0.0, 1e-200, -1e150, 1.5, -0.7, np.inf, np.nan])
+    for x in (np.array(0.3), special, rng.uniform(-1.5, 1.5, size=(3, 2, 2))):
+        before = x.copy()
+        for p in range(65):
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                got, want = int_power(x, p), reference(x, p)
+            assert np.array_equal(got, want, equal_nan=True), p
+            assert np.array_equal(np.signbit(got), np.signbit(want)), p
+            assert not np.shares_memory(got, x), p
+        assert np.array_equal(x, before, equal_nan=True)
+    with pytest.raises(ValueError):
+        int_power(special, -1)
+
+
 def test_odd_degree_rejected_at_construction():
     with pytest.raises(ValueError, match="even"):
         MixtureSpec(1, {3: [1.0]})

@@ -15,11 +15,10 @@ from sphglass.montecarlo import (
     hamiltonian,
     hamiltonian_batch,
     overlap_log_volume,
-    overlap_window_log_volume,
     sample_constrained,
 )
 
-from conftest import xi_scalar
+from conftest import overlap_window_log_volume, xi_scalar
 
 Q2 = ConstraintMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
 Q3 = ConstraintMatrix(np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.3], [-0.2, 0.3, 1.0]]))

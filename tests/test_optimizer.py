@@ -126,10 +126,39 @@ def test_path_context_value_matches_evaluate(rng, n, r):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("r", [1, 2, 3])
+def test_factors_carry_the_chain_inverses(rng, n, r):
+    # one triangular inverse per factorization: the chain's inverses handed
+    # on with the factors are those of a dense inverse, and the increments
+    # and field term built from it match the level-by-level reference;
+    # x_0 = 1e-7 exercises the log1p increments
+    q = random_constraint(rng, n)
+    spec = random_mixture(rng, n)
+    random_xs = random_path(rng, q.matrix, r)
+    tiny_x0 = DiscretePath(xs=np.concatenate([[0.0, 1e-7], random_xs.xs[2:]]), qs=random_xs.qs)
+    for path in (random_xs, tiny_x0):
+        lam = random_multiplier(rng, path, spec, margin=0.5)
+        for h in (np.zeros(n), rng.uniform(-0.5, 0.5, size=n)):
+            ctx = _PathContext(path, q.matrix, h, spec)
+            factored = ctx.feasible_value(lam)
+            assert factored is not None
+            dense = np.linalg.inv(ctx.chain(lam))
+            for got, want in zip(factored.inv, dense):
+                assert np.array_equal(got, got.T)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            expected = reference_breakdown(lam, path, q, h, spec)
+            cascade = float(np.sum(0.5 * factored.increments / path.xs[1:-1]))
+            assert cascade == pytest.approx(expected.cascade_term, rel=1e-12, abs=0)
+            assert factored.value == pytest.approx(expected.total, rel=1e-12, abs=0)
+            _, grad, _ = ctx.value_grad_hess(lam, factored)
+            assert np.array_equal(grad, grad.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("field", [False, True])
 def test_value_grad_hess_from_feasible_factor_is_bitwise_fresh(rng, n, r, field):
-    # the (value, chol) pair feasible_value hands on is what value_grad_hess
-    # would compute itself: reusing it must not change a single bit
+    # the factors feasible_value hands on are what value_grad_hess would
+    # compute itself: reusing them must not change a single bit
     q = random_constraint(rng, n)
     path = random_path(rng, q.matrix, r)
     spec = random_mixture(rng, n)
@@ -178,6 +207,44 @@ def test_warm_inner_solve_factors_each_point_once(rng, monkeypatch):
     assert rep.iterations >= 1
     assert calls["feasible_value"] >= 2
     assert calls["cholesky"] == calls["feasible_value"]
+
+
+def test_inner_solve_makes_one_solve_per_feasibility_test_and_newton_step(rng, monkeypatch):
+    # each factorization is followed by one stacked triangular inverse, and
+    # each Newton step solves for its direction; the Hessian and the path
+    # gradient read the inverses handed on with the factors and solve nothing
+    q = random_constraint(rng, 2)
+    spec = random_mixture(rng, 2)
+    h = np.array([0.2, -0.1])
+    path = random_path(rng, q.matrix, 2)
+    lam0 = _inner_minimize_ctx(_PathContext(path, q.matrix, h, spec))[0].lambda_star
+    xs = path.xs.copy()
+    xs[1] *= 0.9
+    ctx = _PathContext(DiscretePath(xs=xs, qs=path.qs), q.matrix, h, spec)
+
+    calls = {"solve": 0, "feasible_value": 0}
+    solve = np.linalg.solve
+    feasible_value = _PathContext.feasible_value
+
+    def counting_solve(a, b):
+        calls["solve"] += 1
+        return solve(a, b)
+
+    def counting_feasible_value(self, lam):
+        calls["feasible_value"] += 1
+        return feasible_value(self, lam)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(_PathContext, "feasible_value", counting_feasible_value)
+    rep, factored = _inner_minimize_ctx(ctx, lam0=lam0)
+    assert rep.status == "converged"
+    assert rep.iterations >= 1
+    assert calls["solve"] == calls["feasible_value"] + rep.iterations
+
+    calls["solve"] = 0
+    ctx.value_grad_hess(rep.lambda_star, factored)
+    ctx.envelope_gradient(rep.lambda_star, factored)
+    assert calls["solve"] == 0
 
 
 def test_gradient_requires_admissible_multiplier():
