@@ -72,9 +72,14 @@ def _require(cond: bool, message: str):
 
 
 def _number(raw, name: str, convert=int, minimum=None):
-    """``raw`` through ``convert``; errors name the config field ``name``."""
+    """``raw`` through ``convert``; errors name the config field ``name``.
+
+    An integer field takes only a JSON integer: no float, string or boolean.
+    """
     kind = "an integer" if convert is int else "a number"
     try:
+        if convert is int and (isinstance(raw, bool) or not isinstance(raw, int)):
+            raise TypeError
         value = convert(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f'"{name}" must be {kind}, got {raw!r}') from None
@@ -175,6 +180,9 @@ def load_config(text: str) -> RunConfig:
 
     search_raw = raw.get("search", {})
     _require(isinstance(search_raw, dict), '"search" must be an object')
+    for key, minimum in (("max_levels", 1), ("restarts", 0), ("max_iterations", 1)):
+        if key in search_raw:
+            _number(search_raw[key], f"search.{key}", minimum=minimum)
     try:
         search = PathSearchConfig(**search_raw)
     except (TypeError, ValueError) as err:

@@ -181,22 +181,27 @@ def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: M
     return out
 
 
+def _check_sampleable(qmat: np.ndarray) -> None:
+    """Raise ValueError unless Q is positive definite by ``is_degenerate_spectrum``."""
+    if is_degenerate_spectrum(np.linalg.eigvalsh(qmat)):
+        raise ValueError("constraint must be positive definite for manifold sampling")
+
+
 def sample_constrained(q: ConstraintMatrix | np.ndarray, n_sites: int, count: int, seed: int) -> np.ndarray:
     """Exact-manifold samples: (count, n, N) blocks with R(sigma, sigma) = Q.
 
     Rows are sqrt(N) * L U with L the Cholesky factor of Q and U orthonormal
     rows from a Gaussian QR, so the law is invariant under ambient rotations
     and the overlap matrix equals Q to rounding, hence lies in the overlap
-    window for every window width epsilon > 0.
+    window for every window width epsilon > 0.  A Q that
+    ``is_degenerate_spectrum`` calls singular raises ValueError.
     """
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
     n = qmat.shape[0]
     if n_sites < 4 * n:
         raise ValueError(f"need N >= 4n = {4 * n}, got N={n_sites}")
-    try:
-        chol = np.linalg.cholesky(qmat)
-    except np.linalg.LinAlgError:
-        raise ValueError("constraint must be positive definite for manifold sampling") from None
+    _check_sampleable(qmat)
+    chol = np.linalg.cholesky(qmat)
     rng = stream(seed, 0)
     gauss = rng.standard_normal((count, n_sites, n))
     q_fac, r_fac = np.linalg.qr(gauss)
@@ -268,7 +273,7 @@ def estimate_free_energy(
 
     ``epsilon`` is the overlap window width.  Every exact-manifold sample lies
     in every window, so it is only checked to be positive and echoed in the
-    result.
+    result.  A degenerate Q raises ValueError before any replicate runs.
     """
     qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
     _check_budget(n_sites, spec.degrees)
@@ -276,6 +281,7 @@ def estimate_free_energy(
         raise ValueError("sample budgets must be positive")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    _check_sampleable(qmat)  # before any replicate draws
     volume = overlap_log_volume(qmat)
     args = [
         (qmat, n_sites, spec, np.asarray(h, dtype=float), config_samples, int(seed), rep)

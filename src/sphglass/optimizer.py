@@ -16,16 +16,20 @@ Structure of the double infimum:
 - ``minimize_over_paths``: the outer infimum over discrete paths is a
   restarted gradient search (L-BFGS-B over a smooth parameterization of the
   monotone chain and the breakpoints), with the inner Newton solve at every
-  candidate.  The breakpoints are the cumulative shares x_i = cum_i / S of
-  r + 1 weights that L-BFGS-B keeps in the box [floor, 1], so every
-  breakpoint gap, x_0 and 1 - x_{r-1} included, is at least ``X_GAP`` and the
-  search reaches the x_{r-1} -> 1 corner to within it.  The inner problem is
-  strictly convex, so the gradient of
-  V(path) = min_Lambda P(Lambda, path) is the envelope gradient
-  ``_PathContext.envelope_gradient`` at the inner minimizer (Danskin), and
-  each parameterization pulls it back to its parameters.  The starts are the
-  default path, the replica-symmetric corner, a breakpoint grid at r = 1,
-  the refined level r - 1 optimum and seeded random draws.  Every reported
+  candidate.  ``_PathFamily`` owns the parameter vector of a level: the
+  r + 1 breakpoint weights, held by L-BFGS-B in the box [floor, 1], then
+  the level parameters.  Its path, gradient pullback, inverse, bounds and
+  starts handle the weights; a family (``_FAMILIES``: ``scalar_profile``,
+  ``cholesky_increments``) maps only its level parameters to
+  Q_1 .. Q_{r-1}.  The breakpoints are the cumulative shares
+  x_i = cum_i / S of the weights, so every breakpoint gap, x_0 and
+  1 - x_{r-1} included, is at least ``X_GAP`` and the search reaches the
+  x_{r-1} -> 1 corner to within it.  The inner problem is strictly convex,
+  so the gradient of V(path) = min_Lambda P(Lambda, path) is the envelope
+  gradient ``_PathContext.envelope_gradient`` at the inner minimizer
+  (Danskin), pulled back to the parameters.  The starts are the default
+  path, the replica-symmetric corner, a breakpoint grid at r = 1, the
+  refined level r - 1 optimum and seeded random draws.  Every reported
   value is the functional at an admissible multiplier and path, so it is an
   honest upper bound on the infimum; level r + 1 is warm-started from the
   refined level-r optimum so per-level values never increase.
@@ -148,7 +152,7 @@ class PathSearchConfig:
             raise ValueError("max_levels must be >= 1")
         if self.x_grid_resolution <= 0:
             raise ValueError("x_grid_resolution must be positive")
-        if self.q_parameterization not in ("scalar_profile", "cholesky_increments"):
+        if self.q_parameterization not in _FAMILIES:
             raise ValueError(f"unknown q_parameterization {self.q_parameterization!r}")
         if self.restarts < 0 or self.max_iterations < 1:
             raise ValueError("iteration/restart budgets must be positive")
@@ -332,16 +336,7 @@ def detect_degenerate(
 
 
 # ---------------------------------------------------------------------------
-# path parameterizations
-
-
-def _weight_floor(r: int) -> float:
-    """Lower bound of the r + 1 breakpoint weights, each at most 1.
-
-    Their sum S is at most r + 1, so every gap w_j / S of the breakpoints is
-    at least ``X_GAP``.
-    """
-    return max(1e-8, (r + 1) * X_GAP)
+# path families
 
 
 def _shares(w: np.ndarray) -> np.ndarray:
@@ -356,92 +351,145 @@ def _shares_pullback(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return (suffix - float(grad @ _shares(w))) / np.sum(w)
 
 
-def _weights_from_xs(inner_xs: np.ndarray) -> np.ndarray:
-    """The gaps of the breakpoints, clipped into the weights' box."""
-    gaps = np.diff(np.concatenate([[0.0], inner_xs, [1.0]]))
-    return np.clip(gaps, _weight_floor(inner_xs.size), 1.0)
+class _PathFamily:
+    """The parameter vector of a level-r search and its discrete path.
 
+    The vector is the r + 1 breakpoint weights, which L-BFGS-B holds in
+    [``floor``, 1], then ``n_params - r - 1`` level parameters.  The
+    breakpoints are the shares x_i = cum_i / S of the weights; S is at most
+    r + 1, so every gap w_j / S is at least ``X_GAP``.  Q_0 = 0, Q_r = Q,
+    and a family maps only its level parameters: to Q_1 .. Q_{r-1}
+    (``_levels``), the pullback of d/dQ_k to them (``_levels_pullback``),
+    the inverse (``_level_params``) and the default (``_level_default``).
+    At r = 1 there is no middle level, so the map and its pullback are not
+    called.
+    """
 
-def _monotone_unit(u: np.ndarray) -> np.ndarray:
-    """Map r unconstrained reals to 0 <= q_1 <= ... <= q_{r-1} <= q_r = 1."""
-    return _shares(np.exp(np.clip(u, -60.0, 60.0)))
-
-
-class _ScalarProfile:
-    """Paths Q_k = q_k Q for a monotone scalar profile (always valid)."""
-
-    def __init__(self, r: int, qmat: np.ndarray):
+    def __init__(self, r: int, qmat: np.ndarray, n_levels: int):
         self.r = r
         self.qmat = qmat
-        self.n_params = (r + 1) + (r if r >= 2 else 0)
+        self.floor = max(1e-8, (r + 1) * X_GAP)
+        self.n_params = (r + 1) + n_levels
 
     def path(self, params: np.ndarray) -> DiscretePath:
         r, n = self.r, self.qmat.shape[0]
-        inner_xs = _shares(params[: r + 1])
-        if r >= 2:
-            profile = _monotone_unit(params[r + 1 : r + 1 + r])
-        else:
-            profile = np.empty(0)
-        qs = np.empty((r + 1, n, n))
-        qs[0] = 0.0
-        for k in range(1, r):
-            qs[k] = profile[k - 1] * self.qmat
+        qs = np.zeros((r + 1, n, n))
+        if r > 1:
+            qs[1:r] = self._levels(params[r + 1 :])
         qs[r] = self.qmat
-        return DiscretePath(xs=np.concatenate([[0.0], inner_xs, [1.0]]), qs=qs)
-
-    def params(self, path: DiscretePath) -> np.ndarray:
-        r = self.r
-        out = [_weights_from_xs(path.xs[1:-1])]
-        if r >= 2:
-            scale = float(np.trace(self.qmat))
-            q_levels = np.array([np.trace(path.qs[k]) / scale for k in range(1, r + 1)])
-            q_levels = np.clip(q_levels, 1e-12, 1.0)
-            steps = np.clip(np.diff(np.concatenate([[0.0], q_levels])), 1e-12, None)
-            out.append(np.log(steps))
-        return np.concatenate(out)
+        return DiscretePath(xs=np.concatenate([[0.0], _shares(params[: r + 1]), [1.0]]), qs=qs)
 
     def pullback(self, params: np.ndarray, grad_x: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
         """Gradient in the parameters from the path gradient (d/dx, d/dQ_k)."""
         r = self.r
-        out = [_shares_pullback(params[: r + 1], grad_x)]
-        if r >= 2:
-            u = params[r + 1 : r + 1 + r]
-            w = np.exp(np.clip(u, -60.0, 60.0))
-            grad_profile = np.sum(grad_q * self.qmat, axis=(1, 2))
-            out.append(np.where(np.abs(u) < 60.0, w * _shares_pullback(w, grad_profile), 0.0))
-        return np.concatenate(out)
+        out = np.zeros(self.n_params)
+        out[: r + 1] = _shares_pullback(params[: r + 1], grad_x)
+        if r > 1:
+            out[r + 1 :] = self._levels_pullback(params[r + 1 :], grad_q)
+        return out
+
+    def params(self, path: DiscretePath) -> np.ndarray:
+        """Parameters of a level-r path, its breakpoint weights clipped into the box."""
+        return np.concatenate([self._weights(path.xs[1:-1]), self._level_params(path.qs)])
 
     def default(self) -> np.ndarray:
+        return np.concatenate([np.ones(self.r + 1), self._level_default()])
+
+    def bounds(self) -> list[tuple[float | None, float | None]]:
+        """The weights' box [floor, 1]; every level parameter is free."""
         r = self.r
-        out = [np.ones(r + 1)]
-        if r >= 2:
-            out.append(np.zeros(r))
-        return np.concatenate(out)
+        return [(self.floor, 1.0)] * (r + 1) + [(None, None)] * (self.n_params - r - 1)
+
+    def starts(
+        self, config: PathSearchConfig, warm_path: DiscretePath | None, seed: int
+    ) -> list[np.ndarray]:
+        """Starts of the level-r search, each inside ``bounds()``.
+
+        The default, the replica-symmetric corner, a breakpoint grid at
+        r = 1, the parameters of ``warm_path`` and ``config.restarts`` random
+        draws from the level's own stream of ``seed``.  L-BFGS-B clips a
+        start into its bounds, so a draw maps its weights into the box:
+        exp(z - max z) keeps the shares of a softmax of z.
+        """
+        r = self.r
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        corner = self.default()  # breakpoints stacked against 1
+        corner[1 : r + 1] = self.floor
+        starts = [self.default(), corner]
+        if r == 1:
+            res = config.x_grid_resolution
+            for g in np.arange(res, 1.0, res):
+                s = self.default()
+                s[:2] = self._weights(np.array([g]))
+                starts.append(s)
+        if warm_path is not None:
+            try:
+                starts.append(self.params(warm_path))
+            except (ValueError, np.linalg.LinAlgError):
+                pass
+        for _ in range(config.restarts):
+            s = rng.normal(0.0, 1.5, size=self.n_params)
+            s[: r + 1] = np.maximum(np.exp(s[: r + 1] - s[: r + 1].max()), self.floor)
+            starts.append(s)
+        return starts
+
+    def _weights(self, inner_xs: np.ndarray) -> np.ndarray:
+        """The gaps of the breakpoints, clipped into the weights' box."""
+        gaps = np.diff(np.concatenate([[0.0], inner_xs, [1.0]]))
+        return np.clip(gaps, self.floor, 1.0)
 
 
-class _CholeskyIncrements:
+class _ScalarProfile(_PathFamily):
+    """Paths Q_k = q_k Q for a monotone scalar profile (always valid).
+
+    The profile q_1 < ... < q_{r-1} is the shares of r steps exp(u_j).  At
+    r = 1 there is no profile, and the family keeps no level parameter.
+    """
+
+    def __init__(self, r: int, qmat: np.ndarray):
+        super().__init__(r, qmat, r if r > 1 else 0)
+
+    def _levels(self, u: np.ndarray) -> np.ndarray:
+        return _shares(np.exp(np.clip(u, -60.0, 60.0)))[:, None, None] * self.qmat
+
+    def _levels_pullback(self, u: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
+        w = np.exp(np.clip(u, -60.0, 60.0))
+        grad_profile = np.sum(grad_q * self.qmat, axis=(1, 2))
+        return np.where(np.abs(u) < 60.0, w * _shares_pullback(w, grad_profile), 0.0)
+
+    def _level_params(self, qs: np.ndarray) -> np.ndarray:
+        if self.r == 1:
+            return np.empty(0)
+        q_levels = np.trace(qs[1:], axis1=1, axis2=2) / float(np.trace(self.qmat))
+        steps = np.diff(np.clip(q_levels, 1e-12, 1.0), prepend=0.0)
+        return np.log(np.clip(steps, 1e-12, None))
+
+    def _level_default(self) -> np.ndarray:
+        return np.zeros(self.n_params - self.r - 1)
+
+
+class _CholeskyIncrements(_PathFamily):
     """Paths Q_k = M W_k M^T with W_k monotone PSD partial sums, W_r = I.
 
     M is the Cholesky factor of Q; the W_k come from normalized partial sums
     of free Gram increments, so every increment is PSD by construction and
-    the endpoint hits Q exactly.
+    the endpoint hits Q exactly.  The level parameters are the lower
+    triangles of the r increments' factors.
     """
 
     RIDGE = 1e-8
 
     def __init__(self, r: int, qmat: np.ndarray):
-        self.r = r
         self.n = qmat.shape[0]
-        self.qmat = qmat
-        self.chol = np.linalg.cholesky(qmat)
         self.m = self.n * (self.n + 1) // 2
-        self.n_params = (r + 1) + r * self.m
+        super().__init__(r, qmat, r * self.m)
+        self.chol = np.linalg.cholesky(qmat)
         self._tril = np.tril_indices(self.n)
 
-    def _grams(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _grams(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The lower-triangular factors L_k and the Grams L_k L_k^T + ridge I."""
         lows = np.zeros((self.r, self.n, self.n))
-        lows[:, self._tril[0], self._tril[1]] = params[self.r + 1 :].reshape(self.r, self.m)
+        lows[:, self._tril[0], self._tril[1]] = u.reshape(self.r, self.m)
         return lows, lows @ lows.swapaxes(1, 2) + self.RIDGE * np.eye(self.n)
 
     def _normalization(self, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -450,25 +498,16 @@ class _CholeskyIncrements:
         roots = np.sqrt(np.clip(evals, 1e-30, None))
         return evecs @ np.diag(1.0 / roots) @ evecs.T, evecs, roots
 
-    def path(self, params: np.ndarray) -> DiscretePath:
-        r, n = self.r, self.n
-        inner_xs = _shares(params[: r + 1])
-        _, grams = self._grams(params)
+    def _levels(self, u: np.ndarray) -> np.ndarray:
+        """Q_k = M R P_k R M^T with P_k the partial Gram sums and R = S^{-1/2}."""
+        _, grams = self._grams(u)
         inv_sqrt = self._normalization(grams)[0]
-        qs = np.empty((r + 1, n, n))
-        qs[0] = 0.0
-        partial = np.zeros((n, n))
-        for k in range(1, r):
-            partial = partial + grams[k - 1]
-            w = _sym(inv_sqrt @ partial @ inv_sqrt)
-            qs[k] = _sym(self.chol @ w @ self.chol.T)
-        qs[r] = self.qmat
-        return DiscretePath(xs=np.concatenate([[0.0], inner_xs, [1.0]]), qs=qs)
+        partial = np.cumsum(grams, axis=0)[: self.r - 1]
+        return _sym(self.chol @ _sym(inv_sqrt @ partial @ inv_sqrt) @ self.chol.T)
 
-    def pullback(self, params: np.ndarray, grad_x: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
-        """Gradient in the parameters from the path gradient (d/dx, d/dQ_k).
+    def _levels_pullback(self, u: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
+        """d/d(lower triangles) from d/dQ_k.
 
-        With R = S^{-1/2} and P_k the partial Gram sums, Q_k = M R P_k R M^T.
         d/dW_k = M^T G_k M; d/dP_k = R (d/dW_k) R; d/dR = sum_k 2 sym(d/dW_k
         R P_k).  R is a spectral function of S, so d/dS is the Daleckii-Krein
         form E (F . E^T (d/dR) E) E^T, with divided differences
@@ -476,14 +515,10 @@ class _CholeskyIncrements:
         Each Gram L L^T + ridge I gets d/dS plus the d/dP_k it enters, and
         pulls back to 2 (d/dGram) L on the lower triangle.
         """
-        r, n = self.r, self.n
-        out = np.zeros(self.n_params)
-        out[: r + 1] = _shares_pullback(params[: r + 1], grad_x)
-        if r < 2:
-            return out  # no level between Q_0 = 0 and Q_1 = Q
-        lows, grams = self._grams(params)
+        n = self.n
+        lows, grams = self._grams(u)
         inv_sqrt, evecs, roots = self._normalization(grams)
-        partial = np.cumsum(grams, axis=0)[: r - 1]  # P_1 .. P_{r-1}
+        partial = np.cumsum(grams, axis=0)[: self.r - 1]  # P_1 .. P_{r-1}
         grad_w = self.chol.T @ grad_q @ self.chol
         grad_p = inv_sqrt @ grad_w @ inv_sqrt
         grad_r = 2.0 * _sym(np.sum(grad_w @ inv_sqrt @ partial, axis=0))
@@ -491,36 +526,25 @@ class _CholeskyIncrements:
         grad_s = evecs @ (divided * (evecs.T @ grad_r @ evecs)) @ evecs.T
         # Gram l enters P_k for every k > l
         later = np.concatenate([np.cumsum(grad_p[::-1], axis=0)[::-1], np.zeros((1, n, n))])
-        grad_grams = grad_s + later
-        grad_lows = 2.0 * grad_grams @ lows
-        out[r + 1 :] = grad_lows[:, self._tril[0], self._tril[1]].ravel()
-        return out
+        grad_lows = 2.0 * (grad_s + later) @ lows
+        return grad_lows[:, self._tril[0], self._tril[1]].ravel()
 
-    def params(self, path: DiscretePath) -> np.ndarray:
-        out = [_weights_from_xs(path.xs[1:-1])]
-        for k in range(1, self.r + 1):
-            inc = path.qs[k] - path.qs[k - 1]
-            conj = np.linalg.solve(self.chol, np.linalg.solve(self.chol, inc.T).T)
-            conj = _sym(conj) + 1e-10 * np.eye(self.n)
-            try:
-                low = np.linalg.cholesky(conj)
-            except np.linalg.LinAlgError:
-                low = np.linalg.cholesky(conj + 1e-6 * np.eye(self.n))
-            out.append(low[self._tril])
-        return np.concatenate(out)
+    def _level_params(self, qs: np.ndarray) -> np.ndarray:
+        """Cholesky factors of the conjugated increments M^{-1} (Q_k - Q_{k-1}) M^{-T}."""
+        inc = np.diff(qs, axis=0)
+        conj = np.linalg.solve(self.chol, np.linalg.solve(self.chol, inc.swapaxes(1, 2)).swapaxes(1, 2))
+        conj = _sym(conj) + 1e-10 * np.eye(self.n)
+        try:
+            lows = np.linalg.cholesky(conj)
+        except np.linalg.LinAlgError:
+            lows = np.linalg.cholesky(conj + 1e-6 * np.eye(self.n))
+        return lows[:, self._tril[0], self._tril[1]].ravel()
 
-    def default(self) -> np.ndarray:
-        out = [np.ones(self.r + 1)]
-        eye_vec = np.eye(self.n)[self._tril]
-        for _ in range(self.r):
-            out.append(eye_vec)
-        return np.concatenate(out)
+    def _level_default(self) -> np.ndarray:
+        return np.tile(np.eye(self.n)[self._tril], self.r)
 
 
-def _parameterization(name: str, r: int, qmat: np.ndarray):
-    if name == "scalar_profile":
-        return _ScalarProfile(r, qmat)
-    return _CholeskyIncrements(r, qmat)
+_FAMILIES = {"scalar_profile": _ScalarProfile, "cholesky_increments": _CholeskyIncrements}
 
 
 # ---------------------------------------------------------------------------
@@ -547,36 +571,6 @@ class OptimizationReport:
             "degenerate": self.degenerate,
             "certificate": None if self.certificate is None else self.certificate.to_dict(),
         }
-
-
-def _level_starts(
-    param, r: int, config: PathSearchConfig, warm_path: DiscretePath | None, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Starts of the level-r search, their breakpoint weights inside the box.
-
-    L-BFGS-B clips a start into its bounds, so the random draws map their
-    weights into the box: exp(z - max z) keeps the shares of a softmax of z.
-    """
-    floor = _weight_floor(r)
-    corner = param.default()  # the replica-symmetric corner, breakpoints stacked against 1
-    corner[1 : r + 1] = floor
-    starts = [param.default(), corner]
-    if r == 1:
-        res = config.x_grid_resolution
-        for g in np.arange(res, 1.0, res):
-            s = param.default()
-            s[:2] = _weights_from_xs(np.array([g]))
-            starts.append(s)
-    if warm_path is not None:
-        try:
-            starts.append(param.params(warm_path))
-        except (ValueError, np.linalg.LinAlgError):
-            pass
-    for _ in range(config.restarts):
-        s = rng.normal(0.0, 1.5, size=param.n_params)
-        s[: r + 1] = np.maximum(np.exp(s[: r + 1] - s[: r + 1].max()), floor)
-        starts.append(s)
-    return starts
 
 
 def _embed(path: DiscretePath) -> DiscretePath:
@@ -637,32 +631,29 @@ def minimize_over_paths(
     prev_best = np.inf
 
     for r in range(1, config.max_levels + 1):
-        param = _parameterization(config.q_parameterization, r, qmat)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        family = _FAMILIES[config.q_parameterization](r, qmat)
         warm_lambda: list[np.ndarray | None] = [None]
 
         def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
             try:
-                path = param.path(vec)
+                path = family.path(vec)
                 ctx = _PathContext(path, qmat, h, spec)
                 rep, factored = _inner_minimize_ctx(ctx, lam0=warm_lambda[0])
                 warm_lambda[0] = rep.lambda_star
                 grad_x, grad_q = ctx.envelope_gradient(rep.lambda_star, factored)
-                return rep.value, param.pullback(vec, grad_x, grad_q)
+                return rep.value, family.pullback(vec, grad_x, grad_q)
             except (ValueError, np.linalg.LinAlgError):
                 return np.inf, np.zeros_like(vec)
 
         level_value = np.inf
         level_path = None
-        # the breakpoint weights live in [floor, 1]; every other parameter is free
-        bounds = [(_weight_floor(r), 1.0)] * (r + 1) + [(None, None)] * (param.n_params - r - 1)
-        for start in _level_starts(param, r, config, warm, rng):
+        for start in family.starts(config, warm, seed):
             res = scipy_minimize(
                 objective,
                 start,
                 jac=True,
                 method="L-BFGS-B",
-                bounds=bounds,
+                bounds=family.bounds(),
                 options={
                     "maxiter": config.max_iterations,
                     "maxfun": 2 * config.max_iterations,
@@ -672,7 +663,7 @@ def minimize_over_paths(
             )
             if res.fun < level_value:
                 level_value = float(res.fun)
-                level_path = param.path(res.x)
+                level_path = family.path(res.x)
         # refinement can only help: a level-r path embeds into level r + 1
         if level_value > prev_best and warm is not None:
             level_value = prev_best

@@ -188,9 +188,22 @@ def _config_error(tmp_path, capsys, task, **overrides) -> str:
         ("sweep", {"sweep": {"parameter": "q12", "values": ["a"]}}, '"sweep.values[0]"'),
         ("cascade-check", {"budgets": {"samples_per_level": 5}}, '"budgets.samples_per_level"'),
         ("cascade-check", {"budgets": {"samples_per_level": ["x"]}}, '"budgets.samples_per_level[0]"'),
+        ("cascade-check", {"budgets": {"samples_per_level": [20.5]}}, '"budgets.samples_per_level[0]"'),
+        # an integer field takes a JSON integer only: no truncation, no bool, no string
+        ("mc-estimate", {"budgets": {"N": 32.7, "disorder_reps": 2, "config_samples": 10}}, '"budgets.N"'),
+        ("mc-estimate", {"budgets": {"N": 16, "disorder_reps": True, "config_samples": 10}},
+         '"budgets.disorder_reps"'),
+        ("minimize", {"search": {"max_levels": 2.5}}, '"search.max_levels"'),
+        ("minimize", {"search": {"restarts": 1.5}}, '"search.restarts"'),
+        ("minimize", {"search": {"max_levels": 1, "restarts": 0, "max_iterations": 2.5}}, '"search.max_iterations"'),
+        ("minimize", {"search": {"restarts": "2"}}, '"search.restarts"'),
+        ("minimize", {"search": {"restarts": -1}}, '"search.restarts"'),
+        ("minimize", {"search": {"max_levels": 0}}, '"search.max_levels"'),
     ],
     ids=["N-not-integer", "disorder-reps-zero", "config-samples-zero", "q12-out-of-range", "value-not-number",
-         "samples-per-level-not-list", "samples-per-level-entry-not-integer"],
+         "samples-per-level-not-list", "samples-per-level-entry-not-integer", "samples-per-level-entry-float",
+         "N-float", "disorder-reps-bool", "max-levels-float", "restarts-float", "max-iterations-float",
+         "restarts-string", "restarts-negative", "max-levels-zero"],
 )
 def test_bad_budget_or_sweep_value_names_its_field(tmp_path, capsys, task, overrides, field):
     q = [[1.0, 0.0], [0.0, 1.0]]

@@ -15,7 +15,6 @@ from sphglass.optimizer import (
     _CholeskyIncrements,
     _ScalarProfile,
     _inner_minimize_ctx,
-    _weight_floor,
 )
 
 from conftest import random_constraint, random_mixture, random_path
@@ -112,6 +111,6 @@ def test_pullback_matches_central_differences(rng, family, n, r, field):
     params = param.default() + rng.normal(0.0, 0.5, size=param.n_params)
     params[: r + 1] = rng.uniform(0.2, 1.0, size=r + 1)
     near_floor = params.copy()
-    near_floor[r] = _weight_floor(r) + 3.0 * STEP
+    near_floor[r] = param.floor + 3.0 * STEP
     for point in (params, near_floor):
         _check_pullback(param, point, q, h, spec)

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import betainc, logsumexp
 from scipy.stats import kstest
 
+from sphglass import montecarlo
 from sphglass.geometry import ConstraintMatrix
 from sphglass.mixture import MixtureSpec
 from sphglass.montecarlo import (
@@ -272,6 +273,25 @@ def test_budget_guards():
         estimate_free_energy(Q2, 16, 0.01, MixtureSpec.zero(2), np.zeros(2), 0, 10, seed=0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
         estimate_free_energy(Q2, 16, 0.0, MixtureSpec.zero(2), np.zeros(2), 2, 10, seed=0)
+
+
+def test_degenerate_constraint_is_refused_before_any_draw(monkeypatch):
+    # Cholesky factors this Q, but the one degeneracy predicate calls it
+    # singular: the estimator refuses it instead of sampling every replicate
+    # to a -inf value with a nan stderr
+    q = ConstraintMatrix(np.array([[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]]))
+    assert q.is_degenerate()
+    np.linalg.cholesky(q.matrix)
+    spec = MixtureSpec(2, {2: [0.3, 0.2]})
+
+    def no_draw(*args):
+        raise AssertionError("disorder drawn for a degenerate constraint")
+
+    monkeypatch.setattr(montecarlo, "draw_disorder", no_draw)
+    with pytest.raises(ValueError, match="positive definite for manifold sampling"):
+        estimate_free_energy(q, 16, 0.01, spec, np.zeros(2), 3, 20, seed=0)
+    with pytest.raises(ValueError, match="positive definite for manifold sampling"):
+        sample_constrained(q, 16, 5, seed=0)
 
 
 def test_direct_estimate_tracks_variational_value_two_copies():

@@ -8,6 +8,7 @@ from sphglass.functional import NotInL, closed_form_Y0, evaluate
 from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
 from sphglass.mixture import MixtureSpec
 from sphglass.optimizer import (
+    _FAMILIES,
     VALUE_TOLERANCE,
     InnerSolveReport,
     PathSearchConfig,
@@ -618,6 +619,45 @@ def test_deep_search_returns_a_valid_path(family):
     config = PathSearchConfig(q_parameterization=family, **{**PAIR_CONFIG, "max_levels": 12})
     report = minimize_over_paths(PAIR_Q, np.zeros(2), PAIR_SPEC, config, seed=1)
     assert validate_path(report.best_path, PAIR_Q).ok
+
+
+# the warm start's inverse map: the Cholesky family's RIDGE and jitter limit
+# its round trip (worst 2.0e-8 over these draws)
+ROUND_TRIP_LEVEL_TOL = {"scalar_profile": 1e-15, "cholesky_increments": 1e-7}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_family_params_invert_path(rng, name, n, r):
+    q = random_constraint(rng, n).matrix
+    family = _FAMILIES[name](r, q)
+    for _ in range(20):
+        params = family.default() + rng.normal(0.0, 1.0, size=family.n_params)
+        params[: r + 1] = rng.uniform(0.2, 1.0, size=r + 1)
+        path = family.path(params)
+        again = family.path(family.params(path))
+        assert np.max(np.abs(again.xs - path.xs)) <= 1e-15
+        assert np.max(np.abs(again.qs - path.qs)) <= ROUND_TRIP_LEVEL_TOL[name]
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_family_starts_lie_inside_their_bounds(rng, name, n, r):
+    # L-BFGS-B silently clips a start that lies outside its bounds
+    q = random_constraint(rng, n).matrix
+    family = _FAMILIES[name](r, q)
+    warm = random_path(rng, q, r) if r > 1 else None
+    starts = family.starts(PathSearchConfig(restarts=3), warm, seed=4)
+    assert len(starts) == 2 + 3 + (3 if r == 1 else 1)
+    bounds = family.bounds()
+    assert len(bounds) == family.n_params
+    lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds])
+    upper = np.array([np.inf if hi is None else hi for _, hi in bounds])
+    for start in starts:
+        assert start.shape == (family.n_params,)
+        assert np.all(lower <= start) and np.all(start <= upper)
 
 
 def test_search_ignores_last_bit_noise_in_the_objective(monkeypatch):
