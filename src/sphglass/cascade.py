@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sphglass.functional import solve_pd, logdet_pd
-from sphglass.geometry import DiscretePath, _frozen, check_breakpoints
+from sphglass.geometry import DiscretePath, _frozen, check_breakpoints, check_field
 from sphglass.mixture import MixtureSpec, check_symmetric, delta_increments, theta_matrix
 from sphglass.parallel import logsumexp, run_tasks, stream
 
@@ -79,7 +79,7 @@ class CascadeSpec:
     def __post_init__(self):
         check_breakpoints(self.path)
         object.__setattr__(self, "lam", _frozen(check_symmetric(self.lam, "Lambda")))
-        object.__setattr__(self, "h", _frozen(self.h))
+        object.__setattr__(self, "h", _frozen(check_field(self.h, self.path.n)))
         object.__setattr__(self, "increment_covariances", tuple(delta_increments(self.spec, self.path)))
 
 

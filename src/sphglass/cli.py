@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field as dataclass_field
 from pathlib import Path
@@ -24,8 +25,8 @@ import numpy as np
 from sphglass import cascade as cascade_mod
 from sphglass import montecarlo as mc_mod
 from sphglass.functional import InvalidPath, NotInL, closed_form_Y0, evaluate, theta_term
-from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
-from sphglass.mixture import MixtureSpec
+from sphglass.geometry import ConstraintMatrix, DiscretePath, check_field, validate_path
+from sphglass.mixture import MixtureSpec, check_symmetric
 from sphglass.optimizer import PathSearchConfig, minimize_over_paths
 from sphglass.reporting import make_report, render_report, to_json
 from sphglass import verify as verify_mod
@@ -75,12 +76,15 @@ def _number(raw, name: str, convert=int, minimum=None):
     """``raw`` through ``convert``; errors name the config field ``name``.
 
     An integer field takes only a JSON integer: no float, string or boolean.
+    A float field takes only a finite JSON number: no string, boolean or NaN.
     """
-    kind = "an integer" if convert is int else "a number"
+    kind = "an integer" if convert is int else "a finite number"
     try:
-        if convert is int and (isinstance(raw, bool) or not isinstance(raw, int)):
+        if isinstance(raw, bool) or not isinstance(raw, int if convert is int else (int, float)):
             raise TypeError
         value = convert(raw)
+        if convert is not int and not math.isfinite(value):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f'"{name}" must be {kind}, got {raw!r}') from None
     _require(minimum is None or value >= minimum, f'"{name}" must be at least {minimum}, got {raw!r}')
@@ -92,18 +96,27 @@ def _budget(config: RunConfig, key: str, default, convert=int, minimum=None):
     return _number(config.budgets.get(key, default), f"budgets.{key}", convert, minimum)
 
 
+def _array(raw, name: str) -> np.ndarray:
+    """A config array field as floats: rectangular, and JSON numbers only."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged
+        arr = None
+    _require(
+        arr is not None and arr.dtype.kind in "iuf",
+        f'"{name}" must be a rectangular array of numbers, got {raw!r}',
+    )
+    return arr.astype(float)
+
+
 def _parse_matrix(raw, n: int, name: str) -> np.ndarray:
-    mat = np.asarray(raw, dtype=float)
+    mat = _array(raw, name)
     _require(mat.shape == (n, n), f'"{name}" must be an {n}x{n} matrix, got shape {mat.shape}')
     _require(bool(np.all(np.isfinite(mat))), f'"{name}" contains non-finite entries')
-    gap = np.abs(mat - mat.T)
-    i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    _require(
-        gap[i, j] == 0.0,
-        f'"{name}" must be exactly symmetric: entry ({i}, {j}) = {float(mat[i, j])!r} '
-        f"but ({j}, {i}) = {float(mat[j, i])!r}",
-    )
-    return mat
+    try:
+        return check_symmetric(mat, f'"{name}"')
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def load_config(text: str) -> RunConfig:
@@ -119,8 +132,7 @@ def load_config(text: str) -> RunConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
 
     _require("n" in raw, 'missing required field "n"')
-    n = raw["n"]
-    _require(isinstance(n, int) and n >= 1, '"n" must be a positive integer')
+    n = _number(raw["n"], "n", minimum=1)
 
     mixture_raw = raw.get("mixture", {})
     _require(isinstance(mixture_raw, dict), '"mixture" must map degree strings to coefficient arrays')
@@ -131,15 +143,16 @@ def load_config(text: str) -> RunConfig:
 
     _require("Q" in raw, 'missing required field "Q"')
     qmat = _parse_matrix(raw["Q"], n, "Q")
-    _require(bool(np.array_equal(np.diag(qmat), np.ones(n))), '"Q" constraint diagonal must equal 1')
     try:
         q = ConstraintMatrix(qmat)
     except ValueError as err:
         raise ConfigError(f'"Q" invalid: {err}') from None
 
-    h = np.asarray(raw.get("h", np.zeros(n)), dtype=float)
-    _require(h.shape == (n,), f'"h" must be a length-{n} vector')
-    _require(bool(np.all(np.isfinite(h))), '"h" contains non-finite entries')
+    h = _array(raw.get("h", np.zeros(n)), "h")
+    try:
+        h = check_field(h, n, '"h"')
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
     task = raw.get("task")
     if task is not None:
@@ -159,8 +172,8 @@ def load_config(text: str) -> RunConfig:
     if "path" in raw:
         praw = raw["path"]
         _require(isinstance(praw, dict) and "xs" in praw and "Qs" in praw, '"path" needs "xs" and "Qs"')
-        xs = np.asarray(praw["xs"], dtype=float)
-        qs = np.asarray(praw["Qs"], dtype=float)
+        xs = _array(praw["xs"], "path.xs")
+        qs = _array(praw["Qs"], "path.Qs")
         try:
             path = DiscretePath(xs=xs, qs=qs)
         except ValueError as err:
@@ -183,6 +196,9 @@ def load_config(text: str) -> RunConfig:
     for key, minimum in (("max_levels", 1), ("restarts", 0), ("max_iterations", 1)):
         if key in search_raw:
             _number(search_raw[key], f"search.{key}", minimum=minimum)
+    if "x_grid_resolution" in search_raw:
+        resolution = _number(search_raw["x_grid_resolution"], "search.x_grid_resolution", float)
+        _require(resolution > 0, f'"search.x_grid_resolution" must be positive, got {resolution!r}')
     try:
         search = PathSearchConfig(**search_raw)
     except (TypeError, ValueError) as err:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, check_breakpoints, validate_path
+from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, check_breakpoints, check_field, validate_path
 from sphglass.mixture import MixtureSpec, check_symmetric, path_levels, xi_second_matrix
 
 __all__ = [
@@ -383,14 +383,19 @@ def evaluate(
     h: np.ndarray,
     spec: MixtureSpec,
 ) -> FunctionalBreakdown:
-    """Evaluate the functional; raises NotInL / InvalidPath on bad inputs."""
-    qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
-    report = validate_path(path, qmat)
+    """Evaluate the functional; raises NotInL / InvalidPath on bad inputs.
+
+    A raw ``q`` goes through ``ConstraintMatrix.of``; an invalid constraint
+    or field vector raises ValueError.
+    """
+    q = ConstraintMatrix.of(q)
+    h = check_field(h, q.n)
+    report = validate_path(path, q)
     if not report.ok:
         raise InvalidPath(f"invalid path: {[v.to_dict() for v in report.violations]}")
     lam = check_symmetric(lam, "Lambda")
     try:
-        ctx = _PathContext(path, qmat, h, spec)
+        ctx = _PathContext(path, q.matrix, h, spec)
     except ValueError as err:  # path_levels rejects an increment Delta_k
         raise InvalidPath(str(err)) from None
     return ctx.breakdown(lam)
@@ -425,7 +430,7 @@ def closed_form_Y0(
     """
     check_breakpoints(path)
     lam = check_symmetric(lam, "Lambda")
-    b = _PathContext(path, path.qs[-1], h, spec).breakdown(lam)
+    b = _PathContext(path, path.qs[-1], check_field(h, path.n), spec).breakdown(lam)
     return b.logdet_term + b.field_term + b.cascade_term
 
 

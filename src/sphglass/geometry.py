@@ -8,15 +8,20 @@ x_k] is Q_k.
 
 Paths are stored as breakpoint lists, never closures, so integration is exact
 and instances hash/serialize reproducibly.  All types are immutable.
+
+A raw constraint array enters the library in one way, ``ConstraintMatrix.of``,
+which validates it; the constraint keeps the eigenvalues it was validated
+with, so nothing decomposes Q again to decide degeneracy.  ``check_field`` is
+the one check of the field vector h.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from sphglass.mixture import check_symmetric
+from sphglass.mixture import check_symmetric, not_psd
 
 __all__ = [
     "ConstraintMatrix",
@@ -28,15 +33,14 @@ __all__ = [
     "check_breakpoints",
     "refine_path",
     "MIN_X_GAP",
-    "PSD_INCREMENT_TOL",
     "DEGENERACY_RTOL",
     "is_degenerate_spectrum",
+    "check_field",
 ]
 
 # The functional divides by x_k; gaps below this amplify rounding.  The
 # x_0 -> 0 boundary is handled by the dedicated Jacobi-limit term instead.
 MIN_X_GAP = 1e-9
-PSD_INCREMENT_TOL = 1e-10
 # Q is degenerate when its smallest eigenvalue is at most this fraction of
 # its largest
 DEGENERACY_RTOL = 1e-12
@@ -58,14 +62,31 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_field(h: np.ndarray, n: int, name: str = "h") -> np.ndarray:
+    """The field vector as floats; raises ValueError unless it is n finite numbers."""
+    h = np.asarray(h, dtype=float)
+    if h.shape != (n,):
+        raise ValueError(f"{name} must be a length-{n} vector, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return h
+
+
 @dataclass(frozen=True)
 class ConstraintMatrix:
-    """n x n PSD overlap constraint with unit diagonal."""
+    """n x n PSD overlap constraint with unit diagonal.
+
+    Construction validates the matrix and keeps its ascending eigenvalues,
+    read-only, in ``eigenvalues``: the degeneracy predicate, the overlap
+    volume and the divergence checks read them instead of decomposing Q
+    again.  ``of`` is the one way a raw array becomes a constraint.
+    """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = check_symmetric(self.matrix, "Q")
+        m = check_symmetric(self.matrix, "constraint Q")
         n = m.shape[0]
         if not np.array_equal(np.diag(m), np.ones(n)):
             raise ValueError("constraint diagonal must equal 1")
@@ -73,16 +94,22 @@ class ConstraintMatrix:
         if np.any(np.abs(off) > 1.0 + 1e-12):
             raise ValueError("constraint off-diagonals must lie in [-1, 1]")
         eigs = np.linalg.eigvalsh(m)
-        if eigs[0] < -PSD_INCREMENT_TOL * max(1.0, eigs[-1]):
+        if not_psd(eigs):
             raise ValueError(f"constraint not PSD: smallest eigenvalue {eigs[0]:.3e}")
         object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "eigenvalues", _frozen(eigs))
+
+    @staticmethod
+    def of(q: "ConstraintMatrix | np.ndarray") -> "ConstraintMatrix":
+        """``q`` itself when it is a ConstraintMatrix, else a new, validated one."""
+        return q if isinstance(q, ConstraintMatrix) else ConstraintMatrix(q)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
     def is_degenerate(self) -> bool:
-        return is_degenerate_spectrum(np.linalg.eigvalsh(self.matrix))
+        return is_degenerate_spectrum(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -101,9 +128,10 @@ class DiscretePath:
         qs = np.asarray(self.qs, dtype=float)
         if xs.ndim != 1 or xs.size < 3:
             raise ValueError("xs must be a 1-D array of length r + 2 with r >= 1")
-        if qs.ndim != 3 or qs.shape[0] != xs.size - 1 or qs.shape[1] != qs.shape[2]:
+        if qs.ndim != 3 or qs.shape[0] != xs.size - 1 or qs.shape[1] != qs.shape[2] or qs.shape[1] < 1:
             raise ValueError(
-                f"qs must have shape (r + 1, n, n) matching xs; got {qs.shape} for {xs.size} breakpoints"
+                f"qs must have shape (r + 1, n, n), n >= 1, matching xs; "
+                f"got {qs.shape} for {xs.size} breakpoints"
             )
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(qs))):
             raise ValueError("path contains non-finite entries")
@@ -157,8 +185,12 @@ class PathReport:
 
 
 def validate_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray) -> PathReport:
-    """Report every violated path invariant; never raises."""
-    target = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
+    """Report every violated path invariant.
+
+    Never raises on the path; a raw ``q`` goes through ``ConstraintMatrix.of``,
+    so an invalid constraint raises ValueError.
+    """
+    target = ConstraintMatrix.of(q).matrix
     bad: list[PathViolation] = []
     xs, qs = path.xs, path.qs
 
@@ -183,8 +215,7 @@ def validate_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray) -> PathR
             bad.append(PathViolation("increment_symmetric", k, float(np.max(np.abs(inc - inc.T)))))
             continue
         eigs = np.linalg.eigvalsh(inc)
-        tol = PSD_INCREMENT_TOL * max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-        if eigs.size and eigs[0] < -tol:
+        if not_psd(eigs):
             bad.append(PathViolation("increment_psd", k, float(eigs[0])))
 
     return PathReport(tuple(bad))

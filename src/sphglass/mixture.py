@@ -22,6 +22,12 @@ of the same pass, so every caller sees the same bits.  The second
 derivative xi'' has its own pass, ``xi_second_matrix``: only the path
 gradient of the optimizer needs it, once per gradient.
 
+The module also owns two input rules that the whole package shares:
+``check_symmetric`` (exact symmetry, of one matrix or a stack) and
+``not_psd`` ("PSD up to rounding", with the one tolerance
+``PSD_TOLERANCE``).  The constraint, the path report and the increments
+Delta_k all decide with them.
+
 All functions are pure and operate on immutable inputs; they are safe to call
 concurrently.
 """
@@ -42,10 +48,12 @@ __all__ = [
     "xi_second_matrix",
     "path_levels",
     "delta_increments",
+    "check_symmetric",
+    "not_psd",
     "PSD_TOLERANCE",
 ]
 
-# Relative noise floor for "PSD up to rounding" checks on increment matrices.
+# Relative noise floor of the one "PSD up to rounding" rule, ``not_psd``.
 PSD_TOLERANCE = 1e-10
 
 # Representability guards: with p <= 64 and |beta| <= 8 every monomial stays
@@ -76,13 +84,34 @@ def int_power(x, p: int):
     return result
 
 
-def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def check_symmetric(a: np.ndarray, name: str = "matrix", n: int | None = None) -> np.ndarray:
+    """``a`` as floats; the one exact-symmetry rule, for one square matrix or,
+    given ``n``, an n x n matrix or a stack (m, n, n) of them.  The error
+    names the entry of the largest gap (first in row-major order)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
-        raise ValueError(f"{name} must be exactly symmetric")
+    if n is None:
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ValueError(f"{name} must be a non-empty square matrix, got shape {a.shape}")
+    elif a.ndim not in (2, 3) or a.shape[-2:] != (n, n):
+        raise ValueError(f"{name} must be an {n}x{n} matrix or a stack of them, got shape {a.shape}")
+    mirror = a.swapaxes(-1, -2)
+    if not np.array_equal(a, mirror):
+        gap = np.abs(a - mirror)
+        entry = tuple(int(i) for i in np.unravel_index(int(np.argmax(gap)), gap.shape))
+        swapped = entry[:-2] + entry[:-3:-1]
+        raise ValueError(
+            f"{name} must be exactly symmetric: entry {entry} = {float(a[entry])!r} "
+            f"but {swapped} = {float(a[swapped])!r}"
+        )
     return a
+
+
+def not_psd(eigs: np.ndarray):
+    """The one "PSD up to rounding" rule on the ascending eigenvalues of one
+    matrix (n,) or a stack (m, n): lambda_min < -PSD_TOLERANCE * max(1,
+    max |lambda|) fails.  Below scale 1 the floor is absolute, since the
+    rounding in a path increment follows the scale of the chain."""
+    return eigs[..., 0] < -PSD_TOLERANCE * np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -155,22 +184,6 @@ class MixtureSpec:
         return {str(p): list(map(float, v)) for p, v in self.terms.items()}
 
 
-def _check_levels(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
-    """One symmetric n x n matrix, or a stack (m, n, n) of them."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 3:
-        if a.shape[1:] != (spec.n, spec.n) or not np.array_equal(a, a.swapaxes(1, 2)):
-            raise ValueError(
-                f"A must be a stack of exactly symmetric ({spec.n}, {spec.n}) matrices, "
-                f"got shape {a.shape}"
-            )
-        return a
-    a = check_symmetric(a, "A")
-    if a.shape != (spec.n, spec.n):
-        raise ValueError(f"A has shape {a.shape}, expected ({spec.n}, {spec.n})")
-    return a
-
-
 def xi_pair(spec: MixtureSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """xi(A) and xi'(A) entrywise, from one validated pass over the degrees.
 
@@ -181,7 +194,7 @@ def xi_pair(spec: MixtureSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``int_power``.  The outputs are exactly symmetric because the inputs are
     and every update is entrywise.
     """
-    a = _check_levels(spec, a)
+    a = check_symmetric(a, "A", spec.n)
     xi = np.zeros_like(a)
     xi_prime = np.zeros_like(a)
     for p, outer in spec.outers.items():
@@ -205,7 +218,7 @@ def xi_second_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
 
     Like ``xi_pair`` it takes one symmetric matrix or a stack (m, n, n).
     """
-    a = _check_levels(spec, a)
+    a = check_symmetric(a, "A", spec.n)
     out = np.zeros_like(a)
     for p, outer in spec.outers.items():
         out += float(p * (p - 1)) * outer * int_power(a, p - 2)
@@ -224,18 +237,15 @@ def theta_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
 
 
 def _psd_increments(xi_prime: np.ndarray) -> np.ndarray:
-    """Read-only Delta_k = xi'(Q_k) - xi'(Q_{k-1}), checked PSD up to rounding."""
+    """Read-only Delta_k = xi'(Q_k) - xi'(Q_{k-1}), checked by ``not_psd``."""
     deltas = np.diff(xi_prime, axis=0)
     eigs = np.linalg.eigvalsh(deltas)
-    # noise floor relative to each increment's scale, with an absolute floor
-    # because rounding in xi' is set by the chain scale, not the increment
-    tols = PSD_TOLERANCE * np.maximum(1.0, np.max(np.abs(eigs), axis=1))
-    bad = np.flatnonzero(eigs[:, 0] < -tols)
+    bad = np.flatnonzero(not_psd(eigs))
     if bad.size:
         k = int(bad[0])
         raise ValueError(
             f"increment {k + 1} is not PSD: smallest eigenvalue {eigs[k, 0]:.3e} "
-            f"(tolerance {-tols[k]:.1e}); invalid path or mixture"
+            f"(relative tolerance {PSD_TOLERANCE:.0e}); invalid path or mixture"
         )
     deltas.setflags(write=False)
     return deltas

@@ -9,7 +9,8 @@ an exact-manifold average times an analytic volume factor:
 (orthonormalized Gaussian rows conjugated by the Cholesky factor of Q), so
 every sample lies inside the overlap window for every epsilon > 0, and the
 window volume enters through its exponential-scale closed form
-``overlap_log_volume`` = 1/2 log det Q.  Direct rejection sampling of the
+``overlap_log_volume`` = 1/2 log det Q, from the eigenvalues the
+``ConstraintMatrix`` keeps.  Direct rejection sampling of the
 window would have exponentially small acceptance; the decomposition is exact
 at the exponential scale and testable at beta = 0, where the Monte Carlo
 factor is exactly 1.
@@ -27,6 +28,10 @@ samples, so its memory does not grow with the pair-product arrays of every
 sample at once.  Its log-mean-exp is the numpy ``parallel.logsumexp``, so
 nothing here loads scipy.  The exact finite-N window mass that checks
 ``overlap_log_volume`` is a quadrature judge in the test suite.
+
+A raw Q goes through ``ConstraintMatrix.of`` at each public function.
+``estimate_free_energy`` validates Q and h once and hands the
+``ConstraintMatrix`` to every replicate, which validates nothing again.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sphglass.geometry import ConstraintMatrix, is_degenerate_spectrum
+from sphglass.geometry import ConstraintMatrix, check_field
 from sphglass.mixture import MixtureSpec
 from sphglass.parallel import logsumexp, run_tasks, stream
 
@@ -181,27 +186,22 @@ def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: M
     return out
 
 
-def _check_sampleable(qmat: np.ndarray) -> None:
-    """Raise ValueError unless Q is positive definite by ``is_degenerate_spectrum``."""
-    if is_degenerate_spectrum(np.linalg.eigvalsh(qmat)):
-        raise ValueError("constraint must be positive definite for manifold sampling")
-
-
 def sample_constrained(q: ConstraintMatrix | np.ndarray, n_sites: int, count: int, seed: int) -> np.ndarray:
     """Exact-manifold samples: (count, n, N) blocks with R(sigma, sigma) = Q.
 
     Rows are sqrt(N) * L U with L the Cholesky factor of Q and U orthonormal
     rows from a Gaussian QR, so the law is invariant under ambient rotations
     and the overlap matrix equals Q to rounding, hence lies in the overlap
-    window for every window width epsilon > 0.  A Q that
-    ``is_degenerate_spectrum`` calls singular raises ValueError.
+    window for every window width epsilon > 0.  A degenerate Q
+    (``ConstraintMatrix.is_degenerate``) raises ValueError.
     """
-    qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
-    n = qmat.shape[0]
+    q = ConstraintMatrix.of(q)
+    n = q.n
     if n_sites < 4 * n:
         raise ValueError(f"need N >= 4n = {4 * n}, got N={n_sites}")
-    _check_sampleable(qmat)
-    chol = np.linalg.cholesky(qmat)
+    if q.is_degenerate():
+        raise ValueError("constraint must be positive definite for manifold sampling")
+    chol = np.linalg.cholesky(q.matrix)
     rng = stream(seed, 0)
     gauss = rng.standard_normal((count, n_sites, n))
     q_fac, r_fac = np.linalg.qr(gauss)
@@ -240,13 +240,12 @@ class EstimatorResult:
 
 
 def _disorder_rep(args) -> float:
-    qmat, n_sites, spec, h, config_samples, seed, rep = args
+    q, n_sites, spec, h, config_samples, seed, rep = args
     disorder_seed = np.random.SeedSequence(seed, spawn_key=(rep, 0)).generate_state(1)[0]
     config_seed = np.random.SeedSequence(seed, spawn_key=(rep, 1)).generate_state(1)[0]
     disorder = draw_disorder(spec.degrees, n_sites, int(disorder_seed))
-    sigmas = sample_constrained(qmat, n_sites, config_samples, int(config_seed))
+    sigmas = sample_constrained(q, n_sites, config_samples, int(config_seed))
     energies = hamiltonian_batch(sigmas, disorder, spec)
-    h = np.asarray(h, dtype=float)
     if np.any(h):
         energies = energies + sigmas.sum(axis=2) @ h
     return logsumexp(energies) - float(np.log(config_samples))
@@ -273,30 +272,31 @@ def estimate_free_energy(
 
     ``epsilon`` is the overlap window width.  Every exact-manifold sample lies
     in every window, so it is only checked to be positive and echoed in the
-    result.  A degenerate Q raises ValueError before any replicate runs.
+    result.  A raw ``q`` goes through ``ConstraintMatrix.of``, and an invalid
+    or degenerate Q, or an invalid h, raises ValueError before any replicate
+    runs.
     """
-    qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
+    q = ConstraintMatrix.of(q)
+    h = check_field(h, q.n)
     _check_budget(n_sites, spec.degrees)
     if disorder_reps < 1 or config_samples < 1:
         raise ValueError("sample budgets must be positive")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    _check_sampleable(qmat)  # before any replicate draws
-    volume = overlap_log_volume(qmat)
-    args = [
-        (qmat, n_sites, spec, np.asarray(h, dtype=float), config_samples, int(seed), rep)
-        for rep in range(disorder_reps)
-    ]
+    if q.is_degenerate():
+        raise ValueError("constraint must be positive definite for manifold sampling")
+    volume = overlap_log_volume(q)
+    args = [(q, n_sites, spec, h, config_samples, int(seed), rep) for rep in range(disorder_reps)]
     logs = np.array(run_tasks(_disorder_rep, args, workers=workers))
     values = logs / n_sites + volume
     value = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(disorder_reps)) if disorder_reps > 1 else 0.0
-    reference = volume if spec.is_zero() and not np.any(np.asarray(h, dtype=float)) else None
+    reference = volume if spec.is_zero() and not np.any(h) else None
     return EstimatorResult(
         value=value,
         stderr=stderr,
         n_sites=n_sites,
-        n_copies=qmat.shape[0],
+        n_copies=q.n,
         epsilon=epsilon,
         disorder_reps=disorder_reps,
         config_samples=config_samples,
@@ -309,10 +309,10 @@ def overlap_log_volume(q: ConstraintMatrix | np.ndarray) -> float:
     """Exponential-scale normalized volume of the overlap slice: 1/2 log det Q.
 
     Degenerate constraints return -inf (the slice volume decays faster than
-    any exponential rate).
+    any exponential rate).  The eigenvalues are the constraint's own; a raw
+    ``q`` goes through ``ConstraintMatrix.of``.
     """
-    qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
-    eigs = np.linalg.eigvalsh(qmat)
-    if is_degenerate_spectrum(eigs):
+    q = ConstraintMatrix.of(q)
+    if q.is_degenerate():
         return float("-inf")
-    return 0.5 * float(np.sum(np.log(eigs)))
+    return 0.5 * float(np.sum(np.log(q.eigenvalues)))

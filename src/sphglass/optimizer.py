@@ -50,7 +50,7 @@ from sphglass.geometry import (
     DEGENERACY_RTOL,
     ConstraintMatrix,
     DiscretePath,
-    is_degenerate_spectrum,
+    check_field,
     refine_path,
 )
 from sphglass.functional import (
@@ -119,8 +119,8 @@ def inner_gradient(
              - L_0^{-1} h h^T L_0^{-1}].
     """
     lam = check_symmetric(lam, "Lambda")
-    qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
-    ctx = _PathContext(path, qmat, h, spec)
+    q = ConstraintMatrix.of(q)
+    ctx = _PathContext(path, q.matrix, check_field(h, q.n), spec)
     if ctx.min_eig0(lam) <= MEMBERSHIP_MARGIN:
         raise NotInL("Lambda_0 not positive definite at the requested point")
     _, grad, _ = ctx.value_grad_hess(lam)
@@ -252,16 +252,14 @@ def inner_minimize(
     by damped Newton is global; for positive definite Q the solve never
     diverges, and a diverging report there raises RuntimeError.
     """
-    qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
-    ctx = _PathContext(path, qmat, h, spec)
+    q = ConstraintMatrix.of(q)
+    ctx = _PathContext(path, q.matrix, check_field(h, q.n), spec)
     report, _ = _inner_minimize_ctx(ctx, lam0=lambda_init)
-    if report.status == "diverging":
-        eigs = np.linalg.eigvalsh(qmat)
-        if not is_degenerate_spectrum(eigs):
-            raise RuntimeError(
-                "inner solve diverged on a positive definite constraint: "
-                f"smallest eigenvalue of Q is {eigs[0]:.3e}"
-            )
+    if report.status == "diverging" and not q.is_degenerate():
+        raise RuntimeError(
+            "inner solve diverged on a positive definite constraint: "
+            f"smallest eigenvalue of Q is {q.eigenvalues[0]:.3e}"
+        )
     return report
 
 
@@ -303,14 +301,16 @@ def detect_degenerate(
     ~1e-16 times D_11 = 1e180 would dominate the trace term.  Raises
     RuntimeError unless the values strictly decrease.
     """
-    qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
-    eigs, vecs = np.linalg.eigh(qmat)
-    if not is_degenerate_spectrum(eigs):
+    q = ConstraintMatrix.of(q)
+    h = check_field(h, q.n)
+    if not q.is_degenerate():
         return None
 
-    # ascending eigenvalues: column 0 of vecs is the null direction
+    # the certificate's own eigenbasis; ascending eigenvalues, so column 0
+    # of vecs is the null direction
+    eigs, vecs = np.linalg.eigh(q.matrix)
     mu_clamped = np.where(eigs > DEGENERACY_RTOL * eigs[-1], eigs, 0.0)
-    ctx = _PathContext(path, qmat, h, spec).rotated(vecs, mu_clamped)
+    ctx = _PathContext(path, q.matrix, h, spec).rotated(vecs, mu_clamped)
 
     # Gershgorin padding against every chain tail, margin 1; the zero tail
     # of the last level keeps it nonnegative
@@ -611,10 +611,12 @@ def minimize_over_paths(
     tie-break), and ``best_value`` is that level's own value.
     """
     config = config or PathSearchConfig()
-    qmat = q.matrix if isinstance(q, ConstraintMatrix) else np.asarray(q, dtype=float)
+    q = ConstraintMatrix.of(q)
+    h = check_field(h, q.n)
+    qmat = q.matrix
 
     probe = DiscretePath.simple(qmat, 0.5)
-    certificate = detect_degenerate(qmat, probe, h, spec)
+    certificate = detect_degenerate(q, probe, h, spec)
     if certificate is not None:
         return OptimizationReport(
             best_value=-np.inf,

@@ -199,17 +199,38 @@ def _config_error(tmp_path, capsys, task, **overrides) -> str:
         ("minimize", {"search": {"restarts": "2"}}, '"search.restarts"'),
         ("minimize", {"search": {"restarts": -1}}, '"search.restarts"'),
         ("minimize", {"search": {"max_levels": 0}}, '"search.max_levels"'),
+        # every array field names itself when it is not a rectangular array of numbers
+        ("evaluate", {"h": "ab"}, '"h"'),
+        ("evaluate", {"h": [0.0, float("nan")]}, '"h"'),
+        ("evaluate", {"Q": [[1.0, 0.5], [0.5]]}, '"Q"'),
+        ("evaluate", {"lambda": [[2.0, "x"], [0.0, 2.0]]}, '"lambda"'),
+        ("evaluate", {"path": {"xs": [0.0, "a", 1.0], "Qs": [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]}},
+         '"path.xs"'),
+        ("evaluate", {"path": {"xs": [0.0, 0.5, 1.0], "Qs": [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0]]]}},
+         '"path.Qs"'),
+        ("minimize", {"n": True}, '"n"'),
+        # a float field takes a finite JSON number only: no string, bool or NaN
+        ("minimize", {"search": {"x_grid_resolution": "a"}}, '"search.x_grid_resolution"'),
+        ("minimize", {"search": {"x_grid_resolution": True}}, '"search.x_grid_resolution"'),
+        ("minimize", {"search": {"x_grid_resolution": float("nan")}}, '"search.x_grid_resolution"'),
+        ("minimize", {"search": {"x_grid_resolution": 0.0}}, '"search.x_grid_resolution"'),
+        ("mc-estimate", {"budgets": {"epsilon": True}}, '"budgets.epsilon"'),
+        ("mc-estimate", {"budgets": {"epsilon": "0.01"}}, '"budgets.epsilon"'),
+        ("mc-estimate", {"budgets": {"epsilon": float("inf")}}, '"budgets.epsilon"'),
     ],
     ids=["N-not-integer", "disorder-reps-zero", "config-samples-zero", "q12-out-of-range", "value-not-number",
          "samples-per-level-not-list", "samples-per-level-entry-not-integer", "samples-per-level-entry-float",
          "N-float", "disorder-reps-bool", "max-levels-float", "restarts-float", "max-iterations-float",
-         "restarts-string", "restarts-negative", "max-levels-zero"],
+         "restarts-string", "restarts-negative", "max-levels-zero",
+         "h-string", "h-nan", "Q-ragged", "lambda-string-entry", "path-xs-string-entry", "path-Qs-ragged",
+         "n-bool", "x-grid-string", "x-grid-bool", "x-grid-nan", "x-grid-zero", "epsilon-bool",
+         "epsilon-string", "epsilon-infinite"],
 )
 def test_bad_budget_or_sweep_value_names_its_field(tmp_path, capsys, task, overrides, field):
     q = [[1.0, 0.0], [0.0, 1.0]]
     pair = {"n": 2, "mixture": {"2": [0.3, 0.3]}, "Q": q, "h": [0.0, 0.0], "lambda": [[2.0, 0.0], [0.0, 2.0]],
             "path": {"xs": [0.0, 0.5, 1.0], "Qs": [[[0.0, 0.0], [0.0, 0.0]], q]}}
-    message = _config_error(tmp_path, capsys, task, **pair, **overrides)
+    message = _config_error(tmp_path, capsys, task, **{**pair, **overrides})
     assert message.startswith(field)
 
 

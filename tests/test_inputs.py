@@ -1,0 +1,172 @@
+"""One rule per library input: the constraint Q, the field h, "PSD up to
+rounding" and exact symmetry, each checked in one place and the same way at
+every public entry point."""
+
+import numpy as np
+import pytest
+
+from sphglass.cascade import CascadeSpec
+from sphglass.functional import closed_form_Y0, evaluate
+from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
+from sphglass.mixture import MixtureSpec, check_symmetric, delta_increments, xi_pair
+from sphglass.montecarlo import estimate_free_energy, overlap_log_volume, sample_constrained
+from sphglass.optimizer import (
+    PathSearchConfig,
+    detect_degenerate,
+    inner_gradient,
+    inner_minimize,
+    minimize_over_paths,
+)
+
+SPEC = MixtureSpec(2, {2: [0.5, 0.5]})
+GOOD_Q = np.array([[1.0, 0.5], [0.5, 1.0]])
+PATH = DiscretePath.simple(GOOD_Q, 0.5)
+LAM = 2.0 * np.eye(2)
+ZERO_H = np.zeros(2)
+SEARCH = PathSearchConfig(max_levels=1, restarts=0, max_iterations=20)
+
+# every public function that takes the constraint Q, called with a valid
+# path, field and mixture
+TAKES_Q = {
+    "evaluate": lambda q: evaluate(LAM, PATH, q, ZERO_H, SPEC),
+    "inner_gradient": lambda q: inner_gradient(LAM, PATH, q, ZERO_H, SPEC),
+    "inner_minimize": lambda q: inner_minimize(PATH, q, ZERO_H, SPEC),
+    "detect_degenerate": lambda q: detect_degenerate(q, PATH, ZERO_H, SPEC),
+    "minimize_over_paths": lambda q: minimize_over_paths(q, ZERO_H, SPEC, SEARCH),
+    "sample_constrained": lambda q: sample_constrained(q, 16, 5, seed=0),
+    "estimate_free_energy": lambda q: estimate_free_energy(q, 16, 0.01, SPEC, ZERO_H, 2, 50, seed=0),
+    "overlap_log_volume": overlap_log_volume,
+    "validate_path": lambda q: validate_path(PATH, q),
+}
+
+BAD_Q = {
+    "asymmetric": [[1.0, 0.5], [0.4, 1.0]],
+    "diagonal-2": [[2.0, 0.5], [0.5, 2.0]],
+    "not-psd": [[1.0, 2.0], [2.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_Q)
+@pytest.mark.parametrize("entry", TAKES_Q)
+def test_every_entry_point_rejects_a_bad_raw_constraint(entry, bad):
+    # a raw array goes through ConstraintMatrix.of, so the error is the
+    # constraint's own, not a path, increment or attribute error downstream
+    with pytest.raises(ValueError, match="^constraint "):
+        TAKES_Q[entry](np.array(BAD_Q[bad]))
+
+
+def test_of_hands_a_constraint_on_unchanged():
+    q = ConstraintMatrix(GOOD_Q)
+    assert ConstraintMatrix.of(q) is q
+    assert np.array_equal(ConstraintMatrix.of(GOOD_Q).matrix, q.matrix)
+
+
+@pytest.mark.parametrize("entry", ["minimize_over_paths", "estimate_free_energy"])
+def test_a_raw_constraint_is_validated_and_decomposed_once(monkeypatch, entry):
+    # the entry point builds one ConstraintMatrix and hands it on, so neither
+    # the degeneracy probe nor a replicate validates or decomposes Q again
+    built, decomposed = [], []
+    post_init, eigvalsh = ConstraintMatrix.__post_init__, np.linalg.eigvalsh
+
+    def counting_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    def counting_eigvalsh(a):
+        if np.shape(a) == GOOD_Q.shape and np.array_equal(a, GOOD_Q):
+            decomposed.append(1)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(ConstraintMatrix, "__post_init__", counting_post_init)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    TAKES_Q[entry](GOOD_Q.copy())
+    assert len(built) == 1
+    assert len(decomposed) == 1
+
+
+def test_constraint_keeps_its_spectrum_read_only():
+    q = ConstraintMatrix(GOOD_Q)
+    assert np.array_equal(q.eigenvalues, np.linalg.eigvalsh(GOOD_Q))
+    assert not q.eigenvalues.flags.writeable
+    assert "eigenvalues" not in repr(q)
+
+
+# every public function that takes the field h
+TAKES_H = {
+    "evaluate": lambda h: evaluate(LAM, PATH, GOOD_Q, h, SPEC),
+    "closed_form_Y0": lambda h: closed_form_Y0(LAM, PATH, h, SPEC),
+    "inner_gradient": lambda h: inner_gradient(LAM, PATH, GOOD_Q, h, SPEC),
+    "inner_minimize": lambda h: inner_minimize(PATH, GOOD_Q, h, SPEC),
+    "detect_degenerate": lambda h: detect_degenerate(GOOD_Q, PATH, h, SPEC),
+    "minimize_over_paths": lambda h: minimize_over_paths(GOOD_Q, h, SPEC, SEARCH),
+    "estimate_free_energy": lambda h: estimate_free_energy(GOOD_Q, 16, 0.01, SPEC, h, 2, 50, seed=0),
+    "CascadeSpec": lambda h: CascadeSpec(path=PATH, spec=SPEC, lam=LAM, h=h),
+}
+
+
+@pytest.mark.parametrize(
+    "h, message",
+    [(np.zeros(3), "^h must be a length-2 vector"), (np.array([0.1, np.nan]), "^h contains non-finite")],
+    ids=["wrong-length", "nan"],
+)
+@pytest.mark.parametrize("entry", TAKES_H)
+def test_every_entry_point_checks_the_field(entry, h, message):
+    with pytest.raises(ValueError, match=message):
+        TAKES_H[entry](h)
+
+
+def _equicorrelated_below_zero(n: int, c: float) -> tuple[np.ndarray, float]:
+    """Unit-diagonal n x n matrix whose smallest eigenvalue is about -c * tol."""
+    scale = n / (n - 1)  # the largest eigenvalue 1 - rho, to first order
+    delta = c * 1e-10 * scale / (n - 1)
+    rho = -1.0 / (n - 1) - delta
+    m = (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
+    eigs = np.linalg.eigvalsh(m)
+    return m, eigs[0] / (1e-10 * max(1.0, float(np.max(np.abs(eigs)))))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("c, accepted", [(0.5, True), (2.0, False)])
+def test_one_psd_rule_at_the_boundary(n, c, accepted):
+    # smallest eigenvalue -0.5 tol is rounding, -2 tol is not, with
+    # tol = 1e-10 max(1, max |lambda|): the constraint, the path report and
+    # the mixture increments agree
+    m, ratio = _equicorrelated_below_zero(n, c)
+    assert ratio == pytest.approx(-c, rel=1e-3)
+
+    try:
+        ConstraintMatrix(m)
+        constraint_ok = True
+    except ValueError as err:
+        assert "not PSD" in str(err)
+        constraint_ok = False
+
+    path = DiscretePath.simple(m, 0.5)  # its one increment is m itself
+    report = validate_path(path, np.eye(n))
+    path_ok = ("increment_psd", 1) not in {(v.invariant, v.index) for v in report.violations}
+
+    # a pure 2-spin mixture with 2 beta^2 = 1 maps the increment to itself
+    spec = MixtureSpec(n, {2: [np.sqrt(0.5)] * n})
+    try:
+        delta_increments(spec, path)
+        mixture_ok = True
+    except ValueError as err:
+        assert "increment 1 is not PSD" in str(err)
+        mixture_ok = False
+
+    assert constraint_ok == path_ok == mixture_ok == accepted
+
+
+def test_one_symmetry_rule_names_the_largest_gap():
+    a = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.1], [0.2, 0.1 + 1e-7, 1.0]])
+    with pytest.raises(ValueError, match=r"^A must be exactly symmetric: entry \(1, 2\) = 0\.1 but \(2, 1\)"):
+        check_symmetric(a, "A")
+    # in a stack the entry carries the matrix index; ties go to the first
+    # entry in row-major order
+    stack = np.stack([np.eye(2), [[1.0, 0.3], [0.2, 1.0]]])
+    with pytest.raises(ValueError, match=r"entry \(1, 0, 1\) = 0\.3 but \(1, 1, 0\) = 0\.2"):
+        xi_pair(SPEC, stack)
+    with pytest.raises(ValueError, match="must be a non-empty square matrix"):
+        check_symmetric(stack, "Lambda")  # a stack only where the caller allows it
+    with pytest.raises(ValueError, match=r"2x2 matrix or a stack"):
+        xi_pair(SPEC, np.eye(3))
