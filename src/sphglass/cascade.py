@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sphglass.functional import solve_pd, logdet_pd
-from sphglass.geometry import DiscretePath, _frozen, check_breakpoints, check_field
+from sphglass.geometry import DiscretePath, _frozen, check_field, check_path
 from sphglass.mixture import MixtureSpec, check_symmetric, delta_increments, theta_matrix
 from sphglass.parallel import logsumexp, run_tasks, stream
 
@@ -66,8 +66,8 @@ class CascadeSpec:
     """Model bundle for the recursion oracles.
 
     ``increment_covariances`` are the z_k covariances, the path increment
-    matrices Delta_k, computed at construction.  The path's breakpoints must
-    satisfy 0 = x_{-1} < x_0 < ... < x_r = 1 (InvalidPath otherwise).
+    matrices Delta_k, computed at construction.  The path must pass
+    ``validate_path`` with its end matrix free (InvalidPath otherwise).
     """
 
     path: DiscretePath
@@ -77,7 +77,7 @@ class CascadeSpec:
     increment_covariances: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
-        check_breakpoints(self.path)
+        check_path(self.path)
         object.__setattr__(self, "lam", _frozen(check_symmetric(self.lam, "Lambda")))
         object.__setattr__(self, "h", _frozen(check_field(self.h, self.path.n)))
         object.__setattr__(self, "increment_covariances", tuple(delta_increments(self.spec, self.path)))
@@ -204,9 +204,10 @@ def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
     level k of the weight recursion is a log-Gaussian moment and contributes
     (1/x_k) * (x_k^2 (C_{k+1} - C_k) / 2).  Summing levels gives
     1/2 sum_k x_k (C_{k+1} - C_k), adjudicating the prefactor of the theta
-    sum in the functional.
+    sum in the functional.  Raises InvalidPath unless the path passes
+    ``validate_path`` (its end matrix is free).
     """
-    check_breakpoints(path)
+    check_path(path)
     cov = _tree_covariances(path, spec)
     total = 0.0
     for k in range(path.r):

@@ -25,9 +25,9 @@ import numpy as np
 from sphglass import cascade as cascade_mod
 from sphglass import montecarlo as mc_mod
 from sphglass.functional import InvalidPath, NotInL, closed_form_Y0, evaluate, theta_term
-from sphglass.geometry import ConstraintMatrix, DiscretePath, check_field, validate_path
+from sphglass.geometry import ConstraintMatrix, DiscretePath, check_field, check_path
 from sphglass.mixture import MixtureSpec, check_symmetric
-from sphglass.optimizer import PathSearchConfig, minimize_over_paths
+from sphglass.optimizer import MIN_X_GRID_RESOLUTION, PathSearchConfig, minimize_over_paths
 from sphglass.reporting import make_report, render_report, to_json
 from sphglass import verify as verify_mod
 
@@ -176,16 +176,11 @@ def load_config(text: str) -> RunConfig:
         qs = _array(praw["Qs"], "path.Qs")
         try:
             path = DiscretePath(xs=xs, qs=qs)
+            check_path(path, q)
+        except InvalidPath as err:
+            raise ConfigError(f'"path" invalid: {err}', details=err.report.to_dict()) from None
         except ValueError as err:
             raise ConfigError(f'"path" invalid: {err}') from None
-        report = validate_path(path, q)
-        if not report.ok:
-            first = report.violations[0]
-            raise ConfigError(
-                f'"path" violates invariant {first.invariant!r} at index {first.index} '
-                f"(magnitude {first.magnitude:.3e})",
-                details=report.to_dict(),
-            )
 
     lam = None
     if "lambda" in raw:
@@ -197,8 +192,7 @@ def load_config(text: str) -> RunConfig:
         if key in search_raw:
             _number(search_raw[key], f"search.{key}", minimum=minimum)
     if "x_grid_resolution" in search_raw:
-        resolution = _number(search_raw["x_grid_resolution"], "search.x_grid_resolution", float)
-        _require(resolution > 0, f'"search.x_grid_resolution" must be positive, got {resolution!r}')
+        _number(search_raw["x_grid_resolution"], "search.x_grid_resolution", float, MIN_X_GRID_RESOLUTION)
     try:
         search = PathSearchConfig(**search_raw)
     except (TypeError, ValueError) as err:

@@ -10,7 +10,11 @@ Q, a field h, and a mixture, the functional is
 where the multiplier chain runs backwards, L_r = L and
 L_k = L_{k+1} - x_k Delta_{k+1}, and membership in the admissible set
 requires L_0 to stay positive definite.  Because the increments Delta are
-PSD, the chain is monotone, so L_0 > 0 already forces every L_k > 0.
+PSD, the chain is monotone, so L_0 > 0 already forces every L_k > 0.  The
+increments are PSD for every path that passes ``geometry.validate_path``: each
+public function here checks its path once with ``check_path`` on entry, and
+the kernel trusts it.  ``_PathContext.member_factors`` is the one membership
+rule for L, a Cholesky factorization of L_0 less ``MEMBERSHIP_MARGIN``.
 
 One kernel, ``_PathContext``, computes it: ``evaluate`` and
 ``closed_form_Y0`` read their terms from it, and the optimizer minimizes over
@@ -31,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, check_breakpoints, check_field, validate_path
+from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, check_field, check_path
 from sphglass.mixture import MixtureSpec, check_symmetric, path_levels, xi_second_matrix
 
 __all__ = [
@@ -272,12 +276,7 @@ class _PathContext:
         ``total`` is the objective value the optimizer sees, from the same
         guarded factors as the terms.
         """
-        factored = self.feasible_value(lam)
-        if factored is None:
-            raise NotInL(
-                f"Lambda_0 not positive definite: smallest eigenvalue {self.min_eig0(lam):.3e} "
-                f"<= margin {MEMBERSHIP_MARGIN:.0e}"
-            )
+        factored = self.member_factors(lam)
         return FunctionalBreakdown(
             total=factored.value,
             trace_term=0.5 * float(np.trace(lam @ self.qmat)),
@@ -360,7 +359,21 @@ class _PathContext:
         return grad_x, xi2 * outer
 
     def min_eig0(self, lam: np.ndarray) -> float:
+        """Smallest eigenvalue of L_0, for the message of NotInL only."""
         return float(np.linalg.eigvalsh(lam - self.tails[0])[0])
+
+    def member_factors(self, lam: np.ndarray) -> _Factors:
+        """The ``_Factors`` at lam; raises NotInL unless ``feasible_value`` admits lam.
+
+        The one membership rule for L: L_0 less the margin must factor.
+        """
+        factored = self.feasible_value(lam)
+        if factored is None:
+            raise NotInL(
+                f"Lambda_0 not positive definite: smallest eigenvalue {self.min_eig0(lam):.3e} "
+                f"<= margin {MEMBERSHIP_MARGIN:.0e}"
+            )
+        return factored
 
     def feasible_value(self, lam: np.ndarray) -> _Factors | None:
         """The ``_Factors`` at lam, or None when the chain leaves the PD cone.
@@ -390,15 +403,9 @@ def evaluate(
     """
     q = ConstraintMatrix.of(q)
     h = check_field(h, q.n)
-    report = validate_path(path, q)
-    if not report.ok:
-        raise InvalidPath(f"invalid path: {[v.to_dict() for v in report.violations]}")
+    check_path(path, q)
     lam = check_symmetric(lam, "Lambda")
-    try:
-        ctx = _PathContext(path, q.matrix, h, spec)
-    except ValueError as err:  # path_levels rejects an increment Delta_k
-        raise InvalidPath(str(err)) from None
-    return ctx.breakdown(lam)
+    return _PathContext(path, q.matrix, h, spec).breakdown(lam)
 
 
 def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
@@ -407,13 +414,11 @@ def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
     Carries the overall 1/2 prefactor of the functional: that convention
     reproduces the annealed high-temperature value beta^2/2 for a single
     copy of the pure 2-spin model and is what the cascade log-moment
-    recursion yields level by level.
+    recursion yields level by level.  Raises InvalidPath unless the path
+    passes ``validate_path`` (its end matrix is free).
     """
-    check_breakpoints(path)
-    try:
-        _, thetas = path_levels(spec, path)
-    except ValueError as err:
-        raise InvalidPath(str(err)) from None
+    check_path(path)
+    _, thetas = path_levels(spec, path)
     return _theta_sum(path.xs[1:], _theta_steps(thetas))
 
 
@@ -426,9 +431,10 @@ def closed_form_Y0(
 
     Equals logdet_term + field_term + cascade_term of ``evaluate`` by
     construction; the nested Monte Carlo oracle checks it stochastically.
-    Raises InvalidPath unless 0 = x_{-1} < x_0 < ... < x_r = 1.
+    Raises InvalidPath unless the path passes ``validate_path``; its end
+    matrix Q_r is free, not a constraint.
     """
-    check_breakpoints(path)
+    check_path(path)
     lam = check_symmetric(lam, "Lambda")
     b = _PathContext(path, path.qs[-1], check_field(h, path.n), spec).breakdown(lam)
     return b.logdet_term + b.field_term + b.cascade_term

@@ -7,7 +7,12 @@ breakpoints 0 = x_{-1} < x_0 < ... < x_r = 1 and matrices
 x_k] is Q_k.
 
 Paths are stored as breakpoint lists, never closures, so integration is exact
-and instances hash/serialize reproducibly.  All types are immutable.
+and instances compare by value and serialize reproducibly.  All types are
+immutable.
+
+``validate_path`` is the one path rule and ``check_path`` its raising form:
+every public function that takes a path calls it once, where the path
+enters, and nothing downstream checks the path again.
 
 A raw constraint array enters the library in one way, ``ConstraintMatrix.of``,
 which validates it; the constraint keeps the eigenvalues it was validated
@@ -30,17 +35,13 @@ __all__ = [
     "PathReport",
     "InvalidPath",
     "validate_path",
-    "check_breakpoints",
+    "check_path",
     "refine_path",
-    "MIN_X_GAP",
     "DEGENERACY_RTOL",
     "is_degenerate_spectrum",
     "check_field",
 ]
 
-# The functional divides by x_k; gaps below this amplify rounding.  The
-# x_0 -> 0 boundary is handled by the dedicated Jacobi-limit term instead.
-MIN_X_GAP = 1e-9
 # Q is degenerate when its smallest eigenvalue is at most this fraction of
 # its largest
 DEGENERACY_RTOL = 1e-12
@@ -72,7 +73,7 @@ def check_field(h: np.ndarray, n: int, name: str = "h") -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintMatrix:
     """n x n PSD overlap constraint with unit diagonal.
 
@@ -111,8 +112,13 @@ class ConstraintMatrix:
     def is_degenerate(self) -> bool:
         return is_degenerate_spectrum(self.eigenvalues)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConstraintMatrix):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class DiscretePath:
     """Breakpoints xs = (x_{-1}, x_0, ..., x_r) and matrices qs = (Q_0..Q_r).
 
@@ -137,6 +143,11 @@ class DiscretePath:
             raise ValueError("path contains non-finite entries")
         object.__setattr__(self, "xs", _frozen(xs))
         object.__setattr__(self, "qs", _frozen(qs))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiscretePath):
+            return NotImplemented
+        return np.array_equal(self.xs, other.xs) and np.array_equal(self.qs, other.qs)
 
     @property
     def r(self) -> int:
@@ -184,13 +195,15 @@ class PathReport:
         return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
 
 
-def validate_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray) -> PathReport:
-    """Report every violated path invariant.
+def validate_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray | None) -> PathReport:
+    """Report every violated path invariant: the one path rule.
 
-    Never raises on the path; a raw ``q`` goes through ``ConstraintMatrix.of``,
-    so an invalid constraint raises ValueError.
+    The rule is 0 = x_{-1} < x_0 < ... < x_r = 1 (strictly), Q_0 = 0, Q_r = Q
+    and every increment Q_k - Q_{k-1} exactly symmetric and PSD by
+    ``not_psd``.  With ``q`` None the end check is skipped and Q_r is free.
+    Never raises on the path; a raw ``q`` goes through
+    ``ConstraintMatrix.of``, so an invalid constraint raises ValueError.
     """
-    target = ConstraintMatrix.of(q).matrix
     bad: list[PathViolation] = []
     xs, qs = path.xs, path.qs
 
@@ -198,16 +211,17 @@ def validate_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray) -> PathR
         bad.append(PathViolation("x_start_zero", -1, float(xs[0])))
     if xs[-1] != 1.0:
         bad.append(PathViolation("x_end_one", path.r, float(xs[-1])))
-    for i in range(1, xs.size):
-        gap = xs[i] - xs[i - 1]
-        if gap < MIN_X_GAP:
-            bad.append(PathViolation("x_strictly_increasing", i - 1, float(gap)))
+    gaps = np.diff(xs)
+    for i in np.flatnonzero(gaps <= 0.0):
+        bad.append(PathViolation("x_strictly_increasing", int(i), float(gaps[i])))
 
     if np.any(qs[0] != 0.0):
         bad.append(PathViolation("q0_zero", 0, float(np.max(np.abs(qs[0])))))
-    if qs.shape[1] != target.shape[0] or not np.array_equal(qs[-1], target):
-        mag = float(np.max(np.abs(qs[-1] - target))) if qs.shape[1] == target.shape[0] else float("inf")
-        bad.append(PathViolation("q_end_equals_constraint", path.r, mag))
+    if q is not None:
+        target = ConstraintMatrix.of(q).matrix
+        if qs.shape[1] != target.shape[0] or not np.array_equal(qs[-1], target):
+            mag = float(np.max(np.abs(qs[-1] - target))) if qs.shape[1] == target.shape[0] else float("inf")
+            bad.append(PathViolation("q_end_equals_constraint", path.r, mag))
 
     for k in range(1, qs.shape[0]):
         inc = qs[k] - qs[k - 1]
@@ -222,14 +236,31 @@ def validate_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray) -> PathR
 
 
 class InvalidPath(ValueError):
-    """The discrete path violates its invariants."""
+    """The discrete path violates its invariants; ``report`` lists them all."""
+
+    # ``report`` has a default so that unpickling, which passes the message
+    # alone and restores the attributes after, can rebuild the error
+    def __init__(self, message: str, report: PathReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
-def check_breakpoints(path: DiscretePath) -> None:
-    """Raise InvalidPath unless 0 = x_{-1} < x_0 < ... < x_r = 1 (no MIN_X_GAP)."""
-    xs = path.xs
-    if xs[0] != 0.0 or xs[-1] != 1.0 or np.any(np.diff(xs) <= 0):
-        raise InvalidPath("breakpoints must satisfy 0 = x_{-1} < x_0 < ... < x_r = 1")
+def check_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray | None = None) -> None:
+    """The raising form of ``validate_path``, applied where a path enters the library.
+
+    Raises InvalidPath naming the first violated invariant and its index,
+    with the whole report attached.  A path that passes has PSD mixture
+    increments Delta_k (Schur product theorem), so the kernels downstream
+    trust it.
+    """
+    report = validate_path(path, q)
+    if not report.ok:
+        first = report.violations[0]
+        raise InvalidPath(
+            f"path violates invariant {first.invariant!r} at index {first.index} "
+            f"(magnitude {first.magnitude:.3e})",
+            report,
+        )
 
 
 def refine_path(path: DiscretePath, k: int, x_new: float) -> DiscretePath:

@@ -10,13 +10,15 @@ its entrywise derivative xi', the companion theta(A) = A . xi'(A) - xi(A)
 (Hadamard product), and the increment matrices Delta_k = xi'(Q_k) -
 xi'(Q_{k-1}) along a monotone matrix path.  Every Delta_k is positive
 semidefinite because Hadamard powers of PSD-ordered matrices stay ordered
-(Schur product theorem); deviations beyond floating-point noise indicate an
-invalid path or mixture and are reported, not silently clamped.
+(Schur product theorem: A >= B >= 0 implies A^{o m} >= B^{o m}).  The path
+rule ``geometry.validate_path`` owns that order: a path is checked once where
+it enters the library, so the increments here are the plain differences of
+xi' and are not checked again.
 
 One kernel does the arithmetic: ``xi_pair`` validates a matrix, or a stack
 of matrices, once and accumulates xi and xi' in the same loop over degrees.
 ``path_levels`` runs it once on a path's (r + 1, n, n) chain and returns the
-PSD-checked increments together with theta of every level; ``xi_matrix``,
+increments together with theta of every level; ``xi_matrix``,
 ``xi_prime_matrix``, ``theta_matrix`` and ``delta_increments`` are thin users
 of the same pass, so every caller sees the same bits.  The second
 derivative xi'' has its own pass, ``xi_second_matrix``: only the path
@@ -25,8 +27,7 @@ gradient of the optimizer needs it, once per gradient.
 The module also owns two input rules that the whole package shares:
 ``check_symmetric`` (exact symmetry, of one matrix or a stack) and
 ``not_psd`` ("PSD up to rounding", with the one tolerance
-``PSD_TOLERANCE``).  The constraint, the path report and the increments
-Delta_k all decide with them.
+``PSD_TOLERANCE``).  The constraint and the path rule decide with them.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 concurrently.
@@ -86,14 +87,18 @@ def int_power(x, p: int):
 
 def check_symmetric(a: np.ndarray, name: str = "matrix", n: int | None = None) -> np.ndarray:
     """``a`` as floats; the one exact-symmetry rule, for one square matrix or,
-    given ``n``, an n x n matrix or a stack (m, n, n) of them.  The error
-    names the entry of the largest gap (first in row-major order)."""
+    given ``n``, an n x n matrix or a stack (m, n, n) of them.  A matrix with
+    a NaN or infinite entry is rejected as non-finite first; an asymmetric
+    one is rejected naming the entry of the largest gap (first in row-major
+    order)."""
     a = np.asarray(a, dtype=float)
     if n is None:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise ValueError(f"{name} must be a non-empty square matrix, got shape {a.shape}")
     elif a.ndim not in (2, 3) or a.shape[-2:] != (n, n):
         raise ValueError(f"{name} must be an {n}x{n} matrix or a stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
     mirror = a.swapaxes(-1, -2)
     if not np.array_equal(a, mirror):
         gap = np.abs(a - mirror)
@@ -114,7 +119,7 @@ def not_psd(eigs: np.ndarray):
     return eigs[..., 0] < -PSD_TOLERANCE * np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureSpec:
     """Inverse-temperature vectors beta_p, one per even degree p.
 
@@ -156,6 +161,15 @@ class MixtureSpec:
             outers[p] = np.outer(vec, vec)
             outers[p].setflags(write=False)
         object.__setattr__(self, "outers", outers)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MixtureSpec):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.degrees == other.degrees
+            and all(np.array_equal(v, other.terms[p]) for p, v in self.terms.items())
+        )
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -236,21 +250,6 @@ def theta_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float) * xi_prime - xi
 
 
-def _psd_increments(xi_prime: np.ndarray) -> np.ndarray:
-    """Read-only Delta_k = xi'(Q_k) - xi'(Q_{k-1}), checked by ``not_psd``."""
-    deltas = np.diff(xi_prime, axis=0)
-    eigs = np.linalg.eigvalsh(deltas)
-    bad = np.flatnonzero(not_psd(eigs))
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(
-            f"increment {k + 1} is not PSD: smallest eigenvalue {eigs[k, 0]:.3e} "
-            f"(relative tolerance {PSD_TOLERANCE:.0e}); invalid path or mixture"
-        )
-    deltas.setflags(write=False)
-    return deltas
-
-
 def path_levels(spec: MixtureSpec, path) -> tuple[np.ndarray, np.ndarray]:
     """Increments Delta_k and theta(Q_k) of a path from one mixture pass.
 
@@ -259,14 +258,15 @@ def path_levels(spec: MixtureSpec, path) -> tuple[np.ndarray, np.ndarray]:
     from the xi and xi' of one ``xi_pair`` call on ``path.qs``.
     """
     xi, xi_prime = xi_pair(spec, path.qs)
-    return _psd_increments(xi_prime), path.qs * xi_prime - xi
+    deltas = np.diff(xi_prime, axis=0)
+    deltas.setflags(write=False)
+    return deltas, path.qs * xi_prime - xi
 
 
 def delta_increments(spec: MixtureSpec, path) -> np.ndarray:
     """Increment matrices Delta_k = xi'(Q_k) - xi'(Q_{k-1}), k = 1..r.
 
     Returns a read-only (r, n, n) array; ``[k - 1]`` is Delta_k.  Each
-    increment must be PSD up to the rounding floor; a violation reports the
-    level index (1-based) and the offending eigenvalue.
+    increment is PSD for a path that passes ``geometry.validate_path``.
     """
-    return _psd_increments(xi_pair(spec, path.qs)[1])
+    return path_levels(spec, path)[0]

@@ -34,6 +34,12 @@ Structure of the double infimum:
   honest upper bound on the infimum; level r + 1 is warm-started from the
   refined level-r optimum so per-level values never increase.
 
+The public entry points ``inner_gradient``, ``inner_minimize`` and
+``detect_degenerate`` check their path with ``geometry.check_path`` on
+entry.  The search's own paths are valid by construction (Q_0 = 0, Q_r = Q,
+PSD increments, every gap at least ``X_GAP``), so its objective builds their
+contexts unchecked.
+
 scipy's ``minimize`` is imported inside ``scipy_minimize``, the outer
 search's one call into scipy, so importing this module loads numpy only and
 scipy.optimize loads on the first search.
@@ -51,11 +57,10 @@ from sphglass.geometry import (
     ConstraintMatrix,
     DiscretePath,
     check_field,
+    check_path,
     refine_path,
 )
 from sphglass.functional import (
-    MEMBERSHIP_MARGIN,
-    NotInL,
     _Factors,
     _PathContext,
     _sym,
@@ -64,6 +69,7 @@ from sphglass.functional import (
 from sphglass.mixture import MixtureSpec, check_symmetric
 
 __all__ = [
+    "MIN_X_GRID_RESOLUTION",
     "PathSearchConfig",
     "InnerSolveReport",
     "OptimizationReport",
@@ -75,7 +81,9 @@ __all__ = [
     "scipy_minimize",
 ]
 
-X_GAP = 2e-9  # smallest breakpoint gap the search can reach, >= geometry.MIN_X_GAP
+X_GAP = 2e-9  # smallest breakpoint gap the search can reach: the box floor of its weights
+# the finest breakpoint grid of the level-1 starts: at most 99 grid starts
+MIN_X_GRID_RESOLUTION = 0.01
 CERTIFICATE_D11 = (1e10, 1e95, 1e180)
 INNER_MAX_ITERATIONS = 80  # Newton steps per inner solve
 INNER_GRADIENT_TOLERANCE = 1e-8  # relative to max(1, |value|)
@@ -117,13 +125,16 @@ def inner_gradient(
     (G, B)_F is the directional derivative along any symmetric B:
     G = 1/2 [Q - L^{-1} + sum_k (1/x_k)(L_{k+1}^{-1} - L_k^{-1})
              - L_0^{-1} h h^T L_0^{-1}].
+
+    Raises InvalidPath for a path that fails ``validate_path`` and NotInL
+    when lam is not in the admissible set, by the same rule as ``evaluate``.
     """
     lam = check_symmetric(lam, "Lambda")
     q = ConstraintMatrix.of(q)
-    ctx = _PathContext(path, q.matrix, check_field(h, q.n), spec)
-    if ctx.min_eig0(lam) <= MEMBERSHIP_MARGIN:
-        raise NotInL("Lambda_0 not positive definite at the requested point")
-    _, grad, _ = ctx.value_grad_hess(lam)
+    h = check_field(h, q.n)
+    check_path(path, q)
+    ctx = _PathContext(path, q.matrix, h, spec)
+    _, grad, _ = ctx.value_grad_hess(lam, ctx.member_factors(lam))
     return grad
 
 
@@ -150,8 +161,8 @@ class PathSearchConfig:
     def __post_init__(self):
         if self.max_levels < 1:
             raise ValueError("max_levels must be >= 1")
-        if self.x_grid_resolution <= 0:
-            raise ValueError("x_grid_resolution must be positive")
+        if not self.x_grid_resolution >= MIN_X_GRID_RESOLUTION:
+            raise ValueError(f"x_grid_resolution must be at least {MIN_X_GRID_RESOLUTION}")
         if self.q_parameterization not in _FAMILIES:
             raise ValueError(f"unknown q_parameterization {self.q_parameterization!r}")
         if self.restarts < 0 or self.max_iterations < 1:
@@ -250,10 +261,13 @@ def inner_minimize(
 
     The objective is convex on the admissible set, so the local optimum found
     by damped Newton is global; for positive definite Q the solve never
-    diverges, and a diverging report there raises RuntimeError.
+    diverges, and a diverging report there raises RuntimeError.  Raises
+    InvalidPath for a path that fails ``validate_path``.
     """
     q = ConstraintMatrix.of(q)
-    ctx = _PathContext(path, q.matrix, check_field(h, q.n), spec)
+    h = check_field(h, q.n)
+    check_path(path, q)
+    ctx = _PathContext(path, q.matrix, h, spec)
     report, _ = _inner_minimize_ctx(ctx, lam0=lambda_init)
     if report.status == "diverging" and not q.is_degenerate():
         raise RuntimeError(
@@ -299,10 +313,12 @@ def detect_degenerate(
     large as D_11 would bury the O(1) eigenvalues of the chain in rounding.
     The near-null eigenvalues of Q are clamped to exact zero, or a remnant
     ~1e-16 times D_11 = 1e180 would dominate the trace term.  Raises
+    InvalidPath for a path that fails ``validate_path``, whatever Q, and
     RuntimeError unless the values strictly decrease.
     """
     q = ConstraintMatrix.of(q)
     h = check_field(h, q.n)
+    check_path(path, q)
     if not q.is_degenerate():
         return None
 
@@ -605,26 +621,27 @@ def minimize_over_paths(
     """Search inf over multipliers and discrete paths with r = 1..max_levels.
 
     Degenerate constraints short-circuit to -inf with the certificate of
-    ``detect_degenerate``, which raises RuntimeError when its values do not
-    strictly decrease.  The reported best path is that of the smallest r whose
-    value is within ``VALUE_TOLERANCE`` of the overall best (parsimony
-    tie-break), and ``best_value`` is that level's own value.
+    ``detect_degenerate`` on the one-level path 0 -> Q, which raises
+    RuntimeError when its values do not strictly decrease.  The reported best
+    path is that of the smallest r whose value is within ``VALUE_TOLERANCE``
+    of the overall best (parsimony tie-break), and ``best_value`` is that
+    level's own value.
     """
     config = config or PathSearchConfig()
     q = ConstraintMatrix.of(q)
     h = check_field(h, q.n)
     qmat = q.matrix
 
-    probe = DiscretePath.simple(qmat, 0.5)
-    certificate = detect_degenerate(q, probe, h, spec)
-    if certificate is not None:
+    # only a degenerate Q needs the certificate: checking the probe path of a
+    # positive definite Q would decompose Q again
+    if q.is_degenerate():
         return OptimizationReport(
             best_value=-np.inf,
             best_path=None,
             inner=None,
             per_level_values=(),
             degenerate=True,
-            certificate=certificate,
+            certificate=detect_degenerate(q, DiscretePath.simple(qmat, 0.5), h, spec),
         )
 
     per_level: list[tuple[int, float]] = []

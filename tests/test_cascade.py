@@ -191,17 +191,18 @@ BAD_BREAKPOINTS = (
 def test_closed_forms_and_oracles_share_the_breakpoint_rule(xs):
     # theta_term, closed_form_Y0, CascadeSpec (hence nested_recursion_mc)
     # and theta_cascade_value all reject a path unless
-    # 0 = x_{-1} < x_0 < ... < x_r = 1
+    # 0 = x_{-1} < x_0 < ... < x_r = 1, naming the broken breakpoint invariant
     spec = MixtureSpec(1, {2: [0.5]})
     path = DiscretePath(xs=xs, qs=[[[0.0]], [[0.5]], [[1.0]]])
     lam = np.array([[3.0]])
-    with pytest.raises(InvalidPath, match="breakpoints must satisfy"):
+    broken = "^path violates invariant 'x_(start_zero|end_one|strictly_increasing)'"
+    with pytest.raises(InvalidPath, match=broken):
         theta_term(path, spec)
-    with pytest.raises(InvalidPath, match="breakpoints must satisfy"):
+    with pytest.raises(InvalidPath, match=broken):
         closed_form_Y0(lam, path, np.zeros(1), spec)
-    with pytest.raises(ValueError, match="breakpoints must satisfy"):
+    with pytest.raises(ValueError, match=broken):
         CascadeSpec(path=path, spec=spec, lam=lam, h=np.zeros(1))
-    with pytest.raises(ValueError, match="breakpoints must satisfy"):
+    with pytest.raises(ValueError, match=broken):
         theta_cascade_value(path, spec)
 
 

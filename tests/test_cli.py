@@ -214,6 +214,7 @@ def _config_error(tmp_path, capsys, task, **overrides) -> str:
         ("minimize", {"search": {"x_grid_resolution": True}}, '"search.x_grid_resolution"'),
         ("minimize", {"search": {"x_grid_resolution": float("nan")}}, '"search.x_grid_resolution"'),
         ("minimize", {"search": {"x_grid_resolution": 0.0}}, '"search.x_grid_resolution"'),
+        ("minimize", {"search": {"x_grid_resolution": 1e-3}}, '"search.x_grid_resolution"'),
         ("mc-estimate", {"budgets": {"epsilon": True}}, '"budgets.epsilon"'),
         ("mc-estimate", {"budgets": {"epsilon": "0.01"}}, '"budgets.epsilon"'),
         ("mc-estimate", {"budgets": {"epsilon": float("inf")}}, '"budgets.epsilon"'),
@@ -223,8 +224,8 @@ def _config_error(tmp_path, capsys, task, **overrides) -> str:
          "N-float", "disorder-reps-bool", "max-levels-float", "restarts-float", "max-iterations-float",
          "restarts-string", "restarts-negative", "max-levels-zero",
          "h-string", "h-nan", "Q-ragged", "lambda-string-entry", "path-xs-string-entry", "path-Qs-ragged",
-         "n-bool", "x-grid-string", "x-grid-bool", "x-grid-nan", "x-grid-zero", "epsilon-bool",
-         "epsilon-string", "epsilon-infinite"],
+         "n-bool", "x-grid-string", "x-grid-bool", "x-grid-nan", "x-grid-zero", "x-grid-too-fine",
+         "epsilon-bool", "epsilon-string", "epsilon-infinite"],
 )
 def test_bad_budget_or_sweep_value_names_its_field(tmp_path, capsys, task, overrides, field):
     q = [[1.0, 0.0], [0.0, 1.0]]

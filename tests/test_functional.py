@@ -259,15 +259,17 @@ def test_theta_term_abel_resummation(rng):
         assert direct == pytest.approx(telescoped, rel=1e-12, abs=1e-14)
 
 
-def test_logdet_increment_stable_for_tiny_scale(rng):
-    # at x_0 = 1e-9 the cascade term (1 / (2 x_0)) log(|L_1| / |L_0|) is its
+@pytest.mark.parametrize("x0", [1e-9, 1e-12, 1e-15])
+def test_logdet_increment_stable_for_tiny_scale(rng, x0):
+    # at a tiny x_0 the cascade term (1 / (2 x_0)) log(|L_1| / |L_0|) is its
     # Jacobi limit up to O(x_0): the kernel's log1p increments keep the
-    # digits that differencing two log-determinants would cancel
+    # digits that differencing two log-determinants would cancel, so the
+    # path rule needs no floor on the breakpoint gaps
     n = 3
     q = random_constraint(rng, n)
     spec = random_mixture(rng, n)
-    path = DiscretePath.simple(q.matrix, 1e-9)
+    path = DiscretePath.simple(q.matrix, x0)
     lam = random_multiplier(rng, path, spec)
-    got = _PathContext(path, q.matrix, np.zeros(n), spec).breakdown(lam).cascade_term
+    got = evaluate(lam, path, q, np.zeros(n), spec).cascade_term
     limit = jacobi_limit_term(lam, delta_increments(spec, path)[0])
     assert got == pytest.approx(limit, rel=1e-6)

@@ -4,7 +4,8 @@ import pytest
 from sphglass.geometry import (
     ConstraintMatrix,
     DiscretePath,
-    check_breakpoints,
+    InvalidPath,
+    check_path,
     is_degenerate_spectrum,
     refine_path,
     validate_path,
@@ -69,12 +70,38 @@ def test_validate_reports_nonincreasing_xs():
     assert ("x_strictly_increasing", 1) in names
 
 
-def test_check_breakpoints_enforces_strict_unit_interval_rule():
+@pytest.mark.parametrize(
+    "xs, invariant",
+    [
+        ([0.0, 0.7, 0.3, 1.0], "x_strictly_increasing"),
+        ([0.0, 0.5, 0.5, 1.0], "x_strictly_increasing"),
+        ([0.1, 0.4, 0.8, 1.0], "x_start_zero"),
+        ([0.0, 0.4, 0.8, 0.9], "x_end_one"),
+    ],
+    ids=["decreasing", "repeated", "start-not-zero", "end-not-one"],
+)
+def test_validate_enforces_strict_unit_interval_rule(xs, invariant):
     qs = [[[0.0]], [[0.5]], [[1.0]]]
-    check_breakpoints(DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=qs))
-    for xs in ([0.0, 0.7, 0.3, 1.0], [0.0, 0.5, 0.5, 1.0], [0.1, 0.4, 0.8, 1.0], [0.0, 0.4, 0.8, 0.9]):
-        with pytest.raises(ValueError, match="breakpoints must satisfy"):
-            check_breakpoints(DiscretePath(xs=xs, qs=qs))
+    assert validate_path(DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=qs), None).ok
+    report = validate_path(DiscretePath(xs=xs, qs=qs), None)
+    assert [v.invariant for v in report.violations] == [invariant]
+
+
+def test_strict_rule_accepts_any_positive_gap():
+    # no gap floor: x_0 = 1e-15 and a last gap of 1e-9 in floats both pass
+    qs = [[[0.0]], [[0.5]], [[1.0]]]
+    for xs in ([0.0, 1e-15, 0.5, 1.0], [0.0, 0.5, 1.0 - 1e-9, 1.0], [0.0, 0.5, 0.5 + 1e-14, 1.0]):
+        assert validate_path(DiscretePath(xs=xs, qs=qs), np.eye(1)).ok
+
+
+def test_check_path_raises_the_first_violation_with_the_report():
+    q = ConstraintMatrix(q2(0.5))
+    path = DiscretePath(xs=[0.0, 0.7, 0.3, 1.0], qs=np.stack([np.zeros((2, 2)), 0.5 * q.matrix, 0.9 * q.matrix]))
+    with pytest.raises(InvalidPath, match="'x_strictly_increasing' at index 1") as err:
+        check_path(path, q)
+    assert err.value.report == validate_path(path, q)
+    assert [v.invariant for v in err.value.report.violations] == ["x_strictly_increasing", "q_end_equals_constraint"]
+    check_path(DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=path.qs))  # no Q: the end matrix is free
 
 
 def test_validate_reports_psd_increment_violation():
@@ -118,20 +145,13 @@ def test_refine_rejects_outside_interval():
         refine_path(path, 5, 0.7)
 
 
-def test_validate_agrees_with_delta_increments(rng):
-    # paths that validate cleanly are exactly the ones the increment map accepts
-    from sphglass.mixture import MixtureSpec, delta_increments
-
-    spec = MixtureSpec(2, {2: [0.8, 0.6]})
+def test_validate_rejects_a_nonmonotone_chain(rng):
     q = ConstraintMatrix(q2(0.5))
     good = random_path(rng, q.matrix, 2)
     assert validate_path(good, q).ok
-    delta_increments(spec, good)  # must not raise
     q1 = np.array([[0.9, 0.0], [0.0, 0.1]])
     bad = DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=np.stack([np.zeros((2, 2)), q1, q.matrix]))
     assert any(v.invariant == "increment_psd" for v in validate_path(bad, q).violations)
-    with pytest.raises(ValueError):
-        delta_increments(spec, bad)
 
 
 def test_left_continuous_evaluation():

@@ -1,14 +1,14 @@
-"""One rule per library input: the constraint Q, the field h, "PSD up to
-rounding" and exact symmetry, each checked in one place and the same way at
-every public entry point."""
+"""One rule per library input: the constraint Q, the field h, the path, "PSD
+up to rounding" and exact symmetry, each checked in one place and the same
+way at every public entry point."""
 
 import numpy as np
 import pytest
 
-from sphglass.cascade import CascadeSpec
-from sphglass.functional import closed_form_Y0, evaluate
-from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
-from sphglass.mixture import MixtureSpec, check_symmetric, delta_increments, xi_pair
+from sphglass.cascade import CascadeSpec, theta_cascade_value
+from sphglass.functional import closed_form_Y0, evaluate, theta_term
+from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, validate_path
+from sphglass.mixture import MixtureSpec, check_symmetric, xi_pair
 from sphglass.montecarlo import estimate_free_energy, overlap_log_volume, sample_constrained
 from sphglass.optimizer import (
     PathSearchConfig,
@@ -129,8 +129,8 @@ def _equicorrelated_below_zero(n: int, c: float) -> tuple[np.ndarray, float]:
 @pytest.mark.parametrize("c, accepted", [(0.5, True), (2.0, False)])
 def test_one_psd_rule_at_the_boundary(n, c, accepted):
     # smallest eigenvalue -0.5 tol is rounding, -2 tol is not, with
-    # tol = 1e-10 max(1, max |lambda|): the constraint, the path report and
-    # the mixture increments agree
+    # tol = 1e-10 max(1, max |lambda|): the constraint and the path rule
+    # agree
     m, ratio = _equicorrelated_below_zero(n, c)
     assert ratio == pytest.approx(-c, rel=1e-3)
 
@@ -145,16 +145,40 @@ def test_one_psd_rule_at_the_boundary(n, c, accepted):
     report = validate_path(path, np.eye(n))
     path_ok = ("increment_psd", 1) not in {(v.invariant, v.index) for v in report.violations}
 
-    # a pure 2-spin mixture with 2 beta^2 = 1 maps the increment to itself
-    spec = MixtureSpec(n, {2: [np.sqrt(0.5)] * n})
-    try:
-        delta_increments(spec, path)
-        mixture_ok = True
-    except ValueError as err:
-        assert "increment 1 is not PSD" in str(err)
-        mixture_ok = False
+    assert constraint_ok == path_ok == accepted
 
-    assert constraint_ok == path_ok == mixture_ok == accepted
+
+@pytest.mark.parametrize(
+    "entry, call",
+    [
+        ("constraint Q", lambda a: ConstraintMatrix(a)),
+        ("Lambda", lambda a: evaluate(a, PATH, GOOD_Q, ZERO_H, SPEC)),
+        ("A", lambda a: xi_pair(SPEC, np.stack([np.eye(2), a]))),
+    ],
+    ids=["Q", "Lambda", "xi_pair-stack"],
+)
+def test_one_symmetry_rule_rejects_non_finite_entries_first(entry, call):
+    # a NaN is unequal to itself, so a symmetry check alone would call the
+    # matrix asymmetric and print "nan but nan"
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^{entry} contains non-finite entries$"):
+            call(np.array([[1.0, bad], [bad, 1.0]]))
+
+
+def test_inputs_compare_by_value():
+    q = ConstraintMatrix.of(GOOD_Q)
+    assert q == ConstraintMatrix(GOOD_Q)
+    assert q != ConstraintMatrix(np.eye(2))
+    assert q != GOOD_Q.tolist()
+    assert PATH == DiscretePath.simple(GOOD_Q, 0.5)
+    assert PATH != DiscretePath.simple(GOOD_Q, 0.4)
+    assert PATH != DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=np.stack([np.zeros((2, 2)), 0.5 * GOOD_Q, GOOD_Q]))
+    assert SPEC == MixtureSpec(2, {2: np.array([0.5, 0.5])})
+    assert SPEC != MixtureSpec(2, {2: [0.5, 0.4]})
+    assert SPEC != MixtureSpec(2, {2: [0.5, 0.5], 4: [0.0, 0.0]})
+    assert SPEC != MixtureSpec(3, {2: [0.5, 0.5, 0.5]})
+    for a, b in ((q, q), (PATH, PATH), (SPEC, SPEC)):
+        assert type(a == b) is bool
 
 
 def test_one_symmetry_rule_names_the_largest_gap():
@@ -170,3 +194,42 @@ def test_one_symmetry_rule_names_the_largest_gap():
         check_symmetric(stack, "Lambda")  # a stack only where the caller allows it
     with pytest.raises(ValueError, match=r"2x2 matrix or a stack"):
         xi_pair(SPEC, np.eye(3))
+
+
+# every public function that takes a path; those that take no Q leave the
+# end matrix Q_r free
+Q_MID = 0.5 * GOOD_Q
+TAKES_PATH = {
+    "evaluate": lambda p: evaluate(LAM, p, GOOD_Q, ZERO_H, SPEC),
+    "inner_minimize": lambda p: inner_minimize(p, GOOD_Q, ZERO_H, SPEC),
+    "inner_gradient": lambda p: inner_gradient(LAM, p, GOOD_Q, ZERO_H, SPEC),
+    "detect_degenerate": lambda p: detect_degenerate(GOOD_Q, p, ZERO_H, SPEC),
+    "closed_form_Y0": lambda p: closed_form_Y0(LAM, p, ZERO_H, SPEC),
+    "theta_term": lambda p: theta_term(p, SPEC),
+    "CascadeSpec": lambda p: CascadeSpec(path=p, spec=SPEC, lam=LAM, h=ZERO_H),
+    "theta_cascade_value": lambda p: theta_cascade_value(p, SPEC),
+}
+TAKES_Q_AND_PATH = ("evaluate", "inner_minimize", "inner_gradient", "detect_degenerate")
+
+# (breakpoints, Q_0, Q_1, Q_2) of each invalid path, and the invariant it breaks
+BAD_PATHS = {
+    "decreasing-x": ([0.0, 0.6, 0.4, 1.0], 0.0 * GOOD_Q, Q_MID, GOOD_Q, "x_strictly_increasing"),
+    "x0-zero": ([0.0, 0.0, 0.6, 1.0], 0.0 * GOOD_Q, Q_MID, GOOD_Q, "x_strictly_increasing"),
+    "xr-not-one": ([0.0, 0.4, 0.6, 0.9], 0.0 * GOOD_Q, Q_MID, GOOD_Q, "x_end_one"),
+    "q0-not-zero": ([0.0, 0.4, 0.6, 1.0], 0.1 * GOOD_Q, Q_MID, GOOD_Q, "q0_zero"),
+    "qr-not-q": ([0.0, 0.4, 0.6, 1.0], 0.0 * GOOD_Q, Q_MID, 0.9 * GOOD_Q, "q_end_equals_constraint"),
+    "increment-not-psd": ([0.0, 0.4, 0.6, 1.0], 0.0 * GOOD_Q, 1.2 * GOOD_Q, GOOD_Q, "increment_psd"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_PATHS)
+@pytest.mark.parametrize("entry", TAKES_PATH)
+def test_every_entry_point_applies_the_one_path_rule(entry, bad):
+    xs, q0, q1, q2, invariant = BAD_PATHS[bad]
+    path = DiscretePath(xs=xs, qs=np.stack([q0, q1, q2]))
+    if bad == "qr-not-q" and entry not in TAKES_Q_AND_PATH:
+        TAKES_PATH[entry](path)  # no Q: the end matrix is free
+        return
+    with pytest.raises(InvalidPath, match=f"invariant '{invariant}'") as err:
+        TAKES_PATH[entry](path)
+    assert err.value.report.violations[0].invariant == invariant

@@ -122,17 +122,6 @@ def test_delta_eigenvalues_oracle():
     assert np.allclose(deltas[1], 2 * (q2 - q1), atol=0)
 
 
-def test_delta_rejects_nonmonotone_chain():
-    spec = MixtureSpec(2, {2: [1.0, 1.0]})
-    q1 = np.array([[0.9, 0.0], [0.0, 0.1]])
-    q2 = np.array([[1.0, 0.5], [0.5, 1.0]])  # q2 - q1 indefinite
-    path = DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=np.stack([np.zeros((2, 2)), q1, q2]))
-    with pytest.raises(ValueError, match="increment 2"):
-        delta_increments(spec, path)
-    with pytest.raises(ValueError, match="increment 2"):
-        path_levels(spec, path)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_one_pass_matches_single_kernels_bitwise(rng, n, r):

@@ -9,6 +9,7 @@ from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
 from sphglass.mixture import MixtureSpec
 from sphglass.optimizer import (
     _FAMILIES,
+    MIN_X_GRID_RESOLUTION,
     VALUE_TOLERANCE,
     InnerSolveReport,
     PathSearchConfig,
@@ -253,6 +254,24 @@ def test_gradient_requires_admissible_multiplier():
     path = DiscretePath.simple(np.array([[1.0]]), 0.9)
     with pytest.raises(NotInL):
         inner_gradient(np.array([[1.5]]), path, Q1, np.zeros(1), spec)
+
+
+@pytest.mark.parametrize("t", [0.5e-12, 2e-12, 1e-6])
+def test_gradient_and_evaluate_share_the_membership_rule(rng, t):
+    # Lambda = tails_0 + t I puts L_0 = t I on either side of the margin
+    # 1e-12: inner_gradient and evaluate admit or reject it together
+    q = random_constraint(rng, 2)
+    spec = random_mixture(rng, 2)
+    path = random_path(rng, q.matrix, 2)
+    lam = _PathContext(path, q.matrix, np.zeros(2), spec).tails[0] + t * np.eye(2)
+    outcomes = []
+    for call in (inner_gradient, evaluate):
+        try:
+            call(lam, path, q, np.zeros(2), spec)
+            outcomes.append(True)
+        except NotInL:
+            outcomes.append(False)
+    assert outcomes == [t > 1e-12] * 2
 
 
 def test_inner_minimize_zero_mixture(rng):
@@ -614,8 +633,7 @@ def test_cholesky_increments_searches_two_levels():
 
 @pytest.mark.parametrize("family", ["scalar_profile", "cholesky_increments"])
 def test_deep_search_returns_a_valid_path(family):
-    # twelve levels share the breakpoint box: every gap must stay above
-    # geometry.MIN_X_GAP
+    # twelve levels share the breakpoint box: every gap must stay positive
     config = PathSearchConfig(q_parameterization=family, **{**PAIR_CONFIG, "max_levels": 12})
     report = minimize_over_paths(PAIR_Q, np.zeros(2), PAIR_SPEC, config, seed=1)
     assert validate_path(report.best_path, PAIR_Q).ok
@@ -722,5 +740,11 @@ def test_config_validation():
         PathSearchConfig(max_levels=0)
     with pytest.raises(ValueError):
         PathSearchConfig(x_grid_resolution=-1.0)
+    # the grid of level-1 starts is bounded: at most 99 breakpoints
+    with pytest.raises(ValueError, match="x_grid_resolution must be at least 0.01"):
+        PathSearchConfig(x_grid_resolution=1e-3)
+    with pytest.raises(ValueError):
+        PathSearchConfig(x_grid_resolution=float("nan"))
+    PathSearchConfig(x_grid_resolution=MIN_X_GRID_RESOLUTION)
     with pytest.raises(ValueError):
         PathSearchConfig(q_parameterization="other")
