@@ -243,8 +243,10 @@ def sample_finite_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascad
     At tree level k (1-based) every node spawns the top-K atoms of a Poisson
     process with intensity x_{k-1} t^{-x_{k-1}-1} dt, generated by the
     cumulative-exponential transform u_i = Gamma_i^{-1/x}; leaf weights are
-    the normalized products down the tree.
+    the normalized products down the tree.  Raises InvalidPath unless the
+    path passes ``validate_path`` (its end matrix is free).
     """
+    check_path(path)
     r = path.r
     if r < 1:
         raise ValueError("cascade depth must be >= 1")

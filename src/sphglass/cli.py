@@ -27,7 +27,7 @@ from sphglass import montecarlo as mc_mod
 from sphglass.functional import InvalidPath, NotInL, closed_form_Y0, evaluate, theta_term
 from sphglass.geometry import ConstraintMatrix, DiscretePath, check_field, check_path
 from sphglass.mixture import MixtureSpec, check_symmetric
-from sphglass.optimizer import MIN_X_GRID_RESOLUTION, PathSearchConfig, minimize_over_paths
+from sphglass.optimizer import InvalidSearchField, PathSearchConfig, minimize_over_paths
 from sphglass.reporting import make_report, render_report, to_json
 from sphglass import verify as verify_mod
 
@@ -160,10 +160,10 @@ def load_config(text: str) -> RunConfig:
 
     seed = raw.get("seed")
     if seed is not None:
-        _require(isinstance(seed, int) and 0 <= seed < 2**64, '"seed" must be a u64 integer')
+        seed = _number(seed, "seed", minimum=0)
+        _require(seed < 2**64, f'"seed" must be a u64 integer, got {seed!r}')
 
-    workers = raw.get("workers", 1)
-    _require(isinstance(workers, int) and workers >= 1, '"workers" must be a positive integer')
+    workers = _number(raw.get("workers", 1), "workers", minimum=1)
 
     fmt = raw.get("format", "json")
     _require(fmt in ("json", "csv"), '"format" must be "json" or "csv"')
@@ -188,14 +188,11 @@ def load_config(text: str) -> RunConfig:
 
     search_raw = raw.get("search", {})
     _require(isinstance(search_raw, dict), '"search" must be an object')
-    for key, minimum in (("max_levels", 1), ("restarts", 0), ("max_iterations", 1)):
-        if key in search_raw:
-            _number(search_raw[key], f"search.{key}", minimum=minimum)
-    if "x_grid_resolution" in search_raw:
-        _number(search_raw["x_grid_resolution"], "search.x_grid_resolution", float, MIN_X_GRID_RESOLUTION)
     try:
         search = PathSearchConfig(**search_raw)
-    except (TypeError, ValueError) as err:
+    except InvalidSearchField as err:
+        raise ConfigError(f'"search.{err.field}" {err.rule}') from None
+    except TypeError as err:  # an unknown field
         raise ConfigError(f'"search" invalid: {err}') from None
 
     budgets = raw.get("budgets", {})
@@ -345,15 +342,15 @@ def _run_sweep(config: RunConfig) -> tuple[int, dict]:
     _require(parameter == "beta_scale" or config.n == 2, 'sweep over "q12" requires n = 2')
     models = []  # every row's model is checked before the first search runs
     for i, raw in enumerate(values):
+        value = _number(raw, f"sweep.values[{i}]", float)
         try:
-            value = float(raw)
             if parameter == "beta_scale":
                 terms = {p: value * beta for p, beta in config.mixture.terms.items()}
                 models.append((value, MixtureSpec(n=config.n, terms=terms), config.q))
             else:
                 q_i = ConstraintMatrix(np.array([[1.0, value], [value, 1.0]]))
                 models.append((value, config.mixture, q_i))
-        except (TypeError, ValueError) as err:
+        except ValueError as err:
             raise ConfigError(f'"sweep.values[{i}]" invalid: {raw!r}: {err}') from None
     rows = []
     for i, (value, spec_i, q_i) in enumerate(models):

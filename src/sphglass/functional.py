@@ -23,7 +23,9 @@ it.  Log-determinants are always taken through a Cholesky factorization
 (never the raw determinant) for conditioning near the admissibility boundary.
 Each factorization is followed by one stacked solve for the triangular
 inverses of the factors; the cascade increments, the field term and the
-chain's inverses are matrix products of those.
+chain's inverses are matrix products of those.  The kernel factors a
+multiplier in one place, ``_PathContext.feasible_value``; its derivatives
+take the resulting factors, never the multiplier itself.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def _theta_sum(x_all: np.ndarray, theta_steps: np.ndarray) -> float:
 
 
 class _Factors(NamedTuple):
-    """The functional at one multiplier with what its derivatives reuse.
+    """The functional at one multiplier with what its derivatives take.
 
     ``chol`` holds the Cholesky factors C_k of the chain L_0..L_r,
     ``increments`` the log-determinant increments log|L_{k+1}| - log|L_k|,
@@ -160,13 +162,11 @@ class _PathContext:
     increments Delta_k and the theta levels come from one mixture pass
     (``path_levels``) over the path's chain Q_0..Q_r.
 
-    ``feasible_value`` hands back the value with the chain's ``_Factors``,
-    and ``value_grad_hess`` and ``envelope_gradient`` accept them instead of
-    factoring again; they make no linear solve of their own.  The chain's
-    factors from the guarded stacked call are bitwise those of a fresh
-    ``cholesky(chain(lam))``: a stacked factorization treats each matrix on
-    its own, so reusing them changes no bit of the value, gradient, Hessian
-    or path gradient.
+    ``feasible_value`` is the one place a multiplier is factored, and
+    ``member_factors`` its raising form.  They hand back the value with the
+    chain's ``_Factors``, and ``value_grad_hess`` and ``envelope_gradient``
+    take those factors, not a multiplier: the derivatives factor nothing and
+    make no linear solve of their own.
     """
 
     def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec):
@@ -222,17 +222,6 @@ class _PathContext:
     def lambda_start(self) -> np.ndarray:
         return _sym(self.tails[0] + solve_pd(self.qmat, np.eye(self.n)))
 
-    def chain(self, lam: np.ndarray) -> np.ndarray:
-        return lam[None, :, :] - self.tails
-
-    def factor(self, lam: np.ndarray) -> _Factors:
-        """The ``_Factors`` at lam; raises LinAlgError outside the PD cone."""
-        return self._factored(lam, np.linalg.cholesky(self.chain(lam)))
-
-    def value(self, lam: np.ndarray) -> float:
-        """Objective at lam; raises LinAlgError outside the PD cone."""
-        return self.factor(lam).value
-
     def _increments(self, cinv: np.ndarray) -> np.ndarray:
         """log|L_{k+1}| - log|L_k| = sum_i log1p(x_k mu_i), k = 0..r-1.
 
@@ -287,15 +276,14 @@ class _PathContext:
             theta_term=self.theta_const,
         )
 
-    def value_grad_hess(self, lam: np.ndarray, factored: _Factors | None = None):
-        """Value, gradient matrix and Hessian in the symmetric basis at lam.
+    def value_grad_hess(self, factored: _Factors):
+        """Value, gradient matrix and Hessian in the symmetric basis.
 
-        ``factored`` is the ``_Factors`` that ``feasible_value`` or ``factor``
-        returned for this same lam; without it the chain is factored here
-        (and LinAlgError is raised outside the PD cone).  The gradient is
-        exactly symmetric: Q, every L_j^{-1} and v v^T are.
+        ``factored`` is what ``feasible_value`` or ``member_factors``
+        returned at the multiplier.  The gradient is exactly symmetric: Q,
+        every L_j^{-1} and v v^T are.
         """
-        total, _, _, inv = self.factor(lam) if factored is None else factored
+        total, _, _, inv = factored
         n = self.n
         basis = _sym_basis(n)
         grad = 0.5 * self.qmat + np.einsum("j,jab->ab", self.logdet_coeffs, inv)
@@ -309,10 +297,8 @@ class _PathContext:
             curvature += 0.5 * (cross + cross.T)
         return total, grad, basis @ curvature @ basis.T
 
-    def envelope_gradient(
-        self, lam: np.ndarray, factored: _Factors | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient of the functional in the path at fixed lam.
+    def envelope_gradient(self, factored: _Factors) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of the functional in the path at the multiplier of ``factored``.
 
         Returns ``(grad_x, grad_q)``: d/dx_m for the breakpoints x_0..x_{r-1}
         and the (r - 1, n, n) matrices d/dQ_k for Q_1..Q_{r-1} (Q_0 = 0 and
@@ -330,10 +316,9 @@ class _PathContext:
         with c_j = x_{k-1} - x_k for j < k, c_k = -x_k and c_j = 0 for j > k
         (the coefficient of Q_k's xi' in tails_j).  The log-ratio is the
         stable increment of ``_increments``.  ``factored`` is as in
-        ``value_grad_hess``; without it the chain is factored here (and
-        LinAlgError is raised outside the PD cone).
+        ``value_grad_hess``.
         """
-        _, _, increments, inv = self.factor(lam) if factored is None else factored
+        _, _, increments, inv = factored
         x = self.x_levels[:-1]
         w = self.logdet_coeffs
         # pair[j, m] = <L_j^{-1}, Delta_{m+1}>, summed over j <= m
@@ -358,10 +343,6 @@ class _PathContext:
             outer += 0.5 * gap * np.outer(v, v)
         return grad_x, xi2 * outer
 
-    def min_eig0(self, lam: np.ndarray) -> float:
-        """Smallest eigenvalue of L_0, for the message of NotInL only."""
-        return float(np.linalg.eigvalsh(lam - self.tails[0])[0])
-
     def member_factors(self, lam: np.ndarray) -> _Factors:
         """The ``_Factors`` at lam; raises NotInL unless ``feasible_value`` admits lam.
 
@@ -369,8 +350,9 @@ class _PathContext:
         """
         factored = self.feasible_value(lam)
         if factored is None:
+            smallest = float(np.linalg.eigvalsh(lam - self.tails[0])[0])
             raise NotInL(
-                f"Lambda_0 not positive definite: smallest eigenvalue {self.min_eig0(lam):.3e} "
+                f"Lambda_0 not positive definite: smallest eigenvalue {smallest:.3e} "
                 f"<= margin {MEMBERSHIP_MARGIN:.0e}"
             )
         return factored

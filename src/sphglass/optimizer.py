@@ -47,8 +47,8 @@ scipy.optimize loads on the first search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,6 +70,7 @@ from sphglass.mixture import MixtureSpec, check_symmetric
 
 __all__ = [
     "MIN_X_GRID_RESOLUTION",
+    "InvalidSearchField",
     "PathSearchConfig",
     "InnerSolveReport",
     "OptimizationReport",
@@ -95,14 +96,6 @@ SEARCH_FTOL = 1e-3 * VALUE_TOLERANCE
 SEARCH_GTOL = 1e-9
 # a Newton decrement below this fraction of max(1, |value|) is rounding noise
 NEWTON_DECREMENT_FLOOR = 16.0 * np.finfo(float).eps
-
-
-@lru_cache(maxsize=32)
-def _newton_ridge(m: int) -> np.ndarray:
-    """The ridge 1e-12 I the Newton step adds to an m x m Hessian, read-only."""
-    ridge = 1e-12 * np.eye(m)
-    ridge.setflags(write=False)
-    return ridge
 
 
 def _to_coords(g: np.ndarray) -> np.ndarray:
@@ -134,7 +127,7 @@ def inner_gradient(
     h = check_field(h, q.n)
     check_path(path, q)
     ctx = _PathContext(path, q.matrix, h, spec)
-    _, grad, _ = ctx.value_grad_hess(lam, ctx.member_factors(lam))
+    _, grad, _ = ctx.value_grad_hess(ctx.member_factors(lam))
     return grad
 
 
@@ -150,8 +143,23 @@ class InnerSolveReport:
         return {**asdict(self), "lambda_star": self.lambda_star.tolist()}
 
 
+class InvalidSearchField(ValueError):
+    """A ``PathSearchConfig`` field breaks its rule; ``field`` names it."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field = field
+        self.rule = rule
+
+
 @dataclass(frozen=True)
 class PathSearchConfig:
+    """The search's budgets and path family, each field checked on construction.
+
+    The budgets take an ``int`` only (no bool, no float), and
+    ``x_grid_resolution`` a finite ``int`` or ``float`` (no bool).
+    """
+
     max_levels: int = 2
     x_grid_resolution: float = 0.25
     q_parameterization: str = "scalar_profile"  # or "cholesky_increments"
@@ -159,42 +167,44 @@ class PathSearchConfig:
     max_iterations: int = 300  # L-BFGS-B iterations per start; 2x that in objective calls
 
     def __post_init__(self):
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
-        if not self.x_grid_resolution >= MIN_X_GRID_RESOLUTION:
-            raise ValueError(f"x_grid_resolution must be at least {MIN_X_GRID_RESOLUTION}")
+        for name, minimum in (("max_levels", 1), ("restarts", 0), ("max_iterations", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                raise InvalidSearchField(name, f"must be an integer at least {minimum}, got {value!r}")
+        res = self.x_grid_resolution
+        number = not isinstance(res, bool) and isinstance(res, (int, float))
+        if not (number and MIN_X_GRID_RESOLUTION <= res < math.inf):
+            raise InvalidSearchField(
+                "x_grid_resolution", f"must be at least {MIN_X_GRID_RESOLUTION} and finite, got {res!r}"
+            )
         if self.q_parameterization not in _FAMILIES:
-            raise ValueError(f"unknown q_parameterization {self.q_parameterization!r}")
-        if self.restarts < 0 or self.max_iterations < 1:
-            raise ValueError("iteration/restart budgets must be positive")
+            family = self.q_parameterization
+            raise InvalidSearchField("q_parameterization", f"must be one of {list(_FAMILIES)}, got {family!r}")
 
 
 def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport, _Factors]:
     """Damped Newton solve over the multiplier for one path context.
 
     Every point the loop moves to has just been factored by
-    ``feasible_value``: the warm-start probe at ``lam0`` and each accepted
-    line-search trial.  Their ``_Factors`` go straight into
+    ``feasible_value``: the warm-start probe at ``lam0``, the cold start
+    ``lambda_start`` (through its raising form ``member_factors``) and each
+    accepted line-search trial.  Their ``_Factors`` go straight into
     ``value_grad_hess``, so each feasibility test costs one stacked Cholesky
-    call and one stacked solve, each Newton step one more solve, and the
-    result is bitwise that of re-factoring.  Only the cold start
-    (``lambda_start``) is factored by ``factor``.  Returns the report and
-    the final iterate's ``_Factors``, ready for ``envelope_gradient``.
+    call and one stacked solve, and each Newton step one more solve.
+    Returns the report and the final iterate's ``_Factors``, ready for
+    ``envelope_gradient``.
     """
-    lam = None
     factored = None
     if lam0 is not None:
-        candidate = _sym(np.asarray(lam0, dtype=float))
-        factored = ctx.feasible_value(candidate)
-        if factored is not None:
-            lam = candidate
-    if lam is None:
+        lam = _sym(np.asarray(lam0, dtype=float))
+        factored = ctx.feasible_value(lam)
+    if factored is None:
         lam = ctx.lambda_start()
-        factored = ctx.factor(lam)
+        factored = ctx.member_factors(lam)
     n = ctx.n
     gtol = INNER_GRADIENT_TOLERANCE
     status = "max_iterations"
-    value, grad, hess = ctx.value_grad_hess(lam, factored)
+    value, grad, hess = ctx.value_grad_hess(factored)
     gnorm = float(np.linalg.norm(grad))
     iterations = 0
     for iterations in range(1, INNER_MAX_ITERATIONS + 1):
@@ -208,7 +218,7 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
         gvec = _to_coords(grad)
         step_vec = None
         try:
-            step_vec = np.linalg.solve(hess + _newton_ridge(hess.shape[0]), -gvec)
+            step_vec = np.linalg.solve(hess + 1e-12 * np.eye(len(hess)), -gvec)
         except np.linalg.LinAlgError:
             step_vec = None
         newton = step_vec is not None and float(step_vec @ gvec) < 0.0
@@ -238,7 +248,7 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
             at_optimum = newton and -slope <= NEWTON_DECREMENT_FLOOR * max(1.0, abs(value))
             status = "converged" if at_optimum else "boundary_stall"
             break
-        value, grad, hess = ctx.value_grad_hess(lam, factored)
+        value, grad, hess = ctx.value_grad_hess(factored)
         gnorm = float(np.linalg.norm(grad))
     else:
         iterations = INNER_MAX_ITERATIONS
@@ -338,7 +348,7 @@ def detect_degenerate(
     for d11 in d11_values:
         d = d_diag.copy()
         d[0] = max(d11, d_diag[0])
-        values.append(ctx.value(np.diag(d)))
+        values.append(ctx.member_factors(np.diag(d)).value)
     if not all(later < earlier for earlier, later in zip(values, values[1:])):
         raise RuntimeError(
             "degeneracy certificate does not show a divergence: objective values "
@@ -659,7 +669,7 @@ def minimize_over_paths(
                 ctx = _PathContext(path, qmat, h, spec)
                 rep, factored = _inner_minimize_ctx(ctx, lam0=warm_lambda[0])
                 warm_lambda[0] = rep.lambda_star
-                grad_x, grad_q = ctx.envelope_gradient(rep.lambda_star, factored)
+                grad_x, grad_q = ctx.envelope_gradient(factored)
                 return rep.value, family.pullback(vec, grad_x, grad_q)
             except (ValueError, np.linalg.LinAlgError):
                 return np.inf, np.zeros_like(vec)

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def test_solver_runtime_error_reported_as_json(tmp_path, monkeypatch, capsys):
     # RuntimeError; main reports it in the error format, not as a traceback
     from sphglass import optimizer
 
-    monkeypatch.setattr(optimizer._PathContext, "value", lambda self, lam: 0.0)
+    monkeypatch.setattr(optimizer._PathContext, "member_factors", lambda self, lam: SimpleNamespace(value=0.0))
     cfg_file = tmp_path / "degen.json"
     cfg_file.write_text(
         config_text(
@@ -218,6 +219,14 @@ def _config_error(tmp_path, capsys, task, **overrides) -> str:
         ("mc-estimate", {"budgets": {"epsilon": True}}, '"budgets.epsilon"'),
         ("mc-estimate", {"budgets": {"epsilon": "0.01"}}, '"budgets.epsilon"'),
         ("mc-estimate", {"budgets": {"epsilon": float("inf")}}, '"budgets.epsilon"'),
+        # the header's seed, the worker count and every sweep value are numbers too
+        ("minimize", {"seed": True}, '"seed"'),
+        ("minimize", {"seed": 2**64}, '"seed"'),
+        ("mc-estimate", {"workers": True}, '"workers"'),
+        ("sweep", {"sweep": {"parameter": "q12", "values": ["0.3"]}}, '"sweep.values[0]"'),
+        ("sweep", {"sweep": {"parameter": "beta_scale", "values": [0.5, True]}}, '"sweep.values[1]"'),
+        ("minimize", {"search": {"restarts": True}}, '"search.restarts"'),
+        ("minimize", {"search": {"q_parameterization": "other"}}, '"search.q_parameterization"'),
     ],
     ids=["N-not-integer", "disorder-reps-zero", "config-samples-zero", "q12-out-of-range", "value-not-number",
          "samples-per-level-not-list", "samples-per-level-entry-not-integer", "samples-per-level-entry-float",
@@ -225,7 +234,8 @@ def _config_error(tmp_path, capsys, task, **overrides) -> str:
          "restarts-string", "restarts-negative", "max-levels-zero",
          "h-string", "h-nan", "Q-ragged", "lambda-string-entry", "path-xs-string-entry", "path-Qs-ragged",
          "n-bool", "x-grid-string", "x-grid-bool", "x-grid-nan", "x-grid-zero", "x-grid-too-fine",
-         "epsilon-bool", "epsilon-string", "epsilon-infinite"],
+         "epsilon-bool", "epsilon-string", "epsilon-infinite", "seed-bool", "seed-above-u64", "workers-bool",
+         "sweep-value-string", "sweep-value-bool", "restarts-bool", "family-unknown"],
 )
 def test_bad_budget_or_sweep_value_names_its_field(tmp_path, capsys, task, overrides, field):
     q = [[1.0, 0.0], [0.0, 1.0]]

@@ -23,8 +23,9 @@ STEP = 1e-6
 
 
 def _solved(path, q, h, spec):
+    """The context, the inner solve's report and its final iterate's factors."""
     ctx = _PathContext(path, q, h, spec)
-    return ctx, _inner_minimize_ctx(ctx)[0]
+    return (ctx, *_inner_minimize_ctx(ctx))
 
 
 def _central(value_at):
@@ -44,9 +45,9 @@ def _model(rng, n, field):
 def test_envelope_gradient_matches_central_differences(rng, n, r, field):
     q, h, spec = _model(rng, n, field)
     path = random_path(rng, q, r)
-    ctx, rep = _solved(path, q, h, spec)
+    ctx, rep, factored = _solved(path, q, h, spec)
     assert rep.status == "converged"
-    grad_x, grad_q = ctx.envelope_gradient(rep.lambda_star)
+    grad_x, grad_q = ctx.envelope_gradient(factored)
     assert grad_x.shape == (r,)
     assert grad_q.shape == (r - 1, n, n)
 
@@ -71,25 +72,24 @@ def test_envelope_gradient_matches_central_differences(rng, n, r, field):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("field", [False, True])
-def test_envelope_gradient_from_the_solved_factors_is_bitwise_fresh(rng, n, r, field):
-    # the inner solve returns its final iterate's (value, chol, increments);
-    # the gradient from them must not differ in a single bit from the one
-    # that factors the chain again
+def test_the_solved_factors_are_those_of_the_returned_multiplier(rng, n, r, field):
+    # the inner solve hands back its final iterate's factors: the path
+    # gradient from them must not differ in a single bit from the one at the
+    # factors of the multiplier it reports
     q, h, spec = _model(rng, n, field)
     path = random_path(rng, q, r)
-    ctx = _PathContext(path, q, h, spec)
-    rep, factored = _inner_minimize_ctx(ctx)
-    assert factored[0] == rep.value
-    fresh_x, fresh_q = ctx.envelope_gradient(rep.lambda_star)
-    handed_x, handed_q = ctx.envelope_gradient(rep.lambda_star, factored)
+    ctx, rep, factored = _solved(path, q, h, spec)
+    assert factored.value == rep.value
+    fresh_x, fresh_q = ctx.envelope_gradient(ctx.member_factors(rep.lambda_star))
+    handed_x, handed_q = ctx.envelope_gradient(factored)
     assert np.array_equal(fresh_x, handed_x)
     assert np.array_equal(fresh_q, handed_q)
 
 
 def _check_pullback(param, params, q, h, spec):
-    ctx, rep = _solved(param.path(params), q, h, spec)
+    ctx, rep, factored = _solved(param.path(params), q, h, spec)
     assert rep.status == "converged"
-    grad = param.pullback(params, *ctx.envelope_gradient(rep.lambda_star))
+    grad = param.pullback(params, *ctx.envelope_gradient(factored))
     assert grad.shape == params.shape
     for i in range(params.size):
         unit = np.zeros(params.size)

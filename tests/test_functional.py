@@ -35,7 +35,7 @@ def test_lambda_chain_scalar():
     spec = MixtureSpec(1, {2: [1.0]})
     ctx = _PathContext(scalar_path(0.5), np.array([[1.0]]), np.zeros(1), spec)
     lam = np.array([[3.0]])
-    assert ctx.chain(lam)[0][0, 0] == pytest.approx(2.0, abs=0)
+    assert (lam - ctx.tails)[0][0, 0] == pytest.approx(2.0, abs=0)
     assert ctx.feasible_value(lam) is not None
 
 
@@ -43,7 +43,7 @@ def test_lambda_chain_zero_mixture_is_constant(rng):
     q = random_constraint(rng, 3)
     path = random_path(rng, q.matrix, 3)
     lam = random_multiplier(rng, path, MixtureSpec.zero(3))
-    chain = _PathContext(path, q.matrix, np.zeros(3), MixtureSpec.zero(3)).chain(lam)
+    chain = lam - _PathContext(path, q.matrix, np.zeros(3), MixtureSpec.zero(3)).tails
     for k in range(path.r + 1):
         assert np.array_equal(chain[k], lam)
 
@@ -55,7 +55,7 @@ def test_lambda_chain_forward_reconstruction(rng):
         path = random_path(rng, q.matrix, 2)
         spec = random_mixture(rng, 2)
         lam = random_multiplier(rng, path, spec)
-        chain = _PathContext(path, q.matrix, np.zeros(2), spec).chain(lam)
+        chain = lam - _PathContext(path, q.matrix, np.zeros(2), spec).tails
         deltas = delta_increments(spec, path)
         rebuilt = chain[0] + sum(path.xs[k + 1] * deltas[k] for k in range(path.r))
         assert np.allclose(rebuilt, lam, atol=1e-14 * max(1.0, np.abs(lam).max()))

@@ -5,7 +5,7 @@ way at every public entry point."""
 import numpy as np
 import pytest
 
-from sphglass.cascade import CascadeSpec, theta_cascade_value
+from sphglass.cascade import CascadeSpec, sample_finite_cascade, theta_cascade_value
 from sphglass.functional import closed_form_Y0, evaluate, theta_term
 from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, validate_path
 from sphglass.mixture import MixtureSpec, check_symmetric, xi_pair
@@ -208,6 +208,7 @@ TAKES_PATH = {
     "theta_term": lambda p: theta_term(p, SPEC),
     "CascadeSpec": lambda p: CascadeSpec(path=p, spec=SPEC, lam=LAM, h=ZERO_H),
     "theta_cascade_value": lambda p: theta_cascade_value(p, SPEC),
+    "sample_finite_cascade": lambda p: sample_finite_cascade(p, 100, seed=0),
 }
 TAKES_Q_AND_PATH = ("evaluate", "inner_minimize", "inner_gradient", "detect_degenerate")
 

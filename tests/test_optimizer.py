@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sphglass.optimizer import (
     MIN_X_GRID_RESOLUTION,
     VALUE_TOLERANCE,
     InnerSolveReport,
+    InvalidSearchField,
     PathSearchConfig,
     _PathContext,
     _inner_minimize_ctx,
@@ -89,13 +91,13 @@ def test_hessian_matches_gradient_differences(rng):
         h = rng.uniform(-0.5, 0.5, size=n)
         lam = random_multiplier(rng, path, spec, margin=0.8)
         ctx = _PathContext(path, q.matrix, h, spec)
-        _, _, hess = ctx.value_grad_hess(lam)
+        _, _, hess = ctx.value_grad_hess(ctx.member_factors(lam))
         eps = 1e-6
         for _ in range(3):
             b = rng.standard_normal((n, n))
             b = (b + b.T) / 2.0
-            _, grad_up, _ = ctx.value_grad_hess(lam + eps * b)
-            _, grad_dn, _ = ctx.value_grad_hess(lam - eps * b)
+            _, grad_up, _ = ctx.value_grad_hess(ctx.member_factors(lam + eps * b))
+            _, grad_dn, _ = ctx.value_grad_hess(ctx.member_factors(lam - eps * b))
             fd = _to_coords((grad_up - grad_dn) / (2 * eps))
             hv = hess @ _to_coords(b)
             scale = max(1.0, float(np.max(np.abs(hv))))
@@ -119,7 +121,7 @@ def test_path_context_value_matches_evaluate(rng, n, r):
             got = evaluate(lam, path, q, h, spec)
             for term, value in expected.to_dict().items():
                 assert getattr(got, term) == pytest.approx(value, rel=1e-12, abs=0), term
-            assert _PathContext(path, q.matrix, h, spec).value(lam) == pytest.approx(
+            assert _PathContext(path, q.matrix, h, spec).member_factors(lam).value == pytest.approx(
                 expected.total, rel=1e-12, abs=0
             )
             y0 = expected.logdet_term + expected.field_term + expected.cascade_term
@@ -143,7 +145,7 @@ def test_factors_carry_the_chain_inverses(rng, n, r):
             ctx = _PathContext(path, q.matrix, h, spec)
             factored = ctx.feasible_value(lam)
             assert factored is not None
-            dense = np.linalg.inv(ctx.chain(lam))
+            dense = np.linalg.inv(lam - ctx.tails)
             for got, want in zip(factored.inv, dense):
                 assert np.array_equal(got, got.T)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -151,35 +153,16 @@ def test_factors_carry_the_chain_inverses(rng, n, r):
             cascade = float(np.sum(0.5 * factored.increments / path.xs[1:-1]))
             assert cascade == pytest.approx(expected.cascade_term, rel=1e-12, abs=0)
             assert factored.value == pytest.approx(expected.total, rel=1e-12, abs=0)
-            _, grad, _ = ctx.value_grad_hess(lam, factored)
+            _, grad, _ = ctx.value_grad_hess(factored)
             assert np.array_equal(grad, grad.T)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("r", [1, 2, 3])
-@pytest.mark.parametrize("field", [False, True])
-def test_value_grad_hess_from_feasible_factor_is_bitwise_fresh(rng, n, r, field):
-    # the factors feasible_value hands on are what value_grad_hess would
-    # compute itself: reusing them must not change a single bit
-    q = random_constraint(rng, n)
-    path = random_path(rng, q.matrix, r)
-    spec = random_mixture(rng, n)
-    h = rng.uniform(-0.5, 0.5, size=n) if field else np.zeros(n)
-    ctx = _PathContext(path, q.matrix, h, spec)
-    for lam in (ctx.lambda_start(), random_multiplier(rng, path, spec)):
-        factored = ctx.feasible_value(lam)
-        assert factored is not None
-        fresh = ctx.value_grad_hess(lam)
-        reused = ctx.value_grad_hess(lam, factored)
-        assert factored[0] == fresh[0] == reused[0]
-        assert np.array_equal(fresh[1], reused[1])
-        assert np.array_equal(fresh[2], reused[2])
-
-
-def test_warm_inner_solve_factors_each_point_once(rng, monkeypatch):
-    # every point the warm-started Newton loop moves to has been factored by
-    # feasible_value; value_grad_hess must reuse those factors, so the solve
-    # makes exactly one Cholesky call per feasibility test
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_inner_solve_factors_each_point_once(rng, monkeypatch, warm):
+    # every point the Newton loop moves to, its start included, has been
+    # factored by feasible_value; value_grad_hess takes those factors, so the
+    # solve makes exactly one chain Cholesky call per feasibility test.  A
+    # cold start also factors Q once, for the Q^{-1} of lambda_start
     q = random_constraint(rng, 2)
     spec = random_mixture(rng, 2)
     h = np.array([0.2, -0.1])
@@ -204,11 +187,11 @@ def test_warm_inner_solve_factors_each_point_once(rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(_PathContext, "feasible_value", counting_feasible_value)
-    rep, _ = _inner_minimize_ctx(ctx, lam0=lam0)
+    rep, _ = _inner_minimize_ctx(ctx, lam0=lam0 if warm else None)
     assert rep.status == "converged"
     assert rep.iterations >= 1
     assert calls["feasible_value"] >= 2
-    assert calls["cholesky"] == calls["feasible_value"]
+    assert calls["cholesky"] == calls["feasible_value"] + (0 if warm else 1)
 
 
 def test_inner_solve_makes_one_solve_per_feasibility_test_and_newton_step(rng, monkeypatch):
@@ -244,8 +227,8 @@ def test_inner_solve_makes_one_solve_per_feasibility_test_and_newton_step(rng, m
     assert calls["solve"] == calls["feasible_value"] + rep.iterations
 
     calls["solve"] = 0
-    ctx.value_grad_hess(rep.lambda_star, factored)
-    ctx.envelope_gradient(rep.lambda_star, factored)
+    ctx.value_grad_hess(factored)
+    ctx.envelope_gradient(factored)
     assert calls["solve"] == 0
 
 
@@ -502,7 +485,9 @@ def test_minimize_rejects_non_decreasing_certificate(monkeypatch):
     q = np.array([[1.0, 1.0], [1.0, 1.0]])
     for values in ([-5.0, -5.0, -7.0], [-5.0, -6.0, -4.0], [1.0, 2.0, 3.0]):
         remaining = iter(values)
-        monkeypatch.setattr(optimizer._PathContext, "value", lambda self, lam: next(remaining))
+        monkeypatch.setattr(
+            optimizer._PathContext, "member_factors", lambda self, lam: SimpleNamespace(value=next(remaining))
+        )
         with pytest.raises(RuntimeError, match="not strictly decreasing"):
             minimize_over_paths(q, np.zeros(2), spec, fast_config(), seed=0)
 
@@ -748,3 +733,24 @@ def test_config_validation():
     PathSearchConfig(x_grid_resolution=MIN_X_GRID_RESOLUTION)
     with pytest.raises(ValueError):
         PathSearchConfig(q_parameterization="other")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_levels", 2.5),
+        ("max_levels", True),
+        ("restarts", 1.5),
+        ("restarts", True),
+        ("restarts", "2"),
+        ("max_iterations", 2.0),
+        ("x_grid_resolution", True),
+        ("x_grid_resolution", "0.5"),
+        ("x_grid_resolution", float("inf")),
+    ],
+)
+def test_search_config_refuses_a_non_integer_budget_or_non_finite_grid(field, value):
+    # such a budget used to pass here and fail later inside the search
+    with pytest.raises(InvalidSearchField, match=f"^{field} must be") as caught:
+        PathSearchConfig(**{field: value})
+    assert caught.value.field == field
