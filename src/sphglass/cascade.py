@@ -247,6 +247,11 @@ def sample_finite_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascad
     path passes ``validate_path`` (its end matrix is free).
     """
     check_path(path)
+    return _sample_cascade(path, K, seed)
+
+
+def _sample_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascade:
+    """``sample_finite_cascade`` for a path that has been checked."""
     r = path.r
     if r < 1:
         raise ValueError("cascade depth must be >= 1")
@@ -279,7 +284,7 @@ def _tree_covariances(path: DiscretePath, spec: MixtureSpec) -> np.ndarray:
 
 def _cascade_rep(args) -> float:
     path, v, m_eff, K, seed = args
-    cascade = sample_finite_cascade(path, K, seed=int(seed))
+    cascade = _sample_cascade(path, K, int(seed))
     rng = stream(seed, 1)
     r = path.r
     y = np.zeros(1)

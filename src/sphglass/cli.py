@@ -91,6 +91,18 @@ def _number(raw, name: str, convert=int, minimum=None):
     return value
 
 
+def _seed(raw) -> int:
+    """The "seed" field or ``--seed`` flag: a u64 integer."""
+    seed = _number(raw, "seed", minimum=0)
+    _require(seed < 2**64, f'"seed" must be a u64 integer, got {seed!r}')
+    return seed
+
+
+def _workers(raw) -> int:
+    """The "workers" field or ``--workers`` flag: a positive integer."""
+    return _number(raw, "workers", minimum=1)
+
+
 def _budget(config: RunConfig, key: str, default, convert=int, minimum=None):
     """``budgets[key]`` (or ``default``) through ``_number``."""
     return _number(config.budgets.get(key, default), f"budgets.{key}", convert, minimum)
@@ -160,10 +172,9 @@ def load_config(text: str) -> RunConfig:
 
     seed = raw.get("seed")
     if seed is not None:
-        seed = _number(seed, "seed", minimum=0)
-        _require(seed < 2**64, f'"seed" must be a u64 integer, got {seed!r}')
+        seed = _seed(seed)
 
-    workers = _number(raw.get("workers", 1), "workers", minimum=1)
+    workers = _workers(raw.get("workers", 1))
 
     fmt = raw.get("format", "json")
     _require(fmt in ("json", "csv"), '"format" must be "json" or "csv"')
@@ -411,9 +422,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         config.task = args.command
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = _seed(args.seed)
         if args.workers is not None:
-            config.workers = args.workers
+            config.workers = _workers(args.workers)
         if args.out is not None:
             config.out = args.out
         if args.fmt is not None:

@@ -22,8 +22,16 @@ Cov(H(s1), H(s2)) = N * Sum(xi(R_{1,2})) exactly.
 The simple-mean log-partition estimator is biased at finite sample sizes;
 callers audit the bias by doubling budgets rather than correcting it.
 
+The p = 4 energy is a quadratic form in the pair products y_cd = x_c x_d,
+c <= d, whose coefficients ``_quartic_form`` stores once per quartic
+monomial x_a x_b x_c x_d, at the sorted pairing (a, b | c, d).  With the row
+pairs in the order of b and the column pairs in the order of c that form is
+block upper triangular, so the contraction multiplies only the blocks of
+``QUARTIC_GROUPS`` column groups that can hold a coefficient: 26 % of the
+P x P form at N = 32, P = N(N+1)/2.
+
 Each disorder replicate holds its samples, the disorder tensors and the
-p = 4 pair form, and contracts the energies in blocks of ``SAMPLE_BLOCK``
+quartic form, and contracts the energies in blocks of ``SAMPLE_BLOCK``
 samples, so its memory does not grow with the pair-product arrays of every
 sample at once.  Its log-mean-exp is the numpy ``parallel.logsumexp``, so
 nothing here loads scipy.  The exact finite-N window mass that checks
@@ -36,7 +44,9 @@ A raw Q goes through ``ConstraintMatrix.of`` at each public function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -48,7 +58,6 @@ __all__ = [
     "DisorderRealization",
     "EstimatorResult",
     "draw_disorder",
-    "hamiltonian",
     "hamiltonian_batch",
     "sample_constrained",
     "estimate_free_energy",
@@ -60,6 +69,8 @@ MAX_DEGREE = 4
 # samples contracted at once by hamiltonian_batch (each p = 4 pair-product
 # array is 1 MB at N = 32)
 SAMPLE_BLOCK = 256
+# column groups of the p = 4 quartic form that hamiltonian_batch multiplies
+QUARTIC_GROUPS = 8
 
 
 @dataclass(frozen=True)
@@ -88,74 +99,88 @@ def draw_disorder(degrees, n_sites: int, seed: int) -> DisorderRealization:
     return DisorderRealization(n_sites=n_sites, tensors=tensors, seed=int(seed))
 
 
-def _contract(tensor: np.ndarray, vec: np.ndarray) -> float:
-    """Full contraction of an order-p tensor with p copies of vec."""
-    cur = tensor
-    while cur.ndim > 0:
-        cur = np.tensordot(cur, vec, axes=([cur.ndim - 1], [0]))
-    return float(cur)
+def _quartic_form(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fold an order-4 tensor G into its form on the sorted quartic monomials.
 
+    <G, x^{otimes 4}> = sum over a <= b <= c <= d of T_abcd x_a x_b x_c x_d,
+    where T_abcd sums G over the 24 orderings of (a, b, c, d) and divides by
+    the product of the factorials of the repeated-index counts, so each
+    monomial is stored once, at the pairing (a, b | c, d).  The rows are the
+    P = N(N+1)/2 pairs a <= b in the order of b (``np.tril_indices``), the
+    columns the pairs c <= d in the order of c (``np.triu_indices``), so T is
+    block upper triangular: the rows with b in [s, e) meet only the column
+    suffix c >= s, and the columns with c in [s, e) only the row prefix
+    b < e.  The 24 orderings are gathers from G at the C(N+3, 4) sorted
+    quadruples, so no symmetrized copy of G is built.
 
-def hamiltonian(sigma: np.ndarray, disorder: DisorderRealization, spec: MixtureSpec) -> float:
-    """H(sigma) = sum_j sum_p beta_p(j) N^{-(p-1)/2} <g_p, sigma(j)^{otimes p}>."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape != (spec.n, disorder.n_sites):
-        raise ValueError(f"sigma must have shape (n, N) = ({spec.n}, {disorder.n_sites})")
-    n_sites = disorder.n_sites
-    total = 0.0
-    for p, beta in spec.terms.items():
-        if not np.any(beta):
-            continue
-        if p not in disorder.tensors:
-            raise ValueError(f"disorder realization lacks the degree-{p} tensor")
-        scale = n_sites ** (-(p - 1) / 2.0)
-        for j in range(spec.n):
-            if beta[j] == 0.0:
-                continue
-            total += beta[j] * scale * _contract(disorder.tensors[p], sigma[j])
-    return total
-
-
-def _pair_form(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold an order-4 tensor G into its quadratic form on pair products.
-
-    With the P = N(N+1)/2 unordered pairs a <= b and y_ab = x_a x_b,
-    <G, x^{otimes 4}> = y^T F y, where F[(ab), (cd)] sums G[a', b', c', d']
-    over the orderings (a', b') of {a, b} and (c', d') of {c, d}, with weight
-    1/2 for each diagonal pair a = b (whose two orderings coincide).  F is
-    gathered block by block from the (N^2, N^2) view by ordered-pair indices,
-    so beyond F itself it holds one P x P block, and no symmetrized copy of G
-    (134 MB at N = 64) is built.  Returns (F, a, b), so y = x[:, a] * x[:, b].
+    Returns (T, c, d, order): y = x[:, c] * x[:, d] are the column pair
+    products and y[:, order] the row pair products.
     """
     n_sites = tensor.shape[0]
-    a, b = np.triu_indices(n_sites)
-    ab, ba = a * n_sites + b, b * n_sites + a
-    square = tensor.reshape(n_sites * n_sites, n_sites * n_sites)
-    form = square[np.ix_(ab, ab)]
-    for rows, cols in ((ab, ba), (ba, ab), (ba, ba)):
-        form += square[np.ix_(rows, cols)]
-    weight = np.where(a == b, 0.5, 1.0)
-    form *= weight[:, None]
-    form *= weight[None, :]
-    return form, a, b
+    b, a = np.tril_indices(n_sites)
+    c, d = np.triu_indices(n_sites)
+    support = b[:, None] <= c[None, :]
+    # the quadruples are freed before T is allocated, which keeps the peak RSS flat
+    coef = _monomial_coefficients(
+        tensor, [np.broadcast_to(v, support.shape)[support] for v in (a[:, None], b[:, None], c, d)]
+    )
+    form = np.zeros(support.shape)
+    form[support] = coef
+    order = a * n_sites - a * (a - 1) // 2 + b - a
+    return form, c, d, order
+
+
+def _monomial_coefficients(tensor: np.ndarray, quad: list[np.ndarray]) -> np.ndarray:
+    """T at the sorted quadruples quad = (a, b, c, d), a <= b <= c <= d elementwise."""
+    coef = np.zeros(quad[0].size)
+    for index in permutations(quad):
+        coef += tensor[index]
+    # orderings that give the same tuple: the product of the run-length
+    # factorials of the sorted (a, b, c, d)
+    run = np.ones(coef.size, dtype=np.int64)
+    repeats = np.ones(coef.size, dtype=np.int64)
+    for left, right in zip(quad[:-1], quad[1:]):
+        run = np.where(left == right, run + 1, 1)
+        repeats *= run
+    coef /= repeats
+    return coef
+
+
+def _column_groups(n_sites: int) -> list[tuple[int, int, int]]:
+    """(first column, end column, end row) of each column group of the quartic form.
+
+    The columns with c in [s, e) meet only the rows with b < e.  The cuts
+    s = N - N sqrt(g / QUARTIC_GROUPS) give groups of about P / QUARTIC_GROUPS
+    columns each.
+    """
+    cuts = sorted({n_sites - round(n_sites * math.sqrt(g / QUARTIC_GROUPS)) for g in range(QUARTIC_GROUPS + 1)})
+    return [
+        (s * n_sites - s * (s - 1) // 2, e * n_sites - e * (e - 1) // 2, e * (e + 1) // 2)
+        for s, e in zip(cuts[:-1], cuts[1:])
+    ]
 
 
 def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: MixtureSpec) -> np.ndarray:
-    """Vectorized H over a batch of spin blocks, shape (S, n, N) -> (S,).
+    """H over a batch of spin blocks, shape (S, n, N) -> (S,).
 
-    Each degree is one quadratic form, the row dot products of y @ F with y,
-    per copy x = sigmas[:, j, :]:
+    H(sigma) = sum_j sum_p beta_p(j) N^{-(p-1)/2} <g_p, sigma(j)^{otimes p}>.
+    Each degree is a quadratic form in products of spins, per copy
+    x = sigmas[:, j, :]:
 
-    - p = 2: y = x and F = G, since <G, x x> = x^T G x;
-    - p = 4: y_ab = x_a x_b over the P = N(N+1)/2 pairs a <= b and F the pair
-      form of G (``_pair_form``), folded once per call and shared by all
-      copies and blocks, since <G, x^{otimes 4}> = y^T F y.  That is 2 S P^2
-      flops per copy instead of 2 S N^4.
+    - p = 2: the row dot products of x @ G with x, since <G, x x> = x^T G x;
+    - p = 4: the quartic form T of ``_quartic_form``, folded once per call
+      and shared by all copies and blocks.  With y_cd = x_c x_d over the
+      P = N(N+1)/2 pairs c <= d, <G, x^{otimes 4}> = rowsum((y_rows @ T) * y)
+      for the row pair products y_rows = y[:, order].  The product y_rows @ T
+      is filled one column group at a time (``_column_groups``), from the
+      row prefix that group meets.  At N = 32 the eight groups of
+      ``QUARTIC_GROUPS`` cover 26 % of the P x P form (the floor is
+      C(N+3, 4) / P^2 = 18.8 %), so a copy costs about 2 S 0.26 P^2 flops
+      where the full form costs 2 S P^2.
 
-    The samples are walked in blocks of ``SAMPLE_BLOCK``, so beyond F the
+    The samples are walked in blocks of ``SAMPLE_BLOCK``, so beyond T the
     contraction holds O(SAMPLE_BLOCK * P) floats rather than O(S * P).
-
-    ``hamiltonian`` contracts the raw tensor directly and is the reference
+    The test suite's direct contraction of the raw tensor is the reference
     this is tested against.
     """
     sigmas = np.asarray(sigmas, dtype=float)
@@ -171,18 +196,27 @@ def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: M
             raise ValueError(f"disorder realization lacks the degree-{p} tensor")
         tensor = disorder.tensors[p]
         scale = n_sites ** (-(p - 1) / 2.0)
-        if p == 2:
-            form = tensor
-        else:
-            form, a, b = _pair_form(tensor)
+        if p == 4:
+            form, c, d, order = _quartic_form(tensor)
+            groups = _column_groups(n_sites)
         for j in range(spec.n):
             if beta[j] == 0.0:
                 continue
             coef = beta[j] * scale
             for start in range(0, count, SAMPLE_BLOCK):
                 x = sigmas[start : start + SAMPLE_BLOCK, j, :]
-                y = x if p == 2 else x[:, a] * x[:, b]
-                out[start : start + SAMPLE_BLOCK] += coef * np.einsum("si,si->s", y @ form, y)
+                if p == 2:
+                    energy = np.einsum("si,si->s", x @ tensor, x)
+                else:
+                    # in place: one 1 MB temporary fewer at N = 32
+                    y = x[:, c]
+                    y *= x[:, d]
+                    y_rows = y[:, order]
+                    product = np.empty_like(y)
+                    for c0, c1, r1 in groups:
+                        np.matmul(y_rows[:, :r1], form[:r1, c0:c1], out=product[:, c0:c1])
+                    energy = np.einsum("si,si->s", product, y)
+                out[start : start + SAMPLE_BLOCK] += coef * energy
     return out
 
 

@@ -10,6 +10,7 @@ from scipy.special import gammaln
 from sphglass.functional import FunctionalBreakdown
 from sphglass.geometry import ConstraintMatrix, DiscretePath
 from sphglass.mixture import MixtureSpec, delta_increments, theta_matrix
+from sphglass.montecarlo import DisorderRealization
 
 
 def random_constraint(rng: np.random.Generator, n: int, min_eig: float = 0.05) -> ConstraintMatrix:
@@ -139,6 +140,37 @@ def overlap_window_log_volume(q12: float, n_sites: int, epsilon: float) -> float
 
     mass, _ = quad(integrand, lo, hi, limit=200)
     return float((np.log(mass) + ref + log_c) / n_sites)
+
+
+def _contract(tensor: np.ndarray, vec: np.ndarray) -> float:
+    """Full contraction of an order-p tensor with p copies of vec."""
+    cur = tensor
+    while cur.ndim > 0:
+        cur = np.tensordot(cur, vec, axes=([cur.ndim - 1], [0]))
+    return float(cur)
+
+
+def hamiltonian(sigma: np.ndarray, disorder: DisorderRealization, spec: MixtureSpec) -> float:
+    """H(sigma) from the raw tensors, the judge of ``montecarlo.hamiltonian_batch``.
+
+    H(sigma) = sum_j sum_p beta_p(j) N^{-(p-1)/2} <g_p, sigma(j)^{otimes p}>.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape != (spec.n, disorder.n_sites):
+        raise ValueError(f"sigma must have shape (n, N) = ({spec.n}, {disorder.n_sites})")
+    n_sites = disorder.n_sites
+    total = 0.0
+    for p, beta in spec.terms.items():
+        if not np.any(beta):
+            continue
+        if p not in disorder.tensors:
+            raise ValueError(f"disorder realization lacks the degree-{p} tensor")
+        scale = n_sites ** (-(p - 1) / 2.0)
+        for j in range(spec.n):
+            if beta[j] == 0.0:
+                continue
+            total += beta[j] * scale * _contract(disorder.tensors[p], sigma[j])
+    return total
 
 
 def reference_breakdown(lam, path: DiscretePath, q, h, spec: MixtureSpec) -> FunctionalBreakdown:

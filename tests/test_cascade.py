@@ -15,7 +15,8 @@ from sphglass.cascade import (
     _gaussian_factor,
 )
 from sphglass.functional import InvalidPath, closed_form_Y0, logdet_pd, solve_pd, theta_term
-from sphglass.geometry import DiscretePath
+from sphglass import geometry
+from sphglass.geometry import DiscretePath, validate_path
 from sphglass.mixture import MixtureSpec
 from sphglass import parallel
 from sphglass.parallel import stream
@@ -326,6 +327,22 @@ def test_cascade_free_energy_truncation_stability():
     small = cascade_free_energy_mc(5000, cs, 16.0, 300, seed=41)
     large = cascade_free_energy_mc(10000, cs, 16.0, 300, seed=41)
     assert abs(large.estimate - small.estimate) <= max(small.stderr, large.stderr)
+
+
+def test_cascade_free_energy_checks_its_path_once(monkeypatch):
+    # the path is checked when the CascadeSpec is built, not again per replicate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate_path(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "validate_path", counting)
+    spec = MixtureSpec(1, {2: [0.3]})
+    cs = CascadeSpec(path=scalar_path(0.5), spec=spec, lam=np.array([[1.5]]), h=np.zeros(1))
+    res = cascade_free_energy_mc(100, cs, m_effective=8.0, reps=100, seed=3)
+    assert np.isfinite(res.estimate)
+    assert len(calls) == 1
 
 
 def test_cascade_free_energy_validations():

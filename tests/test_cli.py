@@ -169,11 +169,11 @@ def test_verify_identities_subcommand(tmp_path):
     assert all(c["pass"] for c in report["body"]["checks"])
 
 
-def _config_error(tmp_path, capsys, task, **overrides) -> str:
+def _config_error(tmp_path, capsys, task, flags=(), **overrides) -> str:
     # runs the subcommand and returns the message of its config error
     cfg_file = tmp_path / "bad.json"
     cfg_file.write_text(config_text(task=task, **overrides))
-    assert main([task, "--config", str(cfg_file)]) == 1
+    assert main([task, "--config", str(cfg_file), *flags]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "config"
     return error["message"]
@@ -242,6 +242,17 @@ def test_bad_budget_or_sweep_value_names_its_field(tmp_path, capsys, task, overr
     pair = {"n": 2, "mixture": {"2": [0.3, 0.3]}, "Q": q, "h": [0.0, 0.0], "lambda": [[2.0, 0.0], [0.0, 2.0]],
             "path": {"xs": [0.0, 0.5, 1.0], "Qs": [[[0.0, 0.0], [0.0, 0.0]], q]}}
     message = _config_error(tmp_path, capsys, task, **{**pair, **overrides})
+    assert message.startswith(field)
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--workers", "0"], '"workers"'), (["--seed", "-1"], '"seed"'), (["--seed", str(2**64)], '"seed"')],
+    ids=["workers-zero", "seed-negative", "seed-above-u64"],
+)
+def test_command_line_flags_obey_the_config_rules(tmp_path, capsys, flags, field):
+    budgets = {"N": 16, "epsilon": 0.01, "disorder_reps": 2, "config_samples": 10}
+    message = _config_error(tmp_path, capsys, "mc-estimate", flags, budgets=budgets)
     assert message.startswith(field)
 
 

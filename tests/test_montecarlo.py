@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -13,13 +15,12 @@ from sphglass.montecarlo import (
     _disorder_rep,
     draw_disorder,
     estimate_free_energy,
-    hamiltonian,
     hamiltonian_batch,
     overlap_log_volume,
     sample_constrained,
 )
 
-from conftest import overlap_window_log_volume, xi_scalar
+from conftest import hamiltonian, overlap_window_log_volume, xi_scalar
 
 Q2 = ConstraintMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
 Q3 = ConstraintMatrix(np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.3], [-0.2, 0.3, 1.0]]))
@@ -69,6 +70,52 @@ def test_batch_matches_single_config_grid(n, n_sites, degrees):
     disorder = draw_disorder(spec.degrees, n_sites, seed=100 * n + n_sites)
     sig = sample_constrained(CONSTRAINTS[n], n_sites, 6, seed=n_sites)
     assert_batch_matches_singles(sig, disorder, spec)
+
+
+@pytest.mark.parametrize("degrees", [(4,), (2, 4)])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_matches_single_config_with_repeated_indices(n, n_sites, degrees):
+    # at these sizes almost every quadruple repeats an index; the batch needs
+    # no constraint manifold, so the spins are arbitrary
+    spec = MixtureSpec(n, {p: BETAS[p][:n] for p in degrees})
+    disorder = draw_disorder(spec.degrees, n_sites, seed=10 * n + n_sites)
+    sig = np.random.default_rng(n_sites).standard_normal((7, n, n_sites))
+    assert_batch_matches_singles(sig, disorder, spec)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 5, 9])
+def test_quartic_form_stores_each_monomial_once(n_sites):
+    tensor = draw_disorder([4], n_sites, seed=n_sites).tensors[4]
+    form, c, d, order = montecarlo._quartic_form(tensor)
+    b, a = np.tril_indices(n_sites)
+    rows, cols = np.nonzero(form)
+    assert rows.size == math.comb(n_sites + 3, 4)
+    assert np.all(b[rows] <= c[cols])
+    # y[:, order] are the row pair products x_a x_b, in the order of b
+    x = np.arange(1.0, n_sites + 1.0)
+    assert np.array_equal((x[c] * x[d])[order], x[a] * x[b])
+    # the column groups tile the columns, and each holds its columns' rows
+    groups = montecarlo._column_groups(n_sites)
+    assert [g[0] for g in groups[1:]] == [g[1] for g in groups[:-1]]
+    assert (groups[0][0], groups[-1][1]) == (0, c.size)
+    for c0, c1, r1 in groups:
+        inside = (cols >= c0) & (cols < c1)
+        assert np.all(rows[inside] < r1)
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 7])
+def test_quartic_form_of_symmetric_tensor_counts_distinct_orderings(n_sites):
+    raw = draw_disorder([4], n_sites, seed=3).tensors[4]
+    sym = sum(raw.transpose(perm) for perm in permutations(range(4))) / 24.0
+    form = montecarlo._quartic_form(sym)[0]
+    b, a = np.tril_indices(n_sites)
+    c, d = np.triu_indices(n_sites)
+    rows, cols = np.nonzero(b[:, None] <= c[None, :])
+    quad = np.stack([a[rows], b[rows], c[cols], d[cols]], axis=1)
+    orderings = np.array([len(set(permutations(tuple(q)))) for q in quad])
+    expected = sym[tuple(quad.T)] * orderings
+    np.testing.assert_allclose(form[rows, cols], expected, rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("n_sites", [12, 13, 32])
