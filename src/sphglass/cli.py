@@ -329,17 +329,20 @@ def _run_cascade_check(config: RunConfig) -> tuple[int, dict]:
 
 
 def _run_mc_estimate(config: RunConfig) -> tuple[int, dict]:
-    result = mc_mod.estimate_free_energy(
-        config.q,
-        _budget(config, "N", 32),
-        _budget(config, "epsilon", 0.01, convert=float),
-        config.mixture,
-        config.h,
-        _budget(config, "disorder_reps", 100, minimum=1),
-        _budget(config, "config_samples", 2000, minimum=1),
-        config.seed or 0,
-        workers=config.workers,
-    )
+    try:
+        result = mc_mod.estimate_free_energy(
+            config.q,
+            _budget(config, "N", 32),
+            _budget(config, "epsilon", 0.01, convert=float),
+            config.mixture,
+            config.h,
+            _budget(config, "disorder_reps", 100, minimum=1),
+            _budget(config, "config_samples", 2000, minimum=1),
+            config.seed or 0,
+            workers=config.workers,
+        )
+    except mc_mod.InvalidBudget as err:
+        raise ConfigError(f'"budgets.{err.field}" {err.rule}') from None
     return 0, result.to_dict()
 
 

@@ -38,8 +38,9 @@ nothing here loads scipy.  The exact finite-N window mass that checks
 ``overlap_log_volume`` is a quadrature judge in the test suite.
 
 A raw Q goes through ``ConstraintMatrix.of`` at each public function.
-``estimate_free_energy`` validates Q and h once and hands the
-``ConstraintMatrix`` to every replicate, which validates nothing again.
+``estimate_free_energy`` validates Q, h and its budgets once and hands the
+``ConstraintMatrix`` to every replicate, which validates nothing again.  A
+bad N or epsilon raises ``InvalidBudget``, whose ``field`` names it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from sphglass.mixture import MixtureSpec
 from sphglass.parallel import logsumexp, run_tasks, stream
 
 __all__ = [
+    "InvalidBudget",
     "DisorderRealization",
     "EstimatorResult",
     "draw_disorder",
@@ -71,6 +73,15 @@ MAX_DEGREE = 4
 SAMPLE_BLOCK = 256
 # column groups of the p = 4 quartic form that hamiltonian_batch multiplies
 QUARTIC_GROUPS = 8
+
+
+class InvalidBudget(ValueError):
+    """An estimator budget breaks its rule; ``field`` names it: "N" or "epsilon"."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field = field
+        self.rule = rule
 
 
 @dataclass(frozen=True)
@@ -306,17 +317,20 @@ def estimate_free_energy(
 
     ``epsilon`` is the overlap window width.  Every exact-manifold sample lies
     in every window, so it is only checked to be positive and echoed in the
-    result.  A raw ``q`` goes through ``ConstraintMatrix.of``, and an invalid
-    or degenerate Q, or an invalid h, raises ValueError before any replicate
-    runs.
+    result.  A raw ``q`` goes through ``ConstraintMatrix.of``.  Before any
+    replicate runs, N outside [4n, ``MAX_SITES``] or epsilon <= 0 raises
+    ``InvalidBudget``, and an invalid or degenerate Q, an invalid h, a
+    degree above ``MAX_DEGREE`` or a sample budget below 1 raises ValueError.
     """
     q = ConstraintMatrix.of(q)
     h = check_field(h, q.n)
+    if not 4 * q.n <= n_sites <= MAX_SITES:
+        raise InvalidBudget("N", f"must be between 4n = {4 * q.n} and {MAX_SITES}, got {n_sites}")
+    if not epsilon > 0:
+        raise InvalidBudget("epsilon", f"must be positive, got {epsilon}")
     _check_budget(n_sites, spec.degrees)
     if disorder_reps < 1 or config_samples < 1:
         raise ValueError("sample budgets must be positive")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     if q.is_degenerate():
         raise ValueError("constraint must be positive definite for manifold sampling")
     volume = overlap_log_volume(q)

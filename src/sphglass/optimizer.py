@@ -18,8 +18,8 @@ Structure of the double infimum:
   monotone chain and the breakpoints), with the inner Newton solve at every
   candidate.  ``_PathFamily`` owns the parameter vector of a level: the
   r + 1 breakpoint weights, held by L-BFGS-B in the box [floor, 1], then
-  the level parameters.  Its path, gradient pullback, inverse, bounds and
-  starts handle the weights; a family (``_FAMILIES``: ``scalar_profile``,
+  the level parameters.  Its path, gradient pullback, bounds and starts
+  handle the weights; a family (``_FAMILIES``: ``scalar_profile``,
   ``cholesky_increments``) maps only its level parameters to
   Q_1 .. Q_{r-1}.  The breakpoints are the cumulative shares
   x_i = cum_i / S of the weights, so every breakpoint gap, x_0 and
@@ -27,12 +27,13 @@ Structure of the double infimum:
   x_{r-1} -> 1 corner to within it.  The inner problem is strictly convex,
   so the gradient of V(path) = min_Lambda P(Lambda, path) is the envelope
   gradient ``_PathContext.envelope_gradient`` at the inner minimizer
-  (Danskin), pulled back to the parameters.  The starts are the default
-  path, the replica-symmetric corner, a breakpoint grid at r = 1, the
-  refined level r - 1 optimum and seeded random draws.  Every reported
-  value is the functional at an admissible multiplier and path, so it is an
-  honest upper bound on the infimum; level r + 1 is warm-started from the
-  refined level-r optimum so per-level values never increase.
+  (Danskin), pulled back to the parameters.  Each level starts from the
+  default path, the replica-symmetric corner, a breakpoint grid at r = 1
+  and seeded random draws.  Every reported value is the functional at an
+  admissible multiplier and path, so it is an honest upper bound on the
+  infimum.  A level-r path is a level-(r + 1) path with one interval
+  duplicated, so each level records the lowest value found up to it, and
+  per-level values never increase.
 
 The public entry points ``inner_gradient``, ``inner_minimize`` and
 ``detect_degenerate`` check their path with ``geometry.check_path`` on
@@ -58,7 +59,6 @@ from sphglass.geometry import (
     DiscretePath,
     check_field,
     check_path,
-    refine_path,
 )
 from sphglass.functional import (
     _Factors,
@@ -67,6 +67,7 @@ from sphglass.functional import (
     _sym_basis,
 )
 from sphglass.mixture import MixtureSpec, check_symmetric
+from sphglass.parallel import stream
 
 __all__ = [
     "MIN_X_GRID_RESOLUTION",
@@ -250,8 +251,6 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
             break
         value, grad, hess = ctx.value_grad_hess(factored)
         gnorm = float(np.linalg.norm(grad))
-    else:
-        iterations = INNER_MAX_ITERATIONS
     if status == "max_iterations" and gnorm <= gtol * max(1.0, abs(value)):
         status = "converged"
     report = InnerSolveReport(
@@ -385,10 +384,9 @@ class _PathFamily:
     breakpoints are the shares x_i = cum_i / S of the weights; S is at most
     r + 1, so every gap w_j / S is at least ``X_GAP``.  Q_0 = 0, Q_r = Q,
     and a family maps only its level parameters: to Q_1 .. Q_{r-1}
-    (``_levels``), the pullback of d/dQ_k to them (``_levels_pullback``),
-    the inverse (``_level_params``) and the default (``_level_default``).
-    At r = 1 there is no middle level, so the map and its pullback are not
-    called.
+    (``_levels``), the pullback of d/dQ_k to them (``_levels_pullback``)
+    and the default (``_level_default``).  At r = 1 there is no middle
+    level, so the map and its pullback are not called.
     """
 
     def __init__(self, r: int, qmat: np.ndarray, n_levels: int):
@@ -414,10 +412,6 @@ class _PathFamily:
             out[r + 1 :] = self._levels_pullback(params[r + 1 :], grad_q)
         return out
 
-    def params(self, path: DiscretePath) -> np.ndarray:
-        """Parameters of a level-r path, its breakpoint weights clipped into the box."""
-        return np.concatenate([self._weights(path.xs[1:-1]), self._level_params(path.qs)])
-
     def default(self) -> np.ndarray:
         return np.concatenate([np.ones(self.r + 1), self._level_default()])
 
@@ -426,19 +420,17 @@ class _PathFamily:
         r = self.r
         return [(self.floor, 1.0)] * (r + 1) + [(None, None)] * (self.n_params - r - 1)
 
-    def starts(
-        self, config: PathSearchConfig, warm_path: DiscretePath | None, seed: int
-    ) -> list[np.ndarray]:
+    def starts(self, config: PathSearchConfig, seed: int) -> list[np.ndarray]:
         """Starts of the level-r search, each inside ``bounds()``.
 
         The default, the replica-symmetric corner, a breakpoint grid at
-        r = 1, the parameters of ``warm_path`` and ``config.restarts`` random
-        draws from the level's own stream of ``seed``.  L-BFGS-B clips a
-        start into its bounds, so a draw maps its weights into the box:
-        exp(z - max z) keeps the shares of a softmax of z.
+        r = 1 and ``config.restarts`` random draws from the level's own
+        stream ``parallel.stream(seed, r)``.  L-BFGS-B clips a start into
+        its bounds, so a draw maps its weights into the box: exp(z - max z)
+        keeps the shares of a softmax of z.
         """
         r = self.r
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        rng = stream(seed, r)
         corner = self.default()  # breakpoints stacked against 1
         corner[1 : r + 1] = self.floor
         starts = [self.default(), corner]
@@ -446,23 +438,13 @@ class _PathFamily:
             res = config.x_grid_resolution
             for g in np.arange(res, 1.0, res):
                 s = self.default()
-                s[:2] = self._weights(np.array([g]))
+                s[:2] = (g, 1.0 - g)
                 starts.append(s)
-        if warm_path is not None:
-            try:
-                starts.append(self.params(warm_path))
-            except (ValueError, np.linalg.LinAlgError):
-                pass
         for _ in range(config.restarts):
             s = rng.normal(0.0, 1.5, size=self.n_params)
             s[: r + 1] = np.maximum(np.exp(s[: r + 1] - s[: r + 1].max()), self.floor)
             starts.append(s)
         return starts
-
-    def _weights(self, inner_xs: np.ndarray) -> np.ndarray:
-        """The gaps of the breakpoints, clipped into the weights' box."""
-        gaps = np.diff(np.concatenate([[0.0], inner_xs, [1.0]]))
-        return np.clip(gaps, self.floor, 1.0)
 
 
 class _ScalarProfile(_PathFamily):
@@ -482,13 +464,6 @@ class _ScalarProfile(_PathFamily):
         w = np.exp(np.clip(u, -60.0, 60.0))
         grad_profile = np.sum(grad_q * self.qmat, axis=(1, 2))
         return np.where(np.abs(u) < 60.0, w * _shares_pullback(w, grad_profile), 0.0)
-
-    def _level_params(self, qs: np.ndarray) -> np.ndarray:
-        if self.r == 1:
-            return np.empty(0)
-        q_levels = np.trace(qs[1:], axis1=1, axis2=2) / float(np.trace(self.qmat))
-        steps = np.diff(np.clip(q_levels, 1e-12, 1.0), prepend=0.0)
-        return np.log(np.clip(steps, 1e-12, None))
 
     def _level_default(self) -> np.ndarray:
         return np.zeros(self.n_params - self.r - 1)
@@ -555,17 +530,6 @@ class _CholeskyIncrements(_PathFamily):
         grad_lows = 2.0 * (grad_s + later) @ lows
         return grad_lows[:, self._tril[0], self._tril[1]].ravel()
 
-    def _level_params(self, qs: np.ndarray) -> np.ndarray:
-        """Cholesky factors of the conjugated increments M^{-1} (Q_k - Q_{k-1}) M^{-T}."""
-        inc = np.diff(qs, axis=0)
-        conj = np.linalg.solve(self.chol, np.linalg.solve(self.chol, inc.swapaxes(1, 2)).swapaxes(1, 2))
-        conj = _sym(conj) + 1e-10 * np.eye(self.n)
-        try:
-            lows = np.linalg.cholesky(conj)
-        except np.linalg.LinAlgError:
-            lows = np.linalg.cholesky(conj + 1e-6 * np.eye(self.n))
-        return lows[:, self._tril[0], self._tril[1]].ravel()
-
     def _level_default(self) -> np.ndarray:
         return np.tile(np.eye(self.n)[self._tril], self.r)
 
@@ -599,14 +563,6 @@ class OptimizationReport:
         }
 
 
-def _embed(path: DiscretePath) -> DiscretePath:
-    """Duplicate the widest level so a level-r optimum seeds level r + 1."""
-    widths = np.diff(path.xs)
-    k = int(np.argmax(widths))
-    mid = 0.5 * (path.xs[k] + path.xs[k + 1])
-    return refine_path(path, k, mid)
-
-
 def scipy_minimize(fun, x0: np.ndarray, **options):
     """``scipy.optimize.minimize(fun, x0, **options)``, imported on the call.
 
@@ -632,10 +588,11 @@ def minimize_over_paths(
 
     Degenerate constraints short-circuit to -inf with the certificate of
     ``detect_degenerate`` on the one-level path 0 -> Q, which raises
-    RuntimeError when its values do not strictly decrease.  The reported best
-    path is that of the smallest r whose value is within ``VALUE_TOLERANCE``
-    of the overall best (parsimony tie-break), and ``best_value`` is that
-    level's own value.
+    RuntimeError when its values do not strictly decrease.  Level r records
+    the lowest value of levels 1..r.  The reported best path is that of the
+    smallest r whose value is within ``VALUE_TOLERANCE`` of the overall best
+    (parsimony tie-break); that level improved on every level before it, so
+    ``best_value`` is the value of its own path.
     """
     config = config or PathSearchConfig()
     q = ConstraintMatrix.of(q)
@@ -656,7 +613,6 @@ def minimize_over_paths(
 
     per_level: list[tuple[int, float]] = []
     level_best_paths: dict[int, DiscretePath] = {}
-    warm: DiscretePath | None = None
     prev_best = np.inf
 
     for r in range(1, config.max_levels + 1):
@@ -676,7 +632,7 @@ def minimize_over_paths(
 
         level_value = np.inf
         level_path = None
-        for start in family.starts(config, warm, seed):
+        for start in family.starts(config, seed):
             res = scipy_minimize(
                 objective,
                 start,
@@ -693,14 +649,13 @@ def minimize_over_paths(
             if res.fun < level_value:
                 level_value = float(res.fun)
                 level_path = family.path(res.x)
-        # refinement can only help: a level-r path embeds into level r + 1
-        if level_value > prev_best and warm is not None:
-            level_value = prev_best
-            level_path = warm
-        per_level.append((r, level_value))
-        level_best_paths[r] = level_path
+        # every level-r path is a level-(r + 1) path with one interval
+        # duplicated, so a level records the best value so far; one that
+        # does not improve on it ties an earlier level, and the tie-break
+        # below never returns its path
         prev_best = min(prev_best, level_value)
-        warm = _embed(level_path) if level_path is not None else None
+        per_level.append((r, prev_best))
+        level_best_paths[r] = level_path
 
     lowest = min(v for _, v in per_level)
     best_r, best_value = next((r, v) for r, v in per_level if v <= lowest + VALUE_TOLERANCE)

@@ -227,6 +227,12 @@ def _config_error(tmp_path, capsys, task, flags=(), **overrides) -> str:
         ("sweep", {"sweep": {"parameter": "beta_scale", "values": [0.5, True]}}, '"sweep.values[1]"'),
         ("minimize", {"search": {"restarts": True}}, '"search.restarts"'),
         ("minimize", {"search": {"q_parameterization": "other"}}, '"search.q_parameterization"'),
+        # the estimator's own range rules: 4n <= N <= MAX_SITES and epsilon > 0 (n = 2 here)
+        ("mc-estimate", {"budgets": {"N": -5}}, '"budgets.N"'),
+        ("mc-estimate", {"budgets": {"N": 5}}, '"budgets.N"'),
+        ("mc-estimate", {"budgets": {"N": 100}}, '"budgets.N"'),
+        ("mc-estimate", {"budgets": {"epsilon": 0}}, '"budgets.epsilon"'),
+        ("mc-estimate", {"budgets": {"epsilon": -1}}, '"budgets.epsilon"'),
     ],
     ids=["N-not-integer", "disorder-reps-zero", "config-samples-zero", "q12-out-of-range", "value-not-number",
          "samples-per-level-not-list", "samples-per-level-entry-not-integer", "samples-per-level-entry-float",
@@ -235,7 +241,8 @@ def _config_error(tmp_path, capsys, task, flags=(), **overrides) -> str:
          "h-string", "h-nan", "Q-ragged", "lambda-string-entry", "path-xs-string-entry", "path-Qs-ragged",
          "n-bool", "x-grid-string", "x-grid-bool", "x-grid-nan", "x-grid-zero", "x-grid-too-fine",
          "epsilon-bool", "epsilon-string", "epsilon-infinite", "seed-bool", "seed-above-u64", "workers-bool",
-         "sweep-value-string", "sweep-value-bool", "restarts-bool", "family-unknown"],
+         "sweep-value-string", "sweep-value-bool", "restarts-bool", "family-unknown",
+         "N-negative", "N-below-4n", "N-above-max-sites", "epsilon-zero", "epsilon-negative"],
 )
 def test_bad_budget_or_sweep_value_names_its_field(tmp_path, capsys, task, overrides, field):
     q = [[1.0, 0.0], [0.0, 1.0]]

@@ -322,6 +322,23 @@ def test_budget_guards():
         estimate_free_energy(Q2, 16, 0.0, MixtureSpec.zero(2), np.zeros(2), 2, 10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "n_sites, epsilon, field",
+    [(-5, 0.01, "N"), (7, 0.01, "N"), (65, 0.01, "N"), (16, 0.0, "epsilon"), (16, -1.0, "epsilon")],
+)
+def test_bad_budget_is_refused_before_any_draw(monkeypatch, n_sites, epsilon, field):
+    # the estimator names a bad N or epsilon on entry, before any replicate
+    # draws (Q2 has n = 2, so 4n = 8)
+    def no_draw(*args):
+        raise AssertionError("drawn before the budgets were checked")
+
+    monkeypatch.setattr(montecarlo, "draw_disorder", no_draw)
+    monkeypatch.setattr(montecarlo, "sample_constrained", no_draw)
+    with pytest.raises(montecarlo.InvalidBudget, match=f"^{field} must be") as caught:
+        estimate_free_energy(Q2, n_sites, epsilon, MixtureSpec(2, {2: [0.3, 0.2]}), np.zeros(2), 2, 10, seed=0)
+    assert caught.value.field == field
+
+
 def test_degenerate_constraint_is_refused_before_any_draw(monkeypatch):
     # Cholesky factors this Q, but the one degeneracy predicate calls it
     # singular: the estimator refuses it instead of sampling every replicate

@@ -232,6 +232,25 @@ def test_inner_solve_makes_one_solve_per_feasibility_test_and_newton_step(rng, m
     assert calls["solve"] == 0
 
 
+@pytest.mark.parametrize("offset, status", [(None, "max_iterations"), (1e-6, "converged")], ids=["cold", "near"])
+def test_inner_solve_that_runs_out_of_steps(rng, monkeypatch, offset, status):
+    # with one Newton step allowed the loop runs out: the report counts that
+    # step, and the status rule after the loop calls the solve converged
+    # exactly when the step landed within the gradient tolerance
+    import sphglass.optimizer as optimizer
+
+    q = random_constraint(rng, 2)
+    spec = random_mixture(rng, 2)
+    ctx = _PathContext(random_path(rng, q.matrix, 2), q.matrix, np.array([0.2, -0.1]), spec)
+    lam0 = None if offset is None else _inner_minimize_ctx(ctx)[0].lambda_star + offset * np.eye(2)
+    monkeypatch.setattr(optimizer, "INNER_MAX_ITERATIONS", 1)
+    rep, _ = _inner_minimize_ctx(ctx, lam0=lam0)
+    assert rep.iterations == 1
+    assert rep.status == status
+    within = rep.gradient_norm <= optimizer.INNER_GRADIENT_TOLERANCE * max(1.0, abs(rep.value))
+    assert within == (status == "converged")
+
+
 def test_gradient_requires_admissible_multiplier():
     spec = MixtureSpec(1, {2: [1.0]})
     path = DiscretePath.simple(np.array([[1.0]]), 0.9)
@@ -589,12 +608,12 @@ def test_scalar_profile_matches_cholesky_for_single_copy():
     assert rep_scalar.best_value == pytest.approx(rep_chol.best_value, abs=1e-6)
 
 
-def test_level_monotonicity_two_copies(rng):
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_level_monotonicity_two_copies(rng, family):
     q = random_constraint(rng, 2)
     spec = MixtureSpec(2, {2: [0.5, 0.4]})
-    report = minimize_over_paths(
-        q, np.zeros(2), spec, PathSearchConfig(max_levels=3, restarts=1, max_iterations=120), seed=11
-    )
+    config = PathSearchConfig(max_levels=3, restarts=1, max_iterations=120, q_parameterization=family)
+    report = minimize_over_paths(q, np.zeros(2), spec, config, seed=11)
     values = [v for _, v in report.per_level_values]
     for a, b in zip(values[:-1], values[1:]):
         assert b <= a + 1e-6
@@ -624,26 +643,6 @@ def test_deep_search_returns_a_valid_path(family):
     assert validate_path(report.best_path, PAIR_Q).ok
 
 
-# the warm start's inverse map: the Cholesky family's RIDGE and jitter limit
-# its round trip (worst 2.0e-8 over these draws)
-ROUND_TRIP_LEVEL_TOL = {"scalar_profile": 1e-15, "cholesky_increments": 1e-7}
-
-
-@pytest.mark.parametrize("name", sorted(_FAMILIES))
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_family_params_invert_path(rng, name, n, r):
-    q = random_constraint(rng, n).matrix
-    family = _FAMILIES[name](r, q)
-    for _ in range(20):
-        params = family.default() + rng.normal(0.0, 1.0, size=family.n_params)
-        params[: r + 1] = rng.uniform(0.2, 1.0, size=r + 1)
-        path = family.path(params)
-        again = family.path(family.params(path))
-        assert np.max(np.abs(again.xs - path.xs)) <= 1e-15
-        assert np.max(np.abs(again.qs - path.qs)) <= ROUND_TRIP_LEVEL_TOL[name]
-
-
 @pytest.mark.parametrize("name", sorted(_FAMILIES))
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -651,9 +650,9 @@ def test_family_starts_lie_inside_their_bounds(rng, name, n, r):
     # L-BFGS-B silently clips a start that lies outside its bounds
     q = random_constraint(rng, n).matrix
     family = _FAMILIES[name](r, q)
-    warm = random_path(rng, q, r) if r > 1 else None
-    starts = family.starts(PathSearchConfig(restarts=3), warm, seed=4)
-    assert len(starts) == 2 + 3 + (3 if r == 1 else 1)
+    starts = family.starts(PathSearchConfig(restarts=3), seed=4)
+    # default and corner, three restarts, and the 0.25 grid at r = 1
+    assert len(starts) == 2 + 3 + (3 if r == 1 else 0)
     bounds = family.bounds()
     assert len(bounds) == family.n_params
     lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds])
@@ -661,6 +660,41 @@ def test_family_starts_lie_inside_their_bounds(rng, name, n, r):
     for start in starts:
         assert start.shape == (family.n_params,)
         assert np.all(lower <= start) and np.all(start <= upper)
+
+
+def _judge_model(i: int):
+    # n = 1..4 against three temperatures, each pair once; a field on i >= 6
+    rng = np.random.default_rng(2000 + i)
+    n = 1 + i % 4
+    q = random_constraint(rng, n)
+    spec = random_mixture(rng, n, scale=(0.5, 1.25, 2.0)[i % 3])
+    h = rng.uniform(-0.5, 0.5, size=n) if i >= 6 else np.zeros(n)
+    return q, spec, h
+
+
+# best_value of each _judge_model(i), seed i, as the search with the level
+# warm start found it (max_levels=3, restarts=1, max_iterations=150)
+JUDGE_VALUES = {
+    "scalar_profile": (
+        0.0457903076, 0.4703754040, 0.5680339023, 0.1649622284, 0.4132157904, 0.5408880611,
+        0.3053136084, 1.0414757809, 0.4289244632, -0.1017850557, 0.5867454180, 3.3995469752,
+    ),
+    "cholesky_increments": (
+        0.0457903076, 0.4693474812, 0.5657863573, 0.1649622284, 0.4132157904, 0.5373887048,
+        0.3017715032, 1.0359141358, 0.4289117604, -0.1018017575, 0.5809504582, 3.3318365160,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(JUDGE_VALUES))
+def test_search_reaches_the_pinned_values(family):
+    # the search gate: a change to the starts or the level loop may lower
+    # these values but not raise any by more than the tie tolerance
+    config = PathSearchConfig(max_levels=3, restarts=1, max_iterations=150, q_parameterization=family)
+    for i, pinned in enumerate(JUDGE_VALUES[family]):
+        q, spec, h = _judge_model(i)
+        report = minimize_over_paths(q, h, spec, config, seed=i)
+        assert report.best_value <= pinned + VALUE_TOLERANCE, f"model {i}"
 
 
 def test_search_ignores_last_bit_noise_in_the_objective(monkeypatch):
