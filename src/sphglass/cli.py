@@ -336,8 +336,8 @@ def _run_mc_estimate(config: RunConfig) -> tuple[int, dict]:
             _budget(config, "epsilon", 0.01, convert=float),
             config.mixture,
             config.h,
-            _budget(config, "disorder_reps", 100, minimum=1),
-            _budget(config, "config_samples", 2000, minimum=1),
+            _budget(config, "disorder_reps", 100),
+            _budget(config, "config_samples", 2000),
             config.seed or 0,
             workers=config.workers,
         )

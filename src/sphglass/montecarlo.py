@@ -28,7 +28,11 @@ monomial x_a x_b x_c x_d, at the sorted pairing (a, b | c, d).  With the row
 pairs in the order of b and the column pairs in the order of c that form is
 block upper triangular, so the contraction multiplies only the blocks of
 ``QUARTIC_GROUPS`` column groups that can hold a coefficient: 26 % of the
-P x P form at N = 32, P = N(N+1)/2.
+P x P form at N = 32, P = N(N+1)/2.  The fold reads G only at the C(N+3, 4)
+sorted quadruples, one flat ``take`` per ordering of the four indices, and
+adds the 24 orderings from zero in ``itertools.permutations`` order.  That
+order fixes the bits of every coefficient; the test suite's tuple-index fold
+pins them.
 
 Each disorder replicate holds its samples, the disorder tensors and the
 quartic form, and contracts the energies in blocks of ``SAMPLE_BLOCK``
@@ -40,7 +44,8 @@ nothing here loads scipy.  The exact finite-N window mass that checks
 A raw Q goes through ``ConstraintMatrix.of`` at each public function.
 ``estimate_free_energy`` validates Q, h and its budgets once and hands the
 ``ConstraintMatrix`` to every replicate, which validates nothing again.  A
-bad N or epsilon raises ``InvalidBudget``, whose ``field`` names it.
+bad N, epsilon, ``disorder_reps`` or ``config_samples`` raises
+``InvalidBudget``, whose ``field`` names it.
 """
 
 from __future__ import annotations
@@ -76,7 +81,10 @@ QUARTIC_GROUPS = 8
 
 
 class InvalidBudget(ValueError):
-    """An estimator budget breaks its rule; ``field`` names it: "N" or "epsilon"."""
+    """An estimator budget breaks its rule; ``field`` names it.
+
+    The fields are "N", "epsilon", "disorder_reps" and "config_samples".
+    """
 
     def __init__(self, field: str, rule: str):
         super().__init__(f"{field} {rule}")
@@ -121,8 +129,9 @@ def _quartic_form(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     columns the pairs c <= d in the order of c (``np.triu_indices``), so T is
     block upper triangular: the rows with b in [s, e) meet only the column
     suffix c >= s, and the columns with c in [s, e) only the row prefix
-    b < e.  The 24 orderings are gathers from G at the C(N+3, 4) sorted
-    quadruples, so no symmetrized copy of G is built.
+    b < e.  Each of the 24 orderings is one ``take`` from the flat G at the
+    C(N+3, 4) sorted quadruples (``_monomial_coefficients``), so no
+    symmetrized copy of G is built.
 
     Returns (T, c, d, order): y = x[:, c] * x[:, d] are the column pair
     products and y[:, order] the row pair products.
@@ -142,10 +151,24 @@ def _quartic_form(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _monomial_coefficients(tensor: np.ndarray, quad: list[np.ndarray]) -> np.ndarray:
-    """T at the sorted quadruples quad = (a, b, c, d), a <= b <= c <= d elementwise."""
+    """T at the sorted quadruples quad = (a, b, c, d), a <= b <= c <= d elementwise.
+
+    Each of the 24 orderings (i, j, k, l) of quad is one ``take`` from the
+    flat G at ((i N + j) N + k) N + l, built in one reused index array, and
+    the orderings are summed from zero in ``permutations`` order.
+    """
+    n_sites = tensor.shape[0]
+    flat = tensor.reshape(-1)
     coef = np.zeros(quad[0].size)
-    for index in permutations(quad):
-        coef += tensor[index]
+    index = np.empty(quad[0].size, dtype=np.intp)
+    for i, j, k, l in permutations(quad):
+        np.multiply(i, n_sites, out=index)
+        index += j
+        index *= n_sites
+        index += k
+        index *= n_sites
+        index += l
+        coef += flat.take(index)
     # orderings that give the same tuple: the product of the run-length
     # factorials of the sorted (a, b, c, d)
     run = np.ones(coef.size, dtype=np.int64)
@@ -318,19 +341,26 @@ def estimate_free_energy(
     ``epsilon`` is the overlap window width.  Every exact-manifold sample lies
     in every window, so it is only checked to be positive and echoed in the
     result.  A raw ``q`` goes through ``ConstraintMatrix.of``.  Before any
-    replicate runs, N outside [4n, ``MAX_SITES``] or epsilon <= 0 raises
-    ``InvalidBudget``, and an invalid or degenerate Q, an invalid h, a
-    degree above ``MAX_DEGREE`` or a sample budget below 1 raises ValueError.
+    replicate runs, a budget that breaks its rule raises ``InvalidBudget``:
+    N, ``disorder_reps`` and ``config_samples`` must be ints (not bools), N
+    in [4n, ``MAX_SITES``] and each sample budget at least 1, and epsilon
+    > 0.  An invalid or degenerate Q, an invalid h or a degree above
+    ``MAX_DEGREE`` raises ValueError.
     """
     q = ConstraintMatrix.of(q)
     h = check_field(h, q.n)
+    counts = {"N": n_sites, "disorder_reps": disorder_reps, "config_samples": config_samples}
+    for field, count in counts.items():
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise InvalidBudget(field, f"must be an integer, got {count!r}")
     if not 4 * q.n <= n_sites <= MAX_SITES:
         raise InvalidBudget("N", f"must be between 4n = {4 * q.n} and {MAX_SITES}, got {n_sites}")
     if not epsilon > 0:
         raise InvalidBudget("epsilon", f"must be positive, got {epsilon}")
+    for field in ("disorder_reps", "config_samples"):
+        if counts[field] < 1:
+            raise InvalidBudget(field, f"must be at least 1, got {counts[field]}")
     _check_budget(n_sites, spec.degrees)
-    if disorder_reps < 1 or config_samples < 1:
-        raise ValueError("sample budgets must be positive")
     if q.is_degenerate():
         raise ValueError("constraint must be positive definite for manifold sampling")
     volume = overlap_log_volume(q)

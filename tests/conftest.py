@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -171,6 +172,31 @@ def hamiltonian(sigma: np.ndarray, disorder: DisorderRealization, spec: MixtureS
                 continue
             total += beta[j] * scale * _contract(disorder.tensors[p], sigma[j])
     return total
+
+
+def quartic_form_reference(tensor: np.ndarray) -> np.ndarray:
+    """The bits of the form T of ``montecarlo._quartic_form``, by tuple-index gathers.
+
+    Row (a, b), a <= b, in ``np.tril_indices`` order, meets column (c, d),
+    c <= d, in ``np.triu_indices`` order, where b <= c.  T there is the sum of
+    G over the 24 orderings of (a, b, c, d), each a tuple fancy index, added
+    from zero in ``itertools.permutations`` order, divided by 24 over the
+    number of distinct orderings.  A fold that sums in another order differs
+    in the last bits.
+    """
+    n_sites = tensor.shape[0]
+    b, a = np.tril_indices(n_sites)
+    c, d = np.triu_indices(n_sites)
+    rows, cols = np.nonzero(b[:, None] <= c[None, :])
+    quad = (a[rows], b[rows], c[cols], d[cols])
+    coef = np.zeros(rows.size)
+    for index in permutations(quad):
+        coef += tensor[index]
+    codes = np.sort([np.ravel_multi_index(index, tensor.shape) for index in permutations(quad)], axis=0)
+    distinct = 1 + np.count_nonzero(np.diff(codes, axis=0), axis=0)
+    form = np.zeros((b.size, c.size))
+    form[rows, cols] = coef / (24 // distinct)
+    return form
 
 
 def reference_breakdown(lam, path: DiscretePath, q, h, spec: MixtureSpec) -> FunctionalBreakdown:

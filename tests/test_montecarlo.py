@@ -20,7 +20,7 @@ from sphglass.montecarlo import (
     sample_constrained,
 )
 
-from conftest import hamiltonian, overlap_window_log_volume, xi_scalar
+from conftest import hamiltonian, overlap_window_log_volume, quartic_form_reference, xi_scalar
 
 Q2 = ConstraintMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
 Q3 = ConstraintMatrix(np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.3], [-0.2, 0.3, 1.0]]))
@@ -116,6 +116,27 @@ def test_quartic_form_of_symmetric_tensor_counts_distinct_orderings(n_sites):
     orderings = np.array([len(set(permutations(tuple(q)))) for q in quad])
     expected = sym[tuple(quad.T)] * orderings
     np.testing.assert_allclose(form[rows, cols], expected, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 5, 9, 32, 33])
+def test_quartic_form_is_bitwise_the_reference_fold(n_sites):
+    # every coefficient is the 24 orderings added from zero in permutations
+    # order: a fold that sums in another order fails here
+    tensor = draw_disorder([4], n_sites, seed=40 + n_sites).tensors[4]
+    assert np.array_equal(montecarlo._quartic_form(tensor)[0], quartic_form_reference(tensor))
+
+
+def test_quartic_form_memory_is_bounded():
+    # at the mc-estimate workload's size: the form is 2.2 MB and the sorted
+    # quadruples 1.7 MB; a (24, M) stacked index or value array is 10 MB
+    tensor = draw_disorder([4], 32, seed=2).tensors[4]
+    tracemalloc.start()
+    try:
+        montecarlo._quartic_form(tensor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 @pytest.mark.parametrize("n_sites", [12, 13, 32])
@@ -323,19 +344,39 @@ def test_budget_guards():
 
 
 @pytest.mark.parametrize(
-    "n_sites, epsilon, field",
-    [(-5, 0.01, "N"), (7, 0.01, "N"), (65, 0.01, "N"), (16, 0.0, "epsilon"), (16, -1.0, "epsilon")],
+    "budgets, field",
+    [
+        pytest.param({"n_sites": -5}, "N", id="-5-0.01-N"),
+        pytest.param({"n_sites": 7}, "N", id="7-0.01-N"),
+        pytest.param({"n_sites": 65}, "N", id="65-0.01-N"),
+        pytest.param({"n_sites": 16.0}, "N", id="N-float"),
+        pytest.param({"n_sites": True}, "N", id="N-bool"),
+        pytest.param({"epsilon": 0.0}, "epsilon", id="16-0.0-epsilon"),
+        pytest.param({"epsilon": -1.0}, "epsilon", id="16--1.0-epsilon"),
+        pytest.param({"disorder_reps": 0}, "disorder_reps", id="disorder_reps-zero"),
+        pytest.param({"disorder_reps": -3}, "disorder_reps", id="disorder_reps-negative"),
+        pytest.param({"disorder_reps": 2.5}, "disorder_reps", id="disorder_reps-float"),
+        pytest.param({"disorder_reps": True}, "disorder_reps", id="disorder_reps-bool"),
+        pytest.param({"config_samples": 0}, "config_samples", id="config_samples-zero"),
+        pytest.param({"config_samples": 10.0}, "config_samples", id="config_samples-float"),
+        pytest.param({"config_samples": "10"}, "config_samples", id="config_samples-string"),
+        pytest.param({"config_samples": False}, "config_samples", id="config_samples-bool"),
+    ],
 )
-def test_bad_budget_is_refused_before_any_draw(monkeypatch, n_sites, epsilon, field):
-    # the estimator names a bad N or epsilon on entry, before any replicate
-    # draws (Q2 has n = 2, so 4n = 8)
+def test_bad_budget_is_refused_before_any_draw(monkeypatch, budgets, field):
+    # the estimator names a bad budget on entry, before any replicate draws
+    # (Q2 has n = 2, so 4n = 8)
     def no_draw(*args):
         raise AssertionError("drawn before the budgets were checked")
 
     monkeypatch.setattr(montecarlo, "draw_disorder", no_draw)
     monkeypatch.setattr(montecarlo, "sample_constrained", no_draw)
+    args = {"n_sites": 16, "epsilon": 0.01, "disorder_reps": 2, "config_samples": 10, **budgets}
+    spec = MixtureSpec(2, {2: [0.3, 0.2]})
     with pytest.raises(montecarlo.InvalidBudget, match=f"^{field} must be") as caught:
-        estimate_free_energy(Q2, n_sites, epsilon, MixtureSpec(2, {2: [0.3, 0.2]}), np.zeros(2), 2, 10, seed=0)
+        estimate_free_energy(
+            Q2, args["n_sites"], args["epsilon"], spec, np.zeros(2), args["disorder_reps"], args["config_samples"], 0
+        )
     assert caught.value.field == field
 
 
