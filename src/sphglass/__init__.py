@@ -16,7 +16,7 @@ independent Monte Carlo oracles for every closed form the functional uses:
 """
 
 from sphglass.mixture import MixtureSpec, xi_matrix, xi_prime_matrix, theta_matrix, delta_increments
-from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path, check_path, refine_path
+from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path, check_path
 from sphglass.functional import (
     FunctionalBreakdown,
     NotInL,

@@ -36,7 +36,6 @@ __all__ = [
     "InvalidPath",
     "validate_path",
     "check_path",
-    "refine_path",
     "DEGENERACY_RTOL",
     "is_degenerate_spectrum",
     "check_field",
@@ -261,19 +260,3 @@ def check_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray | None = Non
             f"(magnitude {first.magnitude:.3e})",
             report,
         )
-
-
-def refine_path(path: DiscretePath, k: int, x_new: float) -> DiscretePath:
-    """Insert breakpoint x_new in (x_{k-1}, x_k), duplicating Q_k.
-
-    The step function is unchanged, so every downstream evaluation is
-    invariant.
-    """
-    if not 0 <= k <= path.r:
-        raise IndexError(f"level k={k} out of range 0..{path.r}")
-    lo, hi = path.xs[k], path.xs[k + 1]
-    if not lo < x_new < hi:
-        raise ValueError(f"x_new={x_new} outside open interval ({lo}, {hi})")
-    xs = np.insert(path.xs, k + 1, x_new)
-    qs = np.insert(path.qs, k, path.qs[k], axis=0)
-    return DiscretePath(xs=xs, qs=qs)

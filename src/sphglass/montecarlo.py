@@ -15,31 +15,31 @@ window would have exponentially small acceptance; the decomposition is exact
 at the exponential scale and testable at beta = 0, where the Monte Carlo
 factor is exactly 1.
 
-Disorder tensors are raw i.i.d. Gaussians (not symmetrized), shared across
-copies, which reproduces the model covariance
-Cov(H(s1), H(s2)) = N * Sum(xi(R_{1,2})) exactly.
+The disorder is Gaussian and shared across copies: for p = 2 a raw i.i.d.
+N x N tensor G (not symmetrized), and for p = 4 the quartic form itself, one
+independent coefficient T_abcd ~ N(0, m_abcd) per monomial x_a x_b x_c x_d,
+a <= b <= c <= d, where m_abcd counts the distinct orderings of (a, b, c, d).
+Folding a raw N^4 tensor over those orderings gives the same law; both give
+Cov(<T, x^4>, <T, y^4>) = sum m x_a..x_d y_a..y_d = (x . y)^4, so every
+degree reproduces the model covariance Cov(H(s1), H(s2)) = N * Sum(xi(R_{1,2}))
+exactly, and the form takes C(N+3, 4) normals where a raw tensor takes N^4.
 
 The simple-mean log-partition estimator is biased at finite sample sizes;
 callers audit the bias by doubling budgets rather than correcting it.
 
 The p = 4 energy is a quadratic form in the pair products y_cd = x_c x_d,
-c <= d, whose coefficients ``_quartic_form`` stores once per quartic
-monomial x_a x_b x_c x_d, at the sorted pairing (a, b | c, d).  With the row
-pairs in the order of b and the column pairs in the order of c that form is
-block upper triangular, so the contraction multiplies only the blocks of
-``QUARTIC_GROUPS`` column groups that can hold a coefficient: 26 % of the
-P x P form at N = 32, P = N(N+1)/2.  The fold reads G only at the C(N+3, 4)
-sorted quadruples, one flat ``take`` per ordering of the four indices, and
-adds the 24 orderings from zero in ``itertools.permutations`` order.  That
-order fixes the bits of every coefficient; the test suite's tuple-index fold
-pins them.
+c <= d, that stores each monomial once, at the sorted pairing (a, b | c, d).
+With the row pairs in the order of b and the column pairs in the order of c
+that form is block upper triangular, so the contraction multiplies only the
+blocks of ``QUARTIC_GROUPS`` column groups that can hold a coefficient: 26 %
+of the P x P form at N = 32, P = N(N+1)/2.
 
-Each disorder replicate holds its samples, the disorder tensors and the
-quartic form, and contracts the energies in blocks of ``SAMPLE_BLOCK``
-samples, so its memory does not grow with the pair-product arrays of every
-sample at once.  Its log-mean-exp is the numpy ``parallel.logsumexp``, so
-nothing here loads scipy.  The exact finite-N window mass that checks
-``overlap_log_volume`` is a quadrature judge in the test suite.
+Each disorder replicate holds its samples and its disorder, and contracts
+the energies in blocks of ``SAMPLE_BLOCK`` samples, so its memory does not
+grow with the pair-product arrays of every sample at once.  Its log-mean-exp
+is the numpy ``parallel.logsumexp``, so nothing here loads scipy.  The exact
+finite-N window mass that checks ``overlap_log_volume`` is a quadrature
+judge in the test suite.
 
 A raw Q goes through ``ConstraintMatrix.of`` at each public function.
 ``estimate_free_energy`` validates Q, h and its budgets once and hands the
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -94,7 +93,12 @@ class InvalidBudget(ValueError):
 
 @dataclass(frozen=True)
 class DisorderRealization:
-    """One i.i.d. standard Gaussian tensor per degree, shared across copies."""
+    """The Gaussian disorder of each degree, shared across copies.
+
+    ``tensors[2]`` is an i.i.d. standard normal N x N tensor G and
+    ``tensors[4]`` the (P, P) quartic form T of ``_quartic_form``,
+    P = N(N+1)/2.
+    """
 
     n_sites: int
     tensors: dict[int, np.ndarray]
@@ -114,70 +118,51 @@ def draw_disorder(degrees, n_sites: int, seed: int) -> DisorderRealization:
     rng = stream(seed, 0)
     tensors = {}
     for p in sorted(set(int(p) for p in degrees)):
-        tensors[p] = rng.standard_normal((n_sites,) * p)
+        tensors[p] = _quartic_form(n_sites, rng) if p == 4 else rng.standard_normal((n_sites,) * p)
     return DisorderRealization(n_sites=n_sites, tensors=tensors, seed=int(seed))
 
 
-def _quartic_form(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fold an order-4 tensor G into its form on the sorted quartic monomials.
+def _quartic_form(n_sites: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw the p = 4 disorder as its (P, P) form on the sorted quartic monomials.
 
-    <G, x^{otimes 4}> = sum over a <= b <= c <= d of T_abcd x_a x_b x_c x_d,
-    where T_abcd sums G over the 24 orderings of (a, b, c, d) and divides by
-    the product of the factorials of the repeated-index counts, so each
-    monomial is stored once, at the pairing (a, b | c, d).  The rows are the
-    P = N(N+1)/2 pairs a <= b in the order of b (``np.tril_indices``), the
-    columns the pairs c <= d in the order of c (``np.triu_indices``), so T is
-    block upper triangular: the rows with b in [s, e) meet only the column
+    <T, x^{otimes 4}> = sum over a <= b <= c <= d of T_abcd x_a x_b x_c x_d,
+    with independent T_abcd ~ N(0, m_abcd), m_abcd = 24 over the product of
+    the run-length factorials of (a, b, c, d): the law of the sum of a raw
+    N^4 Gaussian tensor over the m_abcd distinct orderings.  Each monomial
+    is stored once, at row (a, b) and column (c, d).  The P = N(N+1)/2 rows
+    are the pairs a <= b in the order of b (``np.tril_indices``), the columns
+    the pairs c <= d in the order of c (``np.triu_indices``), so T is block
+    upper triangular: the rows with b in [s, e) meet only the column
     suffix c >= s, and the columns with c in [s, e) only the row prefix
-    b < e.  Each of the 24 orderings is one ``take`` from the flat G at the
-    C(N+3, 4) sorted quadruples (``_monomial_coefficients``), so no
-    symmetrized copy of G is built.
-
-    Returns (T, c, d, order): y = x[:, c] * x[:, d] are the column pair
-    products and y[:, order] the row pair products.
+    b < e.  The C(N+3, 4) coefficients take that many normals from ``rng``,
+    in row-major order.
     """
-    n_sites = tensor.shape[0]
     b, a = np.tril_indices(n_sites)
     c, d = np.triu_indices(n_sites)
     support = b[:, None] <= c[None, :]
-    # the quadruples are freed before T is allocated, which keeps the peak RSS flat
-    coef = _monomial_coefficients(
-        tensor, [np.broadcast_to(v, support.shape)[support] for v in (a[:, None], b[:, None], c, d)]
-    )
+    # the run-length factorial product, from the ties a = b, b = c and c = d
+    run = np.ones(np.count_nonzero(support), dtype=np.int8)
+    repeats = np.ones_like(run)
+    for tie in ((a == b)[:, None], b[:, None] == c, c == d):
+        run = np.where(np.broadcast_to(tie, support.shape)[support], run + 1, 1)
+        repeats *= run
+    coef = np.sqrt(24 / repeats)
+    coef *= rng.standard_normal(coef.size)
+    # T is allocated last, which keeps the tracemalloc peak under 4 MB at N = 32
     form = np.zeros(support.shape)
     form[support] = coef
-    order = a * n_sites - a * (a - 1) // 2 + b - a
-    return form, c, d, order
+    return form
 
 
-def _monomial_coefficients(tensor: np.ndarray, quad: list[np.ndarray]) -> np.ndarray:
-    """T at the sorted quadruples quad = (a, b, c, d), a <= b <= c <= d elementwise.
+def _pair_indices(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, d, order) for the quartic form of ``_quartic_form``.
 
-    Each of the 24 orderings (i, j, k, l) of quad is one ``take`` from the
-    flat G at ((i N + j) N + k) N + l, built in one reused index array, and
-    the orderings are summed from zero in ``permutations`` order.
+    y = x[:, c] * x[:, d] are its column pair products and y[:, order] its
+    row pair products x_a x_b.
     """
-    n_sites = tensor.shape[0]
-    flat = tensor.reshape(-1)
-    coef = np.zeros(quad[0].size)
-    index = np.empty(quad[0].size, dtype=np.intp)
-    for i, j, k, l in permutations(quad):
-        np.multiply(i, n_sites, out=index)
-        index += j
-        index *= n_sites
-        index += k
-        index *= n_sites
-        index += l
-        coef += flat.take(index)
-    # orderings that give the same tuple: the product of the run-length
-    # factorials of the sorted (a, b, c, d)
-    run = np.ones(coef.size, dtype=np.int64)
-    repeats = np.ones(coef.size, dtype=np.int64)
-    for left, right in zip(quad[:-1], quad[1:]):
-        run = np.where(left == right, run + 1, 1)
-        repeats *= run
-    coef /= repeats
-    return coef
+    b, a = np.tril_indices(n_sites)
+    c, d = np.triu_indices(n_sites)
+    return c, d, a * n_sites - a * (a - 1) // 2 + b - a
 
 
 def _column_groups(n_sites: int) -> list[tuple[int, int, int]]:
@@ -202,20 +187,20 @@ def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: M
     x = sigmas[:, j, :]:
 
     - p = 2: the row dot products of x @ G with x, since <G, x x> = x^T G x;
-    - p = 4: the quartic form T of ``_quartic_form``, folded once per call
-      and shared by all copies and blocks.  With y_cd = x_c x_d over the
-      P = N(N+1)/2 pairs c <= d, <G, x^{otimes 4}> = rowsum((y_rows @ T) * y)
-      for the row pair products y_rows = y[:, order].  The product y_rows @ T
-      is filled one column group at a time (``_column_groups``), from the
-      row prefix that group meets.  At N = 32 the eight groups of
-      ``QUARTIC_GROUPS`` cover 26 % of the P x P form (the floor is
-      C(N+3, 4) / P^2 = 18.8 %), so a copy costs about 2 S 0.26 P^2 flops
-      where the full form costs 2 S P^2.
+    - p = 4: the quartic form T drawn by ``_quartic_form``, shared by all
+      copies and blocks.  With y_cd = x_c x_d over the P = N(N+1)/2 pairs
+      c <= d, <T, x^{otimes 4}> = rowsum((y_rows @ T) * y) for the row pair
+      products y_rows = y[:, order].  The product y_rows @ T is filled one
+      column group at a time (``_column_groups``), from the row prefix that
+      group meets.  At N = 32 the eight groups of ``QUARTIC_GROUPS`` cover
+      26 % of the P x P form (the floor is C(N+3, 4) / P^2 = 18.8 %), so a
+      copy costs about 2 S 0.26 P^2 flops where the full form costs 2 S P^2.
 
     The samples are walked in blocks of ``SAMPLE_BLOCK``, so beyond T the
-    contraction holds O(SAMPLE_BLOCK * P) floats rather than O(S * P).
-    The test suite's direct contraction of the raw tensor is the reference
-    this is tested against.
+    contraction holds O(SAMPLE_BLOCK * P) floats rather than O(S * P).  A
+    disorder entry of the wrong shape, such as a raw N^4 tensor for p = 4,
+    raises ValueError.  The test suite's direct contraction of the symmetric
+    N^4 tensor that T stands for is the reference this is tested against.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 3 or sigmas.shape[1:] != (spec.n, disorder.n_sites):
@@ -228,10 +213,13 @@ def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: M
             continue
         if p not in disorder.tensors:
             raise ValueError(f"disorder realization lacks the degree-{p} tensor")
-        tensor = disorder.tensors[p]
+        tensor = np.asarray(disorder.tensors[p])
+        side = n_sites if p == 2 else n_sites * (n_sites + 1) // 2
+        if tensor.shape != (side, side):
+            raise ValueError(f"degree-{p} disorder must have shape ({side}, {side}), got {tensor.shape}")
         scale = n_sites ** (-(p - 1) / 2.0)
         if p == 4:
-            form, c, d, order = _quartic_form(tensor)
+            c, d, order = _pair_indices(n_sites)
             groups = _column_groups(n_sites)
         for j in range(spec.n):
             if beta[j] == 0.0:
@@ -248,7 +236,7 @@ def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: M
                     y_rows = y[:, order]
                     product = np.empty_like(y)
                     for c0, c1, r1 in groups:
-                        np.matmul(y_rows[:, :r1], form[:r1, c0:c1], out=product[:, c0:c1])
+                        np.matmul(y_rows[:, :r1], tensor[:r1, c0:c1], out=product[:, c0:c1])
                     energy = np.einsum("si,si->s", product, y)
                 out[start : start + SAMPLE_BLOCK] += coef * energy
     return out

@@ -151,10 +151,34 @@ def _contract(tensor: np.ndarray, vec: np.ndarray) -> float:
     return float(cur)
 
 
-def hamiltonian(sigma: np.ndarray, disorder: DisorderRealization, spec: MixtureSpec) -> float:
-    """H(sigma) from the raw tensors, the judge of ``montecarlo.hamiltonian_batch``.
+def quartic_tensor(form: np.ndarray, n_sites: int) -> np.ndarray:
+    """The symmetric N^4 tensor G whose quartic form is T, <G, x^4> = <T, x^4>.
 
-    H(sigma) = sum_j sum_p beta_p(j) N^{-(p-1)/2} <g_p, sigma(j)^{otimes p}>.
+    Row (a, b), a <= b, of T in ``np.tril_indices`` order meets column
+    (c, d), c <= d, in ``np.triu_indices`` order; T is read only where
+    b <= c.  G holds T_abcd / m at each of the m distinct orderings of
+    (a, b, c, d), with m counted from the orderings themselves.
+    """
+    b, a = np.tril_indices(n_sites)
+    c, d = np.triu_indices(n_sites)
+    rows, cols = np.nonzero(b[:, None] <= c[None, :])
+    quad = (a[rows], b[rows], c[cols], d[cols])
+    shape = (n_sites,) * 4
+    codes = np.sort([np.ravel_multi_index(index, shape) for index in permutations(quad)], axis=0)
+    distinct = 1 + np.count_nonzero(np.diff(codes, axis=0), axis=0)
+    coef = form[rows, cols] / distinct
+    tensor = np.zeros(shape)
+    for index in permutations(quad):
+        tensor[index] = coef
+    return tensor
+
+
+def hamiltonian(sigma: np.ndarray, disorder: DisorderRealization, spec: MixtureSpec) -> float:
+    """H(sigma) by direct contraction, the judge of ``montecarlo.hamiltonian_batch``.
+
+    H(sigma) = sum_j sum_p beta_p(j) N^{-(p-1)/2} <g_p, sigma(j)^{otimes p}>,
+    with g_2 the raw tensor and g_4 the symmetric tensor ``quartic_tensor``
+    of the drawn quartic form.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape != (spec.n, disorder.n_sites):
@@ -166,37 +190,15 @@ def hamiltonian(sigma: np.ndarray, disorder: DisorderRealization, spec: MixtureS
             continue
         if p not in disorder.tensors:
             raise ValueError(f"disorder realization lacks the degree-{p} tensor")
+        tensor = disorder.tensors[p]
+        if p == 4:
+            tensor = quartic_tensor(tensor, n_sites)
         scale = n_sites ** (-(p - 1) / 2.0)
         for j in range(spec.n):
             if beta[j] == 0.0:
                 continue
-            total += beta[j] * scale * _contract(disorder.tensors[p], sigma[j])
+            total += beta[j] * scale * _contract(tensor, sigma[j])
     return total
-
-
-def quartic_form_reference(tensor: np.ndarray) -> np.ndarray:
-    """The bits of the form T of ``montecarlo._quartic_form``, by tuple-index gathers.
-
-    Row (a, b), a <= b, in ``np.tril_indices`` order, meets column (c, d),
-    c <= d, in ``np.triu_indices`` order, where b <= c.  T there is the sum of
-    G over the 24 orderings of (a, b, c, d), each a tuple fancy index, added
-    from zero in ``itertools.permutations`` order, divided by 24 over the
-    number of distinct orderings.  A fold that sums in another order differs
-    in the last bits.
-    """
-    n_sites = tensor.shape[0]
-    b, a = np.tril_indices(n_sites)
-    c, d = np.triu_indices(n_sites)
-    rows, cols = np.nonzero(b[:, None] <= c[None, :])
-    quad = (a[rows], b[rows], c[cols], d[cols])
-    coef = np.zeros(rows.size)
-    for index in permutations(quad):
-        coef += tensor[index]
-    codes = np.sort([np.ravel_multi_index(index, tensor.shape) for index in permutations(quad)], axis=0)
-    distinct = 1 + np.count_nonzero(np.diff(codes, axis=0), axis=0)
-    form = np.zeros((b.size, c.size))
-    form[rows, cols] = coef / (24 // distinct)
-    return form
 
 
 def reference_breakdown(lam, path: DiscretePath, q, h, spec: MixtureSpec) -> FunctionalBreakdown:
@@ -240,6 +242,22 @@ def reference_breakdown(lam, path: DiscretePath, q, h, spec: MixtureSpec) -> Fun
         cascade_term=cascade,
         theta_term=theta,
     )
+
+
+def refine_path(path: DiscretePath, k: int, x_new: float) -> DiscretePath:
+    """Insert breakpoint x_new in (x_{k-1}, x_k), duplicating Q_k: the refinement judge.
+
+    The step function is unchanged, so every evaluation of the path must be
+    invariant.
+    """
+    if not 0 <= k <= path.r:
+        raise IndexError(f"level k={k} out of range 0..{path.r}")
+    lo, hi = path.xs[k], path.xs[k + 1]
+    if not lo < x_new < hi:
+        raise ValueError(f"x_new={x_new} outside open interval ({lo}, {hi})")
+    xs = np.insert(path.xs, k + 1, x_new)
+    qs = np.insert(path.qs, k, path.qs[k], axis=0)
+    return DiscretePath(xs=xs, qs=qs)
 
 
 @pytest.fixture

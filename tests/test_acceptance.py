@@ -19,7 +19,7 @@ from sphglass.cascade import (
 )
 from sphglass.cli import load_config, run
 from sphglass.functional import closed_form_Y0, evaluate, theta_term
-from sphglass.geometry import ConstraintMatrix, DiscretePath, refine_path
+from sphglass.geometry import ConstraintMatrix, DiscretePath
 from sphglass.mixture import MixtureSpec
 from sphglass.optimizer import PathSearchConfig, inner_gradient, minimize_over_paths
 from sphglass.montecarlo import estimate_free_energy
@@ -32,6 +32,7 @@ from conftest import (
     random_mixture,
     random_multiplier,
     random_path,
+    refine_path,
 )
 
 SEED = 987654321

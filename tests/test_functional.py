@@ -15,7 +15,7 @@ from sphglass.functional import (
     logdet_pd,
     theta_term,
 )
-from sphglass.geometry import ConstraintMatrix, DiscretePath, refine_path
+from sphglass.geometry import ConstraintMatrix, DiscretePath
 from sphglass.mixture import MixtureSpec, delta_increments
 
 from conftest import (
@@ -23,6 +23,7 @@ from conftest import (
     random_mixture,
     random_multiplier,
     random_path,
+    refine_path,
     scalar_functional_value,
 )
 

@@ -7,11 +7,10 @@ from sphglass.geometry import (
     InvalidPath,
     check_path,
     is_degenerate_spectrum,
-    refine_path,
     validate_path,
 )
 
-from conftest import random_constraint, random_path
+from conftest import random_constraint, random_path, refine_path
 
 
 def q2(off: float = 0.5) -> np.ndarray:

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from sphglass.montecarlo import (
     sample_constrained,
 )
 
-from conftest import hamiltonian, overlap_window_log_volume, quartic_form_reference, xi_scalar
+from conftest import hamiltonian, overlap_window_log_volume, xi_scalar
 
 Q2 = ConstraintMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
 Q3 = ConstraintMatrix(np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.3], [-0.2, 0.3, 1.0]]))
@@ -86,9 +85,10 @@ def test_batch_matches_single_config_with_repeated_indices(n, n_sites, degrees):
 
 @pytest.mark.parametrize("n_sites", [1, 2, 5, 9])
 def test_quartic_form_stores_each_monomial_once(n_sites):
-    tensor = draw_disorder([4], n_sites, seed=n_sites).tensors[4]
-    form, c, d, order = montecarlo._quartic_form(tensor)
+    form = draw_disorder([4], n_sites, seed=n_sites).tensors[4]
+    c, d, order = montecarlo._pair_indices(n_sites)
     b, a = np.tril_indices(n_sites)
+    assert form.shape == (c.size, c.size)
     rows, cols = np.nonzero(form)
     assert rows.size == math.comb(n_sites + 3, 4)
     assert np.all(b[rows] <= c[cols])
@@ -104,35 +104,34 @@ def test_quartic_form_stores_each_monomial_once(n_sites):
         assert np.all(rows[inside] < r1)
 
 
-@pytest.mark.parametrize("n_sites", [2, 4, 7])
-def test_quartic_form_of_symmetric_tensor_counts_distinct_orderings(n_sites):
-    raw = draw_disorder([4], n_sites, seed=3).tensors[4]
-    sym = sum(raw.transpose(perm) for perm in permutations(range(4))) / 24.0
-    form = montecarlo._quartic_form(sym)[0]
+class _UnitNormals:
+    """A generator whose every standard normal is 1, so a drawn coefficient is its own standard deviation."""
+
+    def standard_normal(self, size):
+        return np.ones(size)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6, 7])
+def test_quartic_form_covariance_is_exact(monkeypatch, n_sites):
+    # Cov(<T, x^4>, <T, y^4>) = sum Var(T_abcd) x_a x_b x_c x_d y_a y_b y_c y_d
+    # over the independent coefficients, which must be (x . y)^4, the
+    # covariance of a raw N^4 Gaussian tensor; no Monte Carlo
+    monkeypatch.setattr(montecarlo, "stream", lambda seed, *key: _UnitNormals())
+    variance = draw_disorder([4], n_sites, seed=0).tensors[4] ** 2
     b, a = np.tril_indices(n_sites)
     c, d = np.triu_indices(n_sites)
-    rows, cols = np.nonzero(b[:, None] <= c[None, :])
-    quad = np.stack([a[rows], b[rows], c[cols], d[cols]], axis=1)
-    orderings = np.array([len(set(permutations(tuple(q)))) for q in quad])
-    expected = sym[tuple(quad.T)] * orderings
-    np.testing.assert_allclose(form[rows, cols], expected, rtol=1e-13, atol=1e-13)
-
-
-@pytest.mark.parametrize("n_sites", [1, 2, 5, 9, 32, 33])
-def test_quartic_form_is_bitwise_the_reference_fold(n_sites):
-    # every coefficient is the 24 orderings added from zero in permutations
-    # order: a fold that sums in another order fails here
-    tensor = draw_disorder([4], n_sites, seed=40 + n_sites).tensors[4]
-    assert np.array_equal(montecarlo._quartic_form(tensor)[0], quartic_form_reference(tensor))
+    vectors = np.random.default_rng(n_sites).standard_normal((4, n_sites))
+    for x, y in [(vectors[0], vectors[1]), (vectors[2], vectors[3]), (vectors[0], vectors[0])]:
+        rows, cols = x[a] * x[b] * y[a] * y[b], x[c] * x[d] * y[c] * y[d]
+        assert rows @ variance @ cols == pytest.approx(float(x @ y) ** 4, rel=1e-12)
 
 
 def test_quartic_form_memory_is_bounded():
-    # at the mc-estimate workload's size: the form is 2.2 MB and the sorted
-    # quadruples 1.7 MB; a (24, M) stacked index or value array is 10 MB
-    tensor = draw_disorder([4], 32, seed=2).tensors[4]
+    # at the mc-estimate workload's size the form is 2.2 MB; four live
+    # (a, b, c, d) quadruple arrays would add 1.7 MB, and a raw N^4 draw 8 MB
     tracemalloc.start()
     try:
-        montecarlo._quartic_form(tensor)
+        draw_disorder([4], 32, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -197,6 +196,23 @@ def test_batch_rejects_mismatched_input():
     for energy, spins in ((hamiltonian_batch, sig), (hamiltonian, sig[0])):
         with pytest.raises(ValueError, match="lacks the degree-4 tensor"):
             energy(spins, only_p2, spec)
+    # a raw N^4 tensor, an N x N one or a short form in place of the (P, P)
+    # quartic form, P = 78 at N = 12; and a p = 2 tensor of the wrong shape
+    good = disorder.tensors
+    for bad in (np.random.default_rng(0).standard_normal((12,) * 4), good[2], good[4][:, :-1]):
+        malformed = montecarlo.DisorderRealization(12, {2: good[2], 4: bad}, seed=8)
+        with pytest.raises(ValueError, match=r"degree-4 disorder must have shape \(78, 78\)"):
+            hamiltonian_batch(sig, malformed, spec)
+    malformed = montecarlo.DisorderRealization(12, {2: good[4], 4: good[4]}, seed=8)
+    with pytest.raises(ValueError, match=r"degree-2 disorder must have shape \(12, 12\)"):
+        hamiltonian_batch(sig, malformed, spec)
+
+
+def test_degree_two_draw_keeps_its_bits_beside_degree_four():
+    # the p = 2 tensor is drawn first, so adding p = 4 leaves its stream alone
+    for n_sites, seed in ((8, 1), (32, 5)):
+        both = draw_disorder([4, 2], n_sites, seed=seed).tensors
+        assert np.array_equal(both[2], draw_disorder([2], n_sites, seed=seed).tensors[2])
 
 
 def test_covariance_fidelity_two_spin():
@@ -240,6 +256,21 @@ def test_covariance_fidelity_four_spin():
     r12 = float(s1 @ s2 / n_sites)
     target = n_sites * 0.09 * r12**4
     assert abs(emp - target) <= 5 * se
+
+
+def test_covariance_fidelity_four_spin_of_the_drawn_form():
+    # through draw_disorder and hamiltonian_batch, on two spins at overlap
+    # 0.8: Var H = N xi(1) and Cov(H(s1), H(s2)) = N xi(0.8), each within 5
+    # sample stderr
+    n_sites, draws = 10, 1500
+    spec = MixtureSpec(1, {4: [0.3]})
+    q = ConstraintMatrix(np.array([[1.0, 0.8], [0.8, 1.0]]))
+    pair = sample_constrained(q, n_sites, 1, seed=15)[0][:, None, :]
+    energies = np.array([hamiltonian_batch(pair, draw_disorder([4], n_sites, seed=d), spec) for d in range(draws)])
+    h1, h2 = energies.T
+    for u, v, overlap in ((h1, h2, 0.8), (h1, h1, 1.0), (h2, h2, 1.0)):
+        emp, se = empirical_cov(u, v)
+        assert abs(emp - n_sites * 0.09 * overlap**4) <= 5 * se
 
 
 def test_variance_matches_kernel_diagonal():
