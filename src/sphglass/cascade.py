@@ -10,7 +10,9 @@ Three independent verification routes:
   identity the functional relies on.  The leaf level is drawn and reduced in
   blocks of whole leaf groups, taking the normals in the order one whole draw
   would, so its memory is O(max(LEAF_BLOCK, leaves per group) * n) rather
-  than O(all leaves * n).
+  than O(all leaves * n).  Each leaf value is evaluated as a quadratic in its
+  own drawn normal, c + l.z + z^T M z, with M built once and l, c once per
+  parent, so no leaf forms its partial sum.
 - ``theta_cascade_value`` computes the exact large-system limit of the
   cascade-averaged tree Gaussian with covariance Sum(theta(Q_{level}))
   level by level: each level is a log-Gaussian moment contributing
@@ -57,7 +59,8 @@ MAX_NESTED_LEVELS = 3
 MAX_NESTED_COPIES = 3
 # caps the work of nested_recursion_mc and the size of a finite cascade
 MAX_LEAVES = 20_000_000
-# leaves drawn and reduced at once by nested_recursion_mc (1 MB per array at n=2)
+# leaves drawn and reduced at once by nested_recursion_mc: the block's normals
+# and its product with M take 1 MB each at n=2, its leaf values 0.5 MB
 LEAF_BLOCK = 1 << 16
 
 
@@ -111,15 +114,23 @@ def nested_recursion_mc(
     """Nested Monte Carlo estimate of Y_0 with a delta-method standard error.
 
     ``samples[k]`` draws are used for the expectation at level k (over
-    z_{k+1}); cost is the product of the per-level counts.
+    z_{k+1}); cost is the product of the per-level counts.  Before any draw,
+    ValueError names a bad entry ``samples[i]``: there is one count per level,
+    and each is a Python or numpy int (not a bool), at least 1.
 
     The increments of levels 1..r-1 are drawn whole, in C order.  The leaf
     level r is drawn in blocks of whole leaf groups, walking the parents in C
     order, so the generator yields the same normals in the same order as one
-    draw of the full ``counts + (n,)`` leaf array would.  Each block is
-    reduced by the level-r log-mean-exp before the next is drawn, so the
-    leaf level holds O(max(LEAF_BLOCK, samples[-1]) * n) floats at a time
-    (for r = 1 the single parent row is one block).
+    draw of the full ``counts + (n,)`` leaf array would.  Leaf j of parent i,
+    with partial sum p_i = h + sum_{k<r} z_k, has the value
+    -1/2 log|L| + 1/2 w^T L^{-1} w at w = p_i + B z_ij, where B B^T = Delta_r
+    and z_ij is its drawn standard normal.  That is evaluated as the
+    quadratic c_i + l_i . z_ij + z_ij^T M z_ij, with M = 1/2 B^T L^{-1} B,
+    l_i = B^T L^{-1} p_i and c_i = -1/2 log|L| + 1/2 p_i^T L^{-1} p_i, and
+    every leaf still enters exp(x_r v) on its own.  Each block is reduced by
+    the level-r log-mean-exp before the next is drawn, so the leaf level
+    holds O(max(LEAF_BLOCK, samples[-1]) * n) floats at a time (for r = 1
+    the single parent row is one block).
     """
     path, spec, lam, h = cspec.path, cspec.spec, cspec.lam, cspec.h
     r, n = path.r, path.n
@@ -127,9 +138,14 @@ def nested_recursion_mc(
         raise ValueError(f"nested MC supports r <= {MAX_NESTED_LEVELS}, got r={r}")
     if n > MAX_NESTED_COPIES:
         raise ValueError(f"nested MC supports n <= {MAX_NESTED_COPIES}, got n={n}")
+    if len(samples) != r:
+        raise ValueError(f"need one sample count per level ({r} levels), got {samples!r}")
+    for i, count in enumerate(samples):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"samples[{i}] must be an integer, got {count!r}")
+        if count < 1:
+            raise ValueError(f"samples[{i}] must be at least 1, got {count!r}")
     counts = tuple(int(s) for s in samples)
-    if len(counts) != r or any(s < 1 for s in counts):
-        raise ValueError(f"need {r} positive per-level sample counts, got {samples}")
     if int(np.prod(counts)) > MAX_LEAVES:
         raise ValueError("sample budget exceeds the leaf limit")
 
@@ -147,24 +163,29 @@ def nested_recursion_mc(
         zsum = zsum[..., None, :] + z
     parents = zsum.reshape(-1, n)
 
+    # the leaf value c_i + l_i . z + z^T M z of the docstring
+    leaf = factors[-1]
+    quad_form = 0.5 * leaf.T @ lam_inv @ leaf
+    lin = parents @ (lam_inv @ leaf)
+    const = leaf_const + 0.5 * np.sum((parents @ lam_inv) * parents, axis=1)
+
     # level r, one block of whole leaf groups at a time.  With r = 1 level r
     # is the outermost level: its single parent row is one block, kept whole
     # for the delta-method standard error below.
     leaves = counts[-1]
     x_leaf = path.xs[r]
     rows = max(1, LEAF_BLOCK // leaves)
-    half = np.full(n, 0.5)
+    ones = np.ones(n)
     y = np.empty((len(parents), leaves) if r == 1 else len(parents))
     for start in range(0, len(parents), rows):
-        block = parents[start : start + rows]
-        w = rng.standard_normal((len(block) * leaves, n)) @ factors[-1].T
-        w = w.reshape(len(block), leaves, n)
-        w += block[:, None, :]
-        quad = w @ lam_inv
-        quad *= w
-        values = quad @ half  # half the row sums; .sum(-1) over n <= 3 is slower
-        values += leaf_const
-        y[start : start + len(block)] = values if r == 1 else _log_mean_exp_rows(values, x_leaf)
+        stop = min(start + rows, len(parents))
+        z = rng.standard_normal(((stop - start) * leaves, n))
+        quad = z @ quad_form
+        quad *= z
+        values = (quad @ ones).reshape(-1, leaves)  # .sum(-1) over n <= 3 is slower
+        values += (z.reshape(-1, leaves, n) @ lin[start:stop, :, None])[..., 0]
+        values += const[start:stop, None]
+        y[start:stop] = values if r == 1 else _log_mean_exp_rows(values, x_leaf)
     y = y.reshape(counts[:-1] if r > 1 else counts)
 
     for k in range(r - 2, 0, -1):  # only for r = 3 (MAX_NESTED_LEVELS)

@@ -131,6 +131,24 @@ def test_nested_mc_matches_whole_array_reference(rng, n, counts):
     assert res.stderr == pytest.approx(stderr, rel=1e-12)
 
 
+@pytest.mark.parametrize("counts", [(257, 311), (7, 70001)])
+def test_nested_mc_matches_whole_array_reference_on_a_singular_leaf_increment(counts):
+    # pure p = 2 with Q - Q_1 = 0.3 * 11^T makes Delta_2 rank one: the leaf
+    # factor has a zero column, and the leaf quadratic form and linear term
+    # share its null direction
+    q = np.array([[1.0, 0.5], [0.5, 1.0]])
+    path = DiscretePath(xs=[0.0, 0.4, 0.8, 1.0], qs=[np.zeros((2, 2)), q - 0.3, q])
+    spec = MixtureSpec(2, {2: [0.5, 0.4]})
+    lam = np.array([[2.0, 0.3], [0.3, 2.0]])
+    cs = CascadeSpec(path=path, spec=spec, lam=lam, h=np.array([0.1, -0.2]))
+    eigs = np.linalg.eigvalsh(cs.increment_covariances[-1])
+    assert abs(eigs[0]) <= 1e-12 * eigs[1]
+    res = nested_recursion_mc(cs, counts, seed=29)
+    estimate, stderr = whole_array_nested_mc(cs, counts, seed=29)
+    assert res.estimate == pytest.approx(estimate, rel=1e-12)
+    assert res.stderr == pytest.approx(stderr, rel=1e-12)
+
+
 def test_nested_mc_leaf_memory_is_bounded(rng):
     # 3M leaves at n=2: the whole-array algorithm peaks at about 340 MB of
     # numpy buffers; streaming the leaf level keeps a few LEAF_BLOCK arrays
@@ -174,10 +192,24 @@ def test_nested_mc_budget_validation(rng):
     spec = random_mixture(rng, 2)
     lam = random_multiplier(rng, path, spec)
     cs = CascadeSpec(path=path, spec=spec, lam=lam, h=np.zeros(2))
-    with pytest.raises(ValueError):
-        nested_recursion_mc(cs, [100], seed=0)  # wrong level count
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one sample count per level"):
+        nested_recursion_mc(cs, [100], seed=0)
+    with pytest.raises(ValueError, match=r"samples\[0\] must be at least 1"):
         nested_recursion_mc(cs, [0, 10], seed=0)
+    # a count is a Python or numpy int, never truncated from a float, a bool
+    # or a string; the error names the entry
+    for bad, index in (
+        ([10, 100.7], 1),
+        ([np.float64(50.2), 10], 0),
+        ([10, True], 1),
+        ([np.bool_(True), 10], 0),
+        (["10", 10], 0),
+    ):
+        with pytest.raises(ValueError, match=rf"samples\[{index}\] must be an integer"):
+            nested_recursion_mc(cs, bad, seed=0)
+    ints = nested_recursion_mc(cs, [np.int64(20), 30], seed=0)
+    assert ints.samples_per_level == (20, 30)
+    assert type(ints.samples_per_level[0]) is int
 
 
 BAD_BREAKPOINTS = (

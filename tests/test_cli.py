@@ -324,8 +324,10 @@ def test_report_body_byte_identical_across_reruns(tmp_path):
 
 
 def test_header_records_blas_thread_pinning(tmp_path, monkeypatch):
-    # the thread variables go into the header as set, null where unset; the
-    # body of a fixed-seed run does not change with them
+    # the thread variables go into the header as set, null where unset, and
+    # not into the body.  numpy is loaded already, so setting them here does
+    # not change the BLAS thread count; test_startup checks in fresh
+    # interpreters that a cascade-check body does not depend on it
     cfg_file = tmp_path / "mc.json"
     cfg_file.write_text(
         config_text(

@@ -241,8 +241,10 @@ def test_covariance_fidelity_four_spin():
     rng = np.random.default_rng(12)
     n_sites, draws = 10, 1500
     spec = MixtureSpec(1, {4: [0.3]})
-    pair = sample_constrained(ConstraintMatrix(np.array([[1.0]])), n_sites, 2, seed=15)
-    s1, s2 = pair[0][0], pair[1][0]
+    # a pair at overlap 0.8: the target N 0.09 r12^4 = 0.369 lies about 14
+    # sample stderr from zero (two independent spins meet near 0, at 5e-10)
+    q = ConstraintMatrix(np.array([[1.0, 0.8], [0.8, 1.0]]))
+    s1, s2 = sample_constrained(q, n_sites, 1, seed=15)[0]
     h1 = np.empty(draws)
     h2 = np.empty(draws)
     scale = n_sites ** -1.5

@@ -128,3 +128,42 @@ def test_worker_fan_out_reproduces_before_scipy_is_loaded():
     out = run_fresh(WORKERS)
     assert not out["scipy_before_serial"]
     assert out["workers2"] == out["workers1"]
+
+
+CASCADE_BODY = """
+    import json
+    import sys
+
+    from sphglass import cli
+    from sphglass.reporting import to_json
+
+    code, report = cli.run(cli.load_config(sys.argv[1]))
+    assert code == 0
+    print(json.dumps({"blas_threads": report["header"]["blas_threads"], "body": to_json(report["body"])}))
+"""
+
+
+def test_cascade_check_body_does_not_depend_on_blas_thread_count(monkeypatch):
+    # OpenBLAS reads its thread count once, when numpy loads, so each count
+    # gets a fresh interpreter.  The config keeps the leaf blocks of the
+    # benchmark's cascade-check (whole groups of 3000 leaves) at a fraction of
+    # its draws.  mc-estimate is left out: the rounding of its column-group
+    # GEMM is known to change with the thread count.
+    q = [[1.0, 0.5], [0.5, 1.0]]
+    config = {
+        "task": "cascade-check",
+        "n": 2,
+        "mixture": {"2": [0.5, 0.4], "4": [0.2, 0.15]},
+        "Q": q,
+        "h": [0.1, -0.2],
+        "seed": 1,
+        "path": {"xs": [0.0, 0.3, 0.7, 1.0], "Qs": [[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.25], [0.25, 0.5]], q]},
+        "lambda": [[2.0, 0.3], [0.3, 2.0]],
+        "budgets": {"samples_per_level": [40, 3000]},
+    }
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        outs.append(run_fresh(CASCADE_BODY, json.dumps(config)))
+        assert outs[-1]["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
+    assert outs[0]["body"] == outs[1]["body"]
