@@ -42,7 +42,7 @@ import numpy as np
 
 from sphglass.functional import solve_pd, logdet_pd
 from sphglass.geometry import DiscretePath, _frozen, check_field, check_path
-from sphglass.mixture import MixtureSpec, check_symmetric, delta_increments, theta_matrix
+from sphglass.mixture import MixtureSpec, check_count, check_symmetric, delta_increments, theta_matrix
 from sphglass.parallel import logsumexp, run_tasks, stream
 
 __all__ = [
@@ -115,8 +115,8 @@ def nested_recursion_mc(
 
     ``samples[k]`` draws are used for the expectation at level k (over
     z_{k+1}); cost is the product of the per-level counts.  Before any draw,
-    ValueError names a bad entry ``samples[i]``: there is one count per level,
-    and each is a Python or numpy int (not a bool), at least 1.
+    a bad entry raises ``InvalidField`` naming ``samples[i]``: there is one
+    count (``check_count``) per level, each at least 1.
 
     The increments of levels 1..r-1 are drawn whole, in C order.  The leaf
     level r is drawn in blocks of whole leaf groups, walking the parents in C
@@ -140,12 +140,7 @@ def nested_recursion_mc(
         raise ValueError(f"nested MC supports n <= {MAX_NESTED_COPIES}, got n={n}")
     if len(samples) != r:
         raise ValueError(f"need one sample count per level ({r} levels), got {samples!r}")
-    for i, count in enumerate(samples):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"samples[{i}] must be an integer, got {count!r}")
-        if count < 1:
-            raise ValueError(f"samples[{i}] must be at least 1, got {count!r}")
-    counts = tuple(int(s) for s in samples)
+    counts = tuple(check_count(count, f"samples[{i}]", 1) for i, count in enumerate(samples))
     if int(np.prod(counts)) > MAX_LEAVES:
         raise ValueError("sample budget exceeds the leaf limit")
 
@@ -265,19 +260,16 @@ def sample_finite_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascad
     process with intensity x_{k-1} t^{-x_{k-1}-1} dt, generated by the
     cumulative-exponential transform u_i = Gamma_i^{-1/x}; leaf weights are
     the normalized products down the tree.  Raises InvalidPath unless the
-    path passes ``validate_path`` (its end matrix is free).
+    path passes ``validate_path`` (its end matrix is free); K is a count of
+    at least 100, for a stable normalization.
     """
     check_path(path)
-    return _sample_cascade(path, K, seed)
+    return _sample_cascade(path, check_count(K, "K", 100), seed)
 
 
 def _sample_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascade:
-    """``sample_finite_cascade`` for a path that has been checked."""
+    """``sample_finite_cascade`` for a checked path and K."""
     r = path.r
-    if r < 1:
-        raise ValueError("cascade depth must be >= 1")
-    if K < 100:
-        raise ValueError("K must be >= 100 for a stable normalization")
     if K**r > MAX_LEAVES:
         raise ValueError(f"K^r = {K**r} leaves exceed the supported limit")
     rng = stream(seed, 0)
@@ -331,22 +323,22 @@ def cascade_free_energy_mc(
     path's x-parameters; every replicate samples its own cascade and tree
     Gaussian, so the average is over disorder and cascade.  Converges to
     ``theta_cascade_value`` as M and K grow (slowly; tolerances are loose by
-    design).
+    design).  ``branching`` and ``reps`` are counts of at least 100.
     """
     path = cspec.path
     if path.r > 2:
         raise ValueError("free-energy simulation supports depth <= 2")
     if not 1.0 <= m_effective <= 64.0:
         raise ValueError("M_effective must lie in [1, 64]")
-    if reps < 100:
-        raise ValueError("need at least 100 replicates")
+    branching = check_count(branching, "branching", 100)
+    reps = check_count(reps, "reps", 100)
     seeds = [np.random.SeedSequence(int(seed), spawn_key=(17, rep)).generate_state(1)[0] for rep in range(reps)]
     # tree covariance increments, clipped at zero against rounding
     v = np.clip(np.diff(_tree_covariances(path, cspec.spec)), 0.0, None)
-    args = [(path, v, float(m_effective), int(branching), int(s)) for s in seeds]
+    args = [(path, v, float(m_effective), branching, int(s)) for s in seeds]
     values = np.array(run_tasks(_cascade_rep, args, workers=workers))
     estimate = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(reps)) if reps > 1 else float("inf")
+    stderr = float(np.std(values, ddof=1) / np.sqrt(reps))
     return NestedMCResult(
-        estimate=estimate, stderr=stderr, samples_per_level=(int(branching),) * path.r, seed=int(seed)
+        estimate=estimate, stderr=stderr, samples_per_level=(branching,) * path.r, seed=int(seed)
     )

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -26,8 +26,8 @@ from sphglass import cascade as cascade_mod
 from sphglass import montecarlo as mc_mod
 from sphglass.functional import InvalidPath, NotInL, closed_form_Y0, evaluate, theta_term
 from sphglass.geometry import ConstraintMatrix, DiscretePath, check_field, check_path
-from sphglass.mixture import MixtureSpec, check_symmetric
-from sphglass.optimizer import InvalidSearchField, PathSearchConfig, minimize_over_paths
+from sphglass.mixture import InvalidField, MixtureSpec, check_count, check_real, check_symmetric
+from sphglass.optimizer import PathSearchConfig, minimize_over_paths
 from sphglass.reporting import make_report, render_report, to_json
 from sphglass import verify as verify_mod
 
@@ -72,23 +72,21 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _number(raw, name: str, convert=int, minimum=None):
-    """``raw`` through ``convert``; errors name the config field ``name``.
-
-    An integer field takes only a JSON integer: no float, string or boolean.
-    A float field takes only a finite JSON number: no string, boolean or NaN.
-    """
-    kind = "an integer" if convert is int else "a finite number"
+@contextmanager
+def _named(prefix: str = ""):
+    """Re-raise the package's ``InvalidField`` as a ``ConfigError`` that
+    names the config field ``prefix + field``."""
     try:
-        if isinstance(raw, bool) or not isinstance(raw, int if convert is int else (int, float)):
-            raise TypeError
-        value = convert(raw)
-        if convert is not int and not math.isfinite(value):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f'"{name}" must be {kind}, got {raw!r}') from None
-    _require(minimum is None or value >= minimum, f'"{name}" must be at least {minimum}, got {raw!r}')
-    return value
+        yield
+    except InvalidField as err:
+        raise ConfigError(f'"{prefix}{err.field}" {err.rule}') from None
+
+
+def _number(raw, name: str, minimum: int | None = None):
+    """``raw`` as a count of at least ``minimum`` or, with none, a finite
+    real; an error names the config field ``name``."""
+    with _named():
+        return check_real(raw, name) if minimum is None else check_count(raw, name, minimum)
 
 
 def _seed(raw) -> int:
@@ -103,9 +101,9 @@ def _workers(raw) -> int:
     return _number(raw, "workers", minimum=1)
 
 
-def _budget(config: RunConfig, key: str, default, convert=int, minimum=None):
-    """``budgets[key]`` (or ``default``) through ``_number``."""
-    return _number(config.budgets.get(key, default), f"budgets.{key}", convert, minimum)
+def _budget(config: RunConfig, key: str, default: int, minimum: int) -> int:
+    """The count ``budgets[key]`` (or ``default``) through ``_number``."""
+    return _number(config.budgets.get(key, default), f"budgets.{key}", minimum)
 
 
 def _array(raw, name: str) -> np.ndarray:
@@ -124,7 +122,6 @@ def _array(raw, name: str) -> np.ndarray:
 def _parse_matrix(raw, n: int, name: str) -> np.ndarray:
     mat = _array(raw, name)
     _require(mat.shape == (n, n), f'"{name}" must be an {n}x{n} matrix, got shape {mat.shape}')
-    _require(bool(np.all(np.isfinite(mat))), f'"{name}" contains non-finite entries')
     try:
         return check_symmetric(mat, f'"{name}"')
     except ValueError as err:
@@ -200,9 +197,8 @@ def load_config(text: str) -> RunConfig:
     search_raw = raw.get("search", {})
     _require(isinstance(search_raw, dict), '"search" must be an object')
     try:
-        search = PathSearchConfig(**search_raw)
-    except InvalidSearchField as err:
-        raise ConfigError(f'"search.{err.field}" {err.rule}') from None
+        with _named("search."):
+            search = PathSearchConfig(**search_raw)
     except TypeError as err:  # an unknown field
         raise ConfigError(f'"search" invalid: {err}') from None
 
@@ -329,20 +325,20 @@ def _run_cascade_check(config: RunConfig) -> tuple[int, dict]:
 
 
 def _run_mc_estimate(config: RunConfig) -> tuple[int, dict]:
-    try:
+    # the estimator owns the rules of its budgets; they go in as loaded
+    budgets = config.budgets
+    with _named("budgets."):
         result = mc_mod.estimate_free_energy(
             config.q,
-            _budget(config, "N", 32),
-            _budget(config, "epsilon", 0.01, convert=float),
+            budgets.get("N", 32),
+            budgets.get("epsilon", 0.01),
             config.mixture,
             config.h,
-            _budget(config, "disorder_reps", 100),
-            _budget(config, "config_samples", 2000),
+            budgets.get("disorder_reps", 100),
+            budgets.get("config_samples", 2000),
             config.seed or 0,
             workers=config.workers,
         )
-    except mc_mod.InvalidBudget as err:
-        raise ConfigError(f'"budgets.{err.field}" {err.rule}') from None
     return 0, result.to_dict()
 
 
@@ -356,7 +352,7 @@ def _run_sweep(config: RunConfig) -> tuple[int, dict]:
     _require(parameter == "beta_scale" or config.n == 2, 'sweep over "q12" requires n = 2')
     models = []  # every row's model is checked before the first search runs
     for i, raw in enumerate(values):
-        value = _number(raw, f"sweep.values[{i}]", float)
+        value = _number(raw, f"sweep.values[{i}]")
         try:
             if parameter == "beta_scale":
                 terms = {p: value * beta for p, beta in config.mixture.terms.items()}

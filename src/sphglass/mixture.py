@@ -24,10 +24,11 @@ of the same pass, so every caller sees the same bits.  The second
 derivative xi'' has its own pass, ``xi_second_matrix``: only the path
 gradient of the optimizer needs it, once per gradient.
 
-The module also owns two input rules that the whole package shares:
+The module also owns the input rules that the whole package shares:
 ``check_symmetric`` (exact symmetry, of one matrix or a stack) and
 ``not_psd`` ("PSD up to rounding", with the one tolerance
-``PSD_TOLERANCE``).  The constraint and the path rule decide with them.
+``PSD_TOLERANCE``), with which the constraint and the path rule decide, and
+``check_count`` and ``check_real``, which raise the one ``InvalidField``.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 concurrently.
@@ -35,6 +36,7 @@ concurrently.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -51,6 +53,9 @@ __all__ = [
     "delta_increments",
     "check_symmetric",
     "not_psd",
+    "InvalidField",
+    "check_count",
+    "check_real",
     "PSD_TOLERANCE",
 ]
 
@@ -83,6 +88,33 @@ def int_power(x, p: int):
             result = base if result is None else result * base
         p >>= 1
     return result
+
+
+class InvalidField(ValueError):
+    """An input breaks its rule; ``field`` names the argument or config field."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field = field
+        self.rule = rule
+
+
+def check_count(value, field: str, minimum: int) -> int:
+    """``value`` as an int: a Python or numpy int (no bool) of at least ``minimum``."""
+    # np.bool_ is not an np.integer, but bool is an int
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidField(field, f"must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidField(field, f"must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_real(value, field: str) -> float:
+    """``value`` as a float: a finite Python or numpy int or float (no bool)."""
+    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    if not (real and -sys.float_info.max <= value <= sys.float_info.max):
+        raise InvalidField(field, f"must be a finite number, got {value!r}")
+    return float(value)
 
 
 def check_symmetric(a: np.ndarray, name: str = "matrix", n: int | None = None) -> np.ndarray:
@@ -123,7 +155,8 @@ def not_psd(eigs: np.ndarray):
 class MixtureSpec:
     """Inverse-temperature vectors beta_p, one per even degree p.
 
-    ``terms`` maps even p >= 2 to a length-n float vector.  Odd degrees are
+    ``terms`` maps even p >= 2 to a length-n float vector; ``n`` and each
+    degree are counts (``check_count``), never truncated.  Odd degrees are
     rejected at construction: the convexity of xi on [-1, 1], which the whole
     variational formula rests on, requires an even mixture.
     """
@@ -134,12 +167,11 @@ class MixtureSpec:
     outers: Mapping[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", check_count(self.n, "n", 1))
         clean: dict[int, np.ndarray] = {}
         for p, beta in self.terms.items():
-            p = int(p)
-            if p < 2 or p % 2 != 0:
+            p = check_count(p, "degree", 2)
+            if p % 2 != 0:
                 raise ValueError(f"mixture degree {p} is not an even integer >= 2")
             if p > MAX_DEGREE:
                 raise ValueError(f"mixture degree {p} exceeds supported maximum {MAX_DEGREE}")

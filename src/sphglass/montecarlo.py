@@ -45,7 +45,7 @@ A raw Q goes through ``ConstraintMatrix.of`` at each public function.
 ``estimate_free_energy`` validates Q, h and its budgets once and hands the
 ``ConstraintMatrix`` to every replicate, which validates nothing again.  A
 bad N, epsilon, ``disorder_reps`` or ``config_samples`` raises
-``InvalidBudget``, whose ``field`` names it.
+``mixture.InvalidField``, whose ``field`` names it.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from sphglass.geometry import ConstraintMatrix, check_field
-from sphglass.mixture import MixtureSpec
+from sphglass.mixture import InvalidField, MixtureSpec, check_count, check_real
 from sphglass.parallel import logsumexp, run_tasks, stream
 
 __all__ = [
-    "InvalidBudget",
     "DisorderRealization",
     "EstimatorResult",
     "draw_disorder",
@@ -79,18 +78,6 @@ SAMPLE_BLOCK = 256
 QUARTIC_GROUPS = 8
 
 
-class InvalidBudget(ValueError):
-    """An estimator budget breaks its rule; ``field`` names it.
-
-    The fields are "N", "epsilon", "disorder_reps" and "config_samples".
-    """
-
-    def __init__(self, field: str, rule: str):
-        super().__init__(f"{field} {rule}")
-        self.field = field
-        self.rule = rule
-
-
 @dataclass(frozen=True)
 class DisorderRealization:
     """The Gaussian disorder of each degree, shared across copies.
@@ -105,19 +92,23 @@ class DisorderRealization:
     seed: int
 
 
-def _check_budget(n_sites: int, degrees) -> None:
-    if n_sites > MAX_SITES:
-        raise ValueError(f"N={n_sites} exceeds the supported maximum {MAX_SITES}")
+def _check_budget(n_sites, degrees, minimum: int = 1) -> int:
+    """N as a count in [minimum, ``MAX_SITES``], each degree at most ``MAX_DEGREE``."""
     for p in degrees:
         if p > MAX_DEGREE:
             raise ValueError(f"degree p={p} exceeds the supported maximum {MAX_DEGREE}")
+    n_sites = check_count(n_sites, "N", minimum)
+    if n_sites > MAX_SITES:
+        raise InvalidField("N", f"must be at most {MAX_SITES}, got {n_sites}")
+    return n_sites
 
 
 def draw_disorder(degrees, n_sites: int, seed: int) -> DisorderRealization:
-    _check_budget(n_sites, degrees)
+    degrees = sorted({check_count(p, "degree", 2) for p in degrees})
+    n_sites = _check_budget(n_sites, degrees)
     rng = stream(seed, 0)
     tensors = {}
-    for p in sorted(set(int(p) for p in degrees)):
+    for p in degrees:
         tensors[p] = _quartic_form(n_sites, rng) if p == 4 else rng.standard_normal((n_sites,) * p)
     return DisorderRealization(n_sites=n_sites, tensors=tensors, seed=int(seed))
 
@@ -248,13 +239,14 @@ def sample_constrained(q: ConstraintMatrix | np.ndarray, n_sites: int, count: in
     Rows are sqrt(N) * L U with L the Cholesky factor of Q and U orthonormal
     rows from a Gaussian QR, so the law is invariant under ambient rotations
     and the overlap matrix equals Q to rounding, hence lies in the overlap
-    window for every window width epsilon > 0.  A degenerate Q
-    (``ConstraintMatrix.is_degenerate``) raises ValueError.
+    window for every window width epsilon > 0.  N >= 4n and ``count`` >= 1
+    are counts.  A degenerate Q (``ConstraintMatrix.is_degenerate``) raises
+    ValueError.
     """
     q = ConstraintMatrix.of(q)
     n = q.n
-    if n_sites < 4 * n:
-        raise ValueError(f"need N >= 4n = {4 * n}, got N={n_sites}")
+    n_sites = check_count(n_sites, "N", 4 * n)
+    count = check_count(count, "count", 1)
     if q.is_degenerate():
         raise ValueError("constraint must be positive definite for manifold sampling")
     chol = np.linalg.cholesky(q.matrix)
@@ -329,26 +321,20 @@ def estimate_free_energy(
     ``epsilon`` is the overlap window width.  Every exact-manifold sample lies
     in every window, so it is only checked to be positive and echoed in the
     result.  A raw ``q`` goes through ``ConstraintMatrix.of``.  Before any
-    replicate runs, a budget that breaks its rule raises ``InvalidBudget``:
-    N, ``disorder_reps`` and ``config_samples`` must be ints (not bools), N
-    in [4n, ``MAX_SITES``] and each sample budget at least 1, and epsilon
-    > 0.  An invalid or degenerate Q, an invalid h or a degree above
-    ``MAX_DEGREE`` raises ValueError.
+    replicate runs, a budget that breaks its rule raises ``InvalidField``:
+    N, ``disorder_reps`` and ``config_samples`` are counts (``check_count``)
+    with N in [4n, ``MAX_SITES``], and epsilon is a real > 0.  An invalid or
+    degenerate Q, an invalid h or a degree above ``MAX_DEGREE`` raises
+    ValueError.
     """
     q = ConstraintMatrix.of(q)
     h = check_field(h, q.n)
-    counts = {"N": n_sites, "disorder_reps": disorder_reps, "config_samples": config_samples}
-    for field, count in counts.items():
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise InvalidBudget(field, f"must be an integer, got {count!r}")
-    if not 4 * q.n <= n_sites <= MAX_SITES:
-        raise InvalidBudget("N", f"must be between 4n = {4 * q.n} and {MAX_SITES}, got {n_sites}")
+    n_sites = _check_budget(n_sites, spec.degrees, 4 * q.n)
+    epsilon = check_real(epsilon, "epsilon")
     if not epsilon > 0:
-        raise InvalidBudget("epsilon", f"must be positive, got {epsilon}")
-    for field in ("disorder_reps", "config_samples"):
-        if counts[field] < 1:
-            raise InvalidBudget(field, f"must be at least 1, got {counts[field]}")
-    _check_budget(n_sites, spec.degrees)
+        raise InvalidField("epsilon", f"must be positive, got {epsilon}")
+    disorder_reps = check_count(disorder_reps, "disorder_reps", 1)
+    config_samples = check_count(config_samples, "config_samples", 1)
     if q.is_degenerate():
         raise ValueError("constraint must be positive definite for manifold sampling")
     volume = overlap_log_volume(q)

@@ -48,7 +48,6 @@ scipy.optimize loads on the first search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -66,12 +65,11 @@ from sphglass.functional import (
     _sym,
     _sym_basis,
 )
-from sphglass.mixture import MixtureSpec, check_symmetric
+from sphglass.mixture import InvalidField, MixtureSpec, check_count, check_real, check_symmetric
 from sphglass.parallel import stream
 
 __all__ = [
     "MIN_X_GRID_RESOLUTION",
-    "InvalidSearchField",
     "PathSearchConfig",
     "InnerSolveReport",
     "OptimizationReport",
@@ -144,21 +142,13 @@ class InnerSolveReport:
         return {**asdict(self), "lambda_star": self.lambda_star.tolist()}
 
 
-class InvalidSearchField(ValueError):
-    """A ``PathSearchConfig`` field breaks its rule; ``field`` names it."""
-
-    def __init__(self, field: str, rule: str):
-        super().__init__(f"{field} {rule}")
-        self.field = field
-        self.rule = rule
-
-
 @dataclass(frozen=True)
 class PathSearchConfig:
     """The search's budgets and path family, each field checked on construction.
 
-    The budgets take an ``int`` only (no bool, no float), and
-    ``x_grid_resolution`` a finite ``int`` or ``float`` (no bool).
+    The budgets are counts (``mixture.check_count``) and
+    ``x_grid_resolution`` a real (``check_real``) of at least
+    ``MIN_X_GRID_RESOLUTION``; a bad field raises ``InvalidField``.
     """
 
     max_levels: int = 2
@@ -169,18 +159,13 @@ class PathSearchConfig:
 
     def __post_init__(self):
         for name, minimum in (("max_levels", 1), ("restarts", 0), ("max_iterations", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-                raise InvalidSearchField(name, f"must be an integer at least {minimum}, got {value!r}")
-        res = self.x_grid_resolution
-        number = not isinstance(res, bool) and isinstance(res, (int, float))
-        if not (number and MIN_X_GRID_RESOLUTION <= res < math.inf):
-            raise InvalidSearchField(
-                "x_grid_resolution", f"must be at least {MIN_X_GRID_RESOLUTION} and finite, got {res!r}"
-            )
+            object.__setattr__(self, name, check_count(getattr(self, name), name, minimum))
+        res = check_real(self.x_grid_resolution, "x_grid_resolution")
+        if res < MIN_X_GRID_RESOLUTION:
+            raise InvalidField("x_grid_resolution", f"must be at least {MIN_X_GRID_RESOLUTION}, got {res!r}")
         if self.q_parameterization not in _FAMILIES:
             family = self.q_parameterization
-            raise InvalidSearchField("q_parameterization", f"must be one of {list(_FAMILIES)}, got {family!r}")
+            raise InvalidField("q_parameterization", f"must be one of {list(_FAMILIES)}, got {family!r}")
 
 
 def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport, _Factors]:

@@ -1,15 +1,23 @@
 """One rule per library input: the constraint Q, the field h, the path, "PSD
-up to rounding" and exact symmetry, each checked in one place and the same
-way at every public entry point."""
+up to rounding", exact symmetry and counts, each checked in one place and the
+same way at every public entry point."""
+
+import re
 
 import numpy as np
 import pytest
 
-from sphglass.cascade import CascadeSpec, sample_finite_cascade, theta_cascade_value
+from sphglass.cascade import (
+    CascadeSpec,
+    cascade_free_energy_mc,
+    nested_recursion_mc,
+    sample_finite_cascade,
+    theta_cascade_value,
+)
 from sphglass.functional import closed_form_Y0, evaluate, theta_term
 from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, validate_path
-from sphglass.mixture import MixtureSpec, check_symmetric, xi_pair
-from sphglass.montecarlo import estimate_free_energy, overlap_log_volume, sample_constrained
+from sphglass.mixture import InvalidField, MixtureSpec, check_symmetric, xi_pair
+from sphglass.montecarlo import draw_disorder, estimate_free_energy, overlap_log_volume, sample_constrained
 from sphglass.optimizer import (
     PathSearchConfig,
     detect_degenerate,
@@ -234,3 +242,49 @@ def test_every_entry_point_applies_the_one_path_rule(entry, bad):
     with pytest.raises(InvalidPath, match=f"invariant '{invariant}'") as err:
         TAKES_PATH[entry](path)
     assert err.value.report.violations[0].invariant == invariant
+
+
+# every public count argument: (call with the count, field, a valid count)
+CSPEC = CascadeSpec(path=PATH, spec=SPEC, lam=LAM, h=ZERO_H)
+COUNTS = {
+    "PathSearchConfig-max_levels": (lambda v: PathSearchConfig(max_levels=v), "max_levels", 1),
+    "PathSearchConfig-restarts": (lambda v: PathSearchConfig(restarts=v), "restarts", 0),
+    "PathSearchConfig-max_iterations": (lambda v: PathSearchConfig(max_iterations=v), "max_iterations", 1),
+    "estimate_free_energy-N": (lambda v: estimate_free_energy(GOOD_Q, v, 0.01, SPEC, ZERO_H, 2, 50, seed=0), "N", 16),
+    "estimate_free_energy-disorder_reps": (
+        lambda v: estimate_free_energy(GOOD_Q, 16, 0.01, SPEC, ZERO_H, v, 50, seed=0),
+        "disorder_reps",
+        2,
+    ),
+    "estimate_free_energy-config_samples": (
+        lambda v: estimate_free_energy(GOOD_Q, 16, 0.01, SPEC, ZERO_H, 2, v, seed=0),
+        "config_samples",
+        50,
+    ),
+    "sample_constrained-n_sites": (lambda v: sample_constrained(GOOD_Q, v, 5, seed=0), "N", 16),
+    "sample_constrained-count": (lambda v: sample_constrained(GOOD_Q, 16, v, seed=0), "count", 5),
+    "draw_disorder-n_sites": (lambda v: draw_disorder([2], v, seed=0), "N", 8),
+    "draw_disorder-degree": (lambda v: draw_disorder([v], 8, seed=0), "degree", 2),
+    "nested_recursion_mc": (lambda v: nested_recursion_mc(CSPEC, [v], seed=0), "samples[0]", 20),
+    "sample_finite_cascade": (lambda v: sample_finite_cascade(PATH, v, seed=0), "K", 100),
+    "cascade_free_energy_mc-branching": (
+        lambda v: cascade_free_energy_mc(v, CSPEC, 8.0, 100, seed=0),
+        "branching",
+        100,
+    ),
+    "cascade_free_energy_mc-reps": (lambda v: cascade_free_energy_mc(100, CSPEC, 8.0, v, seed=0), "reps", 100),
+    "MixtureSpec-n": (lambda v: MixtureSpec(v, {2: [0.5, 0.5]}), "n", 2),
+    "MixtureSpec-degree": (lambda v: MixtureSpec(2, {v: [0.5, 0.5]}), "degree", 2),
+}
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(True), 2.5, "2"], ids=["bool", "numpy-bool", "float", "string"])
+@pytest.mark.parametrize("entry", COUNTS)
+def test_every_count_entry_applies_the_one_count_rule(entry, bad):
+    call, field, valid = COUNTS[entry]
+    # a numpy int is a count, and it is handed on as the same Python int
+    assert repr(call(np.int64(valid))) == repr(call(valid))
+    # nothing else is: a bool is not 1, and a float is refused, not truncated
+    with pytest.raises(InvalidField, match=f"^{re.escape(field)} must be an integer, got ") as caught:
+        call(bad)
+    assert caught.value.field == field

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sphglass.geometry import DiscretePath
 from sphglass.mixture import (
+    InvalidField,
     MixtureSpec,
     delta_increments,
     int_power,
@@ -185,6 +186,16 @@ def test_odd_degree_rejected_at_construction():
         MixtureSpec(1, {3: [1.0]})
     with pytest.raises(ValueError):
         MixtureSpec(1, {1: [1.0]})
+
+
+def test_degree_key_is_a_count_not_truncated():
+    # a float key used to become its integer part: 4.9 was degree 4
+    with pytest.raises(InvalidField, match=r"^degree must be an integer, got 4\.9$"):
+        MixtureSpec(1, {4.9: [1.0]})
+    # the wire format keeps its own message for a key that is no integer
+    with pytest.raises(ValueError, match=r"^mixture degree 'x' is not an integer$"):
+        MixtureSpec.from_json_terms(1, {"x": [1.0]})
+    assert MixtureSpec.from_json_terms(1, {"4": [1.0]}).degrees == (4,)
 
 
 def test_wrong_beta_length_rejected():

@@ -8,7 +8,7 @@ from scipy.stats import kstest
 
 from sphglass import montecarlo
 from sphglass.geometry import ConstraintMatrix
-from sphglass.mixture import MixtureSpec
+from sphglass.mixture import InvalidField, MixtureSpec
 from sphglass.montecarlo import (
     SAMPLE_BLOCK,
     _disorder_rep,
@@ -386,6 +386,9 @@ def test_budget_guards():
         pytest.param({"n_sites": True}, "N", id="N-bool"),
         pytest.param({"epsilon": 0.0}, "epsilon", id="16-0.0-epsilon"),
         pytest.param({"epsilon": -1.0}, "epsilon", id="16--1.0-epsilon"),
+        pytest.param({"epsilon": float("inf")}, "epsilon", id="epsilon-infinite"),
+        pytest.param({"epsilon": True}, "epsilon", id="epsilon-bool"),
+        pytest.param({"epsilon": "0.01"}, "epsilon", id="epsilon-string"),
         pytest.param({"disorder_reps": 0}, "disorder_reps", id="disorder_reps-zero"),
         pytest.param({"disorder_reps": -3}, "disorder_reps", id="disorder_reps-negative"),
         pytest.param({"disorder_reps": 2.5}, "disorder_reps", id="disorder_reps-float"),
@@ -406,7 +409,7 @@ def test_bad_budget_is_refused_before_any_draw(monkeypatch, budgets, field):
     monkeypatch.setattr(montecarlo, "sample_constrained", no_draw)
     args = {"n_sites": 16, "epsilon": 0.01, "disorder_reps": 2, "config_samples": 10, **budgets}
     spec = MixtureSpec(2, {2: [0.3, 0.2]})
-    with pytest.raises(montecarlo.InvalidBudget, match=f"^{field} must be") as caught:
+    with pytest.raises(InvalidField, match=f"^{field} must be") as caught:
         estimate_free_energy(
             Q2, args["n_sites"], args["epsilon"], spec, np.zeros(2), args["disorder_reps"], args["config_samples"], 0
         )

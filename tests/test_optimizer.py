@@ -7,13 +7,12 @@ import pytest
 
 from sphglass.functional import NotInL, closed_form_Y0, evaluate
 from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
-from sphglass.mixture import MixtureSpec
+from sphglass.mixture import InvalidField, MixtureSpec
 from sphglass.optimizer import (
     _FAMILIES,
     MIN_X_GRID_RESOLUTION,
     VALUE_TOLERANCE,
     InnerSolveReport,
-    InvalidSearchField,
     PathSearchConfig,
     _PathContext,
     _inner_minimize_ctx,
@@ -785,6 +784,6 @@ def test_config_validation():
 )
 def test_search_config_refuses_a_non_integer_budget_or_non_finite_grid(field, value):
     # such a budget used to pass here and fail later inside the search
-    with pytest.raises(InvalidSearchField, match=f"^{field} must be") as caught:
+    with pytest.raises(InvalidField, match=f"^{field} must be") as caught:
         PathSearchConfig(**{field: value})
     assert caught.value.field == field
