@@ -42,7 +42,15 @@ import numpy as np
 
 from sphglass.functional import solve_pd, logdet_pd
 from sphglass.geometry import DiscretePath, _frozen, check_field, check_path
-from sphglass.mixture import MixtureSpec, check_count, check_symmetric, delta_increments, theta_matrix
+from sphglass.mixture import (
+    InvalidField,
+    MixtureSpec,
+    check_count,
+    check_real,
+    check_symmetric,
+    delta_increments,
+    theta_matrix,
+)
 from sphglass.parallel import logsumexp, run_tasks, stream
 
 __all__ = [
@@ -323,19 +331,21 @@ def cascade_free_energy_mc(
     path's x-parameters; every replicate samples its own cascade and tree
     Gaussian, so the average is over disorder and cascade.  Converges to
     ``theta_cascade_value`` as M and K grow (slowly; tolerances are loose by
-    design).  ``branching`` and ``reps`` are counts of at least 100.
+    design).  ``branching`` and ``reps`` are counts of at least 100, and
+    ``m_effective`` a real (``mixture.check_real``) in [1, 64].
     """
     path = cspec.path
     if path.r > 2:
         raise ValueError("free-energy simulation supports depth <= 2")
+    m_effective = check_real(m_effective, "m_effective")
     if not 1.0 <= m_effective <= 64.0:
-        raise ValueError("M_effective must lie in [1, 64]")
+        raise InvalidField("m_effective", f"must lie in [1, 64], got {m_effective!r}")
     branching = check_count(branching, "branching", 100)
     reps = check_count(reps, "reps", 100)
     seeds = [np.random.SeedSequence(int(seed), spawn_key=(17, rep)).generate_state(1)[0] for rep in range(reps)]
     # tree covariance increments, clipped at zero against rounding
     v = np.clip(np.diff(_tree_covariances(path, cspec.spec)), 0.0, None)
-    args = [(path, v, float(m_effective), branching, int(s)) for s in seeds]
+    args = [(path, v, m_effective, branching, int(s)) for s in seeds]
     values = np.array(run_tasks(_cascade_rep, args, workers=workers))
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(reps))

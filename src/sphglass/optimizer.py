@@ -149,10 +149,16 @@ class PathSearchConfig:
     The budgets are counts (``mixture.check_count``) and
     ``x_grid_resolution`` a real (``check_real``) of at least
     ``MIN_X_GRID_RESOLUTION``; a bad field raises ``InvalidField``.
+
+    The level-1 breakpoint grid {res, 2 res, ...} in (0, 1) is opt-in: at
+    the default 1.0 it is empty.  Level 1 searches one parameter, the
+    breakpoint x_0 of the path 0 -> Q, and for n = 1 its value is convex in
+    x_0 (the Crisanti-Sommers functional), so the default and corner starts
+    reach the optimum that a grid would repeat.
     """
 
     max_levels: int = 2
-    x_grid_resolution: float = 0.25
+    x_grid_resolution: float = 1.0
     q_parameterization: str = "scalar_profile"  # or "cholesky_increments"
     restarts: int = 2
     max_iterations: int = 300  # L-BFGS-B iterations per start; 2x that in objective calls
@@ -408,9 +414,11 @@ class _PathFamily:
     def starts(self, config: PathSearchConfig, seed: int) -> list[np.ndarray]:
         """Starts of the level-r search, each inside ``bounds()``.
 
-        The default, the replica-symmetric corner, a breakpoint grid at
-        r = 1 and ``config.restarts`` random draws from the level's own
-        stream ``parallel.stream(seed, r)``.  L-BFGS-B clips a start into
+        The default, the replica-symmetric corner, the breakpoint grid of
+        ``config.x_grid_resolution`` at r = 1 (empty by default: a search
+        convex in x_0 for n = 1 needs no grid) and ``config.restarts``
+        random draws from the level's own stream
+        ``parallel.stream(seed, r)``.  L-BFGS-B clips a start into
         its bounds, so a draw maps its weights into the box: exp(z - max z)
         keeps the shares of a softmax of z.
         """

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from sphglass.functional import gaussian_quadratic_identity, jacobi_limit_term, logdet_pd, solve_pd
+from sphglass.mixture import check_count
 from sphglass.parallel import stream
 
 __all__ = [
@@ -53,6 +54,7 @@ def random_identity_instance(rng: np.random.Generator, n_max: int = 4, mc_safe: 
 
 def identity_suite(seed: int, count: int = 100, n_max: int = 4) -> list[dict]:
     """Closed-form left vs right side on ``count`` random instances."""
+    count = check_count(count, "count", 0)
     rng = stream(seed, 31)
     checks = []
     for i in range(count):
@@ -74,7 +76,10 @@ def identity_suite(seed: int, count: int = 100, n_max: int = 4) -> list[dict]:
 
 
 def mc_identity_check(seed: int, count: int = 10, samples: int = 1_000_000, n_max: int = 4) -> list[dict]:
-    """Monte Carlo estimate of the left expectation vs the closed form."""
+    """Monte Carlo estimate of the left expectation vs the closed form;
+    ``samples`` is at least 2, for a standard error."""
+    count = check_count(count, "count", 0)
+    samples = check_count(samples, "samples", 2)
     rng = stream(seed, 32)
     checks = []
     for i in range(count):
@@ -105,6 +110,7 @@ def mc_identity_check(seed: int, count: int = 10, samples: int = 1_000_000, n_ma
 
 def jacobi_suite(seed: int, count: int = 50, n_max: int = 4, x0: float = JACOBI_X0) -> list[dict]:
     """|log-ratio term at x0 - trace limit| <= 1e-4 on random PD pairs."""
+    count = check_count(count, "count", 0)
     rng = stream(seed, 33)
     checks = []
     for i in range(count):

@@ -17,7 +17,7 @@ from sphglass.cascade import (
 from sphglass.functional import InvalidPath, closed_form_Y0, logdet_pd, solve_pd, theta_term
 from sphglass import geometry
 from sphglass.geometry import DiscretePath, validate_path
-from sphglass.mixture import MixtureSpec
+from sphglass.mixture import InvalidField, MixtureSpec
 from sphglass import parallel
 from sphglass.parallel import stream
 
@@ -382,6 +382,24 @@ def test_cascade_free_energy_validations():
     spec = MixtureSpec(1, {2: [0.3]})
     cs = CascadeSpec(path=path, spec=spec, lam=np.array([[1.5]]), h=np.zeros(1))
     with pytest.raises(ValueError):
-        cascade_free_energy_mc(200, cs, m_effective=100.0, reps=100, seed=0)
-    with pytest.raises(ValueError):
         cascade_free_energy_mc(200, cs, m_effective=8.0, reps=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "bad, rule",
+    [
+        (True, "must be a finite number, got True"),
+        ("8", "must be a finite number, got '8'"),
+        (0.5, "must lie in [1, 64], got 0.5"),
+        (65, "must lie in [1, 64], got 65.0"),
+    ],
+    ids=["bool", "string", "below-1", "above-64"],
+)
+def test_cascade_free_energy_checks_m_effective(bad, rule):
+    # a bool is not M = 1 and a string is not a number: both are refused
+    # with the field error before any replicate runs
+    spec = MixtureSpec(1, {2: [0.3]})
+    cs = CascadeSpec(path=scalar_path(0.5), spec=spec, lam=np.array([[1.5]]), h=np.zeros(1))
+    with pytest.raises(InvalidField) as caught:
+        cascade_free_energy_mc(200, cs, m_effective=bad, reps=100, seed=0)
+    assert (caught.value.field, caught.value.rule) == ("m_effective", rule)

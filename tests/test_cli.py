@@ -283,9 +283,10 @@ def test_verify_identities_reads_mc_samples_only_for_mc_checks(tmp_path):
     assert main(["verify-identities", "--config", str(cfg_file), "--out", str(tmp_path / "out.json")]) == 0
 
 
-def test_cascade_check_takes_integral_float_sample_counts(tmp_path):
-    reports = []
-    for samples in ([400], [400.0]):
+def test_cascade_check_sample_counts_are_json_integers(tmp_path, capsys):
+    # a sample count is a count: 400 runs, and 400.0 is refused like any
+    # float, with no report written
+    for samples, code in (([400], 0), ([400.0], 1)):
         cfg_file = tmp_path / "cc.json"
         cfg_file.write_text(
             config_text(
@@ -295,11 +296,14 @@ def test_cascade_check_takes_integral_float_sample_counts(tmp_path):
                 **{"lambda": [[1.18]]},
             )
         )
-        out = tmp_path / "cc.json.out"
-        main(["cascade-check", "--config", str(cfg_file), "--out", str(out)])
-        reports.append(json.loads(out.read_text())["body"])
-    assert reports[0] == reports[1]
-    assert reports[0]["nested_mc"]["samples_per_level"] == [400]
+        out = tmp_path / f"cc-{code}.json"
+        assert main(["cascade-check", "--config", str(cfg_file), "--out", str(out)]) == code
+        if code == 0:
+            assert json.loads(out.read_text())["body"]["nested_mc"]["samples_per_level"] == [400]
+    assert not out.exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith('"budgets.samples_per_level[0]" must be an integer')
 
 
 def test_task_subcommand_conflict(tmp_path):

@@ -25,6 +25,7 @@ from sphglass.optimizer import (
     inner_minimize,
     minimize_over_paths,
 )
+from sphglass.verify import identity_suite, jacobi_suite, mc_identity_check
 
 SPEC = MixtureSpec(2, {2: [0.5, 0.5]})
 GOOD_Q = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -275,6 +276,10 @@ COUNTS = {
     "cascade_free_energy_mc-reps": (lambda v: cascade_free_energy_mc(100, CSPEC, 8.0, v, seed=0), "reps", 100),
     "MixtureSpec-n": (lambda v: MixtureSpec(v, {2: [0.5, 0.5]}), "n", 2),
     "MixtureSpec-degree": (lambda v: MixtureSpec(2, {v: [0.5, 0.5]}), "degree", 2),
+    "identity_suite": (lambda v: identity_suite(0, count=v), "count", 1),
+    "jacobi_suite": (lambda v: jacobi_suite(0, count=v), "count", 1),
+    "mc_identity_check-count": (lambda v: mc_identity_check(0, count=v, samples=100), "count", 1),
+    "mc_identity_check-samples": (lambda v: mc_identity_check(0, count=1, samples=v), "samples", 2),
 }
 
 
@@ -288,3 +293,21 @@ def test_every_count_entry_applies_the_one_count_rule(entry, bad):
     with pytest.raises(InvalidField, match=f"^{re.escape(field)} must be an integer, got ") as caught:
         call(bad)
     assert caught.value.field == field
+
+
+@pytest.mark.parametrize(
+    "call, field, minimum",
+    [
+        (lambda v: identity_suite(0, count=v), "count", 0),
+        (lambda v: jacobi_suite(0, count=v), "count", 0),
+        (lambda v: mc_identity_check(0, count=v, samples=100), "count", 0),
+        (lambda v: mc_identity_check(0, count=1, samples=v), "samples", 2),
+    ],
+    ids=["identity_suite", "jacobi_suite", "mc_identity_check-count", "mc_identity_check-samples"],
+)
+def test_verify_suites_check_their_counts_on_entry(call, field, minimum):
+    # the minimum itself runs (no check, or a two-sample standard error);
+    # one below it is refused before any draw
+    call(minimum)
+    with pytest.raises(InvalidField, match=f"^{field} must be at least {minimum}, got {minimum - 1}$"):
+        call(minimum - 1)

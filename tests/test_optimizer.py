@@ -649,9 +649,11 @@ def test_family_starts_lie_inside_their_bounds(rng, name, n, r):
     # L-BFGS-B silently clips a start that lies outside its bounds
     q = random_constraint(rng, n).matrix
     family = _FAMILIES[name](r, q)
-    starts = family.starts(PathSearchConfig(restarts=3), seed=4)
+    starts = family.starts(PathSearchConfig(restarts=3, x_grid_resolution=0.25), seed=4)
     # default and corner, three restarts, and the 0.25 grid at r = 1
     assert len(starts) == 2 + 3 + (3 if r == 1 else 0)
+    # the default grid is empty: the default, the corner and the restarts
+    assert len(family.starts(PathSearchConfig(restarts=3), seed=4)) == 2 + 3
     bounds = family.bounds()
     assert len(bounds) == family.n_params
     lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds])
@@ -694,6 +696,33 @@ def test_search_reaches_the_pinned_values(family):
         q, spec, h = _judge_model(i)
         report = minimize_over_paths(q, h, spec, config, seed=i)
         assert report.best_value <= pinned + VALUE_TOLERANCE, f"model {i}"
+
+
+@pytest.mark.parametrize("family", sorted(JUDGE_VALUES))
+def test_level_one_grid_repeats_the_default_and_corner_optimum(monkeypatch, family):
+    # r = 1 searches the one breakpoint x_0, convex in it for n = 1: the
+    # default search, with no grid, reaches the value of the 0.25 grid's
+    # search in fewer objective calls
+    import sphglass.optimizer as optimizer
+
+    solve = optimizer.scipy_minimize
+    calls = []
+
+    def counting(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        calls[-1] += res.nfev
+        return res
+
+    monkeypatch.setattr(optimizer, "scipy_minimize", counting)
+    for i in range(len(JUDGE_VALUES[family])):
+        q, spec, h = _judge_model(i)
+        values = []
+        for config in (PathSearchConfig(max_levels=1, q_parameterization=family),
+                       PathSearchConfig(max_levels=1, q_parameterization=family, x_grid_resolution=0.25)):
+            calls.append(0)
+            values.append(minimize_over_paths(q, h, spec, config, seed=i).best_value)
+        assert abs(values[0] - values[1]) <= 1e-12, f"model {i}"
+        assert calls[-2] < calls[-1], f"model {i}"
 
 
 def test_search_ignores_last_bit_noise_in_the_objective(monkeypatch):
