@@ -89,6 +89,19 @@ class CascadeSpec:
 
     def __post_init__(self):
         check_path(self.path)
+        self._derive()
+
+    @classmethod
+    def _of_checked_path(cls, path: DiscretePath, spec: MixtureSpec, lam, h) -> "CascadeSpec":
+        """The spec of a path that has passed ``check_path``; it is not checked again."""
+        cspec = object.__new__(cls)
+        for name, value in (("path", path), ("spec", spec), ("lam", lam), ("h", h)):
+            object.__setattr__(cspec, name, value)
+        cspec._derive()
+        return cspec
+
+    def _derive(self):
+        """Check lam and h, and compute the increment covariances."""
         object.__setattr__(self, "lam", _frozen(check_symmetric(self.lam, "Lambda")))
         object.__setattr__(self, "h", _frozen(check_field(self.h, self.path.n)))
         object.__setattr__(self, "increment_covariances", tuple(delta_increments(self.spec, self.path)))
@@ -232,6 +245,11 @@ def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
     ``validate_path`` (its end matrix is free).
     """
     check_path(path)
+    return _theta_cascade_value(path, spec)
+
+
+def _theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
+    """``theta_cascade_value`` of a path that has passed ``check_path``."""
     cov = _tree_covariances(path, spec)
     total = 0.0
     for k in range(path.r):

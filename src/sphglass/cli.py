@@ -24,7 +24,7 @@ import numpy as np
 
 from sphglass import cascade as cascade_mod
 from sphglass import montecarlo as mc_mod
-from sphglass.functional import InvalidPath, NotInL, closed_form_Y0, evaluate, theta_term
+from sphglass.functional import InvalidPath, NotInL, _closed_form_Y0, _theta_term, evaluate
 from sphglass.geometry import ConstraintMatrix, DiscretePath, check_field, check_path
 from sphglass.mixture import InvalidField, MixtureSpec, check_count, check_real, check_symmetric
 from sphglass.optimizer import PathSearchConfig, minimize_over_paths
@@ -301,15 +301,14 @@ def _run_cascade_check(config: RunConfig) -> tuple[int, dict]:
     raw = config.budgets.get("samples_per_level", [2000] * config.path.r)
     _require(isinstance(raw, list), f'"budgets.samples_per_level" must be an array, got {raw!r}')
     samples = [_number(s, f"budgets.samples_per_level[{i}]", minimum=1) for i, s in enumerate(raw)]
-    cspec = cascade_mod.CascadeSpec(
-        path=config.path, spec=config.mixture, lam=config.lam, h=config.h
-    )
-    target = closed_form_Y0(config.lam, config.path, config.h, config.mixture)
+    # load_config checked the path, lambda and h; each is handed on as checked
+    cspec = cascade_mod.CascadeSpec._of_checked_path(config.path, config.mixture, config.lam, config.h)
+    target = _closed_form_Y0(config.lam, config.path, config.h, config.mixture)
     result = cascade_mod.nested_recursion_mc(cspec, samples, seed)
     gap = abs(result.estimate - target)
     recursion_pass = bool(gap <= 3.0 * result.stderr or gap <= 1e-12)
-    tt = theta_term(config.path, config.mixture)
-    tc = cascade_mod.theta_cascade_value(config.path, config.mixture)
+    tt = _theta_term(config.path, config.mixture)
+    tc = cascade_mod._theta_cascade_value(config.path, config.mixture)
     theta_pass = bool(abs(tt - tc) <= 1e-12 * max(1.0, abs(tt)))
     body = {
         "closed_form_target": target,

@@ -21,11 +21,11 @@ One kernel, ``_PathContext``, computes it: ``evaluate`` and
 it, searches paths with its envelope gradient and certifies divergence with
 it.  Log-determinants are always taken through a Cholesky factorization
 (never the raw determinant) for conditioning near the admissibility boundary.
-Each factorization is followed by one stacked solve for the triangular
-inverses of the factors; the cascade increments, the field term and the
-chain's inverses are matrix products of those.  The kernel factors a
-multiplier in one place, ``_PathContext.feasible_value``; its derivatives
-take the resulting factors, never the multiplier itself.
+Each factorization is followed by one stacked triangular inverse of the
+factors; the cascade increments, the field term and the chain's inverses are
+matrix products of those.  The kernel factors a multiplier in one place,
+``_PathContext.feasible_value``; its derivatives take the resulting factors,
+never the multiplier itself.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, check_field, check_path
-from sphglass.mixture import MixtureSpec, check_symmetric, path_levels, xi_second_matrix
+from sphglass.mixture import MixtureSpec, check_symmetric, path_levels
 
 __all__ = [
     "NotInL",
@@ -129,12 +129,12 @@ class FunctionalBreakdown:
 
 def _theta_steps(thetas: np.ndarray) -> np.ndarray:
     """s_k = Sum(theta(Q_{k+1}) - theta(Q_k)), k = 0..r-1, from the theta levels."""
-    return np.sum(np.diff(thetas, axis=0), axis=(1, 2))
+    return (thetas[1:] - thetas[:-1]).sum(axis=(1, 2))
 
 
 def _theta_sum(x_all: np.ndarray, theta_steps: np.ndarray) -> float:
     """1/2 sum_k x_k s_k."""
-    return float(np.sum(0.5 * x_all[:-1] * theta_steps))
+    return float((0.5 * x_all[:-1] * theta_steps).sum())
 
 
 class _Factors(NamedTuple):
@@ -158,8 +158,9 @@ class _PathContext:
     ``closed_form_Y0`` and the optimizer all run on it.  Every evaluation
     works on the whole multiplier chain L_k = Lambda - tails[k], k = 0..r, as
     one (r + 1, n, n) stack, so it costs one stacked Cholesky factorization
-    and one stacked triangular inverse whatever the number of levels.  The
-    increments Delta_k and the theta levels come from one mixture pass
+    and one stacked triangular inverse (``np.linalg.inv`` of the factors)
+    whatever the number of levels.  The increments Delta_k, the theta levels
+    and xi'' of the middle levels come from one checked mixture pass
     (``path_levels``) over the path's chain Q_0..Q_r.
 
     ``feasible_value`` is the one place a multiplier is factored, and
@@ -172,36 +173,39 @@ class _PathContext:
     def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec):
         self.qmat = qmat
         self.h = np.asarray(h, dtype=float)
-        self.n = path.n
-        self.r = path.r
-        self.spec = spec
+        n = self.n = path.n
+        r = self.r = path.r
         self.qs = path.qs
-        self.deltas, thetas = path_levels(spec, path)
+        self.deltas, thetas, xi_seconds = path_levels(spec, path)
+        self.xi_seconds = xi_seconds[1:-1]  # xi''(Q_1..Q_{r-1})
         x_all = path.xs[1:]  # x_0 .. x_r = 1
         self.x_levels = x_all
-        # tails[k] = sum_{l >= k} x_l Delta_{l+1}; Lambda_k = Lambda - tails[k]
-        scaled = x_all[:-1, None, None] * self.deltas
-        self._set_tails(
-            np.concatenate([np.cumsum(scaled[::-1], axis=0)[::-1], np.zeros((1, self.n, self.n))])
-        )
-        self.eye = np.broadcast_to(np.eye(self.n), (self.r + 1, self.n, self.n))
+        # guarded[k + 1] = tails[k] = sum_{l >= k} x_l Delta_{l+1}, so
+        # Lambda_k = Lambda - tails[k]; guarded[r + 1] = tails[r] = 0
+        guarded = np.zeros((r + 2, n, n))
+        (x_all[:-1, None, None] * self.deltas)[::-1].cumsum(axis=0, out=guarded[r:0:-1])
+        self._guard(guarded)
         # logdet coefficients: the cascade sum telescopes into
         # sum_j w_j log|Lambda_j| with w_0 < 0 and w_j >= 0 otherwise
-        self.logdet_coeffs = -np.diff(0.5 / x_all, prepend=0.0)
+        half = 0.5 / x_all
+        self.logdet_coeffs = -half
+        self.logdet_coeffs[1:] += half[:-1]
         # the value keeps the cascade in its increment form instead
-        self.increment_coeffs = 0.5 / x_all[:-1] - 0.5
+        self.increment_coeffs = half[:-1] - 0.5
         self.theta_steps = _theta_steps(thetas)
         self.theta_const = _theta_sum(x_all, self.theta_steps)
-        self.has_field = bool(np.any(self.h))
+        self.has_field = bool(self.h.any())
 
-    def _set_tails(self, tails: np.ndarray) -> None:
-        """The chain tails, and the stack ``feasible_value`` subtracts from lam.
+    def _guard(self, guarded: np.ndarray) -> None:
+        """Keep the chain tails ``guarded[1:]`` and, as all of ``guarded``,
+        the stack ``feasible_value`` subtracts from lam.
 
-        Its first matrix is tails[0] + margin I, so lam less it is L_0 less
-        the membership margin; the rest are the tails themselves.
+        ``guarded[0]`` becomes tails[0] + margin I, so lam less it is L_0
+        less the membership margin.
         """
-        self.tails = tails
-        self.guarded_tails = np.concatenate([tails[:1] + MEMBERSHIP_MARGIN * np.eye(self.n), tails])
+        np.add(guarded[1], MEMBERSHIP_MARGIN * np.eye(self.n), out=guarded[0])
+        self.tails = guarded[1:]
+        self.guarded_tails = guarded
 
     def rotated(self, u: np.ndarray, mu: np.ndarray) -> "_PathContext":
         """This context conjugated by the orthonormal u, with Q = diag(mu).
@@ -212,11 +216,13 @@ class _PathContext:
         rotated context has no path levels and no ``envelope_gradient``.
         """
         out = copy.copy(self)
-        out.qs = None
+        out.qs = out.xi_seconds = None
         out.qmat = np.diag(mu)
         out.h = u.T @ self.h
         out.deltas = _sym(u.T @ self.deltas @ u)
-        out._set_tails(_sym(u.T @ self.tails @ u))
+        guarded = np.empty_like(self.guarded_tails)
+        guarded[1:] = _sym(u.T @ self.tails @ u)
+        out._guard(guarded)
         return out
 
     def lambda_start(self) -> np.ndarray:
@@ -233,24 +239,25 @@ class _PathContext:
         lower = cinv[:-1]
         conj = lower @ self.deltas @ lower.swapaxes(1, 2)
         mu = np.linalg.eigvalsh(_sym(conj))
-        return np.sum(np.log1p(self.x_levels[:-1, None] * mu), axis=1)
+        return np.log1p(self.x_levels[:-1, None] * mu).sum(axis=1)
 
     def _factored(self, lam: np.ndarray, chol: np.ndarray) -> _Factors:
         """The ``_Factors`` at lam from the Cholesky factors of its chain.
 
-        One stacked solve gives the triangular inverses C_k^{-1}; the
-        increments' conjugates, the field vector C_0^{-1} h and
-        L_k^{-1} = C_k^{-T} C_k^{-1} are matrix products of them.  The
+        One stacked ``np.linalg.inv`` of the factors gives the triangular
+        inverses C_k^{-1}; the increments' conjugates, the field vector
+        C_0^{-1} h and L_k^{-1} = C_k^{-T} C_k^{-1} are matrix products of
+        them.  The
         cascade sum is accumulated through the stable log-determinant
         increments of ``_increments``.
         """
-        cinv = np.linalg.solve(chol, self.eye)
+        cinv = np.linalg.inv(chol)
         increments = self._increments(cinv)
         total = (
-            0.5 * float(np.trace(lam @ self.qmat))
+            0.5 * float((lam @ self.qmat).trace())
             - 0.5 * self.n
             - self.theta_const
-            - float(np.sum(np.log(np.diagonal(chol[0]))))
+            - float(np.log(chol[0].diagonal()).sum())
             + float(self.increment_coeffs @ increments)
         )
         if self.has_field:
@@ -319,29 +326,28 @@ class _PathContext:
         ``value_grad_hess``.
         """
         _, _, increments, inv = factored
+        r = self.r
         x = self.x_levels[:-1]
         w = self.logdet_coeffs
         # pair[j, m] = <L_j^{-1}, Delta_{m+1}>, summed over j <= m
         pair = np.einsum("jab,mab->jm", inv[:-1], self.deltas)
         grad_x = (
             -increments / (2.0 * x * x)
-            - np.sum(np.triu(w[:-1, None] * pair), axis=0)
+            - np.triu(w[:-1, None] * pair).sum(axis=0)
             - 0.5 * self.theta_steps
         )
         if self.has_field:
             v = inv[0] @ self.h
             grad_x += 0.5 * np.einsum("a,mab,b->m", v, self.deltas, v)
-        if self.r < 2:
+        if r < 2:
             return grad_x, np.empty((0, self.n, self.n))
-        levels = self.qs[1:-1]
-        xi2 = xi_second_matrix(self.spec, levels)
         gap = (x[:-1] - x[1:])[:, None, None]  # x_{k-1} - x_k, k = 1..r-1
-        below = np.cumsum(w[:, None, None] * inv, axis=0)[: self.r - 1]  # sum_{j<k}
-        weighted = gap * below - (x[1:] * w[1 : self.r])[:, None, None] * inv[1 : self.r]
-        outer = -weighted - 0.5 * gap * levels
+        below = (w[: r - 1, None, None] * inv[: r - 1]).cumsum(axis=0)  # sum_{j<k}
+        weighted = gap * below - (x[1:] * w[1:r])[:, None, None] * inv[1:r]
+        outer = -weighted - 0.5 * gap * self.qs[1:-1]
         if self.has_field:
-            outer += 0.5 * gap * np.outer(v, v)
-        return grad_x, xi2 * outer
+            outer += 0.5 * gap * (v[:, None] * v)
+        return grad_x, self.xi_seconds * outer
 
     def member_factors(self, lam: np.ndarray) -> _Factors:
         """The ``_Factors`` at lam; raises NotInL unless ``feasible_value`` admits lam.
@@ -400,7 +406,12 @@ def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
     passes ``validate_path`` (its end matrix is free).
     """
     check_path(path)
-    _, thetas = path_levels(spec, path)
+    return _theta_term(path, spec)
+
+
+def _theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
+    """``theta_term`` of a path that has passed ``check_path``."""
+    _, thetas, _ = path_levels(spec, path)
     return _theta_sum(path.xs[1:], _theta_steps(thetas))
 
 
@@ -418,7 +429,12 @@ def closed_form_Y0(
     """
     check_path(path)
     lam = check_symmetric(lam, "Lambda")
-    b = _PathContext(path, path.qs[-1], check_field(h, path.n), spec).breakdown(lam)
+    return _closed_form_Y0(lam, path, check_field(h, path.n), spec)
+
+
+def _closed_form_Y0(lam: np.ndarray, path: DiscretePath, h: np.ndarray, spec: MixtureSpec) -> float:
+    """``closed_form_Y0`` of a checked multiplier, path and field."""
+    b = _PathContext(path, path.qs[-1], h, spec).breakdown(lam)
     return b.logdet_term + b.field_term + b.cascade_term
 
 

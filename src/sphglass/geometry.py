@@ -138,7 +138,7 @@ class DiscretePath:
                 f"qs must have shape (r + 1, n, n), n >= 1, matching xs; "
                 f"got {qs.shape} for {xs.size} breakpoints"
             )
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(qs))):
+        if not (np.isfinite(xs).all() and np.isfinite(qs).all()):
             raise ValueError("path contains non-finite entries")
         object.__setattr__(self, "xs", _frozen(xs))
         object.__setattr__(self, "qs", _frozen(qs))
@@ -155,14 +155,6 @@ class DiscretePath:
     @property
     def n(self) -> int:
         return self.qs.shape[1]
-
-    def value_at(self, x: float) -> np.ndarray:
-        """Left-continuous evaluation: Q_k for x_{k-1} < x <= x_k; Q_0 at 0."""
-        if x <= self.xs[0]:
-            return self.qs[0]
-        k = int(np.searchsorted(self.xs[1:], x, side="left"))
-        k = min(k, self.qs.shape[0] - 1)
-        return self.qs[k]
 
     @classmethod
     def simple(cls, q: np.ndarray, x0: float = 0.5) -> "DiscretePath":

@@ -15,14 +15,13 @@ rule ``geometry.validate_path`` owns that order: a path is checked once where
 it enters the library, so the increments here are the plain differences of
 xi' and are not checked again.
 
-One kernel does the arithmetic: ``xi_pair`` validates a matrix, or a stack
-of matrices, once and accumulates xi and xi' in the same loop over degrees.
-``path_levels`` runs it once on a path's (r + 1, n, n) chain and returns the
-increments together with theta of every level; ``xi_matrix``,
-``xi_prime_matrix``, ``theta_matrix`` and ``delta_increments`` are thin users
-of the same pass, so every caller sees the same bits.  The second
-derivative xi'' has its own pass, ``xi_second_matrix``: only the path
-gradient of the optimizer needs it, once per gradient.
+One kernel does the arithmetic: ``_xi_terms`` validates a matrix, or a
+stack of matrices, once and accumulates xi, xi' and, on request, xi'' in the
+same loop over degrees.  ``path_levels`` runs it once on a path's
+(r + 1, n, n) chain and returns the increments together with theta and xi''
+of every level; ``xi_pair``, ``xi_matrix``, ``xi_prime_matrix``,
+``xi_second_matrix``, ``theta_matrix`` and ``delta_increments`` are thin
+users of the same pass, so every caller sees the same bits.
 
 The module also owns the input rules that the whole package shares:
 ``check_symmetric`` (exact symmetry, of one matrix or a stack) and
@@ -129,10 +128,10 @@ def check_symmetric(a: np.ndarray, name: str = "matrix", n: int | None = None) -
             raise ValueError(f"{name} must be a non-empty square matrix, got shape {a.shape}")
     elif a.ndim not in (2, 3) or a.shape[-2:] != (n, n):
         raise ValueError(f"{name} must be an {n}x{n} matrix or a stack of them, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     mirror = a.swapaxes(-1, -2)
-    if not np.array_equal(a, mirror):
+    if not (a == mirror).all():
         gap = np.abs(a - mirror)
         entry = tuple(int(i) for i in np.unravel_index(int(np.argmax(gap)), gap.shape))
         swapped = entry[:-2] + entry[:-3:-1]
@@ -230,23 +229,33 @@ class MixtureSpec:
         return {str(p): list(map(float, v)) for p, v in self.terms.items()}
 
 
-def xi_pair(spec: MixtureSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """xi(A) and xi'(A) entrywise, from one validated pass over the degrees.
+def _xi_terms(spec: MixtureSpec, a: np.ndarray, second: bool):
+    """xi(A), xi'(A) and, if ``second``, xi''(A) entrywise, from one validated
+    pass over the degrees (xi'' is None otherwise).
 
     ``a`` is one symmetric matrix or a stack (m, n, n) of them; a stack is
     level by level identical to one call per matrix.  xi accumulates
-    (beta_p beta_p^T) . A^{o p} and xi' accumulates p (beta_p beta_p^T) .
-    A^{o (p-1)}, each outer product from ``spec.outers`` and each power by
-    ``int_power``.  The outputs are exactly symmetric because the inputs are
-    and every update is entrywise.
+    (beta_p beta_p^T) . A^{o p}, xi' accumulates p (beta_p beta_p^T) .
+    A^{o (p-1)} and xi'' p (p-1) (beta_p beta_p^T) . A^{o (p-2)}, each outer
+    product from ``spec.outers`` and each power by ``int_power``.  The
+    outputs are exactly symmetric because the inputs are and every update is
+    entrywise.
     """
     a = check_symmetric(a, "A", spec.n)
     xi = np.zeros_like(a)
     xi_prime = np.zeros_like(a)
+    xi_second = np.zeros_like(a) if second else None
     for p, outer in spec.outers.items():
         xi += outer * int_power(a, p)
         xi_prime += float(p) * outer * int_power(a, p - 1)
-    return xi, xi_prime
+        if second:
+            xi_second += float(p * (p - 1)) * outer * int_power(a, p - 2)
+    return xi, xi_prime, xi_second
+
+
+def xi_pair(spec: MixtureSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """xi(A) and xi'(A) entrywise, of one symmetric matrix or a stack (m, n, n)."""
+    return _xi_terms(spec, a, False)[:2]
 
 
 def xi_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
@@ -264,11 +273,7 @@ def xi_second_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
 
     Like ``xi_pair`` it takes one symmetric matrix or a stack (m, n, n).
     """
-    a = check_symmetric(a, "A", spec.n)
-    out = np.zeros_like(a)
-    for p, outer in spec.outers.items():
-        out += float(p * (p - 1)) * outer * int_power(a, p - 2)
-    return out
+    return _xi_terms(spec, a, True)[2]
 
 
 def theta_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
@@ -282,17 +287,18 @@ def theta_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float) * xi_prime - xi
 
 
-def path_levels(spec: MixtureSpec, path) -> tuple[np.ndarray, np.ndarray]:
-    """Increments Delta_k and theta(Q_k) of a path from one mixture pass.
+def path_levels(spec: MixtureSpec, path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Increments Delta_k, theta(Q_k) and xi''(Q_k) of a path from one mixture pass.
 
-    Returns ``(deltas, thetas)``: the read-only (r, n, n) increments of
-    ``delta_increments`` and the (r + 1, n, n) stack theta(Q_0..Q_r), both
-    from the xi and xi' of one ``xi_pair`` call on ``path.qs``.
+    Returns ``(deltas, thetas, xi_seconds)``: the read-only (r, n, n)
+    increments of ``delta_increments`` and the (r + 1, n, n) stacks
+    theta(Q_0..Q_r) and xi''(Q_0..Q_r), all from one ``_xi_terms`` call on
+    ``path.qs``.
     """
-    xi, xi_prime = xi_pair(spec, path.qs)
-    deltas = np.diff(xi_prime, axis=0)
+    xi, xi_prime, xi_second = _xi_terms(spec, path.qs, True)
+    deltas = xi_prime[1:] - xi_prime[:-1]
     deltas.setflags(write=False)
-    return deltas, path.qs * xi_prime - xi
+    return deltas, path.qs * xi_prime - xi, xi_second
 
 
 def delta_increments(spec: MixtureSpec, path) -> np.ndarray:

@@ -97,14 +97,6 @@ SEARCH_GTOL = 1e-9
 NEWTON_DECREMENT_FLOOR = 16.0 * np.finfo(float).eps
 
 
-def _to_coords(g: np.ndarray) -> np.ndarray:
-    return _sym_basis(g.shape[0]) @ g.ravel()
-
-
-def _from_coords(v: np.ndarray, n: int) -> np.ndarray:
-    return (_sym_basis(n).T @ v).reshape(n, n)
-
-
 def inner_gradient(
     lam: np.ndarray,
     path: DiscretePath,
@@ -182,7 +174,7 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
     ``lambda_start`` (through its raising form ``member_factors``) and each
     accepted line-search trial.  Their ``_Factors`` go straight into
     ``value_grad_hess``, so each feasibility test costs one stacked Cholesky
-    call and one stacked solve, and each Newton step one more solve.
+    call and one stacked ``np.linalg.inv``, and each Newton step one solve.
     Returns the report and the final iterate's ``_Factors``, ready for
     ``envelope_gradient``.
     """
@@ -194,6 +186,8 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
         lam = ctx.lambda_start()
         factored = ctx.member_factors(lam)
     n = ctx.n
+    basis = _sym_basis(n)
+    ridge = 1e-12 * np.eye(len(basis))
     gtol = INNER_GRADIENT_TOLERANCE
     status = "max_iterations"
     value, grad, hess = ctx.value_grad_hess(factored)
@@ -207,20 +201,20 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
         if value < -1e12:
             status = "diverging"
             break
-        gvec = _to_coords(grad)
+        gvec = basis @ grad.ravel()
         step_vec = None
         try:
-            step_vec = np.linalg.solve(hess + 1e-12 * np.eye(len(hess)), -gvec)
+            step_vec = np.linalg.solve(hess + ridge, -gvec)
         except np.linalg.LinAlgError:
             step_vec = None
         newton = step_vec is not None and float(step_vec @ gvec) < 0.0
         if not newton:
             step_vec = -gvec  # Hessian ill-conditioned: steepest descent
-        step = _from_coords(step_vec, n)
+        step = (basis.T @ step_vec).reshape(n, n)
 
         # backtracking doubles as the cone safeguard: any trial whose chain
         # leaves the PD cone fails the Cholesky inside feasible_value
-        slope = float(np.sum(grad * step))
+        slope = float((grad * step).sum())
         t = 1.0
         improved = False
         for _ in range(40):
@@ -355,16 +349,22 @@ def detect_degenerate(
 # path families
 
 
-def _shares(w: np.ndarray) -> np.ndarray:
-    """cum_i / S for i < len(w) - 1: r + 1 positive weights to 0 < x_0 < ... < x_{r-1} < 1."""
-    cum = np.cumsum(w)
-    return cum[:-1] / cum[-1]
+def _shares(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """cum_i / S for i < len(w) - 1: r + 1 positive weights to 0 < x_0 < ... < x_{r-1} < 1.
+
+    Written into ``out`` when given.
+    """
+    cum = w.cumsum()
+    return np.divide(cum[:-1], cum[-1], out=out)
 
 
 def _shares_pullback(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Pull d/d(cum_i / S) back to the weights: d(cum_i / S)/dw_j = ([j <= i] - cum_i / S) / S."""
-    suffix = np.concatenate([np.cumsum(grad[::-1])[::-1], [0.0]])
-    return (suffix - float(grad @ _shares(w))) / np.sum(w)
+    suffix = np.zeros(len(w))  # suffix[j] = sum_{i >= j} grad_i, and suffix[-1] = 0
+    grad[::-1].cumsum(out=suffix[-2::-1])
+    suffix -= float(grad @ _shares(w))
+    suffix /= w.sum()
+    return suffix
 
 
 class _PathFamily:
@@ -392,7 +392,10 @@ class _PathFamily:
         if r > 1:
             qs[1:r] = self._levels(params[r + 1 :])
         qs[r] = self.qmat
-        return DiscretePath(xs=np.concatenate([[0.0], _shares(params[: r + 1]), [1.0]]), qs=qs)
+        xs = np.zeros(r + 2)
+        xs[-1] = 1.0
+        _shares(params[: r + 1], out=xs[1:-1])
+        return DiscretePath(xs=xs, qs=qs)
 
     def pullback(self, params: np.ndarray, grad_x: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
         """Gradient in the parameters from the path gradient (d/dx, d/dQ_k)."""
@@ -455,7 +458,7 @@ class _ScalarProfile(_PathFamily):
 
     def _levels_pullback(self, u: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
         w = np.exp(np.clip(u, -60.0, 60.0))
-        grad_profile = np.sum(grad_q * self.qmat, axis=(1, 2))
+        grad_profile = (grad_q * self.qmat).sum(axis=(1, 2))
         return np.where(np.abs(u) < 60.0, w * _shares_pullback(w, grad_profile), 0.0)
 
     def _level_default(self) -> np.ndarray:

@@ -3,7 +3,8 @@
 Every stochastic routine derives one RNG stream per task from
 (seed, *task index) and reduces results in task order, so a fixed seed gives
 bit-identical output at any worker count.  Workers > 1 fan the tasks out to a
-process pool; the default is sequential.
+process pool; the default is sequential.  ``multiprocessing`` is imported
+inside that branch, so a sequential run never loads it.
 
 ``logsumexp`` is the max-shift log-sum-exp that the Monte Carlo routines of
 ``montecarlo`` and ``cascade`` share, in numpy alone.
@@ -11,7 +12,6 @@ process pool; the default is sequential.
 
 from __future__ import annotations
 
-from multiprocessing import get_context
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +33,8 @@ def run_tasks(fn: Callable, args: Sequence, workers: int = 1) -> list:
     """Ordered map of ``fn`` over ``args``; parallel only when workers > 1."""
     if workers <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
+    from multiprocessing import get_context
+
     with get_context("fork").Pool(processes=min(workers, len(args))) as pool:
         return pool.map(_call, [(fn, a) for a in args])
 

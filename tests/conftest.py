@@ -244,6 +244,14 @@ def reference_breakdown(lam, path: DiscretePath, q, h, spec: MixtureSpec) -> Fun
     )
 
 
+def path_value_at(path: DiscretePath, x: float) -> np.ndarray:
+    """Left-continuous evaluation of the step function: Q_k for x_{k-1} < x <= x_k; Q_0 at 0."""
+    if x <= path.xs[0]:
+        return path.qs[0]
+    k = int(np.searchsorted(path.xs[1:], x, side="left"))
+    return path.qs[min(k, path.r)]
+
+
 def refine_path(path: DiscretePath, k: int, x_new: float) -> DiscretePath:
     """Insert breakpoint x_new in (x_{k-1}, x_k), duplicating Q_k: the refinement judge.
 

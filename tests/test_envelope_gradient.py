@@ -11,6 +11,7 @@ import pytest
 
 from sphglass.functional import _PathContext
 from sphglass.geometry import DiscretePath
+from sphglass.mixture import MixtureSpec, xi_second_matrix
 from sphglass.optimizer import (
     _CholeskyIncrements,
     _ScalarProfile,
@@ -67,6 +68,20 @@ def test_envelope_gradient_matches_central_differences(rng, n, r, field):
                 fd = _central(lambda t: value(path.xs, path.qs + t * unit))
                 analytic = float(np.sum(grad_q[k - 1] * unit[k]))
                 assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-7), f"Q_{k}[{a}, {b}]"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("degrees", [(2,), (4,), (2, 4)])
+def test_context_xi_second_is_the_mixture_kernel_bitwise(rng, n, r, degrees):
+    # the context takes xi'' of Q_1..Q_{r-1} from its one checked mixture
+    # pass, and it must be the public kernel's value to the bit
+    q = random_constraint(rng, n).matrix
+    spec = MixtureSpec(n, {p: rng.uniform(0.1, 1.0, size=n) for p in degrees})
+    path = random_path(rng, q, r)
+    ctx = _PathContext(path, q, np.zeros(n), spec)
+    assert ctx.xi_seconds.shape == (r - 1, n, n)
+    assert np.array_equal(ctx.xi_seconds, xi_second_matrix(spec, path.qs[1:-1]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -10,7 +10,7 @@ from sphglass.geometry import (
     validate_path,
 )
 
-from conftest import random_constraint, random_path, refine_path
+from conftest import path_value_at, random_constraint, random_path, refine_path
 
 
 def q2(off: float = 0.5) -> np.ndarray:
@@ -132,7 +132,7 @@ def test_refine_keeps_step_function(rng):
         # the same value at every breakpoint of the refined path and inside every piece
         cuts = refined.xs
         for x in np.concatenate([cuts, 0.5 * (cuts[:-1] + cuts[1:])]):
-            assert np.array_equal(refined.value_at(x), path.value_at(x))
+            assert np.array_equal(path_value_at(refined, x), path_value_at(path, x))
         assert validate_path(refined, q).ok
 
 
@@ -156,7 +156,7 @@ def test_validate_rejects_a_nonmonotone_chain(rng):
 def test_left_continuous_evaluation():
     q = q2(0.5)
     path = DiscretePath(xs=[0.0, 0.4, 1.0], qs=np.stack([np.zeros((2, 2)), q]))
-    assert np.array_equal(path.value_at(0.4), np.zeros((2, 2)))  # (0, 0.4] -> Q_0
-    assert np.array_equal(path.value_at(0.41), q)
-    assert np.array_equal(path.value_at(1.0), q)
-    assert np.array_equal(path.value_at(0.0), np.zeros((2, 2)))
+    assert np.array_equal(path_value_at(path, 0.4), np.zeros((2, 2)))  # (0, 0.4] -> Q_0
+    assert np.array_equal(path_value_at(path, 0.41), q)
+    assert np.array_equal(path_value_at(path, 1.0), q)
+    assert np.array_equal(path_value_at(path, 0.0), np.zeros((2, 2)))

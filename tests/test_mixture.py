@@ -133,16 +133,20 @@ def test_one_pass_matches_single_kernels_bitwise(rng, n, r):
     terms = {2: rng.uniform(0.1, 1.0, n), 4: rng.uniform(0.0, 0.5, n), 6: rng.uniform(0.0, 0.3, n)}
     spec = MixtureSpec(n, terms)
     xi, xi_prime = xi_pair(spec, path.qs)
-    deltas, thetas = path_levels(spec, path)
-    assert xi.shape == xi_prime.shape == thetas.shape == (r + 1, n, n)
+    deltas, thetas, seconds = path_levels(spec, path)
+    assert xi.shape == xi_prime.shape == thetas.shape == seconds.shape == (r + 1, n, n)
     ref_primes = []
     for k, a in enumerate(path.qs):
         ref_xi = np.zeros((n, n))
         ref_prime = np.zeros((n, n))
+        ref_second = np.zeros((n, n))
         for p, beta in spec.terms.items():
             ref_xi += np.outer(beta, beta) * int_power(a, p)
             ref_prime += float(p) * np.outer(beta, beta) * int_power(a, p - 1)
+            ref_second += float(p * (p - 1)) * np.outer(beta, beta) * int_power(a, p - 2)
         ref_primes.append(ref_prime)
+        assert np.array_equal(seconds[k], ref_second)
+        assert np.array_equal(seconds[k], xi_second_matrix(spec, a))
         assert np.array_equal(xi[k], ref_xi)
         assert np.array_equal(xi[k], xi_matrix(spec, a))
         assert np.array_equal(xi_prime[k], ref_prime)

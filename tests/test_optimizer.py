@@ -80,7 +80,7 @@ def test_gradient_scalar_stationary_point():
 
 def test_hessian_matches_gradient_differences(rng):
     # the Newton model: directional derivatives of the gradient match H b
-    from sphglass.optimizer import _PathContext, _to_coords
+    from sphglass.functional import _PathContext, _sym_basis
 
     for _ in range(5):
         n = int(rng.integers(1, 4))
@@ -97,8 +97,9 @@ def test_hessian_matches_gradient_differences(rng):
             b = (b + b.T) / 2.0
             _, grad_up, _ = ctx.value_grad_hess(ctx.member_factors(lam + eps * b))
             _, grad_dn, _ = ctx.value_grad_hess(ctx.member_factors(lam - eps * b))
-            fd = _to_coords((grad_up - grad_dn) / (2 * eps))
-            hv = hess @ _to_coords(b)
+            basis = _sym_basis(n)
+            fd = basis @ ((grad_up - grad_dn) / (2 * eps)).ravel()
+            hv = hess @ (basis @ b.ravel())
             scale = max(1.0, float(np.max(np.abs(hv))))
             assert float(np.max(np.abs(fd - hv))) <= 1e-5 * scale
 
@@ -193,10 +194,11 @@ def test_inner_solve_factors_each_point_once(rng, monkeypatch, warm):
     assert calls["cholesky"] == calls["feasible_value"] + (0 if warm else 1)
 
 
-def test_inner_solve_makes_one_solve_per_feasibility_test_and_newton_step(rng, monkeypatch):
+def test_inner_solve_makes_one_inverse_per_feasibility_test_and_one_solve_per_newton_step(rng, monkeypatch):
     # each factorization is followed by one stacked triangular inverse, and
     # each Newton step solves for its direction; the Hessian and the path
-    # gradient read the inverses handed on with the factors and solve nothing
+    # gradient read the inverses handed on with the factors, and neither
+    # inverts nor solves
     q = random_constraint(rng, 2)
     spec = random_mixture(rng, 2)
     h = np.array([0.2, -0.1])
@@ -206,29 +208,29 @@ def test_inner_solve_makes_one_solve_per_feasibility_test_and_newton_step(rng, m
     xs[1] *= 0.9
     ctx = _PathContext(DiscretePath(xs=xs, qs=path.qs), q.matrix, h, spec)
 
-    calls = {"solve": 0, "feasible_value": 0}
-    solve = np.linalg.solve
+    calls = {"inv": 0, "solve": 0, "feasible_value": 0}
     feasible_value = _PathContext.feasible_value
 
-    def counting_solve(a, b):
-        calls["solve"] += 1
-        return solve(a, b)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counting_feasible_value(self, lam):
-        calls["feasible_value"] += 1
-        return feasible_value(self, lam)
+        return counted
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    monkeypatch.setattr(_PathContext, "feasible_value", counting_feasible_value)
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    monkeypatch.setattr(_PathContext, "feasible_value", counting("feasible_value", feasible_value))
     rep, factored = _inner_minimize_ctx(ctx, lam0=lam0)
     assert rep.status == "converged"
     assert rep.iterations >= 1
-    assert calls["solve"] == calls["feasible_value"] + rep.iterations
+    assert calls["inv"] == calls["feasible_value"]
+    assert calls["solve"] == rep.iterations
 
-    calls["solve"] = 0
+    calls.update(inv=0, solve=0)
     ctx.value_grad_hess(factored)
     ctx.envelope_gradient(factored)
-    assert calls["solve"] == 0
+    assert calls["inv"] == calls["solve"] == 0
 
 
 @pytest.mark.parametrize("offset, status", [(None, "max_iterations"), (1e-6, "converged")], ids=["cold", "near"])

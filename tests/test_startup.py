@@ -1,7 +1,8 @@
 """What a fresh interpreter loads, and what it computes before scipy is loaded.
 
 ``import sphglass`` loads numpy and the package only; each scipy submodule is
-imported inside the function that calls it.  These tests run in a new
+imported inside the function that calls it, and ``multiprocessing`` inside
+the fan-out branch of ``parallel.run_tasks``.  These tests run in a new
 interpreter, because the test session itself has long imported scipy.
 """
 
@@ -92,6 +93,35 @@ def test_scipy_is_loaded_only_by_the_code_that_calls_it():
     assert len(out["steps"]) == 8
     # the guard can see an import: the search loads scipy.optimize
     assert out["optimize_after_minimize"]
+
+
+MULTIPROCESSING = """
+    import json
+    import sys
+
+    def loaded():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
+
+    steps = {}
+    from sphglass import cli
+    steps["import sphglass.cli"] = loaded()
+    cli.load_config(sys.argv[1])
+    steps["load_config"] = loaded()
+    from sphglass.parallel import run_tasks
+
+    assert run_tasks(abs, [1, -2], workers=2) == [1, 2]
+    print(json.dumps({"steps": steps, "after_fan_out": "multiprocessing" in sys.modules}))
+"""
+
+
+def test_cli_start_up_loads_no_multiprocessing():
+    # only run_tasks with workers > 1 forks a pool, so only that branch
+    # imports multiprocessing
+    config = {"task": "minimize", "n": 2, "mixture": {"2": [0.3, 0.3]}, "Q": [[1.0, 0.5], [0.5, 1.0]], "seed": 1}
+    out = run_fresh(MULTIPROCESSING, json.dumps(config))
+    assert out["steps"] == {"import sphglass.cli": [], "load_config": []}
+    # the guard can see an import: a fan-out loads multiprocessing
+    assert out["after_fan_out"]
 
 
 WORKERS = """
