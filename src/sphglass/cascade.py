@@ -36,6 +36,7 @@ scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,19 +90,6 @@ class CascadeSpec:
 
     def __post_init__(self):
         check_path(self.path)
-        self._derive()
-
-    @classmethod
-    def _of_checked_path(cls, path: DiscretePath, spec: MixtureSpec, lam, h) -> "CascadeSpec":
-        """The spec of a path that has passed ``check_path``; it is not checked again."""
-        cspec = object.__new__(cls)
-        for name, value in (("path", path), ("spec", spec), ("lam", lam), ("h", h)):
-            object.__setattr__(cspec, name, value)
-        cspec._derive()
-        return cspec
-
-    def _derive(self):
-        """Check lam and h, and compute the increment covariances."""
         object.__setattr__(self, "lam", _frozen(check_symmetric(self.lam, "Lambda")))
         object.__setattr__(self, "h", _frozen(check_field(self.h, self.path.n)))
         object.__setattr__(self, "increment_covariances", tuple(delta_increments(self.spec, self.path)))
@@ -136,8 +124,10 @@ def nested_recursion_mc(
 
     ``samples[k]`` draws are used for the expectation at level k (over
     z_{k+1}); cost is the product of the per-level counts.  Before any draw,
-    a bad entry raises ``InvalidField`` naming ``samples[i]``: there is one
-    count (``check_count``) per level, each at least 1.
+    a bad budget raises ``InvalidField``: ``samples[i]`` names an entry that
+    is not a count (``check_count``) of at least 1, and ``samples`` a list
+    that does not hold one count per level or whose product exceeds
+    ``MAX_LEAVES``.  With ``samples[0] == 1`` the standard error is inf.
 
     The increments of levels 1..r-1 are drawn whole, in C order.  The leaf
     level r is drawn in blocks of whole leaf groups, walking the parents in C
@@ -160,10 +150,11 @@ def nested_recursion_mc(
     if n > MAX_NESTED_COPIES:
         raise ValueError(f"nested MC supports n <= {MAX_NESTED_COPIES}, got n={n}")
     if len(samples) != r:
-        raise ValueError(f"need one sample count per level ({r} levels), got {samples!r}")
+        raise InvalidField("samples", f"needs one sample count per level ({r} levels), got {samples!r}")
     counts = tuple(check_count(count, f"samples[{i}]", 1) for i, count in enumerate(samples))
-    if int(np.prod(counts)) > MAX_LEAVES:
-        raise ValueError("sample budget exceeds the leaf limit")
+    budget = math.prod(counts)
+    if budget > MAX_LEAVES:
+        raise InvalidField("samples", f"asks for {budget} leaves, above the leaf limit {MAX_LEAVES}")
 
     leaf_const = -0.5 * logdet_pd(lam)
     lam_inv = solve_pd(lam, np.eye(n))
@@ -245,11 +236,6 @@ def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
     ``validate_path`` (its end matrix is free).
     """
     check_path(path)
-    return _theta_cascade_value(path, spec)
-
-
-def _theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
-    """``theta_cascade_value`` of a path that has passed ``check_path``."""
     cov = _tree_covariances(path, spec)
     total = 0.0
     for k in range(path.r):
@@ -294,7 +280,9 @@ def sample_finite_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascad
 
 
 def _sample_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascade:
-    """``sample_finite_cascade`` for a checked path and K."""
+    """``sample_finite_cascade`` for a checked path and K: the one sampler of
+    ``cascade_free_energy_mc``'s replicates, whose path its ``CascadeSpec``
+    checked once."""
     r = path.r
     if K**r > MAX_LEAVES:
         raise ValueError(f"K^r = {K**r} leaves exceed the supported limit")

@@ -24,7 +24,7 @@ import numpy as np
 
 from sphglass import cascade as cascade_mod
 from sphglass import montecarlo as mc_mod
-from sphglass.functional import InvalidPath, NotInL, _closed_form_Y0, _theta_term, evaluate
+from sphglass.functional import InvalidPath, NotInL, evaluate
 from sphglass.geometry import ConstraintMatrix, DiscretePath, check_field, check_path
 from sphglass.mixture import InvalidField, MixtureSpec, check_count, check_real, check_symmetric
 from sphglass.optimizer import PathSearchConfig, minimize_over_paths
@@ -73,13 +73,13 @@ def _require(cond: bool, message: str):
 
 
 @contextmanager
-def _named(prefix: str = ""):
+def _named(prefix: str = "", field: str | None = None):
     """Re-raise the package's ``InvalidField`` as a ``ConfigError`` that
-    names the config field ``prefix + field``."""
+    names the config field ``prefix + field`` (or the given ``field``)."""
     try:
         yield
     except InvalidField as err:
-        raise ConfigError(f'"{prefix}{err.field}" {err.rule}') from None
+        raise ConfigError(f'"{field or prefix + err.field}" {err.rule}') from None
 
 
 def _number(raw, name: str, minimum: int | None = None):
@@ -300,15 +300,21 @@ def _run_cascade_check(config: RunConfig) -> tuple[int, dict]:
     seed = config.seed or 0
     raw = config.budgets.get("samples_per_level", [2000] * config.path.r)
     _require(isinstance(raw, list), f'"budgets.samples_per_level" must be an array, got {raw!r}')
-    samples = [_number(s, f"budgets.samples_per_level[{i}]", minimum=1) for i, s in enumerate(raw)]
-    # load_config checked the path, lambda and h; each is handed on as checked
-    cspec = cascade_mod.CascadeSpec._of_checked_path(config.path, config.mixture, config.lam, config.h)
-    target = _closed_form_Y0(config.lam, config.path, config.h, config.mixture)
-    result = cascade_mod.nested_recursion_mc(cspec, samples, seed)
+    # the outermost count feeds the stderr of the pass rule, which needs two
+    samples = [
+        _number(s, f"budgets.samples_per_level[{i}]", minimum=2 if i == 0 else 1) for i, s in enumerate(raw)
+    ]
+    cspec = cascade_mod.CascadeSpec(config.path, config.mixture, config.lam, config.h)
+    # the closed forms of the recursion and of the theta sum are terms of the
+    # functional; none of them reads Q, which the path ends at
+    closed = evaluate(config.lam, config.path, config.q, config.h, config.mixture)
+    target = closed.logdet_term + closed.field_term + closed.cascade_term
+    with _named(field="budgets.samples_per_level"):  # its length and leaf-limit rules
+        result = cascade_mod.nested_recursion_mc(cspec, samples, seed)
     gap = abs(result.estimate - target)
     recursion_pass = bool(gap <= 3.0 * result.stderr or gap <= 1e-12)
-    tt = _theta_term(config.path, config.mixture)
-    tc = cascade_mod._theta_cascade_value(config.path, config.mixture)
+    tt = closed.theta_term
+    tc = cascade_mod.theta_cascade_value(config.path, config.mixture)
     theta_pass = bool(abs(tt - tc) <= 1e-12 * max(1.0, abs(tt)))
     body = {
         "closed_form_target": target,

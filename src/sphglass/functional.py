@@ -406,11 +406,6 @@ def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
     passes ``validate_path`` (its end matrix is free).
     """
     check_path(path)
-    return _theta_term(path, spec)
-
-
-def _theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
-    """``theta_term`` of a path that has passed ``check_path``."""
     _, thetas, _ = path_levels(spec, path)
     return _theta_sum(path.xs[1:], _theta_steps(thetas))
 
@@ -429,12 +424,7 @@ def closed_form_Y0(
     """
     check_path(path)
     lam = check_symmetric(lam, "Lambda")
-    return _closed_form_Y0(lam, path, check_field(h, path.n), spec)
-
-
-def _closed_form_Y0(lam: np.ndarray, path: DiscretePath, h: np.ndarray, spec: MixtureSpec) -> float:
-    """``closed_form_Y0`` of a checked multiplier, path and field."""
-    b = _PathContext(path, path.qs[-1], h, spec).breakdown(lam)
+    b = _PathContext(path, path.qs[-1], check_field(h, path.n), spec).breakdown(lam)
     return b.logdet_term + b.field_term + b.cascade_term
 
 

@@ -28,10 +28,10 @@ Structure of the double infimum:
   so the gradient of V(path) = min_Lambda P(Lambda, path) is the envelope
   gradient ``_PathContext.envelope_gradient`` at the inner minimizer
   (Danskin), pulled back to the parameters.  Each level starts from the
-  default path, the replica-symmetric corner, a breakpoint grid at r = 1
-  and seeded random draws.  Every reported value is the functional at an
-  admissible multiplier and path, so it is an honest upper bound on the
-  infimum.  A level-r path is a level-(r + 1) path with one interval
+  default path, the replica-symmetric corner and seeded random draws; a
+  breakpoint grid at r = 1 is opt-in (``x_grid_resolution`` below 1).
+  Every reported value is the functional at an admissible multiplier and
+  path, so it is an honest upper bound on the infimum.  A level-r path is a level-(r + 1) path with one interval
   duplicated, so each level records the lowest value found up to it, and
   per-level values never increase.
 

@@ -83,8 +83,9 @@ def test_nested_mc_leaf_budget_guard(rng):
     spec = random_mixture(rng, 2)
     lam = random_multiplier(rng, path, spec)
     cs = CascadeSpec(path=path, spec=spec, lam=lam, h=np.zeros(2))
-    with pytest.raises(ValueError, match="leaf limit"):
+    with pytest.raises(InvalidField, match="leaf limit") as err:
         nested_recursion_mc(cs, [400, 300, 200], seed=0)
+    assert err.value.field == "samples"  # the rule judges the whole list
 
 
 def whole_array_nested_mc(cs: CascadeSpec, counts: tuple[int, ...], seed: int) -> tuple[float, float]:
@@ -192,8 +193,9 @@ def test_nested_mc_budget_validation(rng):
     spec = random_mixture(rng, 2)
     lam = random_multiplier(rng, path, spec)
     cs = CascadeSpec(path=path, spec=spec, lam=lam, h=np.zeros(2))
-    with pytest.raises(ValueError, match="one sample count per level"):
+    with pytest.raises(InvalidField, match="one sample count per level") as err:
         nested_recursion_mc(cs, [100], seed=0)
+    assert err.value.field == "samples"
     with pytest.raises(ValueError, match=r"samples\[0\] must be at least 1"):
         nested_recursion_mc(cs, [0, 10], seed=0)
     # a count is a Python or numpy int, never truncated from a float, a bool

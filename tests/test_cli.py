@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from sphglass.cli import ConfigError, load_config, main, run, serialize_config
+from sphglass.functional import closed_form_Y0, theta_term
 from sphglass.reporting import render_float, to_json
+
+from conftest import random_constraint, random_mixture, random_multiplier, random_path
 
 MINIMAL = {
     "n": 1,
@@ -169,6 +172,14 @@ def test_verify_identities_subcommand(tmp_path):
     assert all(c["pass"] for c in report["body"]["checks"])
 
 
+# an r = 3 path to the identity, for which the default 2000 samples per level
+# exceed the leaf limit
+R3_PAIR_PATH = {
+    "xs": [0.0, 0.2, 0.5, 0.8, 1.0],
+    "Qs": [[[0.0, 0.0], [0.0, 0.0]], [[0.25, 0.0], [0.0, 0.25]], [[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 1.0]]],
+}
+
+
 def _config_error(tmp_path, capsys, task, flags=(), **overrides) -> str:
     # runs the subcommand and returns the message of its config error
     cfg_file = tmp_path / "bad.json"
@@ -190,6 +201,11 @@ def _config_error(tmp_path, capsys, task, flags=(), **overrides) -> str:
         ("cascade-check", {"budgets": {"samples_per_level": 5}}, '"budgets.samples_per_level"'),
         ("cascade-check", {"budgets": {"samples_per_level": ["x"]}}, '"budgets.samples_per_level[0]"'),
         ("cascade-check", {"budgets": {"samples_per_level": [20.5]}}, '"budgets.samples_per_level[0]"'),
+        # one outermost sample has an infinite stderr, so the 3-sigma rule could not fail
+        ("cascade-check", {"budgets": {"samples_per_level": [1]}}, '"budgets.samples_per_level[0]"'),
+        # the oracle's own rules on the whole list: one count per level, and the leaf limit
+        ("cascade-check", {"budgets": {"samples_per_level": [20, 20]}}, '"budgets.samples_per_level"'),
+        ("cascade-check", {"path": R3_PAIR_PATH}, '"budgets.samples_per_level"'),
         # an integer field takes a JSON integer only: no truncation, no bool, no string
         ("mc-estimate", {"budgets": {"N": 32.7, "disorder_reps": 2, "config_samples": 10}}, '"budgets.N"'),
         ("mc-estimate", {"budgets": {"N": 16, "disorder_reps": True, "config_samples": 10}},
@@ -236,6 +252,7 @@ def _config_error(tmp_path, capsys, task, flags=(), **overrides) -> str:
     ],
     ids=["N-not-integer", "disorder-reps-zero", "config-samples-zero", "q12-out-of-range", "value-not-number",
          "samples-per-level-not-list", "samples-per-level-entry-not-integer", "samples-per-level-entry-float",
+         "samples-per-level-outermost-one", "samples-per-level-wrong-length", "samples-per-level-r3-default",
          "N-float", "disorder-reps-bool", "max-levels-float", "restarts-float", "max-iterations-float",
          "restarts-string", "restarts-negative", "max-levels-zero",
          "h-string", "h-nan", "Q-ragged", "lambda-string-entry", "path-xs-string-entry", "path-Qs-ragged",
@@ -416,6 +433,57 @@ def test_cascade_check_subcommand(tmp_path):
     report = json.loads(out.read_text())
     assert report["body"]["recursion_pass"] is True
     assert report["body"]["theta_pass"] is True
+
+
+def _cascade_model(rng, n: int, r: int, field: bool) -> dict:
+    q = random_constraint(rng, n)
+    path = random_path(rng, q.matrix, r)
+    spec = random_mixture(rng, n)
+    lam = random_multiplier(rng, path, spec)
+    return {
+        "task": "cascade-check",
+        "n": n,
+        "mixture": spec.json_terms(),
+        "Q": q.matrix.tolist(),
+        "h": (rng.uniform(-0.4, 0.4, size=n) if field else np.zeros(n)).tolist(),
+        "seed": 1,
+        "path": {"xs": path.xs.tolist(), "Qs": path.qs.tolist()},
+        "lambda": ((lam + lam.T) / 2.0).tolist(),
+        "budgets": {"samples_per_level": [3] * r},
+    }
+
+
+WORKLOAD_CASCADE_MODEL = {
+    "task": "cascade-check",
+    "n": 2,
+    "mixture": {"2": [0.5, 0.4], "4": [0.2, 0.15]},
+    "Q": [[1.0, 0.5], [0.5, 1.0]],
+    "h": [0.1, -0.2],
+    "seed": 1,
+    "path": {
+        "xs": [0.0, 0.3, 0.7, 1.0],
+        "Qs": [[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.25], [0.25, 0.5]], [[1.0, 0.5], [0.5, 1.0]]],
+    },
+    "lambda": [[2.0, 0.3], [0.3, 2.0]],
+    "budgets": {"samples_per_level": [3, 3]},
+}
+
+
+def test_cascade_check_closed_forms_are_the_public_ones_bitwise():
+    # the body reads its closed forms from one evaluate; they are the values
+    # closed_form_Y0 and theta_term return, bit for bit
+    rng = np.random.default_rng(2718)
+    configs = [WORKLOAD_CASCADE_MODEL]
+    configs += [_cascade_model(rng, n, r, field) for n in (1, 2, 3) for r in (1, 2, 3) for field in (False, True)]
+    for raw in configs:
+        config = load_config(json.dumps(raw))
+        _, report = run(config)
+        body = report["body"]
+        target = closed_form_Y0(config.lam, config.path, config.h, config.mixture)
+        theta = theta_term(config.path, config.mixture)
+        assert body["closed_form_target"].hex() == target.hex()
+        assert body["theta_term"].hex() == theta.hex()
+        assert body["theta_pass"] is True
 
 
 def test_render_float_17_digits():

@@ -362,6 +362,16 @@ def test_estimator_matches_plain_loop_with_field():
     assert res.stderr == pytest.approx(np.std(values, ddof=1) / np.sqrt(reps), rel=0, abs=1e-12)
 
 
+def test_one_disorder_replicate_reports_an_infinite_stderr():
+    # one replicate says nothing about the spread over disorder
+    spec = MixtureSpec(1, {2: [0.3]})
+    q1 = ConstraintMatrix(np.array([[1.0]]))
+    one = estimate_free_energy(q1, 8, 0.01, spec, np.zeros(1), 1, 50, seed=3)
+    assert math.isfinite(one.value) and one.stderr == math.inf
+    two = estimate_free_energy(q1, 8, 0.01, spec, np.zeros(1), 2, 50, seed=3)
+    assert 0.0 < two.stderr < math.inf
+
+
 def test_budget_guards():
     spec = MixtureSpec(1, {2: [0.3]})
     with pytest.raises(ValueError):
