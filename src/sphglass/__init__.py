@@ -10,7 +10,8 @@ independent Monte Carlo oracles for every closed form the functional uses:
 - ``functional`` the path kernel, admissible set and functional evaluation
 - ``optimizer``  inner Newton solve over the multiplier, outer path search,
                  degeneracy dichotomy
-- ``cascade``    nested Monte Carlo recursion oracle and finite weight cascades
+- ``cascade``    nested Monte Carlo recursion oracle and the exact cascade
+                 limit of the theta sum
 - ``montecarlo`` desk-scale direct free-energy estimator on constrained spheres
 - ``cli``        config-driven subcommands with reproducible JSON/CSV reports
 """

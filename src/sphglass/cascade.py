@@ -1,6 +1,6 @@
 """Stochastic oracles for the closed forms of the nested Gaussian recursion.
 
-Three independent verification routes:
+Two independent verification routes, the two oracles ``cascade-check`` runs:
 
 - ``nested_recursion_mc`` evaluates the recursion Y_k = (1/x_k) log E_k
   exp(x_k Y_{k+1}) by literal nested Monte Carlo over the level increments
@@ -18,18 +18,15 @@ Three independent verification routes:
   level by level: each level is a log-Gaussian moment contributing
   (1/x_k)(x_k^2 v_k / 2), i.e. x_k v_k / 2.  This pins the overall 1/2 on the
   theta sum of the functional.
-- ``sample_finite_cascade`` + ``cascade_free_energy_mc`` simulate the finite
-  hierarchical-weight average directly so the limit value above can be seen
-  emerging from an actual cascade (slow convergence, loose tolerances).
 
 Nested sampling never reuses inner samples across outer samples: the
 log-of-mean transform is nonlinear and reuse would bias the estimator.
-Standard errors come from the delta method on the outermost log; inner-level
-bias is controlled by doubling-samples stability checks, not bias formulas.
+The standard error comes from the delta method on the outermost log, and
+``cascade-check``'s 3-sigma rule reads that outermost-level stderr only: the
+bias of the inner levels' log-of-mean is not in it.
 
 Every log-sum-exp here is numpy: the shared ``parallel.logsumexp`` for the
-r = 3 level loop of ``nested_recursion_mc``, the normalization of
-``sample_finite_cascade`` and the cascade replicates, and the in-place
+r = 3 level loop of ``nested_recursion_mc`` and the in-place
 ``_log_mean_exp_rows`` for the leaf level.  No routine of this module loads
 scipy.
 """
@@ -47,26 +44,17 @@ from sphglass.mixture import (
     InvalidField,
     MixtureSpec,
     check_count,
-    check_real,
     check_symmetric,
     delta_increments,
     theta_matrix,
 )
-from sphglass.parallel import logsumexp, run_tasks, stream
+from sphglass.parallel import logsumexp, stream
 
-__all__ = [
-    "CascadeSpec",
-    "NestedMCResult",
-    "FiniteCascade",
-    "nested_recursion_mc",
-    "theta_cascade_value",
-    "sample_finite_cascade",
-    "cascade_free_energy_mc",
-]
+__all__ = ["CascadeSpec", "NestedMCResult", "nested_recursion_mc", "theta_cascade_value"]
 
 MAX_NESTED_LEVELS = 3
 MAX_NESTED_COPIES = 3
-# caps the work of nested_recursion_mc and the size of a finite cascade
+# caps the work of nested_recursion_mc
 MAX_LEAVES = 20_000_000
 # leaves drawn and reduced at once by nested_recursion_mc: the block's normals
 # and its product with M take 1 MB each at n=2, its leaf values 0.5 MB
@@ -247,114 +235,6 @@ def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class FiniteCascade:
-    """Depth-r cascade truncated to K atoms per node.
-
-    ``weights`` is the flat leaf array over {1..K}^r in lexicographic order
-    (level-1 index major).
-    """
-
-    depth: int
-    branching: int
-    weights: np.ndarray
-
-    def ancestor_index(self, level: int) -> np.ndarray:
-        """Map leaf index -> node index at ``level`` (1-based levels)."""
-        span = self.branching ** (self.depth - level)
-        return np.arange(self.weights.size) // span
-
-
-def sample_finite_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascade:
-    """Hierarchical weights from truncated Poisson processes.
-
-    At tree level k (1-based) every node spawns the top-K atoms of a Poisson
-    process with intensity x_{k-1} t^{-x_{k-1}-1} dt, generated by the
-    cumulative-exponential transform u_i = Gamma_i^{-1/x}; leaf weights are
-    the normalized products down the tree.  Raises InvalidPath unless the
-    path passes ``validate_path`` (its end matrix is free); K is a count of
-    at least 100, for a stable normalization.
-    """
-    check_path(path)
-    return _sample_cascade(path, check_count(K, "K", 100), seed)
-
-
-def _sample_cascade(path: DiscretePath, K: int, seed: int) -> FiniteCascade:
-    """``sample_finite_cascade`` for a checked path and K: the one sampler of
-    ``cascade_free_energy_mc``'s replicates, whose path its ``CascadeSpec``
-    checked once."""
-    r = path.r
-    if K**r > MAX_LEAVES:
-        raise ValueError(f"K^r = {K**r} leaves exceed the supported limit")
-    rng = stream(seed, 0)
-    logw = np.zeros(1)
-    for k in range(1, r + 1):
-        x = float(path.xs[k])  # x_{k-1}
-        nodes = K ** (k - 1)
-        gaps = rng.exponential(size=(nodes, K))
-        gammas = np.cumsum(gaps, axis=1)
-        log_atoms = -np.log(gammas) / x
-        logw = (logw[:, None] + log_atoms).ravel()
-    norm = logsumexp(logw)
-    if not np.isfinite(norm):
-        raise ValueError("cascade weights underflowed; increase K")
-    logw = logw - norm
-    weights = np.exp(logw)
-    weights /= weights.sum()  # exact unit mass after the log-space shift
-    return FiniteCascade(depth=r, branching=K, weights=weights)
-
-
 def _tree_covariances(path: DiscretePath, spec: MixtureSpec) -> np.ndarray:
     """C_k = Sum(theta(Q_k)) for k = 0..r, from one stacked mixture pass."""
     return np.array([float(np.sum(theta)) for theta in theta_matrix(spec, path.qs)])
-
-
-def _cascade_rep(args) -> float:
-    path, v, m_eff, K, seed = args
-    cascade = _sample_cascade(path, K, int(seed))
-    rng = stream(seed, 1)
-    r = path.r
-    y = np.zeros(1)
-    for k in range(1, r + 1):
-        nodes = K ** (k - 1)
-        eta = rng.standard_normal((nodes, K)) * np.sqrt(v[k - 1])
-        y = (y[:, None] + eta).ravel()
-    # log sum_alpha v_alpha exp(sqrt(M) y_alpha)
-    return logsumexp(np.log(cascade.weights) + np.sqrt(m_eff) * y) / m_eff
-
-
-def cascade_free_energy_mc(
-    branching: int,
-    cspec: CascadeSpec,
-    m_effective: float,
-    reps: int,
-    seed: int,
-    workers: int = 1,
-) -> NestedMCResult:
-    """Direct simulation of (1/M) E log sum_alpha v_alpha exp(sqrt(M) Y(alpha)).
-
-    The tree has the path's depth r, ``branching`` atoms per node and the
-    path's x-parameters; every replicate samples its own cascade and tree
-    Gaussian, so the average is over disorder and cascade.  Converges to
-    ``theta_cascade_value`` as M and K grow (slowly; tolerances are loose by
-    design).  ``branching`` and ``reps`` are counts of at least 100, and
-    ``m_effective`` a real (``mixture.check_real``) in [1, 64].
-    """
-    path = cspec.path
-    if path.r > 2:
-        raise ValueError("free-energy simulation supports depth <= 2")
-    m_effective = check_real(m_effective, "m_effective")
-    if not 1.0 <= m_effective <= 64.0:
-        raise InvalidField("m_effective", f"must lie in [1, 64], got {m_effective!r}")
-    branching = check_count(branching, "branching", 100)
-    reps = check_count(reps, "reps", 100)
-    seeds = [np.random.SeedSequence(int(seed), spawn_key=(17, rep)).generate_state(1)[0] for rep in range(reps)]
-    # tree covariance increments, clipped at zero against rounding
-    v = np.clip(np.diff(_tree_covariances(path, cspec.spec)), 0.0, None)
-    args = [(path, v, m_effective, branching, int(s)) for s in seeds]
-    values = np.array(run_tasks(_cascade_rep, args, workers=workers))
-    estimate = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(reps))
-    return NestedMCResult(
-        estimate=estimate, stderr=stderr, samples_per_level=(branching,) * path.r, seed=int(seed)
-    )

@@ -8,7 +8,10 @@ a header so rerunning with the same seed and worker count reproduces the
 body byte for byte.
 
 Exit status: 0 on success, 2 when the constraint is degenerate and the
-infimum diverges (the certificate is in the report), 1 on any error.
+infimum diverges (the certificate is in the report), 1 on any error, which
+is printed to stderr as ``{"error": {"kind": ..., "message": ...}}``.  A
+config key that no task reads is a config error, so a typo cannot fall back
+to a default.
 """
 
 from __future__ import annotations
@@ -35,6 +38,19 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "serialize_config", "run",
 
 TASKS = ("evaluate", "minimize", "verify-identities", "cascade-check", "mc-estimate", "sweep")
 STOCHASTIC_TASKS = ("minimize", "verify-identities", "cascade-check", "mc-estimate", "sweep")
+# the keys some task reads, at the top level, in "budgets" (those of every
+# task, since a config without "task" can serve several subcommands), in
+# "sweep" and in "path"
+CONFIG_KEYS = (
+    "n", "mixture", "Q", "h", "task", "seed", "workers", "format", "output",
+    "path", "lambda", "search", "budgets", "sweep",
+)
+BUDGET_KEYS = (
+    "identity_instances", "jacobi_instances", "mc_instances", "mc_samples", "samples_per_level",
+    "N", "epsilon", "disorder_reps", "config_samples",
+)
+SWEEP_KEYS = ("parameter", "values")
+PATH_KEYS = ("xs", "Qs")
 
 
 class ConfigError(ValueError):
@@ -80,6 +96,12 @@ def _named(prefix: str = "", field: str | None = None):
         yield
     except InvalidField as err:
         raise ConfigError(f'"{field or prefix + err.field}" {err.rule}') from None
+
+
+def _known_keys(raw: dict, known: tuple[str, ...], prefix: str = ""):
+    """Refuse the keys of ``raw`` outside ``known``, naming each as ``prefix + key``."""
+    unknown = [f'"{prefix}{key}"' for key in raw if key not in known]
+    _require(not unknown, f"{', '.join(unknown)}: no task reads this config key (known: {', '.join(known)})")
 
 
 def _number(raw, name: str, minimum: int | None = None):
@@ -139,6 +161,7 @@ def load_config(text: str) -> RunConfig:
     except json.JSONDecodeError as err:
         raise ConfigError(f"config parse error at line {err.lineno}, column {err.colno}: {err.msg}") from None
     _require(isinstance(raw, dict), "config must be a JSON object")
+    _known_keys(raw, CONFIG_KEYS)
 
     _require("n" in raw, 'missing required field "n"')
     n = _number(raw["n"], "n", minimum=1)
@@ -180,6 +203,7 @@ def load_config(text: str) -> RunConfig:
     if "path" in raw:
         praw = raw["path"]
         _require(isinstance(praw, dict) and "xs" in praw and "Qs" in praw, '"path" needs "xs" and "Qs"')
+        _known_keys(praw, PATH_KEYS, "path.")
         xs = _array(praw["xs"], "path.xs")
         qs = _array(praw["Qs"], "path.Qs")
         try:
@@ -204,8 +228,13 @@ def load_config(text: str) -> RunConfig:
 
     budgets = raw.get("budgets", {})
     _require(isinstance(budgets, dict), '"budgets" must be an object')
+    _known_keys(budgets, BUDGET_KEYS, "budgets.")
     sweep = raw.get("sweep", {})
     _require(isinstance(sweep, dict), '"sweep" must be an object')
+    _known_keys(sweep, SWEEP_KEYS, "sweep.")
+
+    out = raw.get("output")
+    _require(out is None or isinstance(out, str), f'"output" must be a file path string, got {out!r}')
 
     return RunConfig(
         n=n,
@@ -215,7 +244,7 @@ def load_config(text: str) -> RunConfig:
         task=task,
         seed=seed,
         workers=workers,
-        out=raw.get("output"),
+        out=out,
         fmt=fmt,
         path=path,
         lam=lam,
@@ -403,6 +432,15 @@ def run(config: RunConfig) -> tuple[int, dict]:
     return code, report
 
 
+def _error(kind: str, err: Exception, details: dict | None = None) -> int:
+    """Print ``{"error": {"kind", "message"[, "details"]}}`` to stderr; returns exit status 1."""
+    payload = {"kind": kind, "message": str(err)}
+    if details is not None:
+        payload["details"] = details
+    print(to_json({"error": payload}), file=sys.stderr)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sphglass",
@@ -413,13 +451,17 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=None, help="worker count for parallel tasks")
+        p.add_argument("--workers", type=int, default=None, help="worker processes for mc-estimate's replicates")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(Path(args.config).read_text())
+        config_text = Path(args.config).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        return _error("io", err)
+    try:
+        config = load_config(config_text)
         if config.task is not None and config.task != args.command:
             raise ConfigError(
                 f'config task {config.task!r} conflicts with subcommand {args.command!r}'
@@ -435,30 +477,26 @@ def main(argv: list[str] | None = None) -> int:
             config.fmt = args.fmt
         code, report = run(config)
     except ConfigError as err:
-        payload = {"error": {"kind": "config", "message": str(err)}}
-        if err.details is not None:
-            payload["error"]["details"] = err.details
-        print(to_json(payload), file=sys.stderr)
-        return 1
+        return _error("config", err, err.details)
     except (NotInL, InvalidPath) as err:
-        print(to_json({"error": {"kind": type(err).__name__, "message": str(err)}}), file=sys.stderr)
-        return 1
+        return _error(type(err).__name__, err)
     except (ValueError, np.linalg.LinAlgError) as err:
-        print(to_json({"error": {"kind": "value", "message": str(err)}}), file=sys.stderr)
-        return 1
+        return _error("value", err)
     except RuntimeError as err:
-        print(to_json({"error": {"kind": "runtime", "message": str(err)}}), file=sys.stderr)
-        return 1
+        return _error("runtime", err)
 
     columns = report["body"].get("columns") if isinstance(report["body"], dict) else None
     if config.fmt == "csv" and columns:
         text = render_report({"header": report["header"], "body": report["body"]["rows"]}, "csv", columns=columns)
     else:
         text = render_report(report, config.fmt)
-    if config.out:
-        Path(config.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if config.out:
+            Path(config.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as err:
+        return _error("io", err)
     return code
 
 

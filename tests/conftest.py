@@ -12,6 +12,7 @@ from sphglass.functional import FunctionalBreakdown
 from sphglass.geometry import ConstraintMatrix, DiscretePath
 from sphglass.mixture import MixtureSpec, delta_increments, theta_matrix
 from sphglass.montecarlo import DisorderRealization
+from sphglass.parallel import logsumexp, stream
 
 
 def random_constraint(rng: np.random.Generator, n: int, min_eig: float = 0.05) -> ConstraintMatrix:
@@ -266,6 +267,45 @@ def refine_path(path: DiscretePath, k: int, x_new: float) -> DiscretePath:
     xs = np.insert(path.xs, k + 1, x_new)
     qs = np.insert(path.qs, k, path.qs[k], axis=0)
     return DiscretePath(xs=xs, qs=qs)
+
+
+def finite_cascade_weights(path: DiscretePath, K: int, seed: int) -> np.ndarray:
+    """Leaf weights of the path's Ruelle cascade truncated to K atoms per node.
+
+    Level k (1-based) gives every node the top K atoms of a Poisson process
+    with intensity x t^{-x-1} dt, x = x_{k-1}, as Gamma_i^{-1/x} for the
+    cumulative exponentials Gamma_i of ``stream(seed, 0)``.  The K^r leaves
+    are the normalized products down the tree, level-1 index major.
+    """
+    rng = stream(seed, 0)
+    logw = np.zeros(1)
+    for x in path.xs[1:-1]:
+        gammas = np.cumsum(rng.exponential(size=(logw.size, K)), axis=1)
+        logw = (logw[:, None] - np.log(gammas) / float(x)).ravel()
+    weights = np.exp(logw - logsumexp(logw))
+    return weights / weights.sum()  # exact unit mass after the log-space shift
+
+
+def cascade_free_energy_sim(path: DiscretePath, spec: MixtureSpec, K: int, m_effective: float, reps: int, seed: int):
+    """(1/M) E log sum_alpha v_alpha exp(sqrt(M) Y(alpha)) by direct simulation,
+    the judge of ``theta_cascade_value``; returns (estimate, stderr).
+
+    Y is the tree Gaussian with level variances C_k - C_{k-1}, C_k =
+    Sum(theta(Q_k)).  Replicate ``rep`` seeds its cascade and its tree Gaussian
+    (streams 0 and 1) from SeedSequence(seed, spawn_key=(17, rep)).  Converges
+    to ``theta_cascade_value`` as K and M grow, slowly.
+    """
+    v = np.clip(np.diff([float(np.sum(theta)) for theta in theta_matrix(spec, path.qs)]), 0.0, None)
+    values = []
+    for rep in range(reps):
+        rep_seed = int(np.random.SeedSequence(seed, spawn_key=(17, rep)).generate_state(1)[0])
+        rng = stream(rep_seed, 1)
+        y = np.zeros(1)
+        for var in v:
+            y = (y[:, None] + rng.standard_normal((y.size, K)) * np.sqrt(var)).ravel()
+        log_weights = np.log(finite_cascade_weights(path, K, rep_seed))
+        values.append(logsumexp(log_weights + np.sqrt(m_effective) * y) / m_effective)
+    return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(reps))
 
 
 @pytest.fixture

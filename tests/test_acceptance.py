@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sphglass.cascade import (
-    CascadeSpec,
-    cascade_free_energy_mc,
-    nested_recursion_mc,
-    theta_cascade_value,
-)
+from sphglass.cascade import CascadeSpec, nested_recursion_mc, theta_cascade_value
 from sphglass.cli import load_config, run
 from sphglass.functional import closed_form_Y0, evaluate, theta_term
 from sphglass.geometry import ConstraintMatrix, DiscretePath
@@ -27,6 +22,7 @@ from sphglass.reporting import to_json
 from sphglass import verify as verify_mod
 
 from conftest import (
+    cascade_free_energy_sim,
     overlap_window_log_volume,
     random_constraint,
     random_mixture,
@@ -333,16 +329,15 @@ def test_criterion_11_theta_term_adjudication():
     spec = MixtureSpec(1, {2: [beta]})
     path = DiscretePath(xs=[0.0, 1.0 - 1e-6, 1.0], qs=[[[0.0]], [[1.0]]])
     target = theta_cascade_value(path, spec)
-    cspec = CascadeSpec(path=path, spec=spec, lam=np.array([[1 + 2 * beta**2]]), h=np.zeros(1))
-    sim = cascade_free_energy_mc(10_000, cspec, m_effective=32.0, reps=200, seed=SEED)
-    rel = abs(sim.estimate - target) / target
+    sim, _ = cascade_free_energy_sim(path, spec, 10_000, m_effective=32.0, reps=200, seed=SEED)
+    rel = abs(sim - target) / target
     ok_sim = rel <= 0.10
     elapsed = time.perf_counter() - start
     ok = exact and ok_sim and elapsed < 300.0
     report_line(11, "theta-sum prefactor adjudicated by the cascade", ok,
                 f"algebraic worst rel {worst:.1e}, simulation rel {rel:.1%}, {elapsed:.1f}s")
     assert exact
-    assert ok_sim, f"cascade simulation {sim.estimate} vs limit {target} (rel {rel:.2%})"
+    assert ok_sim, f"cascade simulation {sim} vs limit {target} (rel {rel:.2%})"
     assert elapsed < 300.0
 
 

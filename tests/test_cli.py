@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -278,6 +281,119 @@ def test_command_line_flags_obey_the_config_rules(tmp_path, capsys, flags, field
     budgets = {"N": 16, "epsilon": 0.01, "disorder_reps": 2, "config_samples": 10}
     message = _config_error(tmp_path, capsys, "mc-estimate", flags, budgets=budgets)
     assert message.startswith(field)
+
+
+
+@pytest.mark.parametrize(
+    "task, overrides, field",
+    [
+        ("mc-estimate", {"budgets": {"N": 16, "disorder_rep": 2, "config_samples": 10}}, '"budgets.disorder_rep"'),
+        ("sweep", {"sweep": {"parameter": "beta_scale", "values": [0.5], "valeus": [1.0]}}, '"sweep.valeus"'),
+        ("minimize", {"seeds": [1, 2]}, '"seeds"'),
+        ("evaluate", {"path": {"xs": [0.0, 0.5, 1.0], "Qs": [[[0.0]], [[1.0]]], "qs": []}, "lambda": [[2.0]]},
+         '"path.qs"'),
+        ("verify-identities", {"budgets": {"identity_instance": 2, "jacobi_instances": 0}},
+         '"budgets.identity_instance"'),
+        ("cascade-check", {"budgets": {"samples_per_levels": [20]}}, '"budgets.samples_per_levels"'),
+        ("minimize", {"seeds": [1, 2], "worker": 2}, '"seeds", "worker"'),
+    ],
+    ids=[
+        "budget-typo", "sweep-typo", "top-level-typo", "path-typo",
+        "identity-budget-typo", "cascade-budget-typo", "every-unknown-key-named",
+    ],
+)
+def test_config_key_that_no_task_reads_is_an_error_that_names_it(tmp_path, capsys, task, overrides, field):
+    # a misspelt key must not leave its field at the default
+    message = _config_error(tmp_path, capsys, task, **overrides)
+    assert message.startswith(field)
+    assert "no task reads" in message
+
+
+def test_task_less_config_refuses_an_unknown_key(tmp_path, capsys):
+    model = {key: value for key, value in MINIMAL.items() if key != "task"}
+    cfg_file = tmp_path / "shared.json"
+    cfg_file.write_text(json.dumps({**model, "Lambda": [[2.0]]}))
+    assert main(["minimize", "--config", str(cfg_file)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["message"].startswith('"Lambda"')
+
+
+def test_budget_keys_of_other_tasks_are_accepted(tmp_path):
+    # a config without "task" can carry the budgets of several subcommands
+    budgets = {"identity_instances": 2, "jacobi_instances": 0, "samples_per_level": [20], "N": 16}
+    model = {key: value for key, value in MINIMAL.items() if key != "task"}
+    cfg_file = tmp_path / "shared.json"
+    cfg_file.write_text(json.dumps({**model, "budgets": budgets}))
+    assert main(["verify-identities", "--config", str(cfg_file), "--out", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "output, shown",
+    [(5, "5"), (True, "True"), (["r.json"], "['r.json']"), ({"file": "r.json"}, "{'file': 'r.json'}")],
+    ids=["number", "bool", "list", "object"],
+)
+def test_output_must_be_a_path_string(tmp_path, capsys, output, shown):
+    message = _config_error(tmp_path, capsys, "minimize", output=output)
+    assert message == f'"output" must be a file path string, got {shown}'
+
+
+def test_null_output_writes_the_report_to_stdout(tmp_path, capsys):
+    cfg_file = tmp_path / "verify.json"
+    budgets = {"identity_instances": 2, "jacobi_instances": 0}
+    cfg_file.write_text(config_text(task="verify-identities", budgets=budgets, output=None))
+    assert main(["verify-identities", "--config", str(cfg_file)]) == 0
+    assert "body" in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}", "directory"], ids=["missing", "not-utf8", "directory"])
+def test_unreadable_config_file_is_an_io_error(tmp_path, capsys, content):
+    # exit 1 with a JSON error, not a traceback
+    cfg_file = tmp_path / "config.json"
+    if content == "directory":
+        cfg_file.mkdir()
+    elif content is not None:
+        cfg_file.write_bytes(content)
+    assert main(["minimize", "--config", str(cfg_file)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "io"
+
+
+@pytest.mark.parametrize("via", ["config", "flag"])
+def test_report_in_a_missing_directory_is_an_io_error(tmp_path, capsys, via):
+    cfg_file = tmp_path / "verify.json"
+    budgets = {"identity_instances": 2, "jacobi_instances": 0}
+    target = str(tmp_path / "absent" / "r.json")
+    flags = ["--out", target] if via == "flag" else []
+    output = target if via == "config" else None
+    cfg_file.write_text(config_text(task="verify-identities", budgets=budgets, output=output))
+    assert main(["verify-identities", "--config", str(cfg_file), *flags]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "io" and "absent" in error["message"]
+
+
+def test_report_onto_a_directory_is_an_io_error(tmp_path, capsys):
+    cfg_file = tmp_path / "verify.json"
+    budgets = {"identity_instances": 2, "jacobi_instances": 0}
+    cfg_file.write_text(config_text(task="verify-identities", budgets=budgets, output=str(tmp_path)))
+    assert main(["verify-identities", "--config", str(cfg_file)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "io"
+
+
+@pytest.mark.parametrize(
+    "name, task",
+    [("sk-minimize", "minimize"), ("pair-sweep", "sweep"), ("mc-estimate", "mc-estimate"),
+     ("cascade-check", "cascade-check")],
+)
+def test_benchmark_workload_configs_use_only_known_keys(monkeypatch, name, task):
+    # the benchmark's configs must load under the unknown-key rule, full and tiny
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    for tiny in (False, True):
+        cfg = load_config(json.dumps(workloads.WORKLOADS[name].config(1, tiny)))
+        assert cfg.task == task
 
 
 def test_verify_identities_rejects_negative_instance_counts(tmp_path, capsys):

@@ -7,13 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from sphglass.cascade import (
-    CascadeSpec,
-    cascade_free_energy_mc,
-    nested_recursion_mc,
-    sample_finite_cascade,
-    theta_cascade_value,
-)
+from sphglass.cascade import CascadeSpec, nested_recursion_mc, theta_cascade_value
 from sphglass.functional import closed_form_Y0, evaluate, theta_term
 from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, validate_path
 from sphglass.mixture import InvalidField, MixtureSpec, check_symmetric, xi_pair
@@ -217,7 +211,6 @@ TAKES_PATH = {
     "theta_term": lambda p: theta_term(p, SPEC),
     "CascadeSpec": lambda p: CascadeSpec(path=p, spec=SPEC, lam=LAM, h=ZERO_H),
     "theta_cascade_value": lambda p: theta_cascade_value(p, SPEC),
-    "sample_finite_cascade": lambda p: sample_finite_cascade(p, 100, seed=0),
 }
 TAKES_Q_AND_PATH = ("evaluate", "inner_minimize", "inner_gradient", "detect_degenerate")
 
@@ -267,13 +260,6 @@ COUNTS = {
     "draw_disorder-n_sites": (lambda v: draw_disorder([2], v, seed=0), "N", 8),
     "draw_disorder-degree": (lambda v: draw_disorder([v], 8, seed=0), "degree", 2),
     "nested_recursion_mc": (lambda v: nested_recursion_mc(CSPEC, [v], seed=0), "samples[0]", 20),
-    "sample_finite_cascade": (lambda v: sample_finite_cascade(PATH, v, seed=0), "K", 100),
-    "cascade_free_energy_mc-branching": (
-        lambda v: cascade_free_energy_mc(v, CSPEC, 8.0, 100, seed=0),
-        "branching",
-        100,
-    ),
-    "cascade_free_energy_mc-reps": (lambda v: cascade_free_energy_mc(100, CSPEC, 8.0, v, seed=0), "reps", 100),
     "MixtureSpec-n": (lambda v: MixtureSpec(v, {2: [0.5, 0.5]}), "n", 2),
     "MixtureSpec-degree": (lambda v: MixtureSpec(2, {v: [0.5, 0.5]}), "degree", 2),
     "identity_suite": (lambda v: identity_suite(0, count=v), "count", 1),
