@@ -423,10 +423,16 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
-    """Dispatch to the configured task; returns (exit status, report)."""
+    """Dispatch to the configured task; returns (exit status, report).
+
+    Only ``mc-estimate`` fans out, so any other task with ``workers`` != 1
+    raises a ``ConfigError`` that names "workers".
+    """
     _require(config.task in TASKS, f'"task" must be set to one of {TASKS}')
     if config.task in STOCHASTIC_TASKS:
         _require(config.seed is not None, f'task "{config.task}" requires a "seed"')
+    if config.workers != 1:
+        _require(config.task == "mc-estimate", f'"workers" must be 1 for task "{config.task}", got {config.workers}')
     code, body = _RUNNERS[config.task](config)
     report = make_report(config.task, config.seed, config.workers, body)
     return code, report
@@ -451,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=None, help="worker processes for mc-estimate's replicates")
+        p.add_argument("--workers", type=int, default=None, help="worker processes for mc-estimate's replicates (other tasks: 1)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
     args = parser.parse_args(argv)

@@ -6,10 +6,10 @@ an exact-manifold average times an analytic volume factor:
     (1/N) log [ Vol * <exp(H + field)>_{overlap manifold} ].
 
 ``sample_constrained`` samples the manifold {R(sigma, sigma) = Q} exactly
-(orthonormalized Gaussian rows conjugated by the Cholesky factor of Q), so
-every sample lies inside the overlap window for every epsilon > 0, and the
-window volume enters through its exponential-scale closed form
-``overlap_log_volume`` = 1/2 log det Q, from the eigenvalues the
+(Gaussian rows orthonormalized by a Cholesky QR, then mixed by the Cholesky
+factor of Q), so every sample lies inside the overlap window for every
+epsilon > 0, and the window volume enters through its exponential-scale
+closed form ``overlap_log_volume`` = 1/2 log det Q, from the eigenvalues the
 ``ConstraintMatrix`` keeps.  Direct rejection sampling of the
 window would have exponentially small acceptance; the decomposition is exact
 at the exponential scale and testable at beta = 0, where the Monte Carlo
@@ -37,7 +37,9 @@ c <= d, that stores each monomial once, at the sorted pairing (a, b | c, d).
 With the row pairs in the order of b and the column pairs in the order of c
 that form is block upper triangular, so the contraction multiplies only the
 blocks of ``QUARTIC_GROUPS`` column groups that can hold a coefficient: 26 %
-of the P x P form at N = 32, P = N(N+1)/2.
+of the P x P form at N = 32, P = N(N+1)/2.  The pair products are (P, S)
+arrays with the samples on the last axis, so each gather of a pair copies a
+contiguous row of samples.
 
 Each disorder replicate holds its samples and its disorder, and contracts
 the energies in blocks of ``SAMPLE_BLOCK`` samples, so its memory does not
@@ -153,8 +155,8 @@ def _quartic_form(n_sites: int, rng: np.random.Generator) -> np.ndarray:
 def _pair_indices(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c, d, order) for the quartic form of ``_quartic_form``.
 
-    y = x[:, c] * x[:, d] are its column pair products and y[:, order] its
-    row pair products x_a x_b.
+    For spins xt of shape (N, S), y = xt[c] * xt[d] are its column pair
+    products and y[order] its row pair products x_a x_b, each (P, S).
     """
     b, a = np.tril_indices(n_sites)
     c, d = np.triu_indices(n_sites)
@@ -184,13 +186,16 @@ def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: M
 
     - p = 2: the row dot products of x @ G with x, since <G, x x> = x^T G x;
     - p = 4: the quartic form T drawn by ``_quartic_form``, shared by all
-      copies and blocks.  With y_cd = x_c x_d over the P = N(N+1)/2 pairs
-      c <= d, <T, x^{otimes 4}> = rowsum((y_rows @ T) * y) for the row pair
-      products y_rows = y[:, order].  The product y_rows @ T is filled one
-      column group at a time (``_column_groups``), from the row prefix that
-      group meets.  At N = 32 the eight groups of ``QUARTIC_GROUPS`` cover
-      26 % of the P x P form (the floor is C(N+3, 4) / P^2 = 18.8 %), so a
-      copy costs about 2 S 0.26 P^2 flops where the full form costs 2 S P^2.
+      copies and blocks.  The block's spins are copied once as xt = x.T,
+      shape (N, S), and y_cd = x_c x_d over the P = N(N+1)/2 pairs c <= d
+      is the (P, S) array xt[c] * xt[d], so each gather copies a row of
+      samples.  Then <T, x^{otimes 4}> = colsum((T^T @ y_rows) * y) for the
+      row pair products y_rows = y[order].  The product T^T @ y_rows is
+      filled one column group of T at a time (``_column_groups``), from the
+      row prefix that group meets.  At N = 32 the eight groups of
+      ``QUARTIC_GROUPS`` cover 26 % of the P x P form (the floor is
+      C(N+3, 4) / P^2 = 18.8 %), so a copy costs about 2 S 0.26 P^2 flops
+      where the full form costs 2 S P^2.
 
     The samples are walked in blocks of ``SAMPLE_BLOCK``, so beyond T the
     contraction holds O(SAMPLE_BLOCK * P) floats rather than O(S * P).  A
@@ -226,14 +231,15 @@ def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: M
                 if p == 2:
                     energy = np.einsum("si,si->s", x @ tensor, x)
                 else:
+                    xt = np.ascontiguousarray(x.T)
                     # in place: one 1 MB temporary fewer at N = 32
-                    y = x[:, c]
-                    y *= x[:, d]
-                    y_rows = y[:, order]
+                    y = xt[c]
+                    y *= xt[d]
+                    y_rows = y[order]
                     product = np.empty_like(y)
                     for c0, c1, r1 in groups:
-                        np.matmul(y_rows[:, :r1], tensor[:r1, c0:c1], out=product[:, c0:c1])
-                    energy = np.einsum("si,si->s", product, y)
+                        np.matmul(tensor[:r1, c0:c1].T, y_rows[:r1], out=product[c0:c1])
+                    energy = np.einsum("is,is->s", product, y)
                 out[start : start + SAMPLE_BLOCK] += coef * energy
     return out
 
@@ -241,9 +247,12 @@ def hamiltonian_batch(sigmas: np.ndarray, disorder: DisorderRealization, spec: M
 def sample_constrained(q: ConstraintMatrix | np.ndarray, n_sites: int, count: int, seed: int) -> np.ndarray:
     """Exact-manifold samples: (count, n, N) blocks with R(sigma, sigma) = Q.
 
-    Rows are sqrt(N) * L U with L the Cholesky factor of Q and U orthonormal
-    rows from a Gaussian QR, so the law is invariant under ambient rotations
-    and the overlap matrix equals Q to rounding, hence lies in the overlap
+    Each block is sqrt(N) * L U^T with L the Cholesky factor of Q and U the
+    orthonormal (N, n) QR factor of an N x n standard Gaussian block G, the
+    one whose R has a positive diagonal.  It is formed by Cholesky QR: with
+    C C^T = G^T G, U = G C^-T and R = C^T, so the block is
+    sqrt(N) L C^-1 G^T.  The law is invariant under ambient rotations and
+    the overlap matrix equals Q to rounding, hence lies in the overlap
     window for every window width epsilon > 0.  N >= 4n and ``count`` >= 1
     are counts.  A degenerate Q (``ConstraintMatrix.is_degenerate``) raises
     ValueError.
@@ -254,14 +263,11 @@ def sample_constrained(q: ConstraintMatrix | np.ndarray, n_sites: int, count: in
     count = check_count(count, "count", 1)
     if q.is_degenerate():
         raise ValueError("constraint must be positive definite for manifold sampling")
-    chol = np.linalg.cholesky(q.matrix)
+    scaled_chol = np.sqrt(n_sites) * np.linalg.cholesky(q.matrix)
     rng = stream(seed, 0)
-    gauss = rng.standard_normal((count, n_sites, n))
-    q_fac, r_fac = np.linalg.qr(gauss)
-    signs = np.sign(np.einsum("sii->si", r_fac))
-    signs[signs == 0] = 1.0
-    q_fac = q_fac * signs[:, None, :]
-    return np.sqrt(n_sites) * np.einsum("ij,skj->sik", chol, q_fac)
+    gauss_t = rng.standard_normal((count, n_sites, n)).transpose(0, 2, 1)
+    gram_chol = np.linalg.cholesky(gauss_t @ gauss_t.transpose(0, 2, 1))
+    return (scaled_chol @ np.linalg.inv(gram_chol)) @ gauss_t
 
 
 @dataclass(frozen=True)

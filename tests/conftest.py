@@ -202,6 +202,22 @@ def hamiltonian(sigma: np.ndarray, disorder: DisorderRealization, spec: MixtureS
     return total
 
 
+def householder_constrained_samples(q: ConstraintMatrix, n_sites: int, count: int, seed: int) -> np.ndarray:
+    """The judge of ``montecarlo.sample_constrained``: the same draws through a Householder QR.
+
+    G ~ (count, N, n) standard normals from ``stream(seed, 0)``, U its QR
+    factor with the signs fixed so that R has a positive diagonal, and each
+    block sqrt(N) * L U^T with L the Cholesky factor of Q.
+    """
+    chol = np.linalg.cholesky(q.matrix)
+    gauss = stream(seed, 0).standard_normal((count, n_sites, q.n))
+    q_fac, r_fac = np.linalg.qr(gauss)
+    signs = np.sign(np.einsum("sii->si", r_fac))
+    signs[signs == 0] = 1.0
+    q_fac = q_fac * signs[:, None, :]
+    return np.sqrt(n_sites) * np.einsum("ij,skj->sik", chol, q_fac)
+
+
 def reference_breakdown(lam, path: DiscretePath, q, h, spec: MixtureSpec) -> FunctionalBreakdown:
     """Level-by-level reference for the stacked path kernel of ``functional``.
 

@@ -283,6 +283,24 @@ def test_command_line_flags_obey_the_config_rules(tmp_path, capsys, flags, field
     assert message.startswith(field)
 
 
+@pytest.mark.parametrize(
+    "task, flags, overrides",
+    [("minimize", ["--workers", "2"], {}), ("minimize", [], {"workers": 2}), ("cascade-check", ["--workers", "64"], {})],
+    ids=["minimize-flag", "minimize-config-key", "cascade-check-flag"],
+)
+def test_only_mc_estimate_takes_more_than_one_worker(tmp_path, capsys, task, flags, overrides):
+    # the flag stays on every subcommand, so the refusal is a config error
+    # (exit 1), not argparse's usage error (exit 2)
+    message = _config_error(tmp_path, capsys, task, flags, **overrides)
+    assert message.startswith('"workers"')
+
+
+def test_mc_estimate_runs_and_records_two_workers():
+    budgets = {"N": 16, "epsilon": 0.01, "disorder_reps": 2, "config_samples": 10}
+    code, report = run(load_config(config_text(task="mc-estimate", mixture={}, workers=2, budgets=budgets)))
+    assert code == 0 and report["header"]["workers"] == 2
+
+
 
 @pytest.mark.parametrize(
     "task, overrides, field",

@@ -19,7 +19,7 @@ from sphglass.montecarlo import (
     sample_constrained,
 )
 
-from conftest import hamiltonian, overlap_window_log_volume, xi_scalar
+from conftest import hamiltonian, householder_constrained_samples, overlap_window_log_volume, xi_scalar
 
 Q2 = ConstraintMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
 Q3 = ConstraintMatrix(np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.3], [-0.2, 0.3, 1.0]]))
@@ -43,6 +43,15 @@ def test_constraint_exactness(rng):
     for block in sig:
         overlap = block @ block.T / 32
         assert np.max(np.abs(overlap - Q2.matrix)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, n_sites", [(n, n_sites) for n in (1, 2, 3) for n_sites in (4 * n, 13, 64)])
+def test_sampler_matches_the_householder_judge(n, n_sites):
+    # the Cholesky QR gives the same draws as the sign-fixed Householder QR,
+    # down to rounding, from the smallest N the sampler takes
+    got = sample_constrained(CONSTRAINTS[n], n_sites, 300, seed=n_sites)
+    want = householder_constrained_samples(CONSTRAINTS[n], n_sites, 300, seed=n_sites)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_batch_matches_single_config():
@@ -92,7 +101,7 @@ def test_quartic_form_stores_each_monomial_once(n_sites):
     rows, cols = np.nonzero(form)
     assert rows.size == math.comb(n_sites + 3, 4)
     assert np.all(b[rows] <= c[cols])
-    # y[:, order] are the row pair products x_a x_b, in the order of b
+    # y[order] are the row pair products x_a x_b, in the order of b
     x = np.arange(1.0, n_sites + 1.0)
     assert np.array_equal((x[c] * x[d])[order], x[a] * x[b])
     # the column groups tile the columns, and each holds its columns' rows
@@ -124,6 +133,25 @@ def test_quartic_form_covariance_is_exact(monkeypatch, n_sites):
     for x, y in [(vectors[0], vectors[1]), (vectors[2], vectors[3]), (vectors[0], vectors[0])]:
         rows, cols = x[a] * x[b] * y[a] * y[b], x[c] * x[d] * y[c] * y[d]
         assert rows @ variance @ cols == pytest.approx(float(x @ y) ** 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_sites", [33, montecarlo.MAX_SITES])
+def test_grouped_quartic_contraction_at_large_sizes(n_sites):
+    # the N^4 judge stops at N = 32; the dense bilinear form over every pair,
+    # with no column groups, covers each group boundary up to the largest N
+    betas = [0.2, 0.1]
+    spec = MixtureSpec(2, {4: betas})
+    disorder = draw_disorder([4], n_sites, seed=n_sites)
+    sig = sample_constrained(Q2, n_sites, 5, seed=n_sites)
+    b, a = np.tril_indices(n_sites)
+    c, d = np.triu_indices(n_sites)
+    want = np.zeros(len(sig))
+    for j, beta in enumerate(betas):
+        x = sig[:, j, :]
+        y_rows, y = x[:, a] * x[:, b], x[:, c] * x[:, d]
+        want += beta * n_sites**-1.5 * np.einsum("si,si->s", y_rows @ disorder.tensors[4], y)
+    got = hamiltonian_batch(sig, disorder, spec)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_quartic_form_memory_is_bounded():
@@ -360,6 +388,16 @@ def test_estimator_matches_plain_loop_with_field():
         values.append((logsumexp(energies) - np.log(samples)) / n_sites + overlap_log_volume(Q2))
     assert res.value == pytest.approx(np.mean(values), rel=0, abs=1e-12)
     assert res.stderr == pytest.approx(np.std(values, ddof=1) / np.sqrt(reps), rel=0, abs=1e-12)
+
+
+def test_workload_size_estimate_keeps_its_digits():
+    # the mc-estimate benchmark workload at seed 1; the values were measured
+    # with the Householder sampler and samples-first pair products, so a
+    # faster sampler or contraction may move only the last digits
+    spec = MixtureSpec(2, {2: [0.3, 0.3], 4: [0.1, 0.1]})
+    result = estimate_free_energy(Q2, 32, 0.01, spec, np.zeros(2), 4, 2000, seed=1)
+    assert result.value == pytest.approx(-0.02189233920183299, rel=0, abs=1e-12)
+    assert result.stderr == pytest.approx(0.009626329394184847, rel=0, abs=1e-12)
 
 
 def test_one_disorder_replicate_reports_an_infinite_stderr():
