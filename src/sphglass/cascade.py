@@ -9,9 +9,12 @@ Two independent verification routes, the two oracles ``cascade-check`` runs:
   sum z + h)).  Agreement with ``closed_form_Y0`` checks every determinant
   identity the functional relies on.  The leaf level is drawn and reduced in
   blocks of whole leaf groups, taking the normals in the order one whole draw
-  would, so its memory is O(max(LEAF_BLOCK, leaves per group) * n) rather
-  than O(all leaves * n).  Each leaf value is evaluated as a quadratic in its
-  own drawn normal, c + l.z + z^T M z, with M built once and l, c once per
+  would.  One helper thread, the only user of the generator while the leaves
+  are drawn, fills the next block in block order into the other of two
+  buffers while the calling thread reduces the current one, so the leaf
+  memory is O(2 * max(LEAF_BLOCK, leaves per group) * n) rather than
+  O(all leaves * n).  Each leaf value is evaluated as a quadratic in its own
+  drawn normal, c + l.z + z^T M z, with M built once and l, c once per
   parent, so no leaf forms its partial sum.
 - ``theta_cascade_value`` computes the exact large-system limit of the
   cascade-averaged tree Gaussian with covariance Sum(theta(Q_{level}))
@@ -56,8 +59,9 @@ MAX_NESTED_LEVELS = 3
 MAX_NESTED_COPIES = 3
 # caps the work of nested_recursion_mc
 MAX_LEAVES = 20_000_000
-# leaves drawn and reduced at once by nested_recursion_mc: the block's normals
-# and its product with M take 1 MB each at n=2, its leaf values 0.5 MB
+# leaves drawn and reduced at once by nested_recursion_mc: each of its two
+# normal buffers (one being reduced, one being filled by the helper thread) and
+# the block's product with M take 1 MB each at n=2, its leaf values 0.5 MB
 LEAF_BLOCK = 1 << 16
 
 
@@ -120,16 +124,21 @@ def nested_recursion_mc(
     The increments of levels 1..r-1 are drawn whole, in C order.  The leaf
     level r is drawn in blocks of whole leaf groups, walking the parents in C
     order, so the generator yields the same normals in the same order as one
-    draw of the full ``counts + (n,)`` leaf array would.  Leaf j of parent i,
+    draw of the full ``counts + (n,)`` leaf array would.  From there on the
+    generator is touched only by one helper thread, block by block in order:
+    it fills block i + 1 into the other of two preallocated buffers while the
+    calling thread reduces block i, and it is joined before the function
+    returns or raises.  The result does not depend on the BLAS thread count
+    or the number of CPUs.  Leaf j of parent i,
     with partial sum p_i = h + sum_{k<r} z_k, has the value
     -1/2 log|L| + 1/2 w^T L^{-1} w at w = p_i + B z_ij, where B B^T = Delta_r
     and z_ij is its drawn standard normal.  That is evaluated as the
     quadratic c_i + l_i . z_ij + z_ij^T M z_ij, with M = 1/2 B^T L^{-1} B,
     l_i = B^T L^{-1} p_i and c_i = -1/2 log|L| + 1/2 p_i^T L^{-1} p_i, and
     every leaf still enters exp(x_r v) on its own.  Each block is reduced by
-    the level-r log-mean-exp before the next is drawn, so the leaf level
-    holds O(max(LEAF_BLOCK, samples[-1]) * n) floats at a time (for r = 1
-    the single parent row is one block).
+    the level-r log-mean-exp as soon as it is drawn, so the leaf level holds
+    O(2 * max(LEAF_BLOCK, samples[-1]) * n) floats at a time (for r = 1 the
+    single parent row is one block, and one buffer).
     """
     path, spec, lam, h = cspec.path, cspec.spec, cspec.lam, cspec.h
     r, n = path.r, path.n
@@ -170,17 +179,35 @@ def nested_recursion_mc(
     leaves = counts[-1]
     x_leaf = path.xs[r]
     rows = max(1, LEAF_BLOCK // leaves)
+    blocks = range(0, len(parents), rows)
+    buffers = [np.empty((min(rows, len(parents)) * leaves, n)) for _ in blocks[:2]]
+
+    def draw(i: int) -> np.ndarray:
+        """Fill buffer i % 2 with the normals of leaf block i, in C order."""
+        z = buffers[i % 2][: (min(blocks[i] + rows, len(parents)) - blocks[i]) * leaves]
+        rng.standard_normal(out=z)
+        return z
+
+    from concurrent.futures import ThreadPoolExecutor
+
     ones = np.ones(n)
     y = np.empty((len(parents), leaves) if r == 1 else len(parents))
-    for start in range(0, len(parents), rows):
-        stop = min(start + rows, len(parents))
-        z = rng.standard_normal(((stop - start) * leaves, n))
-        quad = z @ quad_form
-        quad *= z
-        values = (quad @ ones).reshape(-1, leaves)  # .sum(-1) over n <= 3 is slower
-        values += (z.reshape(-1, leaves, n) @ lin[start:stop, :, None])[..., 0]
-        values += const[start:stop, None]
-        y[start:stop] = values if r == 1 else _log_mean_exp_rows(values, x_leaf)
+    # the helper draws block i + 1 into the other buffer while this thread
+    # reduces block i; it is the only user of rng from here on, and leaving
+    # the with block joins it, also when the reduction raises
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        drawn = helper.submit(draw, 0)
+        for i, start in enumerate(blocks):
+            z = drawn.result()
+            if i + 1 < len(blocks):
+                drawn = helper.submit(draw, i + 1)
+            stop = min(start + rows, len(parents))
+            quad = z @ quad_form
+            quad *= z
+            values = (quad @ ones).reshape(-1, leaves)  # .sum(-1) over n <= 3 is slower
+            values += (z.reshape(-1, leaves, n) @ lin[start:stop, :, None])[..., 0]
+            values += const[start:stop, None]
+            y[start:stop] = values if r == 1 else _log_mean_exp_rows(values, x_leaf)
     y = y.reshape(counts[:-1] if r > 1 else counts)
 
     for k in range(r - 2, 0, -1):  # only for r = 3 (MAX_NESTED_LEVELS)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from sphglass.cascade import (
 from sphglass.functional import InvalidPath, closed_form_Y0, logdet_pd, solve_pd, theta_term
 from sphglass.geometry import DiscretePath
 from sphglass.mixture import InvalidField, MixtureSpec
-from sphglass import parallel
+from sphglass import cascade, parallel
 from sphglass.parallel import stream
 
 from conftest import (
@@ -182,6 +183,68 @@ def test_nested_mc_reproducible_bit_exact():
     b = nested_recursion_mc(cs, [5000], seed=123)
     assert a.estimate == b.estimate and a.stderr == b.stderr
 
+
+
+# the model of the benchmark's cascade-check (perfbench/workloads.py)
+WORKLOAD_Q = np.array([[1.0, 0.5], [0.5, 1.0]])
+WORKLOAD_SPEC = MixtureSpec(2, {2: [0.5, 0.4], 4: [0.2, 0.15]})
+
+
+def workload_cascade(xs, q_scales) -> CascadeSpec:
+    path = DiscretePath(xs=xs, qs=[scale * WORKLOAD_Q for scale in q_scales])
+    lam = np.array([[2.0, 0.3], [0.3, 2.0]])
+    return CascadeSpec(path=path, spec=WORKLOAD_SPEC, lam=lam, h=np.array([0.1, -0.2]))
+
+
+WORKLOAD_R2 = workload_cascade([0.0, 0.3, 0.7, 1.0], [0.0, 0.5, 1.0])
+WORKLOAD_R3 = workload_cascade([0.0, 0.3, 0.6, 0.8, 1.0], [0.0, 0.3, 0.6, 1.0])
+
+
+@pytest.mark.parametrize(
+    "cs, counts, recorded",
+    [
+        (WORKLOAD_R2, [40, 3000], ("-0x1.abf879b14c3fcp-2", "0x1.e1a0679bb5f6bp-7")),
+        (WORKLOAD_R3, [5, 7, 3000], ("-0x1.8f9a131b51ddbp-2", "0x1.fb653e5de2f09p-6")),
+    ],
+    ids=["workload-r2", "r3-short-last-block"],
+)
+def test_nested_mc_reproduces_the_recorded_bits(cs, counts, recorded):
+    # float.hex recorded when each leaf block was drawn on the calling thread
+    # just before its reduction: drawing the next block ahead must leave the
+    # stream, its order and the leaf arithmetic exactly as they were.  Both
+    # budgets have 21 parent rows per leaf block and a short last block (19
+    # and 14 rows).
+    rows = LEAF_BLOCK // counts[-1]
+    assert rows == 21 and math.prod(counts[:-1]) % rows in (19, 14)
+    res = nested_recursion_mc(cs, counts, seed=1)
+    assert (res.estimate.hex(), res.stderr.hex()) == recorded
+
+
+def test_nested_mc_joins_its_helper_thread(monkeypatch):
+    # cli.run may fork a worker pool after a cascade-check, and a fork taken
+    # while another thread runs can deadlock, so no thread may outlive the call
+    before = threading.active_count()
+    nested_recursion_mc(WORKLOAD_R2, [40, 3000], seed=1)
+    assert threading.active_count() == before
+
+    # a leaf reduction that raises while the helper is drawing the next block
+    failure = RuntimeError("leaf reduction failed")
+    reduce_rows = cascade._log_mean_exp_rows
+    calls = []
+
+    def reduce_then_fail(values, x):
+        calls.append(threading.active_count())
+        if len(calls) == 2:
+            raise failure
+        return reduce_rows(values, x)
+
+    monkeypatch.setattr(cascade, "_log_mean_exp_rows", reduce_then_fail)
+    with pytest.raises(RuntimeError) as err:
+        nested_recursion_mc(WORKLOAD_R2, [40, 3000], seed=1)
+    assert err.value is failure
+    # the count can see the helper: it runs beside the reduction
+    assert calls == [before + 1, before + 1]
+    assert threading.active_count() == before
 
 def test_nested_mc_budget_validation(rng):
     q = random_constraint(rng, 2)

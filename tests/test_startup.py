@@ -1,9 +1,10 @@
 """What a fresh interpreter loads, and what it computes before scipy is loaded.
 
 ``import sphglass`` loads numpy and the package only; each scipy submodule is
-imported inside the function that calls it, and ``multiprocessing`` inside
-the fan-out branch of ``parallel.run_tasks``.  These tests run in a new
-interpreter, because the test session itself has long imported scipy.
+imported inside the function that calls it, ``multiprocessing`` inside the
+fan-out branch of ``parallel.run_tasks`` and ``concurrent.futures`` inside
+``cascade.nested_recursion_mc``.  These tests run in a new interpreter,
+because the test session itself has long imported scipy.
 """
 
 import json
@@ -12,6 +13,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -89,33 +92,51 @@ def test_scipy_is_loaded_only_by_the_code_that_calls_it():
     assert out["optimize_after_minimize"]
 
 
-MULTIPROCESSING = """
+LAZY_IMPORT = """
     import json
     import sys
 
+    root, config = sys.argv[1:]
+
     def loaded():
-        return sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
+        return sorted(m for m in sys.modules if m.split(".")[0] == root)
 
     steps = {}
     from sphglass import cli
     steps["import sphglass.cli"] = loaded()
-    cli.load_config(sys.argv[1])
+    config = cli.load_config(config)
     steps["load_config"] = loaded()
-    from sphglass.parallel import run_tasks
-
-    assert run_tasks(abs, [1, -2], workers=2) == [1, 2]
-    print(json.dumps({"steps": steps, "after_fan_out": "multiprocessing" in sys.modules}))
+    code, _ = cli.run(config)
+    assert code == 0
+    print(json.dumps({"steps": steps, "after_run": root in sys.modules}))
 """
 
 
 def test_cli_start_up_loads_no_multiprocessing():
     # only run_tasks with workers > 1 forks a pool, so only that branch
     # imports multiprocessing
-    config = {"task": "minimize", "n": 2, "mixture": {"2": [0.3, 0.3]}, "Q": [[1.0, 0.5], [0.5, 1.0]], "seed": 1}
-    out = run_fresh(MULTIPROCESSING, json.dumps(config))
+    config = {
+        "task": "mc-estimate",
+        "n": 2,
+        "mixture": {"2": [0.3, 0.3]},
+        "Q": [[1.0, 0.5], [0.5, 1.0]],
+        "seed": 1,
+        "workers": 2,
+        "budgets": {"N": 16, "epsilon": 0.01, "disorder_reps": 2, "config_samples": 50},
+    }
+    out = run_fresh(LAZY_IMPORT, "multiprocessing", json.dumps(config))
     assert out["steps"] == {"import sphglass.cli": [], "load_config": []}
     # the guard can see an import: a fan-out loads multiprocessing
-    assert out["after_fan_out"]
+    assert out["after_run"]
+
+
+def test_cli_start_up_loads_no_thread_pool():
+    # only nested_recursion_mc starts a thread, to draw its leaf normals
+    # ahead, so only it imports concurrent.futures
+    out = run_fresh(LAZY_IMPORT, "concurrent", json.dumps(CASCADE_CONFIG))
+    assert out["steps"] == {"import sphglass.cli": [], "load_config": []}
+    # the guard can see an import: a cascade-check loads concurrent.futures
+    assert out["after_run"]
 
 
 WORKERS = """
@@ -151,38 +172,59 @@ def test_worker_fan_out_reproduces_before_scipy_is_loaded():
 
 CASCADE_BODY = """
     import json
+    import os
     import sys
+
+    # pinned before numpy loads, which is when OpenBLAS counts the CPUs
+    if sys.argv[2:] == ["one-cpu"]:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
     from sphglass import cli
     from sphglass.reporting import to_json
 
     code, report = cli.run(cli.load_config(sys.argv[1]))
     assert code == 0
-    print(json.dumps({"blas_threads": report["header"]["blas_threads"], "body": to_json(report["body"])}))
+    print(json.dumps({
+        "blas_threads": report["header"]["blas_threads"],
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "body": to_json(report["body"]),
+    }))
 """
+
+# The leaf blocks of the benchmark's cascade-check (whole groups of 3000
+# leaves) at a fraction of its draws.
+CASCADE_Q = [[1.0, 0.5], [0.5, 1.0]]
+CASCADE_CONFIG = {
+    "task": "cascade-check",
+    "n": 2,
+    "mixture": {"2": [0.5, 0.4], "4": [0.2, 0.15]},
+    "Q": CASCADE_Q,
+    "h": [0.1, -0.2],
+    "seed": 1,
+    "path": {"xs": [0.0, 0.3, 0.7, 1.0], "Qs": [[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.25], [0.25, 0.5]], CASCADE_Q]},
+    "lambda": [[2.0, 0.3], [0.3, 2.0]],
+    "budgets": {"samples_per_level": [40, 3000]},
+}
 
 
 def test_cascade_check_body_does_not_depend_on_blas_thread_count(monkeypatch):
     # OpenBLAS reads its thread count once, when numpy loads, so each count
-    # gets a fresh interpreter.  The config keeps the leaf blocks of the
-    # benchmark's cascade-check (whole groups of 3000 leaves) at a fraction of
-    # its draws.  mc-estimate is left out: the rounding of its column-group
-    # GEMM is known to change with the thread count.
-    q = [[1.0, 0.5], [0.5, 1.0]]
-    config = {
-        "task": "cascade-check",
-        "n": 2,
-        "mixture": {"2": [0.5, 0.4], "4": [0.2, 0.15]},
-        "Q": q,
-        "h": [0.1, -0.2],
-        "seed": 1,
-        "path": {"xs": [0.0, 0.3, 0.7, 1.0], "Qs": [[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.25], [0.25, 0.5]], q]},
-        "lambda": [[2.0, 0.3], [0.3, 2.0]],
-        "budgets": {"samples_per_level": [40, 3000]},
-    }
+    # gets a fresh interpreter.  mc-estimate is left out: the rounding of its
+    # column-group GEMM is known to change with the thread count.
     outs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-        outs.append(run_fresh(CASCADE_BODY, json.dumps(config)))
+        outs.append(run_fresh(CASCADE_BODY, json.dumps(CASCADE_CONFIG)))
         assert outs[-1]["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
     assert outs[0]["body"] == outs[1]["body"]
+
+
+def test_cascade_check_body_does_not_depend_on_cpu_count():
+    # the leaf normals are drawn on a helper thread; on one CPU it takes
+    # turns with the reduction instead of running beside it, and the body
+    # must not notice
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is not available on this platform")
+    pinned = run_fresh(CASCADE_BODY, json.dumps(CASCADE_CONFIG), "one-cpu")
+    assert pinned["cpus"] == 1
+    assert pinned["body"] == run_fresh(CASCADE_BODY, json.dumps(CASCADE_CONFIG))["body"]
