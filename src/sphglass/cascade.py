@@ -8,13 +8,12 @@ Two independent verification routes, the two oracles ``cascade-check`` runs:
   its known closed form (the leaf value -1/2 log|L| + 1/2 (L^{-1}(sum z + h),
   sum z + h)).  Agreement with ``closed_form_Y0`` checks every determinant
   identity the functional relies on.  The leaf level is drawn and reduced in
-  blocks of whole leaf groups, taking the normals in the order one whole draw
-  would.  One helper thread, the only user of the generator while the leaves
-  are drawn, fills the next block in block order into the other of two
-  buffers while the calling thread reduces the current one, so the leaf
-  memory is O(2 * max(LEAF_BLOCK, leaves per group) * n) rather than
-  O(all leaves * n).  Each leaf value is evaluated as a quadratic in its own
-  drawn normal, c + l.z + z^T M z, with M built once and l, c once per
+  blocks of whole leaf groups, block i from its own stream(seed, 1, i), so a
+  block is a function of the seed and its index alone.  The calling thread
+  and one helper thread take alternate blocks, each with its own buffers,
+  so the leaf memory is O(2 * max(LEAF_BLOCK, leaves per group) * n) rather
+  than O(all leaves * n).  Each leaf value is evaluated as a quadratic in its
+  own drawn normal, c + l.z + z^T M z, with M built once and l, c once per
   parent, so no leaf forms its partial sum.
 - ``theta_cascade_value`` computes the exact large-system limit of the
   cascade-averaged tree Gaussian with covariance Sum(theta(Q_{level}))
@@ -60,8 +59,8 @@ MAX_NESTED_COPIES = 3
 # caps the work of nested_recursion_mc
 MAX_LEAVES = 20_000_000
 # leaves drawn and reduced at once by nested_recursion_mc: each of its two
-# normal buffers (one being reduced, one being filled by the helper thread) and
-# the block's product with M take 1 MB each at n=2, its leaf values 0.5 MB
+# threads owns a normal buffer and a product buffer of 1 MB each at n=2 and a
+# leaf value buffer of 0.5 MB
 LEAF_BLOCK = 1 << 16
 
 
@@ -121,15 +120,17 @@ def nested_recursion_mc(
     that does not hold one count per level or whose product exceeds
     ``MAX_LEAVES``.  With ``samples[0] == 1`` the standard error is inf.
 
-    The increments of levels 1..r-1 are drawn whole, in C order.  The leaf
-    level r is drawn in blocks of whole leaf groups, walking the parents in C
-    order, so the generator yields the same normals in the same order as one
-    draw of the full ``counts + (n,)`` leaf array would.  From there on the
-    generator is touched only by one helper thread, block by block in order:
-    it fills block i + 1 into the other of two preallocated buffers while the
-    calling thread reduces block i, and it is joined before the function
-    returns or raises.  The result does not depend on the BLAS thread count
-    or the number of CPUs.  Leaf j of parent i,
+    The increments of levels 1..r-1 are drawn whole, in C order, from
+    ``stream(seed, 0)``.  The leaf level r is drawn in blocks of
+    ``max(1, LEAF_BLOCK // samples[-1])`` whole leaf groups, walking the
+    parents in C order; block i draws its normals in C order from its own
+    ``stream(seed, 1, i)``.  The calling thread reduces blocks 0, 2, 4, ...
+    and one helper thread blocks 1, 3, 5, ..., each into its own buffers and
+    its own rows of the level-r values; the helper is joined before the
+    function returns or raises, and an exception of either thread
+    propagates.  Since every block depends on (seed, i) alone, the result
+    does not depend on the block order, the BLAS thread count or the number
+    of CPUs.  Leaf j of parent i,
     with partial sum p_i = h + sum_{k<r} z_k, has the value
     -1/2 log|L| + 1/2 w^T L^{-1} w at w = p_i + B z_ij, where B B^T = Delta_r
     and z_ij is its drawn standard normal.  That is evaluated as the
@@ -138,7 +139,8 @@ def nested_recursion_mc(
     every leaf still enters exp(x_r v) on its own.  Each block is reduced by
     the level-r log-mean-exp as soon as it is drawn, so the leaf level holds
     O(2 * max(LEAF_BLOCK, samples[-1]) * n) floats at a time (for r = 1 the
-    single parent row is one block, and one buffer).
+    single parent row is one block, reduced on the calling thread with one
+    set of buffers).
     """
     path, spec, lam, h = cspec.path, cspec.spec, cspec.lam, cspec.h
     r, n = path.r, path.n
@@ -180,34 +182,39 @@ def nested_recursion_mc(
     x_leaf = path.xs[r]
     rows = max(1, LEAF_BLOCK // leaves)
     blocks = range(0, len(parents), rows)
-    buffers = [np.empty((min(rows, len(parents)) * leaves, n)) for _ in blocks[:2]]
+    size = min(rows, len(parents)) * leaves
+    ones = np.ones(n)
+    y = np.empty((len(parents), leaves) if r == 1 else len(parents))
 
-    def draw(i: int) -> np.ndarray:
-        """Fill buffer i % 2 with the normals of leaf block i, in C order."""
-        z = buffers[i % 2][: (min(blocks[i] + rows, len(parents)) - blocks[i]) * leaves]
-        rng.standard_normal(out=z)
-        return z
+    def reduce_blocks(first: int, z: np.ndarray, prod: np.ndarray, values: np.ndarray) -> None:
+        """Draw and reduce leaf blocks first, first + 2, ... into their rows of y."""
+        for i in range(first, len(blocks), 2):
+            start = blocks[i]
+            stop = min(start + rows, len(parents))
+            count = (stop - start) * leaves
+            zb, quad, total = z[:count], prod[:count], values[:count]
+            stream(seed, 1, i).standard_normal(out=zb)
+            np.matmul(zb, quad_form, out=quad)
+            quad *= zb
+            np.matmul(quad, ones, out=total)  # .sum(-1) over n <= 3 is slower
+            # the linear term reuses the product buffer, read in full above
+            linear = quad.reshape(-1)[:count].reshape(-1, leaves, 1)
+            np.matmul(zb.reshape(-1, leaves, n), lin[start:stop, :, None], out=linear)
+            block = total.reshape(-1, leaves)
+            block += linear[..., 0]
+            block += const[start:stop, None]
+            y[start:stop] = block if r == 1 else _log_mean_exp_rows(block, x_leaf)
 
     from concurrent.futures import ThreadPoolExecutor
 
-    ones = np.ones(n)
-    y = np.empty((len(parents), leaves) if r == 1 else len(parents))
-    # the helper draws block i + 1 into the other buffer while this thread
-    # reduces block i; it is the only user of rng from here on, and leaving
-    # the with block joins it, also when the reduction raises
+    # one set of buffers per thread (a single one when there is one block and
+    # the helper has none), allocated before the helper starts; leaving the
+    # with block joins the helper, also when the calling thread's share raises
+    work = [(np.empty((size, n)), np.empty((size, n)), np.empty(size)) for _ in blocks[:2]]
     with ThreadPoolExecutor(max_workers=1) as helper:
-        drawn = helper.submit(draw, 0)
-        for i, start in enumerate(blocks):
-            z = drawn.result()
-            if i + 1 < len(blocks):
-                drawn = helper.submit(draw, i + 1)
-            stop = min(start + rows, len(parents))
-            quad = z @ quad_form
-            quad *= z
-            values = (quad @ ones).reshape(-1, leaves)  # .sum(-1) over n <= 3 is slower
-            values += (z.reshape(-1, leaves, n) @ lin[start:stop, :, None])[..., 0]
-            values += const[start:stop, None]
-            y[start:stop] = values if r == 1 else _log_mean_exp_rows(values, x_leaf)
+        helped = helper.submit(reduce_blocks, 1, *work[-1])
+        reduce_blocks(0, *work[0])
+        helped.result()
     y = y.reshape(counts[:-1] if r > 1 else counts)
 
     for k in range(r - 2, 0, -1):  # only for r = 3 (MAX_NESTED_LEVELS)

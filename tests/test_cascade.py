@@ -1,7 +1,10 @@
+import concurrent.futures
 import hashlib
 import math
+import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,12 +98,24 @@ def test_nested_mc_leaf_budget_guard(rng):
 
 
 def whole_array_nested_mc(cs: CascadeSpec, counts: tuple[int, ...], seed: int) -> tuple[float, float]:
-    """Reference: every leaf held at once, each level drawn whole in C order."""
+    """Reference: every leaf held at once.
+
+    Levels 1..r-1 are drawn whole in C order from stream(seed, 0); leaf block
+    i, ``max(1, LEAF_BLOCK // leaves)`` parents in C order, from
+    stream(seed, 1, i).
+    """
     path, n = cs.path, cs.path.n
     rng = stream(seed, 0)
+    parents, leaves = math.prod(counts[:-1]), counts[-1]
+    rows = max(1, LEAF_BLOCK // leaves)
+    leaf_normals = np.concatenate([
+        stream(seed, 1, i).standard_normal((min(rows, parents - start) * leaves, n))
+        for i, start in enumerate(range(0, parents, rows))
+    ])
     zsum = np.zeros(n)
     for k in range(1, path.r + 1):
-        z = rng.standard_normal(counts[:k] + (n,)) @ _gaussian_factor(cs.increment_covariances[k - 1]).T
+        normals = rng.standard_normal(counts[:k] + (n,)) if k < path.r else leaf_normals.reshape(counts + (n,))
+        z = normals @ _gaussian_factor(cs.increment_covariances[k - 1]).T
         zsum = zsum[..., None, :] + z
     w = zsum + cs.h
     quad = np.einsum("...i,ij,...j->...", w, solve_pd(cs.lam, np.eye(n)), w)
@@ -203,48 +218,109 @@ WORKLOAD_R3 = workload_cascade([0.0, 0.3, 0.6, 0.8, 1.0], [0.0, 0.3, 0.6, 1.0])
 @pytest.mark.parametrize(
     "cs, counts, recorded",
     [
-        (WORKLOAD_R2, [40, 3000], ("-0x1.abf879b14c3fcp-2", "0x1.e1a0679bb5f6bp-7")),
-        (WORKLOAD_R3, [5, 7, 3000], ("-0x1.8f9a131b51ddbp-2", "0x1.fb653e5de2f09p-6")),
+        (WORKLOAD_R2, [40, 3000], ("-0x1.aaeeeef294393p-2", "0x1.d41af3471d3d7p-7")),
+        (WORKLOAD_R3, [5, 7, 3000], ("-0x1.8da7a94279ceap-2", "0x1.f64f09d2680adp-6")),
     ],
     ids=["workload-r2", "r3-short-last-block"],
 )
 def test_nested_mc_reproduces_the_recorded_bits(cs, counts, recorded):
-    # float.hex recorded when each leaf block was drawn on the calling thread
-    # just before its reduction: drawing the next block ahead must leave the
-    # stream, its order and the leaf arithmetic exactly as they were.  Both
-    # budgets have 21 parent rows per leaf block and a short last block (19
-    # and 14 rows).
+    # float.hex recorded when leaf block i was first drawn from its own
+    # stream(seed, 1, i): the stream key, the block layout and the leaf
+    # arithmetic must stay exactly as they were.  Both budgets have 21 parent
+    # rows per leaf block and a short last block (19 and 14 rows).
     rows = LEAF_BLOCK // counts[-1]
     assert rows == 21 and math.prod(counts[:-1]) % rows in (19, 14)
     res = nested_recursion_mc(cs, counts, seed=1)
     assert (res.estimate.hex(), res.stderr.hex()) == recorded
 
 
+class OneThreadPool:
+    """Stand-in for ThreadPoolExecutor that runs the helper's share on the calling thread.
+
+    ``at_submit`` runs it inside ``submit``, before the calling thread's own
+    share; otherwise it runs when its result is read, after that share.
+    """
+
+    def __init__(self, at_submit: bool):
+        self.at_submit = at_submit
+
+    def __call__(self, max_workers: int):
+        assert max_workers == 1
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        if self.at_submit:
+            fn(*args)
+            return SimpleNamespace(result=lambda: None)
+        return SimpleNamespace(result=lambda: fn(*args))
+
+
+@pytest.mark.parametrize(
+    "cs, counts",
+    [(WORKLOAD_R2, [40, 3000]), (WORKLOAD_R3, [5, 7, 3000]), (WORKLOAD_R2, [100, 3000])],
+    ids=["workload-r2", "r3-short-last-block", "five-blocks"],
+)
+def test_nested_mc_bits_do_not_depend_on_block_order_or_thread(monkeypatch, cs, counts):
+    # every leaf block is a function of (seed, block index) alone.  With the
+    # helper's share run first on the calling thread, the two-block budgets
+    # reduce block 1 before block 0 (reverse order) and five blocks go 1, 3,
+    # 0, 2, 4; run last, every block is reduced in C order on the calling
+    # thread.  The threaded run also switches threads as often as it can.
+    def bits(res):
+        return res.estimate.hex(), res.stderr.hex()
+
+    expected = bits(nested_recursion_mc(cs, counts, seed=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert bits(nested_recursion_mc(cs, counts, seed=1)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    for at_submit in (True, False):
+        with monkeypatch.context() as patch:
+            patch.setattr(concurrent.futures, "ThreadPoolExecutor", OneThreadPool(at_submit))
+            assert bits(nested_recursion_mc(cs, counts, seed=1)) == expected
+
+
 def test_nested_mc_joins_its_helper_thread(monkeypatch):
     # cli.run may fork a worker pool after a cascade-check, and a fork taken
-    # while another thread runs can deadlock, so no thread may outlive the call
+    # while another thread runs can deadlock, so no thread may outlive the
+    # call, also when a leaf block raises on either thread
     before = threading.active_count()
-    nested_recursion_mc(WORKLOAD_R2, [40, 3000], seed=1)
-    assert threading.active_count() == before
-
-    # a leaf reduction that raises while the helper is drawing the next block
-    failure = RuntimeError("leaf reduction failed")
+    caller = threading.get_ident()
     reduce_rows = cascade._log_mean_exp_rows
-    calls = []
+    reducers = []
 
-    def reduce_then_fail(values, x):
-        calls.append(threading.active_count())
-        if len(calls) == 2:
-            raise failure
+    def record(values, x):
+        reducers.append(threading.get_ident())
         return reduce_rows(values, x)
 
-    monkeypatch.setattr(cascade, "_log_mean_exp_rows", reduce_then_fail)
-    with pytest.raises(RuntimeError) as err:
-        nested_recursion_mc(WORKLOAD_R2, [40, 3000], seed=1)
-    assert err.value is failure
-    # the count can see the helper: it runs beside the reduction
-    assert calls == [before + 1, before + 1]
+    monkeypatch.setattr(cascade, "_log_mean_exp_rows", record)
+    nested_recursion_mc(WORKLOAD_R2, [40, 3000], seed=1)
     assert threading.active_count() == before
+    # the two blocks were reduced on two threads, one of them the caller
+    assert len(reducers) == 2 and caller in reducers and len(set(reducers)) == 2
+
+    for on_caller in (True, False):
+        failure = RuntimeError("leaf reduction failed")
+
+        def fail_on_one_thread(values, x):
+            if (threading.get_ident() == caller) == on_caller:
+                raise failure
+            return reduce_rows(values, x)
+
+        monkeypatch.setattr(cascade, "_log_mean_exp_rows", fail_on_one_thread)
+        with pytest.raises(RuntimeError) as err:
+            nested_recursion_mc(WORKLOAD_R2, [40, 3000], seed=1)
+        assert err.value is failure
+        assert threading.active_count() == before
+
 
 def test_nested_mc_budget_validation(rng):
     q = random_constraint(rng, 2)

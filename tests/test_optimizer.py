@@ -287,39 +287,51 @@ def test_inner_minimize_zero_mixture(rng):
 
 
 def test_inner_minimize_high_temperature_scalar():
+    from scipy.optimize import minimize_scalar
+
     spec = MixtureSpec(1, {2: [0.3]})
     path = DiscretePath(xs=[0.0, 0.999, 1.0], qs=[[[0.0]], [[1.0]]])
     report = inner_minimize(path, Q1, np.zeros(1), spec)
     assert report.status == "converged"
     assert report.value == pytest.approx(0.045, abs=1e-3)
-    # 1-D grid oracle over the multiplier
-    grid = np.linspace(2 * 0.3**2 * 0.999 + 1e-6 + 1e-12, 3.0, 20001)
-    vals = [
-        evaluate(np.array([[lam]]), path, Q1, np.zeros(1), spec).total
-        for lam in grid
-        if lam - 0.999 * 2 * 0.3**2 > 1e-10
-    ]
-    assert report.value == pytest.approx(min(vals), abs=1e-7)
+    # bounded Brent over the multiplier, through evaluate alone
+    floor = 0.999 * 2 * 0.3**2
+    judge = minimize_scalar(
+        lambda lam: evaluate(np.array([[lam]]), path, Q1, np.zeros(1), spec).total,
+        bounds=(floor + 1e-6, 3.0),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    assert judge.success
+    assert report.value <= judge.fun + 1e-12
+    assert report.value == pytest.approx(judge.fun, abs=1e-12)
 
 
-def test_inner_minimize_two_copy_grid_oracle():
-    # exhaustive grid over Lambda = a I + b (Q - I)
+def test_inner_minimize_two_copy_oracle():
+    from scipy.optimize import minimize
+
+    # Nelder-Mead over all three entries of the symmetric Lambda, through
+    # evaluate alone; a multiplier outside the admissible set scores inf
     q = ConstraintMatrix(np.array([[1.0, 0.3], [0.3, 1.0]]))
     spec = MixtureSpec(2, {2: [0.2, 0.2]})
     path = DiscretePath.simple(q.matrix, 0.5)
     report = inner_minimize(path, q, np.zeros(2), spec)
     assert report.status == "converged"
-    best = np.inf
-    for a in np.linspace(0.7, 2.0, 140):
-        for b in np.linspace(-0.9, 0.9, 180):
-            lam = a * np.eye(2) + b * (q.matrix - np.eye(2))
-            try:
-                val = evaluate(lam, path, q.matrix, np.zeros(2), spec).total
-            except (NotInL, np.linalg.LinAlgError):
-                continue
-            best = min(best, val)
-    assert report.value <= best + 1e-9
-    assert report.value == pytest.approx(best, abs=1e-3)
+
+    def value(entries):
+        a, b, c = entries
+        try:
+            return evaluate(np.array([[a, b], [b, c]]), path, q.matrix, np.zeros(2), spec).total
+        except (NotInL, np.linalg.LinAlgError):
+            return np.inf
+
+    judge = minimize(
+        value, [1.3, 0.0, 1.3], method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-15},
+    )
+    assert judge.success
+    assert report.value <= judge.fun + 1e-12
+    assert report.value == pytest.approx(judge.fun, abs=1e-12)
 
 
 def _restart_problems(rng, count: int, starts: int = 5):

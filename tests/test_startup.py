@@ -131,8 +131,8 @@ def test_cli_start_up_loads_no_multiprocessing():
 
 
 def test_cli_start_up_loads_no_thread_pool():
-    # only nested_recursion_mc starts a thread, to draw its leaf normals
-    # ahead, so only it imports concurrent.futures
+    # only nested_recursion_mc starts a thread, to share its leaf blocks,
+    # so only it imports concurrent.futures
     out = run_fresh(LAZY_IMPORT, "concurrent", json.dumps(CASCADE_CONFIG))
     assert out["steps"] == {"import sphglass.cli": [], "load_config": []}
     # the guard can see an import: a cascade-check loads concurrent.futures
@@ -220,9 +220,9 @@ def test_cascade_check_body_does_not_depend_on_blas_thread_count(monkeypatch):
 
 
 def test_cascade_check_body_does_not_depend_on_cpu_count():
-    # the leaf normals are drawn on a helper thread; on one CPU it takes
-    # turns with the reduction instead of running beside it, and the body
-    # must not notice
+    # the leaf blocks are shared with a helper thread; on one CPU the two
+    # threads take turns instead of running side by side, and the body must
+    # not notice
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("os.sched_setaffinity is not available on this platform")
     pinned = run_fresh(CASCADE_BODY, json.dumps(CASCADE_CONFIG), "one-cpu")
