@@ -8,13 +8,15 @@ Two independent verification routes, the two oracles ``cascade-check`` runs:
   its known closed form (the leaf value -1/2 log|L| + 1/2 (L^{-1}(sum z + h),
   sum z + h)).  Agreement with ``closed_form_Y0`` checks every determinant
   identity the functional relies on.  The leaf level is drawn and reduced in
-  blocks of whole leaf groups, block i from its own stream(seed, 1, i), so a
-  block is a function of the seed and its index alone.  The calling thread
-  and one helper thread take alternate blocks, each with its own buffers,
-  so the leaf memory is O(2 * max(LEAF_BLOCK, leaves per group) * n) rather
-  than O(all leaves * n).  Each leaf value is evaluated as a quadratic in its
-  own drawn normal, c + l.z + z^T M z, with M built once and l, c once per
-  parent, so no leaf forms its partial sum.
+  blocks of whole leaf groups, block i from its own SFC64 generator keyed
+  (seed, 1, i), so a block is a function of the seed and its index alone;
+  every other draw comes from the PCG64 ``parallel.stream``.  The calling
+  thread and one helper thread take alternate blocks, each with its own
+  buffers, so the leaf memory is O(2 * max(LEAF_BLOCK, leaves per group) *
+  (n + 1)) rather than O(all leaves * n).  The leaf factor is the square
+  root of Delta_r that diagonalises the leaf quadratic form, so each leaf
+  value is c + l.z + sum_k m_k z_k^2, with m built once and l, c once per
+  parent, and normal k of every leaf of a block is one contiguous row.
 - ``theta_cascade_value`` computes the exact large-system limit of the
   cascade-averaged tree Gaussian with covariance Sum(theta(Q_{level}))
   level by level: each level is a log-Gaussian moment contributing
@@ -59,8 +61,7 @@ MAX_NESTED_COPIES = 3
 # caps the work of nested_recursion_mc
 MAX_LEAVES = 20_000_000
 # leaves drawn and reduced at once by nested_recursion_mc: each of its two
-# threads owns a normal buffer and a product buffer of 1 MB each at n=2 and a
-# leaf value buffer of 0.5 MB
+# threads owns a normal buffer of 1 MB at n=2 and a leaf value buffer of 0.5 MB
 LEAF_BLOCK = 1 << 16
 
 
@@ -108,6 +109,23 @@ def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(eigs, 0.0, None))
 
 
+def _diagonal_leaf_form(cov: np.ndarray, lam_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B', m): B' B'^T = cov, and 1/2 B'^T lam_inv B' = diag(m).
+
+    B' = B V for the ``_gaussian_factor`` B of cov and the eigenvectors V of
+    1/2 B^T lam_inv B.  V is orthogonal, so B' is another square root of cov
+    and B' z has the law of B z for a standard normal z.
+    """
+    factor = _gaussian_factor(cov)
+    m, rotation = np.linalg.eigh(0.5 * factor.T @ lam_inv @ factor)
+    return factor @ rotation, m
+
+
+def _leaf_stream(seed: int, block: int) -> np.random.Generator:
+    """SFC64 generator of leaf block ``block``, keyed like ``stream(seed, 1, block)``."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(int(seed), spawn_key=(1, block))))
+
+
 def nested_recursion_mc(
     cspec: CascadeSpec, samples: list[int] | tuple[int, ...], seed: int
 ) -> NestedMCResult:
@@ -120,27 +138,32 @@ def nested_recursion_mc(
     that does not hold one count per level or whose product exceeds
     ``MAX_LEAVES``.  With ``samples[0] == 1`` the standard error is inf.
 
-    The increments of levels 1..r-1 are drawn whole, in C order, from
-    ``stream(seed, 0)``.  The leaf level r is drawn in blocks of
+    The increments of levels 1..r-1 are drawn whole, in C order, from the
+    PCG64 ``stream(seed, 0)``.  The leaf level r is drawn in blocks of
     ``max(1, LEAF_BLOCK // samples[-1])`` whole leaf groups, walking the
-    parents in C order; block i draws its normals in C order from its own
-    ``stream(seed, 1, i)``.  The calling thread reduces blocks 0, 2, 4, ...
-    and one helper thread blocks 1, 3, 5, ..., each into its own buffers and
-    its own rows of the level-r values; the helper is joined before the
-    function returns or raises, and an exception of either thread
+    parents in C order; block i draws its normals from its own SFC64
+    generator, keyed by ``SeedSequence(seed, spawn_key=(1, i))``, into an
+    ``(n, leaves in the block)`` buffer in C order, so normal k of every leaf
+    of the block is one contiguous row.  The calling thread reduces blocks
+    0, 2, 4, ... and one helper thread blocks 1, 3, 5, ..., each into its
+    own buffers and its own rows of the level-r values; the helper is joined
+    before the function returns or raises, and an exception of either thread
     propagates.  Since every block depends on (seed, i) alone, the result
     does not depend on the block order, the BLAS thread count or the number
-    of CPUs.  Leaf j of parent i,
-    with partial sum p_i = h + sum_{k<r} z_k, has the value
-    -1/2 log|L| + 1/2 w^T L^{-1} w at w = p_i + B z_ij, where B B^T = Delta_r
-    and z_ij is its drawn standard normal.  That is evaluated as the
-    quadratic c_i + l_i . z_ij + z_ij^T M z_ij, with M = 1/2 B^T L^{-1} B,
-    l_i = B^T L^{-1} p_i and c_i = -1/2 log|L| + 1/2 p_i^T L^{-1} p_i, and
-    every leaf still enters exp(x_r v) on its own.  Each block is reduced by
-    the level-r log-mean-exp as soon as it is drawn, so the leaf level holds
-    O(2 * max(LEAF_BLOCK, samples[-1]) * n) floats at a time (for r = 1 the
-    single parent row is one block, reduced on the calling thread with one
-    set of buffers).
+    of CPUs.
+
+    Leaf j of parent i, with partial sum p_i = h + sum_{k<r} z_k, has the
+    value -1/2 log|L| + 1/2 w^T L^{-1} w at w = p_i + B z_ij, where
+    B B^T = Delta_r and z_ij is its drawn standard normal.  B is taken with
+    1/2 B^T L^{-1} B = diag(m) (``_diagonal_leaf_form``), so the value is
+    c_i + l_i . z_ij + sum_k m_k z_ijk^2 with no cross terms, l_i =
+    B^T L^{-1} p_i and c_i = -1/2 log|L| + 1/2 p_i^T L^{-1} p_i.  For r >= 2
+    the level-r weight x_r is folded into l and m, and c_i is added after
+    the block's log-mean-exp; every leaf still enters exp(x_r v) on its own.
+    Each block is reduced as soon as it is drawn, so the leaf level holds
+    O(2 * max(LEAF_BLOCK, samples[-1]) * (n + 1)) floats at a time (for
+    r = 1 the single parent row is one block, reduced on the calling thread
+    with one set of buffers).
     """
     path, spec, lam, h = cspec.path, cspec.spec, cspec.lam, cspec.h
     r, n = path.r, path.n
@@ -158,7 +181,7 @@ def nested_recursion_mc(
     leaf_const = -0.5 * logdet_pd(lam)
     lam_inv = solve_pd(lam, np.eye(n))
     rng = stream(seed, 0)
-    factors = [_gaussian_factor(cov) for cov in cspec.increment_covariances]
+    factors = [_gaussian_factor(cov) for cov in cspec.increment_covariances[:-1]]
 
     # accumulate h + sum_{k<r} z_k; every level uses fresh draws for every
     # branch of the nesting (shape counts[:k] + (n,)), never reusing inner
@@ -169,48 +192,54 @@ def nested_recursion_mc(
         zsum = zsum[..., None, :] + z
     parents = zsum.reshape(-1, n)
 
-    # the leaf value c_i + l_i . z + z^T M z of the docstring
-    leaf = factors[-1]
-    quad_form = 0.5 * leaf.T @ lam_inv @ leaf
-    lin = parents @ (lam_inv @ leaf)
+    # the leaf value c_i + l_i . z + sum_k m_k z_k^2 of the docstring, with
+    # x_r folded into l and m when a level-r log-mean-exp follows
+    leaves = counts[-1]
+    x_leaf = path.xs[r]
+    scale = x_leaf if r > 1 else 1.0
+    leaf, quad = _diagonal_leaf_form(cspec.increment_covariances[-1], lam_inv)
+    quad = scale * quad
+    lin = (scale * parents @ (lam_inv @ leaf)).T.copy()  # (n, parents), one row per k
     const = leaf_const + 0.5 * np.sum((parents @ lam_inv) * parents, axis=1)
 
     # level r, one block of whole leaf groups at a time.  With r = 1 level r
     # is the outermost level: its single parent row is one block, kept whole
     # for the delta-method standard error below.
-    leaves = counts[-1]
-    x_leaf = path.xs[r]
     rows = max(1, LEAF_BLOCK // leaves)
     blocks = range(0, len(parents), rows)
     size = min(rows, len(parents)) * leaves
-    ones = np.ones(n)
     y = np.empty((len(parents), leaves) if r == 1 else len(parents))
 
-    def reduce_blocks(first: int, z: np.ndarray, prod: np.ndarray, values: np.ndarray) -> None:
+    def reduce_blocks(first: int, normals: np.ndarray, values: np.ndarray) -> None:
         """Draw and reduce leaf blocks first, first + 2, ... into their rows of y."""
         for i in range(first, len(blocks), 2):
             start = blocks[i]
             stop = min(start + rows, len(parents))
             count = (stop - start) * leaves
-            zb, quad, total = z[:count], prod[:count], values[:count]
-            stream(seed, 1, i).standard_normal(out=zb)
-            np.matmul(zb, quad_form, out=quad)
-            quad *= zb
-            np.matmul(quad, ones, out=total)  # .sum(-1) over n <= 3 is slower
-            # the linear term reuses the product buffer, read in full above
-            linear = quad.reshape(-1)[:count].reshape(-1, leaves, 1)
-            np.matmul(zb.reshape(-1, leaves, n), lin[start:stop, :, None], out=linear)
-            block = total.reshape(-1, leaves)
-            block += linear[..., 0]
-            block += const[start:stop, None]
-            y[start:stop] = block if r == 1 else _log_mean_exp_rows(block, x_leaf)
+            # a prefix of the flat buffer, so a short last block is contiguous too
+            z = normals[: n * count].reshape(n, stop - start, leaves)
+            _leaf_stream(seed, i).standard_normal(out=z)
+            block = values[:count].reshape(stop - start, leaves)
+            for k in range(n):
+                # z_k (m_k z_k + l_ik), in the value buffer for k = 0 and in
+                # the spent row k - 1 of the normals after that
+                term = block if k == 0 else z[k - 1]
+                np.multiply(z[k], quad[k], out=term)
+                term += lin[k, start:stop, None]
+                term *= z[k]
+                if k:
+                    block += term
+            if r == 1:
+                y[start:stop] = block + const[start:stop, None]
+            else:
+                y[start:stop] = const[start:stop] + _log_mean_exp_rows(block, x_leaf)
 
     from concurrent.futures import ThreadPoolExecutor
 
     # one set of buffers per thread (a single one when there is one block and
     # the helper has none), allocated before the helper starts; leaving the
     # with block joins the helper, also when the calling thread's share raises
-    work = [(np.empty((size, n)), np.empty((size, n)), np.empty(size)) for _ in blocks[:2]]
+    work = [(np.empty(n * size), np.empty(size)) for _ in blocks[:2]]
     with ThreadPoolExecutor(max_workers=1) as helper:
         helped = helper.submit(reduce_blocks, 1, *work[-1])
         reduce_blocks(0, *work[0])
@@ -235,12 +264,12 @@ def nested_recursion_mc(
 
 
 def _log_mean_exp_rows(values: np.ndarray, x: float) -> np.ndarray:
-    """(1/x) log mean_j exp(x values[i, j]) for every row i, overwriting ``values``.
+    """(1/x) log mean_j exp(values[i, j]) for every row i, overwriting ``values``.
 
-    A plain max shift per row, in place: the block is the largest array of the
-    leaf level, and ``logsumexp`` would allocate a shifted copy of it.
+    ``values`` already holds x times the leaf values.  A plain max shift per
+    row, in place: the block is the largest array of the leaf level, and
+    ``logsumexp`` would allocate a shifted copy of it.
     """
-    values *= x
     top = values.max(axis=1)
     values -= top[:, None]
     np.exp(values, out=values)

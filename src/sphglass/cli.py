@@ -5,7 +5,7 @@ Subcommands: ``evaluate``, ``minimize``, ``verify-identities``,
 config describing the model (n, mixture, Q, h), task parameters, and a seed;
 the report is JSON (or CSV for tabular sweeps) with the timestamp isolated in
 a header so rerunning with the same seed and worker count reproduces the
-body byte for byte.
+body byte for byte on the same BLAS thread count.
 
 Exit status: 0 on success, 2 when the constraint is degenerate and the
 infimum diverges (the certificate is in the report), 1 on any error, which

@@ -2,9 +2,13 @@
 
 Every stochastic routine derives one RNG stream per task from
 (seed, *task index) and reduces results in task order, so a fixed seed gives
-bit-identical output at any worker count.  Workers > 1 fan the tasks out to a
-process pool; the default is sequential.  ``multiprocessing`` is imported
-inside that branch, so a sequential run never loads it.
+bit-identical output at any worker count.  ``stream`` is a PCG64 generator
+seeded by ``SeedSequence(seed, spawn_key=key)``.  The leaf blocks of
+``cascade.nested_recursion_mc`` take the same key with the SFC64 bit
+generator, which draws their normals faster; every other draw is PCG64.
+Workers > 1 fan the tasks out to a process pool; the default is sequential.
+``multiprocessing`` is imported inside that branch, so a sequential run never
+loads it.
 
 ``logsumexp`` is the max-shift log-sum-exp that the Monte Carlo routines of
 ``montecarlo`` and ``cascade`` share, in numpy alone.

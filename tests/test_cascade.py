@@ -101,24 +101,30 @@ def whole_array_nested_mc(cs: CascadeSpec, counts: tuple[int, ...], seed: int) -
     """Reference: every leaf held at once.
 
     Levels 1..r-1 are drawn whole in C order from stream(seed, 0); leaf block
-    i, ``max(1, LEAF_BLOCK // leaves)`` parents in C order, from
-    stream(seed, 1, i).
+    i, ``max(1, LEAF_BLOCK // leaves)`` parents in C order, from an SFC64
+    generator keyed (seed, 1, i), drawn as (n, leaves in the block) and
+    transposed.  The leaf factor is the square root B V of Delta_r, with V the
+    eigenvectors of 1/2 B^T Lambda^{-1} B.
     """
     path, n = cs.path, cs.path.n
     rng = stream(seed, 0)
     parents, leaves = math.prod(counts[:-1]), counts[-1]
     rows = max(1, LEAF_BLOCK // leaves)
     leaf_normals = np.concatenate([
-        stream(seed, 1, i).standard_normal((min(rows, parents - start) * leaves, n))
+        np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(1, i))))
+        .standard_normal((n, min(rows, parents - start) * leaves)).T
         for i, start in enumerate(range(0, parents, rows))
     ])
+    lam_inv = solve_pd(cs.lam, np.eye(n))
+    factors = [_gaussian_factor(cov) for cov in cs.increment_covariances]
+    factors[-1] = factors[-1] @ np.linalg.eigh(0.5 * factors[-1].T @ lam_inv @ factors[-1])[1]
     zsum = np.zeros(n)
     for k in range(1, path.r + 1):
         normals = rng.standard_normal(counts[:k] + (n,)) if k < path.r else leaf_normals.reshape(counts + (n,))
-        z = normals @ _gaussian_factor(cs.increment_covariances[k - 1]).T
+        z = normals @ factors[k - 1].T
         zsum = zsum[..., None, :] + z
     w = zsum + cs.h
-    quad = np.einsum("...i,ij,...j->...", w, solve_pd(cs.lam, np.eye(n)), w)
+    quad = np.einsum("...i,ij,...j->...", w, lam_inv, w)
     y = -0.5 * logdet_pd(cs.lam) + 0.5 * quad
     for k in range(path.r - 1, 0, -1):
         x_k = path.xs[k + 1]
@@ -153,16 +159,21 @@ def test_nested_mc_matches_whole_array_reference(rng, n, counts):
     assert res.stderr == pytest.approx(stderr, rel=1e-12)
 
 
+# pure p = 2 with Q - Q_1 = 0.3 * 11^T makes Delta_2 rank one: the leaf factor
+# has a zero column, and the leaf quadratic form and linear term share its
+# null direction
+SINGULAR_Q = np.array([[1.0, 0.5], [0.5, 1.0]])
+SINGULAR_LEAF = CascadeSpec(
+    path=DiscretePath(xs=[0.0, 0.4, 0.8, 1.0], qs=[np.zeros((2, 2)), SINGULAR_Q - 0.3, SINGULAR_Q]),
+    spec=MixtureSpec(2, {2: [0.5, 0.4]}),
+    lam=np.array([[2.0, 0.3], [0.3, 2.0]]),
+    h=np.array([0.1, -0.2]),
+)
+
+
 @pytest.mark.parametrize("counts", [(257, 311), (7, 70001)])
 def test_nested_mc_matches_whole_array_reference_on_a_singular_leaf_increment(counts):
-    # pure p = 2 with Q - Q_1 = 0.3 * 11^T makes Delta_2 rank one: the leaf
-    # factor has a zero column, and the leaf quadratic form and linear term
-    # share its null direction
-    q = np.array([[1.0, 0.5], [0.5, 1.0]])
-    path = DiscretePath(xs=[0.0, 0.4, 0.8, 1.0], qs=[np.zeros((2, 2)), q - 0.3, q])
-    spec = MixtureSpec(2, {2: [0.5, 0.4]})
-    lam = np.array([[2.0, 0.3], [0.3, 2.0]])
-    cs = CascadeSpec(path=path, spec=spec, lam=lam, h=np.array([0.1, -0.2]))
+    cs = SINGULAR_LEAF
     eigs = np.linalg.eigvalsh(cs.increment_covariances[-1])
     assert abs(eigs[0]) <= 1e-12 * eigs[1]
     res = nested_recursion_mc(cs, counts, seed=29)
@@ -218,20 +229,80 @@ WORKLOAD_R3 = workload_cascade([0.0, 0.3, 0.6, 0.8, 1.0], [0.0, 0.3, 0.6, 1.0])
 @pytest.mark.parametrize(
     "cs, counts, recorded",
     [
-        (WORKLOAD_R2, [40, 3000], ("-0x1.aaeeeef294393p-2", "0x1.d41af3471d3d7p-7")),
-        (WORKLOAD_R3, [5, 7, 3000], ("-0x1.8da7a94279ceap-2", "0x1.f64f09d2680adp-6")),
+        (WORKLOAD_R2, [40, 3000], ("-0x1.ab7ccfce02134p-2", "0x1.dc43d654d8273p-7")),
+        (WORKLOAD_R3, [5, 7, 3000], ("-0x1.8e275e28b506ap-2", "0x1.f839a68b78c23p-6")),
     ],
     ids=["workload-r2", "r3-short-last-block"],
 )
 def test_nested_mc_reproduces_the_recorded_bits(cs, counts, recorded):
-    # float.hex recorded when leaf block i was first drawn from its own
-    # stream(seed, 1, i): the stream key, the block layout and the leaf
-    # arithmetic must stay exactly as they were.  Both budgets have 21 parent
-    # rows per leaf block and a short last block (19 and 14 rows).
+    # float.hex recorded when leaf block i was first drawn from an SFC64
+    # generator keyed (seed, 1, i) into an (n, leaves) buffer and reduced in
+    # the diagonal leaf form: the stream key, the bit generator, the block
+    # layout and the leaf arithmetic must stay exactly as they were.  Both
+    # budgets have 21 parent rows per leaf block and a short last block (19
+    # and 14 rows).
     rows = LEAF_BLOCK // counts[-1]
     assert rows == 21 and math.prod(counts[:-1]) % rows in (19, 14)
     res = nested_recursion_mc(cs, counts, seed=1)
     assert (res.estimate.hex(), res.stderr.hex()) == recorded
+
+
+def random_leaf_cascade(rng, n: int) -> CascadeSpec:
+    q = random_constraint(rng, n)
+    path = random_path(rng, q.matrix, 2)
+    spec = random_mixture(rng, n, scale=0.4)
+    return CascadeSpec(path=path, spec=spec, lam=random_multiplier(rng, path, spec, margin=0.6), h=np.zeros(n))
+
+
+@pytest.mark.parametrize("case", ["n=1", "n=2", "n=3", "singular"])
+def test_diagonal_leaf_form_is_a_square_root_with_a_diagonal_quadratic_form(rng, case):
+    # B' B'^T = Delta_r keeps the law of the leaf increment, and a diagonal
+    # 1/2 B'^T L^{-1} B' leaves no cross terms in the leaf value
+    for _ in range(1 if case == "singular" else 5):
+        cs = SINGULAR_LEAF if case == "singular" else random_leaf_cascade(rng, int(case[-1]))
+        cov = cs.increment_covariances[-1]
+        lam_inv = solve_pd(cs.lam, np.eye(cs.path.n))
+        leaf, m = cascade._diagonal_leaf_form(cov, lam_inv)
+        scale = np.max(np.abs(cov))
+        np.testing.assert_allclose(leaf @ leaf.T, cov, rtol=0, atol=1e-12 * scale)
+        quad = 0.5 * leaf.T @ lam_inv @ leaf
+        np.testing.assert_allclose(quad, np.diag(m), rtol=0, atol=1e-12 * np.max(np.abs(m)))
+        if case == "singular":
+            assert np.min(np.abs(m)) <= 1e-12 * np.max(np.abs(m))
+
+
+@pytest.mark.parametrize(
+    "cs, counts",
+    [(WORKLOAD_R2, [40, 3000]), (WORKLOAD_R3, [5, 7, 3000]), (SINGULAR_LEAF, [7, 70001])],
+    ids=["workload-r2", "r3-short-last-block", "groups-above-one-block"],
+)
+def test_leaf_blocks_draw_their_own_sfc64_streams(monkeypatch, cs, counts):
+    # block i's normals are the first draws of SFC64 keyed (seed, 1, i), as an
+    # (n, leaves in the block) array, and no two blocks share a normal
+    drawn = {}
+    leaf_stream = cascade._leaf_stream
+
+    class Recorder:
+        def __init__(self, seed, block):
+            self.generator, self.block = leaf_stream(seed, block), block
+
+        def standard_normal(self, out):
+            self.generator.standard_normal(out=out)
+            assert self.block not in drawn
+            drawn[self.block] = out.copy()
+
+    monkeypatch.setattr(cascade, "_leaf_stream", Recorder)
+    nested_recursion_mc(cs, counts, seed=7)
+    parents, leaves, n = math.prod(counts[:-1]), counts[-1], cs.path.n
+    rows = max(1, LEAF_BLOCK // leaves)
+    starts = range(0, parents, rows)
+    assert sorted(drawn) == list(range(len(starts)))
+    for i, start in enumerate(starts):
+        shape = (n, min(rows, parents - start) * leaves)
+        expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence(7, spawn_key=(1, i))))
+        assert np.array_equal(drawn[i].reshape(shape), expected.standard_normal(shape))
+    every = np.concatenate([normals.reshape(-1) for normals in drawn.values()])
+    assert np.unique(every).size == every.size
 
 
 class OneThreadPool:
