@@ -25,14 +25,13 @@ Two independent verification routes, the two oracles ``cascade-check`` runs:
 
 Nested sampling never reuses inner samples across outer samples: the
 log-of-mean transform is nonlinear and reuse would bias the estimator.
-The standard error comes from the delta method on the outermost log, and
-``cascade-check``'s 3-sigma rule reads that outermost-level stderr only: the
-bias of the inner levels' log-of-mean is not in it.
-
-Every log-sum-exp here is numpy: the shared ``parallel.logsumexp`` for the
-r = 3 level loop of ``nested_recursion_mc`` and the in-place
-``_log_mean_exp_rows`` for the leaf level.  No routine of this module loads
-scipy.
+Every level of the recursion, the leaf level and the outermost one
+included, is the one in-place ``parallel.log_mean_exp``.  The standard error
+comes from the delta method on the outermost log, as the
+``parallel.standard_error`` of the weights that its reduction leaves behind,
+and ``cascade-check``'s 3-sigma rule reads that outermost-level stderr only:
+the bias of the inner levels' log-of-mean is not in it.  No routine of this
+module loads scipy.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from sphglass.mixture import (
     delta_increments,
     theta_matrix,
 )
-from sphglass.parallel import logsumexp, stream
+from sphglass.parallel import log_mean_exp, standard_error, stream
 
 __all__ = ["CascadeSpec", "NestedMCResult", "nested_recursion_mc", "theta_cascade_value"]
 
@@ -136,7 +135,9 @@ def nested_recursion_mc(
     a bad budget raises ``InvalidField``: ``samples[i]`` names an entry that
     is not a count (``check_count``) of at least 1, and ``samples`` a list
     that does not hold one count per level or whose product exceeds
-    ``MAX_LEAVES``.  With ``samples[0] == 1`` the standard error is inf.
+    ``MAX_LEAVES``; a path of more than ``MAX_NESTED_LEVELS`` levels or more
+    than ``MAX_NESTED_COPIES`` copies raises ``InvalidField`` for ``path`` or
+    ``n``.  With ``samples[0] == 1`` the standard error is inf.
 
     The increments of levels 1..r-1 are drawn whole, in C order, from the
     PCG64 ``stream(seed, 0)``.  The leaf level r is drawn in blocks of
@@ -157,20 +158,23 @@ def nested_recursion_mc(
     B B^T = Delta_r and z_ij is its drawn standard normal.  B is taken with
     1/2 B^T L^{-1} B = diag(m) (``_diagonal_leaf_form``), so the value is
     c_i + l_i . z_ij + sum_k m_k z_ijk^2 with no cross terms, l_i =
-    B^T L^{-1} p_i and c_i = -1/2 log|L| + 1/2 p_i^T L^{-1} p_i.  For r >= 2
-    the level-r weight x_r is folded into l and m, and c_i is added after
-    the block's log-mean-exp; every leaf still enters exp(x_r v) on its own.
+    B^T L^{-1} p_i and c_i = -1/2 log|L| + 1/2 p_i^T L^{-1} p_i.  The
+    level-r weight x_r is folded into l and m, and c_i is added after the
+    block's log-mean-exp; every leaf still enters exp(x_r v) on its own.
     Each block is reduced as soon as it is drawn, so the leaf level holds
     O(2 * max(LEAF_BLOCK, samples[-1]) * (n + 1)) floats at a time (for
     r = 1 the single parent row is one block, reduced on the calling thread
-    with one set of buffers).
+    with one set of buffers).  Levels r - 1, ..., 1 are the same
+    log-mean-exp over the last axis of the values below them.  The standard
+    error reads the weights the outermost reduction leaves in place: for
+    r = 1 those of the calling thread's single leaf block.
     """
     path, spec, lam, h = cspec.path, cspec.spec, cspec.lam, cspec.h
     r, n = path.r, path.n
     if r > MAX_NESTED_LEVELS:
-        raise ValueError(f"nested MC supports r <= {MAX_NESTED_LEVELS}, got r={r}")
+        raise InvalidField("path", f"has r={r} levels; nested MC supports r <= {MAX_NESTED_LEVELS}")
     if n > MAX_NESTED_COPIES:
-        raise ValueError(f"nested MC supports n <= {MAX_NESTED_COPIES}, got n={n}")
+        raise InvalidField("n", f"is {n}; nested MC supports n <= {MAX_NESTED_COPIES}")
     if len(samples) != r:
         raise InvalidField("samples", f"needs one sample count per level ({r} levels), got {samples!r}")
     counts = tuple(check_count(count, f"samples[{i}]", 1) for i, count in enumerate(samples))
@@ -193,22 +197,19 @@ def nested_recursion_mc(
     parents = zsum.reshape(-1, n)
 
     # the leaf value c_i + l_i . z + sum_k m_k z_k^2 of the docstring, with
-    # x_r folded into l and m when a level-r log-mean-exp follows
+    # x_r folded into l and m
     leaves = counts[-1]
     x_leaf = path.xs[r]
-    scale = x_leaf if r > 1 else 1.0
     leaf, quad = _diagonal_leaf_form(cspec.increment_covariances[-1], lam_inv)
-    quad = scale * quad
-    lin = (scale * parents @ (lam_inv @ leaf)).T.copy()  # (n, parents), one row per k
+    quad = x_leaf * quad
+    lin = (x_leaf * parents @ (lam_inv @ leaf)).T.copy()  # (n, parents), one row per k
     const = leaf_const + 0.5 * np.sum((parents @ lam_inv) * parents, axis=1)
 
-    # level r, one block of whole leaf groups at a time.  With r = 1 level r
-    # is the outermost level: its single parent row is one block, kept whole
-    # for the delta-method standard error below.
+    # level r, one block of whole leaf groups at a time
     rows = max(1, LEAF_BLOCK // leaves)
     blocks = range(0, len(parents), rows)
     size = min(rows, len(parents)) * leaves
-    y = np.empty((len(parents), leaves) if r == 1 else len(parents))
+    y = np.empty(len(parents))
 
     def reduce_blocks(first: int, normals: np.ndarray, values: np.ndarray) -> None:
         """Draw and reduce leaf blocks first, first + 2, ... into their rows of y."""
@@ -229,10 +230,7 @@ def nested_recursion_mc(
                 term *= z[k]
                 if k:
                     block += term
-            if r == 1:
-                y[start:stop] = block + const[start:stop, None]
-            else:
-                y[start:stop] = const[start:stop] + _log_mean_exp_rows(block, x_leaf)
+            y[start:stop] = const[start:stop] + log_mean_exp(block, x_leaf)
 
     from concurrent.futures import ThreadPoolExecutor
 
@@ -244,36 +242,17 @@ def nested_recursion_mc(
         helped = helper.submit(reduce_blocks, 1, *work[-1])
         reduce_blocks(0, *work[0])
         helped.result()
-    y = y.reshape(counts[:-1] if r > 1 else counts)
+    y = y.reshape(counts[:-1])
 
-    for k in range(r - 2, 0, -1):  # only for r = 3 (MAX_NESTED_LEVELS)
-        x_k = path.xs[k + 1]
-        y = (logsumexp(x_k * y, axis=-1) - np.log(counts[k])) / x_k
+    # levels r - 1, ..., 1; with r = 1 the leaf level was the outermost one
+    weights = work[0][1][:leaves]
+    for k in range(r - 1, 0, -1):
+        weights = path.xs[k] * y
+        y = log_mean_exp(weights, path.xs[k])
 
-    x0 = path.xs[1]
-    shifted = x0 * y
-    shift = float(np.max(shifted))
-    wts = np.exp(shifted - shift)
-    mean_w = float(np.mean(wts))
-    estimate = (shift + np.log(mean_w)) / x0
-    if counts[0] > 1:
-        stderr = float(np.std(wts, ddof=1)) / np.sqrt(counts[0]) / (x0 * mean_w)
-    else:
-        stderr = float("inf")
-    return NestedMCResult(estimate=float(estimate), stderr=stderr, samples_per_level=counts, seed=int(seed))
-
-
-def _log_mean_exp_rows(values: np.ndarray, x: float) -> np.ndarray:
-    """(1/x) log mean_j exp(values[i, j]) for every row i, overwriting ``values``.
-
-    ``values`` already holds x times the leaf values.  A plain max shift per
-    row, in place: the block is the largest array of the leaf level, and
-    ``logsumexp`` would allocate a shifted copy of it.
-    """
-    top = values.max(axis=1)
-    values -= top[:, None]
-    np.exp(values, out=values)
-    return (top + np.log(values.mean(axis=1))) / x
+    # delta method: Y_0 = (1/x_1) log mean(w), with the shift cancelling
+    stderr = standard_error(weights) / (path.xs[1] * float(np.mean(weights)))
+    return NestedMCResult(estimate=float(y), stderr=stderr, samples_per_level=counts, seed=int(seed))
 
 
 def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
@@ -290,11 +269,7 @@ def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
     cov = _tree_covariances(path, spec)
     total = 0.0
     for k in range(path.r):
-        x_k = path.xs[k + 1]
-        v_k = cov[k + 1] - cov[k]
-        if v_k < -1e-10 * max(1.0, abs(cov[k + 1])):
-            raise ValueError(f"tree covariance decreases at level {k + 1}: increment {v_k:.3e}")
-        total += 0.5 * x_k * v_k
+        total += 0.5 * path.xs[k + 1] * (cov[k + 1] - cov[k])
     return total
 
 

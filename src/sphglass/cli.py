@@ -89,13 +89,14 @@ def _require(cond: bool, message: str):
 
 
 @contextmanager
-def _named(prefix: str = "", field: str | None = None):
+def _named(prefix: str = "", fields: dict[str, str] | None = None):
     """Re-raise the package's ``InvalidField`` as a ``ConfigError`` that
-    names the config field ``prefix + field`` (or the given ``field``)."""
+    names the config field ``prefix + field`` (or ``fields[field]``)."""
     try:
         yield
     except InvalidField as err:
-        raise ConfigError(f'"{field or prefix + err.field}" {err.rule}') from None
+        name = (fields or {}).get(err.field, prefix + err.field)
+        raise ConfigError(f'"{name}" {err.rule}') from None
 
 
 def _known_keys(raw: dict, known: tuple[str, ...], prefix: str = ""):
@@ -338,7 +339,8 @@ def _run_cascade_check(config: RunConfig) -> tuple[int, dict]:
     # functional; none of them reads Q, which the path ends at
     closed = evaluate(config.lam, config.path, config.q, config.h, config.mixture)
     target = closed.logdet_term + closed.field_term + closed.cascade_term
-    with _named(field="budgets.samples_per_level"):  # its length and leaf-limit rules
+    # its length and leaf-limit rules, and the caps on r ("path") and n
+    with _named(fields={"samples": "budgets.samples_per_level"}):
         result = cascade_mod.nested_recursion_mc(cspec, samples, seed)
     gap = abs(result.estimate - target)
     recursion_pass = bool(gap <= 3.0 * result.stderr or gap <= 1e-12)

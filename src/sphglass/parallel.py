@@ -10,8 +10,11 @@ Workers > 1 fan the tasks out to a process pool; the default is sequential.
 ``multiprocessing`` is imported inside that branch, so a sequential run never
 loads it.
 
-``logsumexp`` is the max-shift log-sum-exp that the Monte Carlo routines of
-``montecarlo`` and ``cascade`` share, in numpy alone.
+The Monte Carlo routines share two rules, in numpy alone: ``log_mean_exp``,
+the max-shift (1/x) log-mean-exp that ``montecarlo`` and every level of
+``cascade.nested_recursion_mc`` reduce their samples with, and
+``standard_error``, the standard error of a mean that they and ``verify``
+report.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["stream", "run_tasks", "logsumexp"]
+__all__ = ["stream", "run_tasks", "log_mean_exp", "standard_error"]
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -43,13 +46,24 @@ def run_tasks(fn: Callable, args: Sequence, workers: int = 1) -> list:
         return pool.map(_call, [(fn, a) for a in args])
 
 
-def logsumexp(a, axis: int | None = None):
-    """log sum exp(a) over ``axis`` (all entries when None), for finite ``a``.
+def log_mean_exp(values: np.ndarray, x: float):
+    """(1/x) log mean exp(values) over the last axis, overwriting ``values``.
 
-    Shifted by the max, so exp(a - max) <= 1 never overflows.  Returns a float
-    for ``axis=None`` and an array otherwise.
+    ``values`` holds x times the terms, finite floats.  The max of each row is
+    subtracted in place before the exp, so nothing overflows and no shifted
+    copy is allocated; ``values`` is left holding the weights
+    exp(values - max), whose largest entry per row is 1.  Returns a 0-d array
+    for 1-d ``values`` and an array of the leading shape otherwise.
     """
-    a = np.asarray(a, dtype=float)
-    top = np.max(a, axis=axis, keepdims=True)
-    total = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
-    return float(total.item()) if axis is None else np.squeeze(total, axis=axis)
+    top = values.max(axis=-1, keepdims=True)
+    values -= top
+    np.exp(values, out=values)
+    return (top[..., 0] + np.log(values.mean(axis=-1))) / x
+
+
+def standard_error(values) -> float:
+    """std(values, ddof=1) / sqrt(N), the standard error of their mean; inf for N = 1."""
+    values = np.asarray(values)
+    if values.size == 1:
+        return float("inf")
+    return float(np.std(values, ddof=1) / np.sqrt(values.size))

@@ -12,7 +12,7 @@ import numpy as np
 
 from sphglass.functional import gaussian_quadratic_identity, jacobi_limit_term, logdet_pd, solve_pd
 from sphglass.mixture import check_count
-from sphglass.parallel import stream
+from sphglass.parallel import standard_error, stream
 
 __all__ = [
     "random_identity_instance",
@@ -93,7 +93,7 @@ def mc_identity_check(seed: int, count: int = 10, samples: int = 1_000_000, n_ma
         quad = np.einsum("si,ij,sj->s", w, solve_pd(a, np.eye(n)), w)
         vals = np.exp(0.5 * x * quad)
         mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / np.sqrt(samples))
+        se = standard_error(vals)
         target = float(np.exp(x * rhs))
         checks.append(
             {

@@ -12,7 +12,7 @@ from sphglass.functional import FunctionalBreakdown
 from sphglass.geometry import ConstraintMatrix, DiscretePath
 from sphglass.mixture import MixtureSpec, delta_increments, theta_matrix
 from sphglass.montecarlo import DisorderRealization
-from sphglass.parallel import logsumexp, stream
+from sphglass.parallel import stream
 
 
 def random_constraint(rng: np.random.Generator, n: int, min_eig: float = 0.05) -> ConstraintMatrix:
@@ -283,6 +283,17 @@ def refine_path(path: DiscretePath, k: int, x_new: float) -> DiscretePath:
     xs = np.insert(path.xs, k + 1, x_new)
     qs = np.insert(path.qs, k, path.qs[k], axis=0)
     return DiscretePath(xs=xs, qs=qs)
+
+
+def logsumexp(values) -> float:
+    """log sum exp over every entry of ``values``, shifted by their max.
+
+    The judges' own reduction, kept apart from the package's
+    ``parallel.log_mean_exp`` that they judge.
+    """
+    values = np.asarray(values, dtype=float)
+    top = np.max(values, keepdims=True)
+    return float((np.log(np.sum(np.exp(values - top), keepdims=True)) + top).item())
 
 
 def finite_cascade_weights(path: DiscretePath, K: int, seed: int) -> np.ndarray:

@@ -230,7 +230,7 @@ WORKLOAD_R3 = workload_cascade([0.0, 0.3, 0.6, 0.8, 1.0], [0.0, 0.3, 0.6, 1.0])
     "cs, counts, recorded",
     [
         (WORKLOAD_R2, [40, 3000], ("-0x1.ab7ccfce02134p-2", "0x1.dc43d654d8273p-7")),
-        (WORKLOAD_R3, [5, 7, 3000], ("-0x1.8e275e28b506ap-2", "0x1.f839a68b78c23p-6")),
+        (WORKLOAD_R3, [5, 7, 3000], ("-0x1.8e275e28b506dp-2", "0x1.f839a68b78c18p-6")),
     ],
     ids=["workload-r2", "r3-short-last-block"],
 )
@@ -365,28 +365,32 @@ def test_nested_mc_joins_its_helper_thread(monkeypatch):
     # call, also when a leaf block raises on either thread
     before = threading.active_count()
     caller = threading.get_ident()
-    reduce_rows = cascade._log_mean_exp_rows
+    reduce = cascade.log_mean_exp
     reducers = []
 
     def record(values, x):
-        reducers.append(threading.get_ident())
-        return reduce_rows(values, x)
+        # a leaf block is a 2-d (parents, leaves) array, the outermost level 1-d
+        reducers.append((threading.get_ident(), values.ndim))
+        return reduce(values, x)
 
-    monkeypatch.setattr(cascade, "_log_mean_exp_rows", record)
+    monkeypatch.setattr(cascade, "log_mean_exp", record)
     nested_recursion_mc(WORKLOAD_R2, [40, 3000], seed=1)
     assert threading.active_count() == before
-    # the two blocks were reduced on two threads, one of them the caller
-    assert len(reducers) == 2 and caller in reducers and len(set(reducers)) == 2
+    # the two leaf blocks were reduced on two threads, one of them the
+    # caller, and the outermost level on the caller after both
+    leaf_threads = [thread for thread, ndim in reducers if ndim == 2]
+    assert len(leaf_threads) == 2 and caller in leaf_threads and len(set(leaf_threads)) == 2
+    assert reducers[-1] == (caller, 1) and len(reducers) == 3
 
     for on_caller in (True, False):
         failure = RuntimeError("leaf reduction failed")
 
         def fail_on_one_thread(values, x):
-            if (threading.get_ident() == caller) == on_caller:
+            if values.ndim == 2 and (threading.get_ident() == caller) == on_caller:
                 raise failure
-            return reduce_rows(values, x)
+            return reduce(values, x)
 
-        monkeypatch.setattr(cascade, "_log_mean_exp_rows", fail_on_one_thread)
+        monkeypatch.setattr(cascade, "log_mean_exp", fail_on_one_thread)
         with pytest.raises(RuntimeError) as err:
             nested_recursion_mc(WORKLOAD_R2, [40, 3000], seed=1)
         assert err.value is failure
@@ -462,6 +466,38 @@ def test_theta_cascade_single_increment():
         )
 
 
+def test_theta_cascade_takes_every_path_check_path_takes():
+    # Q_2 = Q_1 - 5e-11 is monotone up to check_path's rounding allowance;
+    # at this mixture the tree covariance then falls by about 4.5e-8, and
+    # the oracle sums that increment as theta_term does
+    spec = MixtureSpec(1, {2: [8.0], 4: [8.0]})
+    path = DiscretePath(xs=[0.0, 0.4, 0.8, 1.0], qs=[[[0.0]], [[1.0]], [[1.0 - 5e-11]]])
+    covariances = cascade._tree_covariances(path, spec)
+    assert covariances[2] < covariances[1]
+    assert theta_cascade_value(path, spec) == pytest.approx(theta_term(path, spec), rel=1e-13)
+
+
+def test_nested_mc_caps_name_their_field_before_any_draw(monkeypatch):
+    # r and n above the caps raise InvalidField (a ValueError) naming "path"
+    # and "n", before any normal is drawn
+    def no_draw(*args):
+        raise AssertionError("drew before refusing the path")
+
+    monkeypatch.setattr(cascade, "stream", no_draw)
+    monkeypatch.setattr(cascade, "_leaf_stream", no_draw)
+    deep = workload_cascade([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], [0.0, 0.2, 0.4, 0.6, 1.0])
+    assert deep.path.r == 4
+    with pytest.raises(InvalidField, match="r <= 3") as err:
+        nested_recursion_mc(deep, [2, 2, 2, 2], seed=0)
+    assert err.value.field == "path"
+    wide = CascadeSpec(
+        path=DiscretePath.simple(np.eye(4), 0.5), spec=MixtureSpec(4, {2: [0.3] * 4}), lam=3.0 * np.eye(4), h=np.zeros(4)
+    )
+    with pytest.raises(InvalidField, match="n <= 3") as err:
+        nested_recursion_mc(wide, [2], seed=0)
+    assert err.value.field == "n"
+
+
 def test_theta_cascade_equals_theta_term(rng):
     for _ in range(10):
         n = int(rng.integers(1, 4))
@@ -500,36 +536,57 @@ def test_finite_cascade_two_levels_structure():
 
 
 def test_weighted_logsumexp_shift_correctness(rng):
+    # log sum w exp(v) as the log-mean-exp of log w + v, and a shift of every
+    # entry comes back out exactly as far as the rounding of the entries allows
     logw = np.log(rng.dirichlet(np.ones(1000)))
     values = rng.standard_normal(1000)
-    base = parallel.logsumexp(logw + values)
+    base = parallel.log_mean_exp(logw + values, 1.0)
     for shift in (1e3, 1e6):
-        shifted = parallel.logsumexp(logw + (values + shift))
+        weights = logw + (values + shift)
+        shifted = parallel.log_mean_exp(weights, 1.0)
         assert shifted - shift == pytest.approx(base, abs=1e-12 * max(1.0, shift / 1e3))
+        assert np.max(weights) == 1.0
 
 
-def plain_logsumexp(values) -> float:
-    """log sum exp over a list of floats, with the math module and a max shift."""
+def plain_log_mean_exp(values) -> float:
+    """log mean exp over a list of floats, with the math module and a max shift."""
     top = max(values)
-    return top + math.log(math.fsum(math.exp(v - top) for v in values))
+    return top + math.log(math.fsum(math.exp(v - top) for v in values) / len(values))
 
 
 @pytest.mark.parametrize("center", [0.0, 700.0, -700.0])
 def test_logsumexp_matches_plain_float_reference(rng, center):
-    # entries up to about 720: exp of one of them alone overflows a float
-    for size in (2, 7, 1000):
+    # entries up to about 720: exp of one of them alone overflows a float.
+    # parallel.log_mean_exp reduces the last axis in place and leaves the
+    # weights exp(v - max), whose largest entry per row is exactly 1
+    for size in (1, 2, 7, 1000):
         values = center + 5.0 * rng.standard_normal(size)
-        ref = plain_logsumexp(values.tolist())
-        assert parallel.logsumexp(values) == pytest.approx(ref, rel=1e-15, abs=1e-15)
+        ref = plain_log_mean_exp(values.tolist())
+        weights = values.copy()
+        assert parallel.log_mean_exp(weights, 1.0) == pytest.approx(ref, rel=1e-15, abs=1e-15)
+        assert np.max(weights) == 1.0
         rows = values.reshape(1, size).repeat(3, axis=0) + np.arange(3.0)[:, None]
-        got = parallel.logsumexp(rows, axis=-1)
+        weights = rows.copy()
+        # the rows hold x times the terms, and the result is divided by x
+        got = parallel.log_mean_exp(weights, 0.5)
         assert got.shape == (3,)
+        assert np.array_equal(np.max(weights, axis=-1), np.ones(3))
         for i in range(3):
-            assert got[i] == pytest.approx(plain_logsumexp(rows[i].tolist()), rel=1e-15, abs=1e-15)
-    # one sample: log exp(v) = v exactly
+            assert got[i] == pytest.approx(plain_log_mean_exp(rows[i].tolist()) / 0.5, rel=1e-15, abs=1e-15)
+    # one sample: log mean exp(v) = v exactly
     one = center + 0.25
-    assert parallel.logsumexp(np.array([one])) == one
-    assert np.array_equal(parallel.logsumexp(np.array([[one], [-one]]), axis=-1), [one, -one])
+    assert parallel.log_mean_exp(np.array([one]), 1.0) == one
+    assert np.array_equal(parallel.log_mean_exp(np.array([[one], [-one]]), 1.0), [one, -one])
+
+
+@pytest.mark.parametrize("size", [2, 7, 1000])
+def test_standard_error_is_the_sample_std_over_root_n(rng, size):
+    values = 3.0 + rng.standard_normal(size)
+    expected = np.std(values, ddof=1) / np.sqrt(values.size)
+    assert parallel.standard_error(values).hex() == float(expected).hex()
+    assert parallel.standard_error(values.tolist()).hex() == float(expected).hex()
+    # one value has no spread to estimate: the error of its mean is unbounded
+    assert parallel.standard_error(values[:1]) == math.inf
 
 
 def test_cascade_free_energy_zero_mixture():

@@ -181,6 +181,14 @@ R3_PAIR_PATH = {
     "xs": [0.0, 0.2, 0.5, 0.8, 1.0],
     "Qs": [[[0.0, 0.0], [0.0, 0.0]], [[0.25, 0.0], [0.0, 0.25]], [[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 1.0]]],
 }
+R4_PAIR_PATH = {
+    "xs": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+    "Qs": [[[s, 0.0], [0.0, s]] for s in (0.0, 0.25, 0.5, 0.75, 1.0)],
+}
+FOUR_COPIES = {
+    "n": 4, "mixture": {"2": [0.3] * 4}, "Q": np.eye(4).tolist(), "h": [0.0] * 4, "lambda": (3.0 * np.eye(4)).tolist(),
+    "path": {"xs": [0.0, 0.5, 1.0], "Qs": [np.zeros((4, 4)).tolist(), np.eye(4).tolist()]},
+}
 
 
 def _config_error(tmp_path, capsys, task, flags=(), **overrides) -> str:
@@ -209,6 +217,9 @@ def _config_error(tmp_path, capsys, task, flags=(), **overrides) -> str:
         # the oracle's own rules on the whole list: one count per level, and the leaf limit
         ("cascade-check", {"budgets": {"samples_per_level": [20, 20]}}, '"budgets.samples_per_level"'),
         ("cascade-check", {"path": R3_PAIR_PATH}, '"budgets.samples_per_level"'),
+        # the oracle's caps on the model: r <= 3 and n <= 3
+        ("cascade-check", {"path": R4_PAIR_PATH, "budgets": {"samples_per_level": [2, 2, 2, 2]}}, '"path"'),
+        ("cascade-check", FOUR_COPIES, '"n"'),
         # an integer field takes a JSON integer only: no truncation, no bool, no string
         ("mc-estimate", {"budgets": {"N": 32.7, "disorder_reps": 2, "config_samples": 10}}, '"budgets.N"'),
         ("mc-estimate", {"budgets": {"N": 16, "disorder_reps": True, "config_samples": 10}},
@@ -256,6 +267,7 @@ def _config_error(tmp_path, capsys, task, flags=(), **overrides) -> str:
     ids=["N-not-integer", "disorder-reps-zero", "config-samples-zero", "q12-out-of-range", "value-not-number",
          "samples-per-level-not-list", "samples-per-level-entry-not-integer", "samples-per-level-entry-float",
          "samples-per-level-outermost-one", "samples-per-level-wrong-length", "samples-per-level-r3-default",
+         "cascade-r-above-cap", "cascade-n-above-cap",
          "N-float", "disorder-reps-bool", "max-levels-float", "restarts-float", "max-iterations-float",
          "restarts-string", "restarts-negative", "max-levels-zero",
          "h-string", "h-nan", "Q-ragged", "lambda-string-entry", "path-xs-string-entry", "path-Qs-ragged",
@@ -567,6 +579,25 @@ def test_cascade_check_subcommand(tmp_path):
     report = json.loads(out.read_text())
     assert report["body"]["recursion_pass"] is True
     assert report["body"]["theta_pass"] is True
+
+
+def test_cascade_check_theta_rule_takes_a_path_within_rounding(tmp_path):
+    # Q_1 = 1 + 5e-11 above the end matrix is monotone up to check_path's
+    # rounding allowance; the theta oracle sums the falling last increment
+    # as theta_term does instead of refusing the path
+    cfg_file = tmp_path / "cc.json"
+    cfg_file.write_text(
+        config_text(
+            task="cascade-check",
+            mixture={"2": [8.0], "4": [8.0]},
+            path={"xs": [0.0, 0.4, 0.8, 1.0], "Qs": [[[0.0]], [[1.0 + 5e-11]], [[1.0]]]},
+            budgets={"samples_per_level": [20, 20]},
+            **{"lambda": [[400.0]]},
+        )
+    )
+    out = tmp_path / "cc.json.out"
+    main(["cascade-check", "--config", str(cfg_file), "--out", str(out)])
+    assert json.loads(out.read_text())["body"]["theta_pass"] is True
 
 
 def _cascade_model(rng, n: int, r: int, field: bool) -> dict:
