@@ -25,17 +25,22 @@ Each factorization is followed by one stacked triangular inverse of the
 factors; the cascade increments, the field term and the chain's inverses are
 matrix products of those.  The kernel factors a multiplier in one place,
 ``_PathContext.feasible_value``; its derivatives take the resulting factors,
-never the multiplier itself.
+never the multiplier itself.  Its stacked factorization, inverse and
+eigenvalues, and the optimizer's Newton solve, are ``_lapack``'s gufuncs, not
+the ``np.linalg`` wrappers.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, check_field, check_path
 from sphglass.mixture import MixtureSpec, check_symmetric, path_levels
@@ -57,6 +62,24 @@ __all__ = [
 # Determinant positivity is numerically meaningless near the boundary; the
 # optimizer needs an eigenvalue margin to line-search against.
 MEMBERSHIP_MARGIN = 1e-12
+
+
+# The stacked LAPACK gufuncs that np.linalg's cholesky, inv, eigvalsh and
+# (one right-hand side) solve call, without the wrappers' per-call checks: the
+# same routine on the same float64 arrays, so the same bits.  A failure raises
+# nothing.  The failed matrix of a stack comes back as NaN and the "invalid"
+# floating-point flag is set, so callers run these under ``_lapack_errstate``
+# and test the result for NaN where np.linalg would raise LinAlgError.
+_lapack = SimpleNamespace(
+    cholesky=partial(_umath_linalg.cholesky_lo, signature="d->d"),
+    inv=partial(_umath_linalg.inv, signature="d->d"),
+    eigvalsh=partial(_umath_linalg.eigvalsh_lo, signature="d->d"),
+    solve=partial(_umath_linalg.solve1, signature="dd->d"),
+)
+# The error state np.linalg's wrappers run the gufuncs under, less the raise
+# on "invalid": every flag is ignored.  A decorator, entered afresh on each
+# call of the function it wraps.
+_lapack_errstate = np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 
 
 class NotInL(ValueError):
@@ -158,7 +181,7 @@ class _PathContext:
     ``closed_form_Y0`` and the optimizer all run on it.  Every evaluation
     works on the whole multiplier chain L_k = Lambda - tails[k], k = 0..r, as
     one (r + 1, n, n) stack, so it costs one stacked Cholesky factorization
-    and one stacked triangular inverse (``np.linalg.inv`` of the factors)
+    and one stacked triangular inverse (``_lapack.inv`` of the factors)
     whatever the number of levels.  The increments Delta_k, the theta levels
     and xi'' of the middle levels come from one checked mixture pass
     (``path_levels``) over the path's chain Q_0..Q_r.
@@ -238,20 +261,21 @@ class _PathContext:
         """
         lower = cinv[:-1]
         conj = lower @ self.deltas @ lower.swapaxes(1, 2)
-        mu = np.linalg.eigvalsh(_sym(conj))
+        mu = _lapack.eigvalsh(_sym(conj))
         return np.log1p(self.x_levels[:-1, None] * mu).sum(axis=1)
 
     def _factored(self, lam: np.ndarray, chol: np.ndarray) -> _Factors:
         """The ``_Factors`` at lam from the Cholesky factors of its chain.
 
-        One stacked ``np.linalg.inv`` of the factors gives the triangular
+        One stacked ``_lapack.inv`` of the factors gives the triangular
         inverses C_k^{-1}; the increments' conjugates, the field vector
         C_0^{-1} h and L_k^{-1} = C_k^{-T} C_k^{-1} are matrix products of
-        them.  The
-        cascade sum is accumulated through the stable log-determinant
-        increments of ``_increments``.
+        them.  The cascade sum is accumulated through the stable
+        log-determinant increments of ``_increments``.  Raises LinAlgError
+        when the value is not finite, as when the eigenvalues of
+        ``_increments`` fail.
         """
-        cinv = np.linalg.inv(chol)
+        cinv = _lapack.inv(chol)
         increments = self._increments(cinv)
         total = (
             0.5 * float((lam @ self.qmat).trace())
@@ -263,6 +287,8 @@ class _PathContext:
         if self.has_field:
             y = cinv[0] @ self.h
             total += 0.5 * float(y @ y)
+        if not math.isfinite(total):
+            raise np.linalg.LinAlgError(f"functional value {total} is not finite")
         inv = _sym(cinv.swapaxes(1, 2) @ cinv)
         return _Factors(total, chol, increments, inv)
 
@@ -349,6 +375,7 @@ class _PathContext:
             outer += 0.5 * gap * (v[:, None] * v)
         return grad_x, self.xi_seconds * outer
 
+    @_lapack_errstate
     def member_factors(self, lam: np.ndarray) -> _Factors:
         """The ``_Factors`` at lam; raises NotInL unless ``feasible_value`` admits lam.
 
@@ -368,11 +395,12 @@ class _PathContext:
 
         Cholesky is the feasibility test: L_0 less the membership margin is
         factored in the same stacked call as the chain, whose factors the
-        log-determinants need anyway.
+        log-determinants need anyway.  A level that fails comes back as NaN.
+        Callers run this under ``_lapack_errstate``; raises LinAlgError
+        when the value at a factored chain is not finite.
         """
-        try:
-            chol = np.linalg.cholesky(lam[None, :, :] - self.guarded_tails)
-        except np.linalg.LinAlgError:
+        chol = _lapack.cholesky(lam[None, :, :] - self.guarded_tails)
+        if np.isnan(chol).any():
             return None
         return self._factored(lam, chol[1:])
 

@@ -48,6 +48,7 @@ scipy.optimize loads on the first search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ from sphglass.geometry import (
 )
 from sphglass.functional import (
     _Factors,
+    _lapack,
+    _lapack_errstate,
     _PathContext,
     _sym,
     _sym_basis,
@@ -166,6 +169,7 @@ class PathSearchConfig:
             raise InvalidField("q_parameterization", f"must be one of {list(_FAMILIES)}, got {family!r}")
 
 
+@_lapack_errstate
 def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport, _Factors]:
     """Damped Newton solve over the multiplier for one path context.
 
@@ -173,8 +177,12 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
     ``feasible_value``: the warm-start probe at ``lam0``, the cold start
     ``lambda_start`` (through its raising form ``member_factors``) and each
     accepted line-search trial.  Their ``_Factors`` go straight into
-    ``value_grad_hess``, so each feasibility test costs one stacked Cholesky
-    call and one stacked ``np.linalg.inv``, and each Newton step one solve.
+    ``value_grad_hess``, so each feasibility test costs one stacked
+    ``_lapack.cholesky`` and one stacked ``_lapack.inv``, and each Newton step
+    one ``_lapack.solve``.  The whole solve runs under one
+    ``_lapack_errstate``, so a failed gufunc shows only as NaN: an
+    infeasible trial as None from ``feasible_value``, a singular or
+    non-finite Newton system as a step that is not a descent direction.
     Returns the report and the final iterate's ``_Factors``, ready for
     ``envelope_gradient``.
     """
@@ -191,7 +199,8 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
     gtol = INNER_GRADIENT_TOLERANCE
     status = "max_iterations"
     value, grad, hess = ctx.value_grad_hess(factored)
-    gnorm = float(np.linalg.norm(grad))
+    g = grad.ravel()
+    gnorm = math.sqrt(g @ g)
     iterations = 0
     for iterations in range(1, INNER_MAX_ITERATIONS + 1):
         if gnorm <= gtol * max(1.0, abs(value)):
@@ -201,13 +210,10 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
         if value < -1e12:
             status = "diverging"
             break
-        gvec = basis @ grad.ravel()
-        step_vec = None
-        try:
-            step_vec = np.linalg.solve(hess + ridge, -gvec)
-        except np.linalg.LinAlgError:
-            step_vec = None
-        newton = step_vec is not None and float(step_vec @ gvec) < 0.0
+        gvec = basis @ g
+        step_vec = _lapack.solve(hess + ridge, -gvec)
+        # NaN, from a singular or non-finite system, fails the test too
+        newton = float(step_vec @ gvec) < 0.0
         if not newton:
             step_vec = -gvec  # Hessian ill-conditioned: steepest descent
         step = (basis.T @ step_vec).reshape(n, n)
@@ -235,7 +241,8 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
             status = "converged" if at_optimum else "boundary_stall"
             break
         value, grad, hess = ctx.value_grad_hess(factored)
-        gnorm = float(np.linalg.norm(grad))
+        g = grad.ravel()
+        gnorm = math.sqrt(g @ g)
     if status == "max_iterations" and gnorm <= gtol * max(1.0, abs(value)):
         status = "converged"
     report = InnerSolveReport(

@@ -7,6 +7,7 @@ from sphglass.functional import (
     DivergentGaussianIntegral,
     InvalidPath,
     NotInL,
+    _lapack,
     _PathContext,
     closed_form_Y0,
     evaluate,
@@ -274,3 +275,73 @@ def test_logdet_increment_stable_for_tiny_scale(rng, x0):
     got = evaluate(lam, path, q, np.zeros(n), spec).cascade_term
     limit = jacobi_limit_term(lam, delta_increments(spec, path)[0])
     assert got == pytest.approx(limit, rel=1e-6)
+
+
+def _spd_stack(rng, levels: int, n: int) -> np.ndarray:
+    g = rng.standard_normal((levels, n, n + 2))
+    return g @ g.swapaxes(1, 2) / (n + 2) + 0.1 * np.eye(n)
+
+
+def _rejects(fn, *args) -> bool:
+    """Whether fn raises, np.linalg's LinAlgError or the "invalid" flag that
+    np.linalg's wrappers turn into it."""
+    try:
+        with np.errstate(invalid="raise"):
+            fn(*args)
+    except (np.linalg.LinAlgError, FloatingPointError):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lapack_gufuncs_are_np_linalg_bit_for_bit(rng, n):
+    # the kernel's four LAPACK calls skip np.linalg's wrappers; the private
+    # gufuncs must give the same arrays, bit for bit, and fail on exactly
+    # the inputs np.linalg raises on
+    for levels in range(1, 7):
+        a = _spd_stack(rng, levels, n)
+        chol = _lapack.cholesky(a)
+        assert np.array_equal(chol, np.linalg.cholesky(a))
+        assert np.array_equal(_lapack.inv(chol), np.linalg.inv(chol))
+        sym = a - rng.uniform(0.0, 2.0) * np.eye(n)  # indefinite too
+        assert np.array_equal(_lapack.eigvalsh(sym), np.linalg.eigvalsh(sym))
+        for m in sym:
+            b = rng.standard_normal(n)
+            assert np.array_equal(_lapack.solve(m, b), np.linalg.solve(m, b))
+        assert not _rejects(_lapack.cholesky, a)
+
+        # a chain that leaves the cone at each position: that level comes
+        # back NaN, the others as np.linalg factors them alone
+        for k in range(levels):
+            bad = a.copy()
+            bad[k] -= (np.linalg.eigvalsh(a[k])[0] + 0.5) * np.eye(n)
+            assert _rejects(np.linalg.cholesky, bad)
+            assert _rejects(_lapack.cholesky, bad)
+            with np.errstate(invalid="ignore"):
+                out = _lapack.cholesky(bad)
+            assert np.isnan(out[k]).all()
+            rest = np.delete(np.arange(levels), k)
+            assert np.array_equal(out[rest], np.linalg.cholesky(a[rest]))
+
+    # a NaN entry, an exactly singular system: the gufunc fails where the
+    # wrapper raises, and gives the wrapper's array where it does not
+    nan_entry = np.eye(n)
+    nan_entry[n - 1, 0] = nan_entry[0, n - 1] = np.nan
+    singular = np.ones((n, n))
+    singular[0] = 0.0
+    b = np.ones(n)
+    for m in (nan_entry, singular):
+        for fn, gufunc, args in (
+            (np.linalg.cholesky, _lapack.cholesky, (m,)),
+            (np.linalg.inv, _lapack.inv, (m,)),
+            (np.linalg.eigvalsh, _lapack.eigvalsh, (m,)),
+            (np.linalg.solve, _lapack.solve, (m, b)),
+        ):
+            assert _rejects(gufunc, *args) == _rejects(fn, *args)
+            with np.errstate(invalid="ignore"):
+                out = gufunc(*args)
+            if _rejects(fn, *args):
+                assert np.isnan(out).all()
+            else:
+                assert np.array_equal(out, fn(*args), equal_nan=True)
+    assert _rejects(np.linalg.solve, singular, b)

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sphglass.functional import NotInL, closed_form_Y0, evaluate
+from sphglass.functional import NotInL, _lapack, closed_form_Y0, evaluate
 from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
 from sphglass.mixture import InvalidField, MixtureSpec
 from sphglass.optimizer import (
@@ -174,18 +175,22 @@ def test_inner_solve_factors_each_point_once(rng, monkeypatch, warm):
     ctx = _PathContext(DiscretePath(xs=xs, qs=path.qs), q.matrix, h, spec)
 
     calls = {"cholesky": 0, "feasible_value": 0}
-    cholesky = np.linalg.cholesky
     feasible_value = _PathContext.feasible_value
 
-    def counting_cholesky(a):
-        calls["cholesky"] += 1
-        return cholesky(a)
+    def counting_cholesky(cholesky):
+        def counted(a):
+            calls["cholesky"] += 1
+            return cholesky(a)
+
+        return counted
 
     def counting_feasible_value(self, lam):
         calls["feasible_value"] += 1
         return feasible_value(self, lam)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    # the chain goes through the kernel's gufunc, Q through np.linalg
+    monkeypatch.setattr(_lapack, "cholesky", counting_cholesky(_lapack.cholesky))
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky(np.linalg.cholesky))
     monkeypatch.setattr(_PathContext, "feasible_value", counting_feasible_value)
     rep, _ = _inner_minimize_ctx(ctx, lam0=lam0 if warm else None)
     assert rep.status == "converged"
@@ -198,7 +203,7 @@ def test_inner_solve_makes_one_inverse_per_feasibility_test_and_one_solve_per_ne
     # each factorization is followed by one stacked triangular inverse, and
     # each Newton step solves for its direction; the Hessian and the path
     # gradient read the inverses handed on with the factors, and neither
-    # inverts nor solves
+    # factors, inverts, takes eigenvalues nor solves
     q = random_constraint(rng, 2)
     spec = random_mixture(rng, 2)
     h = np.array([0.2, -0.1])
@@ -208,7 +213,7 @@ def test_inner_solve_makes_one_inverse_per_feasibility_test_and_one_solve_per_ne
     xs[1] *= 0.9
     ctx = _PathContext(DiscretePath(xs=xs, qs=path.qs), q.matrix, h, spec)
 
-    calls = {"inv": 0, "solve": 0, "feasible_value": 0}
+    calls = {"cholesky": 0, "eigvalsh": 0, "inv": 0, "solve": 0, "feasible_value": 0}
     feasible_value = _PathContext.feasible_value
 
     def counting(name, fn):
@@ -218,8 +223,8 @@ def test_inner_solve_makes_one_inverse_per_feasibility_test_and_one_solve_per_ne
 
         return counted
 
-    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
-    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    for name in ("cholesky", "eigvalsh", "inv", "solve"):
+        monkeypatch.setattr(_lapack, name, counting(name, getattr(_lapack, name)))
     monkeypatch.setattr(_PathContext, "feasible_value", counting("feasible_value", feasible_value))
     rep, factored = _inner_minimize_ctx(ctx, lam0=lam0)
     assert rep.status == "converged"
@@ -227,10 +232,10 @@ def test_inner_solve_makes_one_inverse_per_feasibility_test_and_one_solve_per_ne
     assert calls["inv"] == calls["feasible_value"]
     assert calls["solve"] == rep.iterations
 
-    calls.update(inv=0, solve=0)
+    calls.update(cholesky=0, eigvalsh=0, inv=0, solve=0)
     ctx.value_grad_hess(factored)
     ctx.envelope_gradient(factored)
-    assert calls["inv"] == calls["solve"] == 0
+    assert calls["cholesky"] == calls["eigvalsh"] == calls["inv"] == calls["solve"] == 0
 
 
 @pytest.mark.parametrize("offset, status", [(None, "max_iterations"), (1e-6, "converged")], ids=["cold", "near"])
@@ -782,15 +787,19 @@ def test_search_inner_solve_count_on_the_exact_model(monkeypatch):
 def test_search_cholesky_count_on_the_exact_model(monkeypatch):
     # the path gradient reuses the factors of the inner solve's final
     # iterate, so an objective call makes no Cholesky call of its own beyond
-    # the Newton loop's (sk-minimize config, seed 1)
+    # the Newton loop's (sk-minimize config, seed 1); the chain goes through
+    # the kernel's gufunc, Q and the search family through np.linalg
     calls = [0]
-    cholesky = np.linalg.cholesky
 
-    def counting(a):
-        calls[0] += 1
-        return cholesky(a)
+    def counting(cholesky):
+        def counted(a):
+            calls[0] += 1
+            return cholesky(a)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+        return counted
+
+    monkeypatch.setattr(_lapack, "cholesky", counting(_lapack.cholesky))
+    monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky))
     config = PathSearchConfig(**SK_CONFIG)
     minimize_over_paths(Q1, np.zeros(1), MixtureSpec(1, {2: [1.0]}), config, seed=1)
     assert calls[0] <= 750
@@ -830,3 +839,83 @@ def test_search_config_refuses_a_non_integer_budget_or_non_finite_grid(field, va
     with pytest.raises(InvalidField, match=f"^{field} must be") as caught:
         PathSearchConfig(**{field: value})
     assert caught.value.field == field
+
+
+class _StopSearch(Exception):
+    pass
+
+
+def test_failed_eigenvalues_score_inf_and_raise(rng, monkeypatch):
+    # a failed eigvalsh gufunc returns NaN where np.linalg raised
+    # LinAlgError; the non-finite value still raises it, so the search's
+    # objective scores the candidate inf and evaluate raises
+    q = random_constraint(rng, 2)
+    spec = random_mixture(rng, 2)
+    h = np.array([0.2, -0.1])
+    path = random_path(rng, q.matrix, 2)
+    lam = random_multiplier(rng, path, spec)
+    monkeypatch.setattr(_lapack, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    with pytest.raises(np.linalg.LinAlgError):
+        evaluate(lam, path, q, h, spec)
+
+    scored = []
+
+    def first_call(fun, x0, **options):
+        scored.append(fun(x0))
+        raise _StopSearch
+
+    import sphglass.optimizer as optimizer
+
+    monkeypatch.setattr(optimizer, "scipy_minimize", first_call)
+    with pytest.raises(_StopSearch):
+        minimize_over_paths(q, h, spec, fast_config(), seed=1)
+    value, grad = scored[0]
+    assert value == np.inf
+    assert not grad.any()
+
+
+def test_singular_newton_system_takes_the_steepest_descent_step(rng, monkeypatch):
+    # a singular Newton system makes the solve gufunc return NaN, not raise:
+    # the step is then along minus the gradient, as it was on LinAlgError
+    q = random_constraint(rng, 2)
+    spec = random_mixture(rng, 2)
+    h = np.array([0.2, -0.1])
+    path = random_path(rng, q.matrix, 2)
+    ctx = _PathContext(path, q.matrix, h, spec)
+    lam0 = random_multiplier(rng, path, spec, margin=0.5)
+    _, grad0, _ = ctx.value_grad_hess(ctx.member_factors(lam0))
+
+    solve = _lapack.solve
+    trials = []
+    feasible_value = _PathContext.feasible_value
+
+    def recording_feasible_value(self, lam):
+        trials.append(lam)
+        return feasible_value(self, lam)
+
+    monkeypatch.setattr(_lapack, "solve", lambda a, b: solve(np.zeros_like(a), b))
+    monkeypatch.setattr(_PathContext, "feasible_value", recording_feasible_value)
+    rep, _ = _inner_minimize_ctx(ctx, lam0=lam0)
+    assert rep.iterations >= 1
+    assert rep.value < ctx.member_factors(lam0).value
+    step = trials[1] - lam0  # trials[0] is the warm-start probe at lam0
+    assert np.allclose(step / np.linalg.norm(step), -grad0 / np.linalg.norm(grad0), rtol=0, atol=1e-12)
+
+
+def test_failed_gufuncs_warn_nowhere(rng):
+    # the gufuncs flag a failure as "invalid"; every public entry that can
+    # meet one runs them under the kernel's error state, so no
+    # RuntimeWarning escapes whatever the filter
+    q = random_constraint(rng, 2)
+    spec = random_mixture(rng, 2)
+    h = np.array([0.2, -0.1])
+    path = random_path(rng, q.matrix, 2)
+    outside = -np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotInL):
+            evaluate(outside, path, q, h, spec)
+        with pytest.raises(NotInL):
+            inner_gradient(outside, path, q, h, spec)
+        report = inner_minimize(path, q, h, spec, lambda_init=outside)
+        assert report.status == "converged"
