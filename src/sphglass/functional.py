@@ -27,7 +27,14 @@ matrix products of those.  The kernel factors a multiplier in one place,
 ``_PathContext.feasible_value``; its derivatives take the resulting factors,
 never the multiplier itself.  Its stacked factorization, inverse and
 eigenvalues, and the optimizer's Newton solve, are ``_lapack``'s gufuncs, not
-the ``np.linalg`` wrappers.
+the ``np.linalg`` wrappers.  ``gradient`` and ``hessian`` are separate, so the
+Newton loop builds a Hessian only for a step it takes.
+
+A context comes from a checked ``DiscretePath``, whose mixture pass
+``path_levels`` checks the chain, or, through ``_PathContext.unchecked``, from
+the (xs, qs) arrays of a chain its caller built valid, exactly symmetric and
+finite: the optimizer's search builds its candidates that way.  Either way it
+takes Q and, when the caller has it, Q^{-1} for the cold start.
 """
 
 from __future__ import annotations
@@ -111,9 +118,22 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
+class _Basis(NamedTuple):
+    """The Newton system's coordinates for symmetric n x n matrices.
+
+    ``rows`` holds vec(E_a) of an orthonormal basis, ``cols`` is its
+    transpose, which maps basis coordinates back to an exactly symmetric
+    vec(B), and ``ridge`` is the 1e-12 I added to the Hessian in them.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    ridge: np.ndarray
+
+
 @lru_cache(maxsize=32)
-def _sym_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of symmetric n x n matrices, rows are vec(E_a)."""
+def _sym_basis(n: int) -> _Basis:
+    """The read-only ``_Basis`` of symmetric n x n matrices, built once per n."""
     rows = []
     for i in range(n):
         e = np.zeros((n, n))
@@ -127,7 +147,9 @@ def _sym_basis(n: int) -> np.ndarray:
             rows.append(e.ravel())
     basis = np.array(rows)
     basis.setflags(write=False)
-    return basis
+    ridge = 1e-12 * np.eye(len(basis))
+    ridge.setflags(write=False)
+    return _Basis(basis, basis.T, ridge)
 
 
 @dataclass(frozen=True)
@@ -188,20 +210,40 @@ class _PathContext:
 
     ``feasible_value`` is the one place a multiplier is factored, and
     ``member_factors`` its raising form.  They hand back the value with the
-    chain's ``_Factors``, and ``value_grad_hess`` and ``envelope_gradient``
-    take those factors, not a multiplier: the derivatives factor nothing and
-    make no linear solve of their own.
+    chain's ``_Factors``, and ``gradient``, ``hessian`` and
+    ``envelope_gradient`` take those factors, not a multiplier: the
+    derivatives factor nothing and make no linear solve of their own.
+
+    ``qinv`` is Q^{-1} for ``lambda_start``; without it a cold start
+    factors Q.
     """
 
-    def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec):
+    def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec, qinv=None):
+        self._build(path.xs, path.qs, qmat, np.asarray(h, dtype=float), path_levels(spec, path), qinv)
+
+    @classmethod
+    def unchecked(cls, xs, qs, qmat, h, levels, qinv) -> "_PathContext":
+        """The context of the path (xs, qs), without a ``DiscretePath`` or a check.
+
+        ``xs``, ``qs`` and the float field ``h`` must be what a valid
+        ``DiscretePath`` would hold, and ``levels`` the ``mixture._path_levels``
+        of ``qs``: the caller vouches for the path rule, the exact symmetry
+        and the finiteness.  The arrays are kept, not copied.
+        """
+        ctx = cls.__new__(cls)
+        ctx._build(xs, qs, qmat, h, levels, qinv)
+        return ctx
+
+    def _build(self, xs, qs, qmat, h, levels, qinv) -> None:
         self.qmat = qmat
-        self.h = np.asarray(h, dtype=float)
-        n = self.n = path.n
-        r = self.r = path.r
-        self.qs = path.qs
-        self.deltas, thetas, xi_seconds = path_levels(spec, path)
+        self.qinv = qinv
+        self.h = h
+        r = self.r = xs.size - 2
+        n = self.n = qs.shape[1]
+        self.qs = qs
+        self.deltas, thetas, xi_seconds = levels
         self.xi_seconds = xi_seconds[1:-1]  # xi''(Q_1..Q_{r-1})
-        x_all = path.xs[1:]  # x_0 .. x_r = 1
+        x_all = xs[1:]  # x_0 .. x_r = 1
         self.x_levels = x_all
         # guarded[k + 1] = tails[k] = sum_{l >= k} x_l Delta_{l+1}, so
         # Lambda_k = Lambda - tails[k]; guarded[r + 1] = tails[r] = 0
@@ -239,7 +281,7 @@ class _PathContext:
         rotated context has no path levels and no ``envelope_gradient``.
         """
         out = copy.copy(self)
-        out.qs = out.xi_seconds = None
+        out.qs = out.xi_seconds = out.qinv = None
         out.qmat = np.diag(mu)
         out.h = u.T @ self.h
         out.deltas = _sym(u.T @ self.deltas @ u)
@@ -249,7 +291,9 @@ class _PathContext:
         return out
 
     def lambda_start(self) -> np.ndarray:
-        return _sym(self.tails[0] + solve_pd(self.qmat, np.eye(self.n)))
+        """The cold start tails[0] + Q^{-1}, inside L whatever the path."""
+        qinv = solve_pd(self.qmat, np.eye(self.n)) if self.qinv is None else self.qinv
+        return _sym(self.tails[0] + qinv)
 
     def _increments(self, cinv: np.ndarray) -> np.ndarray:
         """log|L_{k+1}| - log|L_k| = sum_i log1p(x_k mu_i), k = 0..r-1.
@@ -309,26 +353,33 @@ class _PathContext:
             theta_term=self.theta_const,
         )
 
-    def value_grad_hess(self, factored: _Factors):
-        """Value, gradient matrix and Hessian in the symmetric basis.
+    def gradient(self, factored: _Factors) -> np.ndarray:
+        """Gradient matrix in the multiplier, from ``factored``.
 
         ``factored`` is what ``feasible_value`` or ``member_factors``
-        returned at the multiplier.  The gradient is exactly symmetric: Q,
-        every L_j^{-1} and v v^T are.
+        returned at the multiplier; its ``value`` is the value there.  The
+        gradient is exactly symmetric: Q, every L_j^{-1} and v v^T are.
         """
-        total, _, _, inv = factored
-        n = self.n
-        basis = _sym_basis(n)
+        inv = factored.inv
         grad = 0.5 * self.qmat + np.einsum("j,jab->ab", self.logdet_coeffs, inv)
+        if self.has_field:
+            wvec = inv[0] @ self.h
+            grad -= 0.5 * np.outer(wvec, wvec)
+        return grad
+
+    def hessian(self, factored: _Factors) -> np.ndarray:
+        """Hessian in the coordinates of ``_sym_basis``, from ``factored`` as in ``gradient``."""
+        inv = factored.inv
+        n = self.n
         # sum_j -w_j kron(inv_j, inv_j): rows (a, b), columns (c, d)
         curvature = np.einsum("j,jac,jbd->abcd", -self.logdet_coeffs, inv, inv)
         curvature = curvature.reshape(n * n, n * n)
         if self.has_field:
             wvec = inv[0] @ self.h
-            grad -= 0.5 * np.outer(wvec, wvec)
             cross = np.kron(np.outer(wvec, wvec), inv[0])
             curvature += 0.5 * (cross + cross.T)
-        return total, grad, basis @ curvature @ basis.T
+        basis = _sym_basis(n)
+        return basis.rows @ curvature @ basis.cols
 
     def envelope_gradient(self, factored: _Factors) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of the functional in the path at the multiplier of ``factored``.
@@ -349,7 +400,7 @@ class _PathContext:
         with c_j = x_{k-1} - x_k for j < k, c_k = -x_k and c_j = 0 for j > k
         (the coefficient of Q_k's xi' in tails_j).  The log-ratio is the
         stable increment of ``_increments``.  ``factored`` is as in
-        ``value_grad_hess``.
+        ``gradient``.
         """
         _, _, increments, inv = factored
         r = self.r

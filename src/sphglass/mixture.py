@@ -15,13 +15,15 @@ rule ``geometry.validate_path`` owns that order: a path is checked once where
 it enters the library, so the increments here are the plain differences of
 xi' and are not checked again.
 
-One kernel does the arithmetic: ``_xi_terms`` validates a matrix, or a
-stack of matrices, once and accumulates xi, xi' and, on request, xi'' in the
-same loop over degrees.  ``path_levels`` runs it once on a path's
-(r + 1, n, n) chain and returns the increments together with theta and xi''
-of every level; ``xi_pair``, ``xi_matrix``, ``xi_prime_matrix``,
-``xi_second_matrix``, ``theta_matrix`` and ``delta_increments`` are thin
-users of the same pass, so every caller sees the same bits.
+One kernel does the arithmetic: ``_xi_terms`` accumulates xi, xi' and, on
+request, xi'' of a matrix, or a stack of matrices, in one loop over degrees.
+The public wrappers validate; ``_xi_terms`` trusts its caller.
+``path_levels`` runs it once on a path's (r + 1, n, n) chain and returns the
+increments together with theta and xi'' of every level; ``xi_pair``,
+``xi_matrix``, ``xi_prime_matrix``, ``xi_second_matrix``, ``theta_matrix``
+and ``delta_increments`` are thin users of the same pass, so every caller
+sees the same bits.  ``_path_levels`` is ``path_levels`` without the check,
+for the optimizer's own chains, which are exactly symmetric by construction.
 
 The module also owns the input rules that the whole package shares:
 ``check_symmetric`` (exact symmetry, of one matrix or a stack) and
@@ -157,13 +159,22 @@ class MixtureSpec:
     ``terms`` maps even p >= 2 to a length-n float vector; ``n`` and each
     degree are counts (``check_count``), never truncated.  Odd degrees are
     rejected at construction: the convexity of xi on [-1, 1], which the whole
-    variational formula rests on, requires an even mixture.
+    variational formula rests on, requires an even mixture.  A beta_p with
+    both a positive and a negative entry is rejected too, as
+    ``InvalidField("mixture", ...)`` naming the degree: the sum of
+    xi_{j,j'}(Q_{j,j'}) is convex in Q when every Hessian weight
+    p (p - 1) beta_p(j) beta_p(j') Q_{j,j'}^{p-2} is non-negative, and Guerra's
+    interpolation, which makes each value of the functional an upper bound,
+    needs that convexity.  Zero entries are allowed, and beta_p and -beta_p
+    give the same model.
     """
 
     n: int
     terms: Mapping[int, np.ndarray] = field(default_factory=dict)
-    # beta_p beta_p^T per degree, read-only, built once at construction
-    outers: Mapping[int, np.ndarray] = field(init=False, repr=False, compare=False)
+    # per degree, read-only and built once at construction: beta_p beta_p^T,
+    # p beta_p beta_p^T and p (p - 1) beta_p beta_p^T, the coefficients of
+    # xi, xi' and xi''
+    outers: Mapping[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_count(self.n, "n", 1))
@@ -183,14 +194,22 @@ class MixtureSpec:
                 raise ValueError(f"beta_{p} has non-finite entries")
             if np.any(np.abs(vec) > MAX_BETA):
                 raise ValueError(f"|beta_{p}| exceeds supported maximum {MAX_BETA}")
+            if np.any(vec > 0.0) and np.any(vec < 0.0):
+                raise InvalidField(
+                    "mixture",
+                    f"beta_{p} = {vec.tolist()} has entries of both signs; xi is convex only "
+                    "with one sign per degree",
+                )
             vec = vec.copy()
             vec.setflags(write=False)
             clean[p] = vec
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
         outers = {}
         for p, vec in self.terms.items():
-            outers[p] = np.outer(vec, vec)
-            outers[p].setflags(write=False)
+            outer = np.outer(vec, vec)
+            outers[p] = (outer, float(p) * outer, float(p * (p - 1)) * outer)
+            for coeff in outers[p]:
+                coeff.setflags(write=False)
         object.__setattr__(self, "outers", outers)
 
     def __eq__(self, other) -> bool:
@@ -230,32 +249,34 @@ class MixtureSpec:
 
 
 def _xi_terms(spec: MixtureSpec, a: np.ndarray, second: bool):
-    """xi(A), xi'(A) and, if ``second``, xi''(A) entrywise, from one validated
-    pass over the degrees (xi'' is None otherwise).
+    """xi(A), xi'(A) and, if ``second``, xi''(A) entrywise, from one pass over
+    the degrees (xi'' is None otherwise).
 
-    ``a`` is one symmetric matrix or a stack (m, n, n) of them; a stack is
-    level by level identical to one call per matrix.  xi accumulates
-    (beta_p beta_p^T) . A^{o p}, xi' accumulates p (beta_p beta_p^T) .
-    A^{o (p-1)} and xi'' p (p-1) (beta_p beta_p^T) . A^{o (p-2)}, each outer
-    product from ``spec.outers`` and each power by ``int_power``.  The
-    outputs are exactly symmetric because the inputs are and every update is
-    entrywise.
+    ``a`` is one float matrix or a stack (m, n, n) of them, which the caller
+    has checked: exactly symmetric and finite.  A stack is level by level
+    identical to one call per matrix.  xi accumulates (beta_p beta_p^T) .
+    A^{o p}, xi' accumulates p (beta_p beta_p^T) . A^{o (p-1)} and xi''
+    p (p-1) (beta_p beta_p^T) . A^{o (p-2)}, each coefficient from
+    ``spec.outers``.  Each Hadamard power is formed once per pass by
+    ``int_power``, however many degrees share it.  The outputs are exactly
+    symmetric because the inputs are and every update is entrywise.
     """
-    a = check_symmetric(a, "A", spec.n)
     xi = np.zeros_like(a)
     xi_prime = np.zeros_like(a)
     xi_second = np.zeros_like(a) if second else None
-    for p, outer in spec.outers.items():
-        xi += outer * int_power(a, p)
-        xi_prime += float(p) * outer * int_power(a, p - 1)
+    lowest = 2 if second else 1
+    powers = {k: int_power(a, k) for p in spec.outers for k in range(p - lowest, p + 1)}
+    for p, (outer, outer_prime, outer_second) in spec.outers.items():
+        xi += outer * powers[p]
+        xi_prime += outer_prime * powers[p - 1]
         if second:
-            xi_second += float(p * (p - 1)) * outer * int_power(a, p - 2)
+            xi_second += outer_second * powers[p - 2]
     return xi, xi_prime, xi_second
 
 
 def xi_pair(spec: MixtureSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """xi(A) and xi'(A) entrywise, of one symmetric matrix or a stack (m, n, n)."""
-    return _xi_terms(spec, a, False)[:2]
+    return _xi_terms(spec, check_symmetric(a, "A", spec.n), False)[:2]
 
 
 def xi_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
@@ -273,7 +294,7 @@ def xi_second_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
 
     Like ``xi_pair`` it takes one symmetric matrix or a stack (m, n, n).
     """
-    return _xi_terms(spec, a, True)[2]
+    return _xi_terms(spec, check_symmetric(a, "A", spec.n), True)[2]
 
 
 def theta_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
@@ -283,8 +304,17 @@ def theta_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
     the defining combination so tests can cross-check the two forms.  Like
     ``xi_matrix`` it also takes a stack (m, n, n) of matrices.
     """
-    xi, xi_prime = xi_pair(spec, a)
-    return np.asarray(a, dtype=float) * xi_prime - xi
+    a = check_symmetric(a, "A", spec.n)
+    xi, xi_prime, _ = _xi_terms(spec, a, False)
+    return a * xi_prime - xi
+
+
+def _path_levels(spec: MixtureSpec, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``path_levels`` of the chain ``qs``, which the caller has checked."""
+    xi, xi_prime, xi_second = _xi_terms(spec, qs, True)
+    deltas = xi_prime[1:] - xi_prime[:-1]
+    deltas.setflags(write=False)
+    return deltas, qs * xi_prime - xi, xi_second
 
 
 def path_levels(spec: MixtureSpec, path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,12 +323,9 @@ def path_levels(spec: MixtureSpec, path) -> tuple[np.ndarray, np.ndarray, np.nda
     Returns ``(deltas, thetas, xi_seconds)``: the read-only (r, n, n)
     increments of ``delta_increments`` and the (r + 1, n, n) stacks
     theta(Q_0..Q_r) and xi''(Q_0..Q_r), all from one ``_xi_terms`` call on
-    ``path.qs``.
+    ``path.qs``, which is checked first.
     """
-    xi, xi_prime, xi_second = _xi_terms(spec, path.qs, True)
-    deltas = xi_prime[1:] - xi_prime[:-1]
-    deltas.setflags(write=False)
-    return deltas, path.qs * xi_prime - xi, xi_second
+    return _path_levels(spec, check_symmetric(path.qs, "A", spec.n))
 
 
 def delta_increments(spec: MixtureSpec, path) -> np.ndarray:

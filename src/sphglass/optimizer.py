@@ -37,9 +37,18 @@ Structure of the double infimum:
 
 The public entry points ``inner_gradient``, ``inner_minimize`` and
 ``detect_degenerate`` check their path with ``geometry.check_path`` on
-entry.  The search's own paths are valid by construction (Q_0 = 0, Q_r = Q,
-PSD increments, every gap at least ``X_GAP``), so its objective builds their
-contexts unchecked.
+entry.  The search's own paths are valid by construction: Q_0 = 0, Q_r = Q,
+PSD increments, every gap at least ``X_GAP``, and every Q_k exactly
+symmetric (a scalar multiple of Q, or ``_sym`` of a product) and finite
+unless the family's own arithmetic overflows, which numpy reports where it
+happens.  So each objective call skips what would only re-check them: it
+builds no ``DiscretePath``, which would copy and freeze the arrays and test
+their finiteness, and its mixture pass (``mixture._path_levels``) does not
+test their symmetry.  It builds the candidate's context with
+``_PathContext.unchecked`` from the family's (xs, qs) arrays.  At r = 1 the
+chain is the fixed 0 -> Q, so its mixture pass runs once per level.  Q^{-1},
+the cold start's, is taken once per search.  A level's winning path is built
+as a ``DiscretePath`` once, after its starts.
 
 scipy's ``minimize`` is imported inside ``scipy_minimize``, the outer
 search's one call into scipy, so importing this module loads numpy only and
@@ -67,8 +76,16 @@ from sphglass.functional import (
     _PathContext,
     _sym,
     _sym_basis,
+    solve_pd,
 )
-from sphglass.mixture import InvalidField, MixtureSpec, check_count, check_real, check_symmetric
+from sphglass.mixture import (
+    InvalidField,
+    MixtureSpec,
+    _path_levels,
+    check_count,
+    check_real,
+    check_symmetric,
+)
 from sphglass.parallel import stream
 
 __all__ = [
@@ -121,8 +138,7 @@ def inner_gradient(
     h = check_field(h, q.n)
     check_path(path, q)
     ctx = _PathContext(path, q.matrix, h, spec)
-    _, grad, _ = ctx.value_grad_hess(ctx.member_factors(lam))
-    return grad
+    return ctx.gradient(ctx.member_factors(lam))
 
 
 @dataclass(frozen=True)
@@ -177,9 +193,12 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
     ``feasible_value``: the warm-start probe at ``lam0``, the cold start
     ``lambda_start`` (through its raising form ``member_factors``) and each
     accepted line-search trial.  Their ``_Factors`` go straight into
-    ``value_grad_hess``, so each feasibility test costs one stacked
-    ``_lapack.cholesky`` and one stacked ``_lapack.inv``, and each Newton step
-    one ``_lapack.solve``.  The whole solve runs under one
+    ``gradient``, so each feasibility test costs one stacked
+    ``_lapack.cholesky`` and one stacked ``_lapack.inv``.  Each Newton step
+    builds one ``hessian`` and makes one ``_lapack.solve``; a point where
+    the loop stops gets no Hessian.  A trial lam + t step is exactly
+    symmetric as it stands, since ``_sym_basis`` maps the step back to an
+    exactly symmetric matrix.  The whole solve runs under one
     ``_lapack_errstate``, so a failed gufunc shows only as NaN: an
     infeasible trial as None from ``feasible_value``, a singular or
     non-finite Newton system as a step that is not a descent direction.
@@ -194,11 +213,10 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
         lam = ctx.lambda_start()
         factored = ctx.member_factors(lam)
     n = ctx.n
-    basis = _sym_basis(n)
-    ridge = 1e-12 * np.eye(len(basis))
+    basis, basis_t, ridge = _sym_basis(n)
     gtol = INNER_GRADIENT_TOLERANCE
     status = "max_iterations"
-    value, grad, hess = ctx.value_grad_hess(factored)
+    value, grad = factored.value, ctx.gradient(factored)
     g = grad.ravel()
     gnorm = math.sqrt(g @ g)
     iterations = 0
@@ -211,12 +229,12 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
             status = "diverging"
             break
         gvec = basis @ g
-        step_vec = _lapack.solve(hess + ridge, -gvec)
+        step_vec = _lapack.solve(ctx.hessian(factored) + ridge, -gvec)
         # NaN, from a singular or non-finite system, fails the test too
         newton = float(step_vec @ gvec) < 0.0
         if not newton:
             step_vec = -gvec  # Hessian ill-conditioned: steepest descent
-        step = (basis.T @ step_vec).reshape(n, n)
+        step = (basis_t @ step_vec).reshape(n, n)
 
         # backtracking doubles as the cone safeguard: any trial whose chain
         # leaves the PD cone fails the Cholesky inside feasible_value
@@ -226,7 +244,7 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
         for _ in range(40):
             if t * abs(slope) < 1e-17 * max(1.0, abs(value)):
                 break  # predicted decrease below float resolution
-            trial = _sym(lam + t * step)
+            trial = lam + t * step
             trial_factored = ctx.feasible_value(trial)
             if trial_factored is not None and trial_factored.value <= value + 1e-4 * t * slope:
                 lam, factored = trial, trial_factored
@@ -240,7 +258,7 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
             at_optimum = newton and -slope <= NEWTON_DECREMENT_FLOOR * max(1.0, abs(value))
             status = "converged" if at_optimum else "boundary_stall"
             break
-        value, grad, hess = ctx.value_grad_hess(factored)
+        value, grad = factored.value, ctx.gradient(factored)
         g = grad.ravel()
         gnorm = math.sqrt(g @ g)
     if status == "max_iterations" and gnorm <= gtol * max(1.0, abs(value)):
@@ -393,7 +411,8 @@ class _PathFamily:
         self.floor = max(1e-8, (r + 1) * X_GAP)
         self.n_params = (r + 1) + n_levels
 
-    def path(self, params: np.ndarray) -> DiscretePath:
+    def chain(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The breakpoints xs and matrices qs of ``path(params)``, as plain arrays."""
         r, n = self.r, self.qmat.shape[0]
         qs = np.zeros((r + 1, n, n))
         if r > 1:
@@ -402,6 +421,10 @@ class _PathFamily:
         xs = np.zeros(r + 2)
         xs[-1] = 1.0
         _shares(params[: r + 1], out=xs[1:-1])
+        return xs, qs
+
+    def path(self, params: np.ndarray) -> DiscretePath:
+        xs, qs = self.chain(params)
         return DiscretePath(xs=xs, qs=qs)
 
     def pullback(self, params: np.ndarray, grad_x: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
@@ -617,15 +640,19 @@ def minimize_over_paths(
     per_level: list[tuple[int, float]] = []
     level_best_paths: dict[int, DiscretePath] = {}
     prev_best = np.inf
+    qinv = solve_pd(qmat, np.eye(q.n))
 
     for r in range(1, config.max_levels + 1):
         family = _FAMILIES[config.q_parameterization](r, qmat)
         warm_lambda: list[np.ndarray | None] = [None]
+        # at r = 1 every candidate's chain is 0 -> Q
+        fixed_levels = _path_levels(spec, family.chain(family.default())[1]) if r == 1 else None
 
         def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
             try:
-                path = family.path(vec)
-                ctx = _PathContext(path, qmat, h, spec)
+                xs, qs = family.chain(vec)
+                levels = _path_levels(spec, qs) if fixed_levels is None else fixed_levels
+                ctx = _PathContext.unchecked(xs, qs, qmat, h, levels, qinv)
                 rep, factored = _inner_minimize_ctx(ctx, lam0=warm_lambda[0])
                 warm_lambda[0] = rep.lambda_star
                 grad_x, grad_q = ctx.envelope_gradient(factored)
@@ -634,7 +661,7 @@ def minimize_over_paths(
                 return np.inf, np.zeros_like(vec)
 
         level_value = np.inf
-        level_path = None
+        level_x = None
         for start in family.starts(config, seed):
             res = scipy_minimize(
                 objective,
@@ -651,19 +678,19 @@ def minimize_over_paths(
             )
             if res.fun < level_value:
                 level_value = float(res.fun)
-                level_path = family.path(res.x)
+                level_x = res.x
         # every level-r path is a level-(r + 1) path with one interval
         # duplicated, so a level records the best value so far; one that
         # does not improve on it ties an earlier level, and the tie-break
         # below never returns its path
         prev_best = min(prev_best, level_value)
         per_level.append((r, prev_best))
-        level_best_paths[r] = level_path
+        level_best_paths[r] = None if level_x is None else family.path(level_x)
 
     lowest = min(v for _, v in per_level)
     best_r, best_value = next((r, v) for r, v in per_level if v <= lowest + VALUE_TOLERANCE)
     best_path = level_best_paths[best_r]
-    ctx = _PathContext(best_path, qmat, h, spec)
+    ctx = _PathContext(best_path, qmat, h, spec, qinv)
     inner, _ = _inner_minimize_ctx(ctx)
     return OptimizationReport(
         best_value=best_value,

@@ -47,6 +47,17 @@ def test_diagonal_error_message():
         load_config(text)
 
 
+@pytest.mark.parametrize(
+    "beta, rho", [((0.3, -0.3), 0.5), ((0.5, -0.5), 0.5), ((0.5, -0.5), 0.0), ((1.0, -1.0), 0.5)]
+)
+def test_mixed_sign_mixture_is_a_config_error(beta, rho):
+    # pure p = 2 models whose search values fall below the exact free energy:
+    # xi is not convex, so the functional is no upper bound
+    text = config_text(n=2, mixture={"2": list(beta)}, Q=[[1.0, rho], [rho, 1.0]], h=[0.0, 0.0])
+    with pytest.raises(ConfigError, match=r'^"mixture" invalid: mixture beta_2 = .* has entries of both signs'):
+        load_config(text)
+
+
 def test_asymmetric_matrix_rejected_and_named():
     # 1e-7 is inside allclose's default rtol, so a tolerant check would accept it
     q = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.1], [0.2, 0.1 + 1e-7, 1.0]]

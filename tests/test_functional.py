@@ -9,6 +9,7 @@ from sphglass.functional import (
     NotInL,
     _lapack,
     _PathContext,
+    _sym_basis,
     closed_form_Y0,
     evaluate,
     gaussian_quadratic_identity,
@@ -345,3 +346,22 @@ def test_lapack_gufuncs_are_np_linalg_bit_for_bit(rng, n):
             else:
                 assert np.array_equal(out, fn(*args), equal_nan=True)
     assert _rejects(np.linalg.solve, singular, b)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_basis_maps_coordinates_to_exactly_symmetric_matrices(rng, n):
+    # the Newton step basis.cols @ v is exactly symmetric, so a trial
+    # lam + t step needs no symmetrization
+    basis = _sym_basis(n)
+    assert basis is _sym_basis(n)
+    assert np.array_equal(basis.cols, basis.rows.T)
+    assert np.array_equal(basis.ridge, 1e-12 * np.eye(n * (n + 1) // 2))
+    lam = rng.standard_normal((n, n))
+    lam = lam + lam.T
+    for _ in range(50):
+        m = len(basis.rows)
+        v = rng.standard_normal(m) * np.exp(rng.uniform(-30.0, 30.0, size=m))
+        step = (basis.cols @ v).reshape(n, n)
+        assert np.array_equal(step, step.T)
+        trial = lam + 0.37 * step
+        assert np.array_equal(trial, trial.T)

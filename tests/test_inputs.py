@@ -3,6 +3,7 @@ up to rounding", exact symmetry and counts, each checked in one place and the
 same way at every public entry point."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,18 @@ import pytest
 from sphglass.cascade import CascadeSpec, nested_recursion_mc, theta_cascade_value
 from sphglass.functional import closed_form_Y0, evaluate, theta_term
 from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, validate_path
-from sphglass.mixture import InvalidField, MixtureSpec, check_symmetric, xi_pair
+from sphglass.mixture import (
+    InvalidField,
+    MixtureSpec,
+    check_symmetric,
+    delta_increments,
+    path_levels,
+    theta_matrix,
+    xi_matrix,
+    xi_pair,
+    xi_prime_matrix,
+    xi_second_matrix,
+)
 from sphglass.montecarlo import draw_disorder, estimate_free_energy, overlap_log_volume, sample_constrained
 from sphglass.optimizer import (
     PathSearchConfig,
@@ -166,6 +178,35 @@ def test_one_symmetry_rule_rejects_non_finite_entries_first(entry, call):
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match=f"^{entry} contains non-finite entries$"):
             call(np.array([[1.0, bad], [bad, 1.0]]))
+
+
+def _chain(a):
+    # path_levels and delta_increments read only ``qs``; a DiscretePath would
+    # refuse the non-finite chain itself
+    return SimpleNamespace(qs=np.stack([np.zeros((2, 2)), a]))
+
+
+@pytest.mark.parametrize(
+    "call, stacked",
+    [
+        (lambda a: xi_matrix(SPEC, a), False),
+        (lambda a: xi_prime_matrix(SPEC, a), False),
+        (lambda a: xi_second_matrix(SPEC, a), False),
+        (lambda a: theta_matrix(SPEC, a), False),
+        (lambda a: path_levels(SPEC, _chain(a)), True),
+        (lambda a: delta_increments(SPEC, _chain(a)), True),
+    ],
+    ids=["xi_matrix", "xi_prime_matrix", "xi_second_matrix", "theta_matrix", "path_levels", "delta_increments"],
+)
+def test_public_mixture_kernels_keep_their_checks(call, stacked):
+    # the mixture kernel trusts its caller; each public wrapper checks first
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+            call(np.array([[1.0, bad], [bad, 1.0]]))
+    at, mirror = ("1, 0, 1", "1, 1, 0") if stacked else ("0, 1", "1, 0")
+    message = rf"^A must be exactly symmetric: entry \({at}\) = 0\.3 but \({mirror}\) = 0\.2$"
+    with pytest.raises(ValueError, match=message):
+        call(np.array([[1.0, 0.3], [0.2, 1.0]]))
 
 
 def test_inputs_compare_by_value():

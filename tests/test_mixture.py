@@ -202,6 +202,42 @@ def test_degree_key_is_a_count_not_truncated():
     assert MixtureSpec.from_json_terms(1, {"4": [1.0]}).degrees == (4,)
 
 
+# the first three are the beta_2 of the n = 2 pure p = 2 models whose search
+# values fall below the exact free energy; the last mixes signs around a zero
+MIXED_SIGN_BETAS = [(0.3, -0.3), (0.5, -0.5), (1.0, -1.0), (-0.2, 0.0, 0.4)]
+
+
+@pytest.mark.parametrize("beta", MIXED_SIGN_BETAS)
+def test_mixed_sign_beta_is_refused_naming_the_degree(beta):
+    n = len(beta)
+    with pytest.raises(InvalidField, match=r"^mixture beta_2 = \[.*\] has entries of both signs") as err:
+        MixtureSpec(n, {2: beta})
+    assert err.value.field == "mixture"
+    # the sign rule holds degree by degree
+    with pytest.raises(InvalidField, match=r"^mixture beta_4 = "):
+        MixtureSpec(n, {2: np.full(n, 0.5), 4: beta})
+
+
+def test_one_sign_per_degree_passes_and_a_negated_beta_is_the_same_model():
+    beta = {2: [0.5, 0.0, 0.3], 4: [-0.0, -0.2, -0.1]}
+    spec = MixtureSpec(3, beta)
+    negated = MixtureSpec(3, {p: -np.asarray(b) for p, b in beta.items()})
+    a = np.array([[1.0, 0.4, -0.2], [0.4, 1.0, 0.3], [-0.2, 0.3, 1.0]])
+    for kernel in (xi_matrix, xi_prime_matrix, xi_second_matrix, theta_matrix):
+        assert np.array_equal(kernel(spec, a), kernel(negated, a))
+    assert MixtureSpec(2, {2: [0.0, 0.0]}).is_zero()
+
+
+def test_kernel_coefficients_are_built_once_per_degree():
+    spec = MixtureSpec(2, {2: [0.7, 0.4], 4: [0.2, 0.1]})
+    for p, beta in spec.terms.items():
+        outer, outer_prime, outer_second = spec.outers[p]
+        assert np.array_equal(outer, np.outer(beta, beta))
+        assert np.array_equal(outer_prime, float(p) * outer)
+        assert np.array_equal(outer_second, float(p * (p - 1)) * outer)
+        assert not any(c.flags.writeable for c in spec.outers[p])
+
+
 def test_wrong_beta_length_rejected():
     with pytest.raises(ValueError):
         MixtureSpec(2, {2: [1.0]})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sphglass.functional import NotInL, _lapack, closed_form_Y0, evaluate
-from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
+from sphglass.geometry import ConstraintMatrix, DiscretePath, check_path, validate_path
 from sphglass.mixture import InvalidField, MixtureSpec
 from sphglass.optimizer import (
     _FAMILIES,
@@ -91,14 +91,14 @@ def test_hessian_matches_gradient_differences(rng):
         h = rng.uniform(-0.5, 0.5, size=n)
         lam = random_multiplier(rng, path, spec, margin=0.8)
         ctx = _PathContext(path, q.matrix, h, spec)
-        _, _, hess = ctx.value_grad_hess(ctx.member_factors(lam))
+        hess = ctx.hessian(ctx.member_factors(lam))
         eps = 1e-6
         for _ in range(3):
             b = rng.standard_normal((n, n))
             b = (b + b.T) / 2.0
-            _, grad_up, _ = ctx.value_grad_hess(ctx.member_factors(lam + eps * b))
-            _, grad_dn, _ = ctx.value_grad_hess(ctx.member_factors(lam - eps * b))
-            basis = _sym_basis(n)
+            grad_up = ctx.gradient(ctx.member_factors(lam + eps * b))
+            grad_dn = ctx.gradient(ctx.member_factors(lam - eps * b))
+            basis = _sym_basis(n).rows
             fd = basis @ ((grad_up - grad_dn) / (2 * eps)).ravel()
             hv = hess @ (basis @ b.ravel())
             scale = max(1.0, float(np.max(np.abs(hv))))
@@ -154,14 +154,14 @@ def test_factors_carry_the_chain_inverses(rng, n, r):
             cascade = float(np.sum(0.5 * factored.increments / path.xs[1:-1]))
             assert cascade == pytest.approx(expected.cascade_term, rel=1e-12, abs=0)
             assert factored.value == pytest.approx(expected.total, rel=1e-12, abs=0)
-            _, grad, _ = ctx.value_grad_hess(factored)
+            grad = ctx.gradient(factored)
             assert np.array_equal(grad, grad.T)
 
 
 @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
 def test_inner_solve_factors_each_point_once(rng, monkeypatch, warm):
     # every point the Newton loop moves to, its start included, has been
-    # factored by feasible_value; value_grad_hess takes those factors, so the
+    # factored by feasible_value; gradient and hessian take those factors, so the
     # solve makes exactly one chain Cholesky call per feasibility test.  A
     # cold start also factors Q once, for the Q^{-1} of lambda_start
     q = random_constraint(rng, 2)
@@ -233,9 +233,95 @@ def test_inner_solve_makes_one_inverse_per_feasibility_test_and_one_solve_per_ne
     assert calls["solve"] == rep.iterations
 
     calls.update(cholesky=0, eigvalsh=0, inv=0, solve=0)
-    ctx.value_grad_hess(factored)
+    ctx.gradient(factored)
+    ctx.hessian(factored)
     ctx.envelope_gradient(factored)
     assert calls["cholesky"] == calls["eigvalsh"] == calls["inv"] == calls["solve"] == 0
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_inner_solve_builds_one_hessian_per_newton_step(rng, monkeypatch, warm):
+    # the Hessian is built for a step the loop takes, never at the point
+    # where it stops: one per Newton solve, and one per counted iteration
+    q = random_constraint(rng, 2)
+    spec = random_mixture(rng, 2)
+    h = np.array([0.2, -0.1])
+    path = random_path(rng, q.matrix, 2)
+    lam0 = _inner_minimize_ctx(_PathContext(path, q.matrix, h, spec))[0].lambda_star
+    xs = path.xs.copy()
+    xs[1] *= 0.9
+    ctx = _PathContext(DiscretePath(xs=xs, qs=path.qs), q.matrix, h, spec)
+
+    calls = {"hessian": 0, "solve": 0}
+    hessian, solve = _PathContext.hessian, _lapack.solve
+
+    def counting_hessian(self, factored):
+        calls["hessian"] += 1
+        return hessian(self, factored)
+
+    def counting_solve(a, b):
+        calls["solve"] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(_PathContext, "hessian", counting_hessian)
+    monkeypatch.setattr(_lapack, "solve", counting_solve)
+    rep, _ = _inner_minimize_ctx(ctx, lam0=lam0 if warm else None)
+    assert rep.status == "converged"
+    assert rep.iterations >= 1
+    assert calls["hessian"] == calls["solve"] == rep.iterations
+
+    # the same over a whole search, whose solves end at every status
+    calls.update(hessian=0, solve=0)
+    minimize_over_paths(q, h, spec, fast_config(max_levels=2, max_iterations=20), seed=3)
+    assert calls["solve"] > 0
+    assert calls["hessian"] == calls["solve"]
+
+
+@pytest.mark.parametrize("field", [False, True], ids=["no-field", "field"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_search_candidates_match_checked_contexts_bit_for_bit(rng, monkeypatch, family, n, field):
+    # each objective call builds its context from the family's (xs, qs)
+    # arrays, with no DiscretePath, no symmetry check and, at r = 1, the one
+    # mixture pass of its level; the context of the checked path gives the
+    # same inner solve, gradient, Hessian and envelope gradient, bit for bit
+    q = random_constraint(rng, n)
+    spec = random_mixture(rng, n)
+    h = rng.uniform(-0.5, 0.5, size=n) if field else np.zeros(n)
+    candidates: dict[int, list] = {}
+    unchecked = _PathContext.unchecked.__func__
+
+    def recording(cls, xs, qs, *args):
+        ctx = unchecked(cls, xs, qs, *args)
+        candidates.setdefault(ctx.r, []).append((xs, qs, ctx))
+        return ctx
+
+    monkeypatch.setattr(_PathContext, "unchecked", classmethod(recording))
+    config = PathSearchConfig(max_levels=3, restarts=1, max_iterations=4, q_parameterization=family)
+    minimize_over_paths(q, h, spec, config, seed=1)
+    assert sorted(candidates) == [1, 2, 3]
+    assert all(c[2].deltas is candidates[1][0][2].deltas for c in candidates[1])
+    for group in candidates.values():
+        for xs, qs, lean in group[:: max(1, len(group) // 4)]:
+            path = DiscretePath(xs=xs, qs=qs)
+            check_path(path, q)
+            checked = _PathContext(path, q.matrix, h, spec)
+            assert lean.qinv is not None and checked.qinv is None
+            assert np.array_equal(lean.lambda_start(), checked.lambda_start())
+            lean_rep, lean_factored = _inner_minimize_ctx(lean)
+            checked_rep, checked_factored = _inner_minimize_ctx(checked)
+            assert np.array_equal(lean_rep.lambda_star, checked_rep.lambda_star)
+            assert (lean_rep.value, lean_rep.iterations, lean_rep.status) == (
+                checked_rep.value,
+                checked_rep.iterations,
+                checked_rep.status,
+            )
+            for got, want in zip(lean_factored, checked_factored):
+                assert np.array_equal(got, want)
+            assert np.array_equal(lean.gradient(lean_factored), checked.gradient(checked_factored))
+            assert np.array_equal(lean.hessian(lean_factored), checked.hessian(checked_factored))
+            for got, want in zip(lean.envelope_gradient(lean_factored), checked.envelope_gradient(checked_factored)):
+                assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("offset, status", [(None, "max_iterations"), (1e-6, "converged")], ids=["cold", "near"])
@@ -883,7 +969,7 @@ def test_singular_newton_system_takes_the_steepest_descent_step(rng, monkeypatch
     path = random_path(rng, q.matrix, 2)
     ctx = _PathContext(path, q.matrix, h, spec)
     lam0 = random_multiplier(rng, path, spec, margin=0.5)
-    _, grad0, _ = ctx.value_grad_hess(ctx.member_factors(lam0))
+    grad0 = ctx.gradient(ctx.member_factors(lam0))
 
     solve = _lapack.solve
     trials = []
