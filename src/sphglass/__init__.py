@@ -13,6 +13,8 @@ independent Monte Carlo oracles for every closed form the functional uses:
 - ``cascade``    nested Monte Carlo recursion oracle and the exact cascade
                  limit of the theta sum
 - ``montecarlo`` desk-scale direct free-energy estimator on constrained spheres
+- ``verify``     seeded suites that judge the path kernel against the Gaussian
+                 integral and against its small-x_0 trace limit
 - ``cli``        config-driven subcommands with reproducible JSON/CSV reports
 """
 
@@ -25,8 +27,6 @@ from sphglass.functional import (
     evaluate,
     theta_term,
     closed_form_Y0,
-    jacobi_limit_term,
-    gaussian_quadratic_identity,
 )
 from sphglass.optimizer import (
     PathSearchConfig,

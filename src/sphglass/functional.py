@@ -19,8 +19,10 @@ rule for L, a Cholesky factorization of L_0 less ``MEMBERSHIP_MARGIN``.
 One kernel, ``_PathContext``, computes it: ``evaluate`` and
 ``closed_form_Y0`` read their terms from it, and the optimizer minimizes over
 it, searches paths with its envelope gradient and certifies divergence with
-it.  Log-determinants are always taken through a Cholesky factorization
-(never the raw determinant) for conditioning near the admissibility boundary.
+it.  No second copy of its closed forms lives here: ``verify`` judges the
+kernel itself against the Gaussian integral and the x_0 -> 0 trace limit.
+Log-determinants are always taken through a Cholesky factorization (never
+the raw determinant) for conditioning near the admissibility boundary.
 Each factorization is followed by one stacked triangular inverse of the
 factors; the cascade increments, the field term and the chain's inverses are
 matrix products of those.  The kernel factors a multiplier in one place,
@@ -55,14 +57,11 @@ from sphglass.mixture import MixtureSpec, check_symmetric, path_levels
 __all__ = [
     "NotInL",
     "InvalidPath",
-    "DivergentGaussianIntegral",
     "FunctionalBreakdown",
     "MEMBERSHIP_MARGIN",
     "evaluate",
     "theta_term",
     "closed_form_Y0",
-    "jacobi_limit_term",
-    "gaussian_quadratic_identity",
     "logdet_pd",
 ]
 
@@ -91,10 +90,6 @@ _lapack_errstate = np.errstate(invalid="ignore", over="ignore", divide="ignore",
 
 class NotInL(ValueError):
     """The multiplier leaves the admissible set: L_0 is not positive definite."""
-
-
-class DivergentGaussianIntegral(ValueError):
-    """A - xC is not positive definite: the Gaussian expectation diverges."""
 
 
 def logdet_pd(a: np.ndarray) -> float:
@@ -497,7 +492,12 @@ def closed_form_Y0(
     -1/2 log|L| + 1/2 (L_0^{-1} h, h) + 1/2 sum_k (1/x_k) log(|L_{k+1}|/|L_k|).
 
     Equals logdet_term + field_term + cascade_term of ``evaluate`` by
-    construction; the nested Monte Carlo oracle checks it stochastically.
+    construction.  Its judges: the nested Monte Carlo oracle
+    (``cascade.nested_recursion_mc``) at any depth, and on one-level paths
+    with xi'(Q) = Q ``verify.identity_suite`` (the Gaussian integral by range
+    reduction), ``verify.mc_identity_check`` (a Monte Carlo mean of the same
+    integral) and ``verify.jacobi_suite`` (the cascade term at a small x_0
+    against its trace limit).
     Raises InvalidPath unless the path passes ``validate_path``; its end
     matrix Q_r is free, not a constraint.
     """
@@ -505,78 +505,3 @@ def closed_form_Y0(
     lam = check_symmetric(lam, "Lambda")
     b = _PathContext(path, path.qs[-1], check_field(h, path.n), spec).breakdown(lam)
     return b.logdet_term + b.field_term + b.cascade_term
-
-
-def jacobi_limit_term(lam1: np.ndarray, delta1: np.ndarray) -> float:
-    """x_0 -> 0 limit of (1 / (2 x_0)) log(|L_1| / |L_1 - x_0 Delta_1|).
-
-    Equals 1/2 tr(L_1^{-1} Delta_1) (L'Hopital plus the derivative of a
-    determinant).  This is the correction term of the alternative convention
-    that allows x_0 = 0; the functional itself requires x_0 > 0.
-    """
-    lam1 = check_symmetric(lam1, "Lambda_1")
-    delta1 = check_symmetric(delta1, "Delta_1")
-    return 0.5 * float(np.trace(solve_pd(lam1, delta1)))
-
-
-def gaussian_quadratic_identity(
-    a: np.ndarray, c: np.ndarray, x: float, y: np.ndarray
-) -> tuple[float, float]:
-    """Both closed-form sides of the Gaussian quadratic-form identity.
-
-    For g Gaussian with covariance C, A positive definite and 0 < x <= 1:
-
-        (1/x) log E exp( (x/2) (A^{-1}(y+g), y+g) )
-            = (1/(2x)) log(|A| / |A - xC|) + 1/2 ((A - xC)^{-1} y, y).
-
-    The left side is evaluated through the explicit Gaussian integral
-    (reduction to the range of C, so PSD-singular C is fine), the right side
-    through the displayed formula.  Both must agree to ~1e-12; a Monte Carlo
-    estimate of the expectation provides the independent check in tests.
-    """
-    a = check_symmetric(a, "A")
-    c = check_symmetric(c, "C")
-    y = np.asarray(y, dtype=float)
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"x={x} outside (0, 1]")
-    n = a.shape[0]
-    if c.shape != a.shape or y.shape != (n,):
-        raise ValueError("dimension mismatch between A, C, y")
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise ValueError("A must be positive definite") from None
-
-    amxc = a - x * c
-    try:
-        ld_amxc = logdet_pd(amxc)
-    except np.linalg.LinAlgError:
-        raise DivergentGaussianIntegral(
-            "A - xC is not positive definite; the expectation diverges"
-        ) from None
-
-    rhs = (logdet_pd(a) - ld_amxc) / (2.0 * x) + 0.5 * float(y @ solve_pd(amxc, y))
-
-    # Left side: write g = W z with z standard normal on the range of C.
-    eigs, vecs = np.linalg.eigh(c)
-    keep = eigs > max(float(eigs[-1]), 0.0) * 1e-14
-    w = vecs[:, keep] * np.sqrt(eigs[keep])
-    a_inv_y = solve_pd(a, y)
-    quad_y = float(y @ a_inv_y)
-    if w.shape[1] == 0:
-        return 0.5 * quad_y, rhs
-    m = x * (w.T @ solve_pd(a, w))
-    b = x * (w.T @ a_inv_y)
-    eye_m = np.eye(m.shape[0]) - m
-    try:
-        ld_eye_m = logdet_pd(0.5 * (eye_m + eye_m.T))
-    except np.linalg.LinAlgError:
-        raise DivergentGaussianIntegral(
-            "A - xC is not positive definite; the expectation diverges"
-        ) from None
-    lhs = (
-        0.5 * x * quad_y
-        - 0.5 * ld_eye_m
-        + 0.5 * float(b @ solve_pd(0.5 * (eye_m + eye_m.T), b))
-    ) / x
-    return lhs, rhs

@@ -401,8 +401,11 @@ class _PathFamily:
     r + 1, so every gap w_j / S is at least ``X_GAP``.  Q_0 = 0, Q_r = Q,
     and a family maps only its level parameters: to Q_1 .. Q_{r-1}
     (``_levels``), the pullback of d/dQ_k to them (``_levels_pullback``)
-    and the default (``_level_default``).  At r = 1 there is no middle
-    level, so the map and its pullback are not called.
+    and the default (``_level_default``).  ``_levels`` also returns what it
+    computed on the way that the pullback needs, and ``chain`` hands that on
+    as its third value, so ``pullback`` at the same parameters recomputes
+    none of it.  At r = 1 there is no middle level, so the map and its
+    pullback are not called and that value is None.
     """
 
     def __init__(self, r: int, qmat: np.ndarray, n_levels: int):
@@ -411,29 +414,32 @@ class _PathFamily:
         self.floor = max(1e-8, (r + 1) * X_GAP)
         self.n_params = (r + 1) + n_levels
 
-    def chain(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The breakpoints xs and matrices qs of ``path(params)``, as plain arrays."""
+    def chain(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, object]:
+        """The breakpoints xs and matrices qs of ``path(params)``, as plain
+        arrays, and the levels' state for ``pullback``."""
         r, n = self.r, self.qmat.shape[0]
         qs = np.zeros((r + 1, n, n))
+        state = None
         if r > 1:
-            qs[1:r] = self._levels(params[r + 1 :])
+            qs[1:r], state = self._levels(params[r + 1 :])
         qs[r] = self.qmat
         xs = np.zeros(r + 2)
         xs[-1] = 1.0
         _shares(params[: r + 1], out=xs[1:-1])
-        return xs, qs
+        return xs, qs, state
 
     def path(self, params: np.ndarray) -> DiscretePath:
-        xs, qs = self.chain(params)
+        xs, qs, _ = self.chain(params)
         return DiscretePath(xs=xs, qs=qs)
 
-    def pullback(self, params: np.ndarray, grad_x: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
-        """Gradient in the parameters from the path gradient (d/dx, d/dQ_k)."""
+    def pullback(self, params: np.ndarray, state, grad_x: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
+        """Gradient in the parameters from the path gradient (d/dx, d/dQ_k);
+        ``state`` is the third value of ``chain(params)``."""
         r = self.r
         out = np.zeros(self.n_params)
         out[: r + 1] = _shares_pullback(params[: r + 1], grad_x)
         if r > 1:
-            out[r + 1 :] = self._levels_pullback(params[r + 1 :], grad_q)
+            out[r + 1 :] = self._levels_pullback(params[r + 1 :], state, grad_q)
         return out
 
     def default(self) -> np.ndarray:
@@ -483,11 +489,12 @@ class _ScalarProfile(_PathFamily):
     def __init__(self, r: int, qmat: np.ndarray):
         super().__init__(r, qmat, r if r > 1 else 0)
 
-    def _levels(self, u: np.ndarray) -> np.ndarray:
-        return _shares(np.exp(np.clip(u, -60.0, 60.0)))[:, None, None] * self.qmat
-
-    def _levels_pullback(self, u: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
+    def _levels(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The levels and, as their state, the steps w = exp(u)."""
         w = np.exp(np.clip(u, -60.0, 60.0))
+        return _shares(w)[:, None, None] * self.qmat, w
+
+    def _levels_pullback(self, u: np.ndarray, w: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
         grad_profile = (grad_q * self.qmat).sum(axis=(1, 2))
         return np.where(np.abs(u) < 60.0, w * _shares_pullback(w, grad_profile), 0.0)
 
@@ -513,26 +520,24 @@ class _CholeskyIncrements(_PathFamily):
         self.chol = np.linalg.cholesky(qmat)
         self._tril = np.tril_indices(self.n)
 
-    def _grams(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The lower-triangular factors L_k and the Grams L_k L_k^T + ridge I."""
+    def _levels(self, u: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Q_k = M R P_k R M^T with P_k the partial Gram sums and R = S^{-1/2}.
+
+        The Grams are L_k L_k^T + ridge I of the lower-triangular factors
+        L_k, and S is their sum.  The state is (L_k, P_1 .. P_{r-1}, R, and
+        S's eigenvectors and root eigenvalues): one ``eigh`` of S.
+        """
         lows = np.zeros((self.r, self.n, self.n))
         lows[:, self._tril[0], self._tril[1]] = u.reshape(self.r, self.m)
-        return lows, lows @ lows.swapaxes(1, 2) + self.RIDGE * np.eye(self.n)
-
-    def _normalization(self, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """S^{-1/2} of S = sum of the Grams, with S's eigenvectors and root eigenvalues."""
+        grams = lows @ lows.swapaxes(1, 2) + self.RIDGE * np.eye(self.n)
         evals, evecs = np.linalg.eigh(grams.sum(axis=0))
         roots = np.sqrt(np.clip(evals, 1e-30, None))
-        return evecs @ np.diag(1.0 / roots) @ evecs.T, evecs, roots
-
-    def _levels(self, u: np.ndarray) -> np.ndarray:
-        """Q_k = M R P_k R M^T with P_k the partial Gram sums and R = S^{-1/2}."""
-        _, grams = self._grams(u)
-        inv_sqrt = self._normalization(grams)[0]
+        inv_sqrt = evecs @ np.diag(1.0 / roots) @ evecs.T
         partial = np.cumsum(grams, axis=0)[: self.r - 1]
-        return _sym(self.chol @ _sym(inv_sqrt @ partial @ inv_sqrt) @ self.chol.T)
+        levels = _sym(self.chol @ _sym(inv_sqrt @ partial @ inv_sqrt) @ self.chol.T)
+        return levels, (lows, partial, inv_sqrt, evecs, roots)
 
-    def _levels_pullback(self, u: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
+    def _levels_pullback(self, u: np.ndarray, state: tuple, grad_q: np.ndarray) -> np.ndarray:
         """d/d(lower triangles) from d/dQ_k.
 
         d/dW_k = M^T G_k M; d/dP_k = R (d/dW_k) R; d/dR = sum_k 2 sym(d/dW_k
@@ -543,9 +548,7 @@ class _CholeskyIncrements(_PathFamily):
         pulls back to 2 (d/dGram) L on the lower triangle.
         """
         n = self.n
-        lows, grams = self._grams(u)
-        inv_sqrt, evecs, roots = self._normalization(grams)
-        partial = np.cumsum(grams, axis=0)[: self.r - 1]  # P_1 .. P_{r-1}
+        lows, partial, inv_sqrt, evecs, roots = state
         grad_w = self.chol.T @ grad_q @ self.chol
         grad_p = inv_sqrt @ grad_w @ inv_sqrt
         grad_r = 2.0 * _sym(np.sum(grad_w @ inv_sqrt @ partial, axis=0))
@@ -650,13 +653,13 @@ def minimize_over_paths(
 
         def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
             try:
-                xs, qs = family.chain(vec)
+                xs, qs, state = family.chain(vec)
                 levels = _path_levels(spec, qs) if fixed_levels is None else fixed_levels
                 ctx = _PathContext.unchecked(xs, qs, qmat, h, levels, qinv)
                 rep, factored = _inner_minimize_ctx(ctx, lam0=warm_lambda[0])
                 warm_lambda[0] = rep.lambda_star
                 grad_x, grad_q = ctx.envelope_gradient(factored)
-                return rep.value, family.pullback(vec, grad_x, grad_q)
+                return rep.value, family.pullback(vec, state, grad_x, grad_q)
             except (ValueError, np.linalg.LinAlgError):
                 return np.inf, np.zeros_like(vec)
 

@@ -186,6 +186,19 @@ def test_verify_identities_subcommand(tmp_path):
     assert all(c["pass"] for c in report["body"]["checks"])
 
 
+def test_verify_identities_reports_every_default_check_by_name(tmp_path):
+    # default budgets: 100 checks of the kernel against the Gaussian integral,
+    # then 50 of its small-x_0 cascade term against the trace limit
+    cfg_file = tmp_path / "verify.json"
+    cfg_file.write_text(config_text(task="verify-identities", seed=0))
+    out = tmp_path / "verify.json.out"
+    assert main(["verify-identities", "--config", str(cfg_file), "--out", str(out)]) == 0
+    body = json.loads(out.read_text())["body"]
+    assert (body["total"], body["failures"], body["passed"]) == (150, 0, True)
+    names = [check["name"] for check in body["checks"]]
+    assert names == ["gaussian_quadratic_identity"] * 100 + ["jacobi_limit"] * 50
+
+
 # an r = 3 path to the identity, for which the default 2000 samples per level
 # exceed the leaf limit
 R3_PAIR_PATH = {

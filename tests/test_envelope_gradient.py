@@ -104,7 +104,7 @@ def test_the_solved_factors_are_those_of_the_returned_multiplier(rng, n, r, fiel
 def _check_pullback(param, params, q, h, spec):
     ctx, rep, factored = _solved(param.path(params), q, h, spec)
     assert rep.status == "converged"
-    grad = param.pullback(params, *ctx.envelope_gradient(factored))
+    grad = param.pullback(params, param.chain(params)[2], *ctx.envelope_gradient(factored))
     assert grad.shape == params.shape
     for i in range(params.size):
         unit = np.zeros(params.size)

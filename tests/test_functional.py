@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from sphglass import verify
 from sphglass.functional import (
-    DivergentGaussianIntegral,
     InvalidPath,
     NotInL,
     _lapack,
@@ -12,8 +12,6 @@ from sphglass.functional import (
     _sym_basis,
     closed_form_Y0,
     evaluate,
-    gaussian_quadratic_identity,
-    jacobi_limit_term,
     logdet_pd,
     theta_term,
 )
@@ -161,12 +159,31 @@ def test_convexity_in_multiplier(rng):
         assert mid <= avg + 1e-10
 
 
+def _one_level_context(delta: np.ndarray, x0: float) -> _PathContext:
+    """The kernel on the path 0 -> Delta at x_0 with xi'(Q) = Q, so Delta_1 = Delta."""
+    path, spec = verify._one_level(delta, x0)
+    return _PathContext(path, delta, np.zeros(delta.shape[0]), spec)
+
+
+def _trace_limit(lam: np.ndarray, delta: np.ndarray) -> float:
+    """The x_0 -> 0 limit of the cascade term (1 / (2 x_0)) log(|L_1| / |L_1 - x_0 Delta_1|):
+    1/2 tr(L_1^{-1} Delta_1), by L'Hopital and the derivative of a determinant."""
+    return 0.5 * float(np.trace(np.linalg.solve(lam, delta)))
+
+
 def test_jacobi_limit_scalar():
-    assert jacobi_limit_term(np.array([[2.0]]), np.array([[1.0]])) == pytest.approx(0.25, rel=1e-15)
+    lam = np.array([[2.0]])
+    ctx = _one_level_context(np.array([[1.0]]), 1e-16)
+    limit = _trace_limit(lam, ctx.deltas[0])
+    assert limit == pytest.approx(0.25, rel=1e-15)
+    assert ctx.breakdown(lam).cascade_term == pytest.approx(limit, rel=1e-15)
 
 
 def test_jacobi_limit_zero_increment():
-    assert jacobi_limit_term(np.eye(3) * 2.0, np.zeros((3, 3))) == 0.0
+    lam = np.eye(3) * 2.0
+    ctx = _one_level_context(np.zeros((3, 3)), 1e-6)
+    assert _trace_limit(lam, ctx.deltas[0]) == 0.0
+    assert ctx.breakdown(lam).cascade_term == 0.0
 
 
 def test_jacobi_limit_matches_small_x0(rng):
@@ -175,16 +192,20 @@ def test_jacobi_limit_matches_small_x0(rng):
         g = rng.standard_normal((n, n))
         lam1 = g @ g.T / n + 0.5 * np.eye(n)
         a = rng.standard_normal((n, n))
-        delta1 = a @ a.T / n
-        x0 = 1e-6
-        ratio = (logdet_pd(lam1) - logdet_pd(lam1 - x0 * delta1)) / (2 * x0)
-        assert jacobi_limit_term(lam1, delta1) == pytest.approx(ratio, abs=1e-4)
+        ctx = _one_level_context(a @ a.T / n, 1e-6)
+        assert ctx.breakdown(lam1).cascade_term == pytest.approx(_trace_limit(lam1, ctx.deltas[0]), abs=1e-4)
+
+
+# the Gaussian quadratic-form identity: the kernel's closed form on the path
+# 0 -> C at x (``verify._kernel_side``) and its judge, the Gaussian integral
+# by range reduction (``verify._gaussian_integral``), both less 1/2 log|A|
 
 
 def test_gaussian_identity_example():
-    lhs, rhs = gaussian_quadratic_identity(np.array([[2.0]]), np.array([[1.0]]), 0.5, np.zeros(1))
-    assert lhs == pytest.approx(math.log(4.0 / 3.0), rel=1e-12)
-    assert rhs == pytest.approx(math.log(4.0 / 3.0), rel=1e-12)
+    a, c = np.array([[2.0]]), np.array([[1.0]])
+    expected = math.log(4.0 / 3.0) - 0.5 * math.log(2.0)
+    assert verify._kernel_side(a, c, 0.5, np.zeros(1)) == pytest.approx(expected, rel=1e-12)
+    assert verify._gaussian_integral(a, c, 0.5, np.zeros(1)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gaussian_identity_deterministic_when_c_zero(rng):
@@ -192,10 +213,10 @@ def test_gaussian_identity_deterministic_when_c_zero(rng):
     g = rng.standard_normal((n, n))
     a = g @ g.T / n + 0.5 * np.eye(n)
     y = rng.standard_normal(n)
-    lhs, rhs = gaussian_quadratic_identity(a, np.zeros((n, n)), 0.7, y)
-    expected = 0.5 * float(y @ np.linalg.solve(a, y))
-    assert lhs == pytest.approx(expected, rel=1e-12)
-    assert rhs == pytest.approx(expected, rel=1e-12)
+    c = np.zeros((n, n))
+    expected = 0.5 * float(y @ np.linalg.solve(a, y)) - 0.5 * logdet_pd(a)
+    assert verify._kernel_side(a, c, 0.7, y) == pytest.approx(expected, rel=1e-12)
+    assert verify._gaussian_integral(a, c, 0.7, y) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gaussian_identity_pure_logdet_when_y_zero(rng):
@@ -204,15 +225,38 @@ def test_gaussian_identity_pure_logdet_when_y_zero(rng):
     a = g @ g.T / n + 1.0 * np.eye(n)
     c = 0.3 * np.eye(n)
     x = 0.6
-    lhs, rhs = gaussian_quadratic_identity(a, c, x, np.zeros(n))
-    expected = (logdet_pd(a) - logdet_pd(a - x * c)) / (2 * x)
-    assert rhs == pytest.approx(expected, rel=1e-13)
-    assert lhs == pytest.approx(expected, rel=1e-12)
+    expected = (logdet_pd(a) - logdet_pd(a - x * c)) / (2 * x) - 0.5 * logdet_pd(a)
+    assert verify._kernel_side(a, c, x, np.zeros(n)) == pytest.approx(expected, rel=1e-13)
+    assert verify._gaussian_integral(a, c, x, np.zeros(n)) == pytest.approx(expected, rel=1e-12)
+
+
+def test_gaussian_identity_rank_deficient_c(rng):
+    # C = v v^T: the judge integrates over the one direction of C's range
+    n = 3
+    g = rng.standard_normal((n, n))
+    a = g @ g.T / n + 0.5 * np.eye(n)
+    v = rng.standard_normal(n)
+    c = 0.2 * np.outer(v, v) / float(v @ v)
+    y = rng.standard_normal(n)
+    assert verify._range_factor(c).shape == (n, 1)
+    kernel = verify._kernel_side(a, c, 0.8, y)
+    assert kernel == pytest.approx(verify._gaussian_integral(a, c, 0.8, y), rel=1e-12)
 
 
 def test_gaussian_identity_divergent():
-    with pytest.raises(DivergentGaussianIntegral):
-        gaussian_quadratic_identity(np.array([[1.0]]), np.array([[2.0]]), 1.0, np.zeros(1))
+    # A - xC = 1 - 0.9 * 2 < 0: the expectation diverges, and L_0 leaves L
+    with pytest.raises(NotInL):
+        verify._kernel_side(np.array([[1.0]]), np.array([[2.0]]), 0.9, np.zeros(1))
+
+
+@pytest.mark.parametrize("suite", [verify.identity_suite, verify.jacobi_suite], ids=["identity", "jacobi"])
+def test_verify_suites_judge_the_kernel(monkeypatch, suite):
+    # a kernel whose log-determinant increments are off by 1e-3 must fail
+    # the suites: they read the kernel, not copies of its closed forms
+    assert all(check["pass"] for check in suite(0, count=5))
+    increments = _PathContext._increments
+    monkeypatch.setattr(_PathContext, "_increments", lambda ctx, cinv: increments(ctx, cinv) * (1.0 + 1e-3))
+    assert not any(check["pass"] for check in suite(0, count=5))
 
 
 def test_closed_form_zero_mixture(rng):
@@ -274,8 +318,7 @@ def test_logdet_increment_stable_for_tiny_scale(rng, x0):
     path = DiscretePath.simple(q.matrix, x0)
     lam = random_multiplier(rng, path, spec)
     got = evaluate(lam, path, q, np.zeros(n), spec).cascade_term
-    limit = jacobi_limit_term(lam, delta_increments(spec, path)[0])
-    assert got == pytest.approx(limit, rel=1e-6)
+    assert got == pytest.approx(_trace_limit(lam, delta_increments(spec, path)[0]), rel=1e-6)
 
 
 def _spd_stack(rng, levels: int, n: int) -> np.ndarray:

@@ -739,6 +739,45 @@ def test_cholesky_increments_searches_two_levels():
     assert level2 <= level1 - 0.01
 
 
+def test_cholesky_increments_normalize_the_grams_once_per_objective_call(monkeypatch):
+    # chain hands the eigh of the Gram sum to the pullback: a level-r >= 2
+    # objective call makes one, level 1 has no middle level and makes none,
+    # and each level r >= 2 makes one more for its winning path
+    import sphglass.optimizer as optimizer
+
+    eighs = [0]
+    eigh = np.linalg.eigh
+    search = optimizer.scipy_minimize
+    starts = []  # (level, objective calls, eigh calls) per start
+
+    def counted_eigh(a, *args, **kwargs):
+        eighs[0] += 1
+        return eigh(a, *args, **kwargs)
+
+    def counted_search(fun, x0, **options):
+        calls = [0]
+
+        def counted_fun(vec):
+            calls[0] += 1
+            return fun(vec)
+
+        before = eighs[0]
+        res = search(counted_fun, x0, **options)
+        level = next(r for r in (1, 2) if _FAMILIES["cholesky_increments"](r, PAIR_Q).n_params == x0.size)
+        starts.append((level, calls[0], eighs[0] - before))
+        return res
+
+    q = ConstraintMatrix(PAIR_Q)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(optimizer, "scipy_minimize", counted_search)
+    config = PathSearchConfig(q_parameterization="cholesky_increments", **PAIR_CONFIG)
+    minimize_over_paths(q, np.zeros(2), PAIR_SPEC, config, seed=1)
+    assert sorted({level for level, _, _ in starts}) == [1, 2]
+    for level, calls, made in starts:
+        assert made == (calls if level == 2 else 0), (level, calls, made)
+    assert eighs[0] == sum(made for _, _, made in starts) + 1
+
+
 @pytest.mark.parametrize("family", ["scalar_profile", "cholesky_increments"])
 def test_deep_search_returns_a_valid_path(family):
     # twelve levels share the breakpoint box: every gap must stay positive
