@@ -126,6 +126,12 @@ class _Basis(NamedTuple):
     ridge: np.ndarray
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a cached constant that no caller may change."""
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=32)
 def _sym_basis(n: int) -> _Basis:
     """The read-only ``_Basis`` of symmetric n x n matrices, built once per n."""
@@ -140,11 +146,20 @@ def _sym_basis(n: int) -> _Basis:
             e = np.zeros((n, n))
             e[i, j] = e[j, i] = inv_sqrt2
             rows.append(e.ravel())
-    basis = np.array(rows)
-    basis.setflags(write=False)
-    ridge = 1e-12 * np.eye(len(basis))
-    ridge.setflags(write=False)
-    return _Basis(basis, basis.T, ridge)
+    basis = _read_only(np.array(rows))
+    return _Basis(basis, basis.T, _read_only(1e-12 * np.eye(len(basis))))
+
+
+@lru_cache(maxsize=32)
+def _margin_eye(n: int) -> np.ndarray:
+    """The read-only ``MEMBERSHIP_MARGIN`` I of size n, built once per n."""
+    return _read_only(MEMBERSHIP_MARGIN * np.eye(n))
+
+
+@lru_cache(maxsize=32)
+def _upper_mask(r: int) -> np.ndarray:
+    """The read-only r x r mask of j <= m, ``np.triu``'s, built once per r."""
+    return _read_only(np.triu(np.ones((r, r), dtype=bool)))
 
 
 @dataclass(frozen=True)
@@ -209,6 +224,13 @@ class _PathContext:
     ``envelope_gradient`` take those factors, not a multiplier: the
     derivatives factor nothing and make no linear solve of their own.
 
+    What does not change with the multiplier is built once: per context in
+    ``_build``, Q / 2 (``half_q``, the trace term's <Lambda, Q / 2> and the
+    gradient's constant, which ``rotated`` rebuilds in its basis); per size,
+    the read-only ``MEMBERSHIP_MARGIN`` I (``_margin_eye``), the Newton
+    basis (``_sym_basis``) and ``envelope_gradient``'s j <= m mask
+    (``_upper_mask``).
+
     ``qinv`` is Q^{-1} for ``lambda_start``; without it a cold start
     factors Q.
     """
@@ -231,6 +253,7 @@ class _PathContext:
 
     def _build(self, xs, qs, qmat, h, levels, qinv) -> None:
         self.qmat = qmat
+        self.half_q = 0.5 * qmat
         self.qinv = qinv
         self.h = h
         r = self.r = xs.size - 2
@@ -263,7 +286,7 @@ class _PathContext:
         ``guarded[0]`` becomes tails[0] + margin I, so lam less it is L_0
         less the membership margin.
         """
-        np.add(guarded[1], MEMBERSHIP_MARGIN * np.eye(self.n), out=guarded[0])
+        np.add(guarded[1], _margin_eye(self.n), out=guarded[0])
         self.tails = guarded[1:]
         self.guarded_tails = guarded
 
@@ -278,6 +301,7 @@ class _PathContext:
         out = copy.copy(self)
         out.qs = out.xi_seconds = out.qinv = None
         out.qmat = np.diag(mu)
+        out.half_q = 0.5 * out.qmat
         out.h = u.T @ self.h
         out.deltas = _sym(u.T @ self.deltas @ u)
         guarded = np.empty_like(self.guarded_tails)
@@ -297,6 +321,11 @@ class _PathContext:
         C_k^{-1} Delta_{k+1} C_k^{-T}, from the triangular inverses ``cinv``
         of the chain's factors.  At breakpoints near 0 the coefficient 1/x
         would amplify the cancellation of two nearly equal log-determinants.
+
+        ``_lapack.eigvalsh`` (``eigvalsh_lo``) reads only the lower triangle,
+        but the conjugate is symmetric only to rounding, and its lower
+        triangle alone gives other bits than its symmetric part, which the
+        search's values and step counts rest on; so it gets ``_sym(conj)``.
         """
         lower = cinv[:-1]
         conj = lower @ self.deltas @ lower.swapaxes(1, 2)
@@ -317,7 +346,7 @@ class _PathContext:
         cinv = _lapack.inv(chol)
         increments = self._increments(cinv)
         total = (
-            0.5 * float((lam @ self.qmat).trace())
+            float(np.vdot(lam, self.half_q))
             - 0.5 * self.n
             - self.theta_const
             - float(np.log(chol[0].diagonal()).sum())
@@ -340,7 +369,7 @@ class _PathContext:
         factored = self.member_factors(lam)
         return FunctionalBreakdown(
             total=factored.value,
-            trace_term=0.5 * float(np.trace(lam @ self.qmat)),
+            trace_term=float(np.vdot(lam, self.half_q)),
             const_term=-0.5 * self.n,
             logdet_term=-float(np.sum(np.log(np.diagonal(factored.chol[-1])))),
             field_term=0.5 * float(self.h @ factored.inv[0] @ self.h),
@@ -356,7 +385,7 @@ class _PathContext:
         gradient is exactly symmetric: Q, every L_j^{-1} and v v^T are.
         """
         inv = factored.inv
-        grad = 0.5 * self.qmat + np.einsum("j,jab->ab", self.logdet_coeffs, inv)
+        grad = self.half_q + np.einsum("j,jab->ab", self.logdet_coeffs, inv)
         if self.has_field:
             wvec = inv[0] @ self.h
             grad -= 0.5 * np.outer(wvec, wvec)
@@ -405,7 +434,7 @@ class _PathContext:
         pair = np.einsum("jab,mab->jm", inv[:-1], self.deltas)
         grad_x = (
             -increments / (2.0 * x * x)
-            - np.triu(w[:-1, None] * pair).sum(axis=0)
+            - np.where(_upper_mask(r), w[:-1, None] * pair, 0.0).sum(axis=0)
             - 0.5 * self.theta_steps
         )
         if self.has_field:
@@ -445,7 +474,7 @@ class _PathContext:
         Callers run this under ``_lapack_errstate``; raises LinAlgError
         when the value at a factored chain is not finite.
         """
-        chol = _lapack.cholesky(lam[None, :, :] - self.guarded_tails)
+        chol = _lapack.cholesky(lam - self.guarded_tails)
         if np.isnan(chol).any():
             return None
         return self._factored(lam, chol[1:])

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,7 +135,24 @@ def _quartic_form(n_sites: int, rng: np.random.Generator) -> np.ndarray:
     upper triangular: the rows with b in [s, e) meet only the column
     suffix c >= s, and the columns with c in [s, e) only the row prefix
     b < e.  The C(N+3, 4) coefficients take that many normals from ``rng``,
-    in row-major order.
+    in row-major order; where they go and their scale come from
+    ``_quartic_layout``.
+    """
+    support, scale = _quartic_layout(n_sites)
+    coef = rng.standard_normal(scale.size)
+    coef *= scale
+    # T is allocated last, which keeps the tracemalloc peak under 4 MB at N = 32
+    form = np.zeros(support.shape)
+    form[support] = coef
+    return form
+
+
+@lru_cache(maxsize=4)
+def _quartic_layout(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """(support, scale) of ``_quartic_form``, read-only and built once per N.
+
+    ``support`` is the (P, P) mask of the monomials' places, b <= c, and
+    ``scale`` the standard deviations sqrt(m_abcd) in row-major order.
     """
     b, a = np.tril_indices(n_sites)
     c, d = np.triu_indices(n_sites)
@@ -145,12 +163,10 @@ def _quartic_form(n_sites: int, rng: np.random.Generator) -> np.ndarray:
     for tie in ((a == b)[:, None], b[:, None] == c, c == d):
         run = np.where(np.broadcast_to(tie, support.shape)[support], run + 1, 1)
         repeats *= run
-    coef = np.sqrt(24 / repeats)
-    coef *= rng.standard_normal(coef.size)
-    # T is allocated last, which keeps the tracemalloc peak under 4 MB at N = 32
-    form = np.zeros(support.shape)
-    form[support] = coef
-    return form
+    scale = np.sqrt(24 / repeats)
+    support.setflags(write=False)
+    scale.setflags(write=False)
+    return support, scale
 
 
 def _pair_indices(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -196,9 +196,13 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
     ``gradient``, so each feasibility test costs one stacked
     ``_lapack.cholesky`` and one stacked ``_lapack.inv``.  Each Newton step
     builds one ``hessian`` and makes one ``_lapack.solve``; a point where
-    the loop stops gets no Hessian.  A trial lam + t step is exactly
-    symmetric as it stands, since ``_sym_basis`` maps the step back to an
-    exactly symmetric matrix.  The whole solve runs under one
+    the loop stops gets no Hessian.  The step's slope (G, step)_F is
+    step_vec . gvec in the basis coordinates, the product the descent test
+    takes anyway, or -gvec . gvec for the steepest-descent step.  Each
+    trial is lam + step, and a failed one halves the step in place along
+    with t, which keeps it exactly t times the full step.  A trial is
+    exactly symmetric as it stands, since ``_sym_basis`` maps the step back
+    to an exactly symmetric matrix.  The whole solve runs under one
     ``_lapack_errstate``, so a failed gufunc shows only as NaN: an
     infeasible trial as None from ``feasible_value``, a singular or
     non-finite Newton system as a step that is not a descent direction.
@@ -216,8 +220,7 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
     basis, basis_t, ridge = _sym_basis(n)
     gtol = INNER_GRADIENT_TOLERANCE
     status = "max_iterations"
-    value, grad = factored.value, ctx.gradient(factored)
-    g = grad.ravel()
+    value, g = factored.value, ctx.gradient(factored).ravel()
     gnorm = math.sqrt(g @ g)
     iterations = 0
     for iterations in range(1, INNER_MAX_ITERATIONS + 1):
@@ -230,27 +233,30 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
             break
         gvec = basis @ g
         step_vec = _lapack.solve(ctx.hessian(factored) + ridge, -gvec)
-        # NaN, from a singular or non-finite system, fails the test too
-        newton = float(step_vec @ gvec) < 0.0
+        # the slope of the step; NaN, from a singular or non-finite system,
+        # fails the descent test too
+        slope = float(step_vec @ gvec)
+        newton = slope < 0.0
         if not newton:
             step_vec = -gvec  # Hessian ill-conditioned: steepest descent
+            slope = -float(gvec @ gvec)
         step = (basis_t @ step_vec).reshape(n, n)
 
         # backtracking doubles as the cone safeguard: any trial whose chain
         # leaves the PD cone fails the Cholesky inside feasible_value
-        slope = float((grad * step).sum())
         t = 1.0
         improved = False
         for _ in range(40):
             if t * abs(slope) < 1e-17 * max(1.0, abs(value)):
                 break  # predicted decrease below float resolution
-            trial = lam + t * step
+            trial = lam + step
             trial_factored = ctx.feasible_value(trial)
             if trial_factored is not None and trial_factored.value <= value + 1e-4 * t * slope:
                 lam, factored = trial, trial_factored
                 improved = True
                 break
             t *= 0.5
+            step *= 0.5  # exactly t times the full step: t is a power of two
         if not improved:
             # a full Newton step that predicts a decrease within a few ulps
             # of the value cannot pass the Armijo test: the solve already
@@ -258,8 +264,7 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
             at_optimum = newton and -slope <= NEWTON_DECREMENT_FLOOR * max(1.0, abs(value))
             status = "converged" if at_optimum else "boundary_stall"
             break
-        value, grad = factored.value, ctx.gradient(factored)
-        g = grad.ravel()
+        value, g = factored.value, ctx.gradient(factored).ravel()
         gnorm = math.sqrt(g @ g)
     if status == "max_iterations" and gnorm <= gtol * max(1.0, abs(value)):
         status = "converged"
@@ -396,9 +401,10 @@ class _PathFamily:
     """The parameter vector of a level-r search and its discrete path.
 
     The vector is the r + 1 breakpoint weights, which L-BFGS-B holds in
-    [``floor``, 1], then ``n_params - r - 1`` level parameters.  The
-    breakpoints are the shares x_i = cum_i / S of the weights; S is at most
-    r + 1, so every gap w_j / S is at least ``X_GAP``.  Q_0 = 0, Q_r = Q,
+    [``floor``, 1], then the level parameters: ``per_level`` for each of r
+    steps at r >= 2, none at r = 1.  The breakpoints are the shares
+    x_i = cum_i / S of the weights; S is at most r + 1, so every gap
+    w_j / S is at least ``X_GAP``.  Q_0 = 0, Q_r = Q,
     and a family maps only its level parameters: to Q_1 .. Q_{r-1}
     (``_levels``), the pullback of d/dQ_k to them (``_levels_pullback``)
     and the default (``_level_default``).  ``_levels`` also returns what it
@@ -408,11 +414,11 @@ class _PathFamily:
     pullback are not called and that value is None.
     """
 
-    def __init__(self, r: int, qmat: np.ndarray, n_levels: int):
+    def __init__(self, r: int, qmat: np.ndarray, per_level: int):
         self.r = r
         self.qmat = qmat
         self.floor = max(1e-8, (r + 1) * X_GAP)
-        self.n_params = (r + 1) + n_levels
+        self.n_params = (r + 1) + (r * per_level if r > 1 else 0)
 
     def chain(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, object]:
         """The breakpoints xs and matrices qs of ``path(params)``, as plain
@@ -487,7 +493,7 @@ class _ScalarProfile(_PathFamily):
     """
 
     def __init__(self, r: int, qmat: np.ndarray):
-        super().__init__(r, qmat, r if r > 1 else 0)
+        super().__init__(r, qmat, 1)
 
     def _levels(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The levels and, as their state, the steps w = exp(u)."""
@@ -516,7 +522,7 @@ class _CholeskyIncrements(_PathFamily):
     def __init__(self, r: int, qmat: np.ndarray):
         self.n = qmat.shape[0]
         self.m = self.n * (self.n + 1) // 2
-        super().__init__(r, qmat, r * self.m)
+        super().__init__(r, qmat, self.m)
         self.chol = np.linalg.cholesky(qmat)
         self._tril = np.tril_indices(self.n)
 
@@ -560,7 +566,7 @@ class _CholeskyIncrements(_PathFamily):
         return grad_lows[:, self._tril[0], self._tril[1]].ravel()
 
     def _level_default(self) -> np.ndarray:
-        return np.tile(np.eye(self.n)[self._tril], self.r)
+        return np.tile(np.eye(self.n)[self._tril], (self.n_params - self.r - 1) // self.m)
 
 
 _FAMILIES = {"scalar_profile": _ScalarProfile, "cholesky_increments": _CholeskyIncrements}

@@ -5,6 +5,7 @@ import pytest
 
 from sphglass import verify
 from sphglass.functional import (
+    MEMBERSHIP_MARGIN,
     InvalidPath,
     NotInL,
     _lapack,
@@ -134,6 +135,48 @@ def test_not_in_l_raised():
     # Lambda_0 = 1.5 - 0.9 * 2 = -0.3 < 0
     with pytest.raises(NotInL):
         evaluate(np.array([[1.5]]), path, ConstraintMatrix(np.array([[1.0]])), np.zeros(1), spec)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_margin_level_alone_rejects_a_multiplier(rng, n):
+    # L_0 = 0.5e-12 I is positive definite, L_0 less the margin is not: only
+    # the margin level of the stacked Cholesky fails, and that failure does
+    # not reach the value, so feasible_value must test it on its own
+    q = random_constraint(rng, n)
+    spec = random_mixture(rng, n)
+    path = random_path(rng, q.matrix, 2)
+    ctx = _PathContext(path, q.matrix, np.array([0.2, -0.1, 0.3][:n]), spec)
+    lam = ctx.tails[0] + 0.5 * MEMBERSHIP_MARGIN * np.eye(n)
+    np.linalg.cholesky(lam - ctx.tails[0])
+    with np.errstate(invalid="ignore"):
+        chol = _lapack.cholesky(lam[None] - ctx.guarded_tails)
+        assert np.isnan(chol[0]).all() and not np.isnan(chol[1:]).any()
+        assert math.isfinite(ctx._factored(lam, chol[1:]).value)
+        assert ctx.feasible_value(lam) is None
+        assert ctx.feasible_value(lam + 2.0 * MEMBERSHIP_MARGIN * np.eye(n)) is not None
+    with pytest.raises(NotInL, match="Lambda_0 not positive definite"):
+        ctx.member_factors(lam)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rotated_context_keeps_its_constants(rng, n):
+    # the rotated context holds Q = diag(mu) and its own Q / 2: at u^T L u
+    # its value is the original's and its gradient u^T G u, so a constant
+    # left in the original basis shows
+    q = random_constraint(rng, n)
+    mu, u = np.linalg.eigh(q.matrix)
+    spec = random_mixture(rng, n)
+    path = random_path(rng, q.matrix, 2)
+    ctx = _PathContext(path, q.matrix, np.array([0.2, -0.1, 0.3][:n]), spec)
+    lam = random_multiplier(rng, path, spec)
+    rotated = ctx.rotated(u, mu)
+    lam_rotated = u.T @ lam @ u
+    lam_rotated = (lam_rotated + lam_rotated.T) / 2.0
+    factored = ctx.member_factors(lam)
+    factored_rotated = rotated.member_factors(lam_rotated)
+    assert factored_rotated.value == pytest.approx(factored.value, rel=1e-12, abs=1e-12)
+    grad = ctx.gradient(factored)
+    np.testing.assert_allclose(rotated.gradient(factored_rotated), u.T @ grad @ u, rtol=0, atol=1e-12)
 
 
 def test_invalid_path_raised():

@@ -156,7 +156,9 @@ def test_grouped_quartic_contraction_at_large_sizes(n_sites):
 
 def test_quartic_form_memory_is_bounded():
     # at the mc-estimate workload's size the form is 2.2 MB; four live
-    # (a, b, c, d) quadruple arrays would add 1.7 MB, and a raw N^4 draw 8 MB
+    # (a, b, c, d) quadruple arrays would add 1.7 MB, and a raw N^4 draw 8 MB;
+    # the layout is built cold, whatever sizes ran before
+    montecarlo._quartic_layout.cache_clear()
     tracemalloc.start()
     try:
         draw_disorder([4], 32, seed=2)
@@ -200,6 +202,7 @@ def test_disorder_replicate_memory_is_bounded():
     # products of all 2000 samples at once peaks at about 43 MB
     spec = MixtureSpec(2, {2: [0.3, 0.3], 4: [0.1, 0.1]})
     args = (Q2.matrix, 32, spec, np.zeros(2), 2000, 1, 0)
+    montecarlo._quartic_layout.cache_clear()
     tracemalloc.start()
     try:
         value = _disorder_rep(args)

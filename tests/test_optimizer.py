@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import warnings
 from types import SimpleNamespace
 
@@ -798,6 +799,9 @@ def test_family_starts_lie_inside_their_bounds(rng, name, n, r):
     assert len(starts) == 2 + 3 + (3 if r == 1 else 0)
     # the default grid is empty: the default, the corner and the restarts
     assert len(family.starts(PathSearchConfig(restarts=3), seed=4)) == 2 + 3
+    # r = 1 has no middle level, so no level parameter
+    if r == 1:
+        assert family.n_params == r + 1
     bounds = family.bounds()
     assert len(bounds) == family.n_params
     lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds])
@@ -907,6 +911,60 @@ def test_search_inner_solve_count_on_the_exact_model(monkeypatch):
     report = minimize_over_paths(Q1, np.zeros(1), MixtureSpec(1, {2: [1.0]}), config, seed=1)
     assert report.best_value == pytest.approx(np.sqrt(2) - 0.75 - 0.25 * np.log(2.0), abs=2e-6)
     assert calls[0] <= 160
+
+
+# the benchmark's sk-minimize and pair-sweep configs at seed 1
+SK_MINIMIZE = {
+    "task": "minimize",
+    "n": 1,
+    "mixture": {"2": [1.0]},
+    "Q": [[1.0]],
+    "seed": 1,
+    "search": {"max_levels": 3, "restarts": 1, "max_iterations": 150, "x_grid_resolution": 0.5},
+}
+PAIR_SWEEP = {
+    "task": "sweep",
+    "n": 2,
+    "mixture": {"2": [0.9, 0.9], "4": [0.4, 0.4]},
+    "Q": [[1.0, 0.5], [0.5, 1.0]],
+    "seed": 1,
+    "search": {"max_levels": 2, "restarts": 0, "max_iterations": 60},
+    "sweep": {"parameter": "q12", "values": [0.3, 0.7]},
+}
+
+
+@pytest.mark.parametrize(
+    "config, pinned", [(SK_MINIMIZE, (106, 297, 297)), (PAIR_SWEEP, (84, 259, 259))], ids=["sk-minimize", "pair-sweep"]
+)
+def test_search_work_is_pinned(monkeypatch, config, pinned):
+    # a trim of the path kernel keeps the search's work: its objective
+    # calls, the Newton steps of their inner solves and the Hessians built
+    import sphglass.optimizer as optimizer
+    from sphglass import cli
+
+    counts = [0, 0, 0]
+    search, solve, hessian = optimizer.scipy_minimize, optimizer._inner_minimize_ctx, _PathContext.hessian
+
+    def counted_search(*args, **kwargs):
+        res = search(*args, **kwargs)
+        counts[0] += res.nfev
+        return res
+
+    def counted_solve(ctx, lam0=None):
+        report, factored = solve(ctx, lam0=lam0)
+        counts[1] += report.iterations
+        return report, factored
+
+    def counted_hessian(ctx, factored):
+        counts[2] += 1
+        return hessian(ctx, factored)
+
+    monkeypatch.setattr(optimizer, "scipy_minimize", counted_search)
+    monkeypatch.setattr(optimizer, "_inner_minimize_ctx", counted_solve)
+    monkeypatch.setattr(_PathContext, "hessian", counted_hessian)
+    code, _ = cli.run(cli.load_config(json.dumps(config)))
+    assert code == 0
+    assert tuple(counts) == pinned
 
 
 def test_search_cholesky_count_on_the_exact_model(monkeypatch):
