@@ -46,10 +46,10 @@ from sphglass.geometry import DiscretePath, _frozen, check_field, check_path
 from sphglass.mixture import (
     InvalidField,
     MixtureSpec,
+    _check_copies,
+    _path_levels,
     check_count,
     check_symmetric,
-    delta_increments,
-    theta_matrix,
 )
 from sphglass.parallel import log_mean_exp, standard_error, stream
 
@@ -70,7 +70,9 @@ class CascadeSpec:
 
     ``increment_covariances`` are the z_k covariances, the path increment
     matrices Delta_k, computed at construction.  The path must pass
-    ``validate_path`` with its end matrix free (InvalidPath otherwise).
+    ``validate_path`` with its end matrix free (InvalidPath otherwise), and
+    the mixture must model its n copies (``InvalidField("mixture", ...)``
+    otherwise).
     """
 
     path: DiscretePath
@@ -81,9 +83,11 @@ class CascadeSpec:
 
     def __post_init__(self):
         check_path(self.path)
+        _check_copies(self.spec, self.path.n)
         object.__setattr__(self, "lam", _frozen(check_symmetric(self.lam, "Lambda")))
         object.__setattr__(self, "h", _frozen(check_field(self.h, self.path.n)))
-        object.__setattr__(self, "increment_covariances", tuple(delta_increments(self.spec, self.path)))
+        deltas = _path_levels(self.spec, self.path.qs)[0]
+        object.__setattr__(self, "increment_covariances", tuple(deltas))
 
 
 @dataclass(frozen=True)
@@ -263,9 +267,11 @@ def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
     (1/x_k) * (x_k^2 (C_{k+1} - C_k) / 2).  Summing levels gives
     1/2 sum_k x_k (C_{k+1} - C_k), adjudicating the prefactor of the theta
     sum in the functional.  Raises InvalidPath unless the path passes
-    ``validate_path`` (its end matrix is free).
+    ``validate_path`` (its end matrix is free), and InvalidField unless the
+    mixture models the path's n copies.
     """
     check_path(path)
+    _check_copies(spec, path.n)
     cov = _tree_covariances(path, spec)
     total = 0.0
     for k in range(path.r):
@@ -275,4 +281,4 @@ def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
 
 def _tree_covariances(path: DiscretePath, spec: MixtureSpec) -> np.ndarray:
     """C_k = Sum(theta(Q_k)) for k = 0..r, from one stacked mixture pass."""
-    return np.array([float(np.sum(theta)) for theta in theta_matrix(spec, path.qs)])
+    return np.array([float(np.sum(theta)) for theta in _path_levels(spec, path.qs)[1]])

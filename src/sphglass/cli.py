@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from sphglass.optimizer import PathSearchConfig, minimize_over_paths
 from sphglass.reporting import make_report, render_report, to_json
 from sphglass import verify as verify_mod
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "serialize_config", "run", "main"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "run", "main"]
 
 TASKS = ("evaluate", "minimize", "verify-identities", "cascade-check", "mc-estimate", "sweep")
 STOCHASTIC_TASKS = ("minimize", "verify-identities", "cascade-check", "mc-estimate", "sweep")
@@ -253,33 +253,6 @@ def load_config(text: str) -> RunConfig:
         budgets=budgets,
         sweep=sweep,
     )
-
-
-def serialize_config(config: RunConfig) -> dict:
-    out = {
-        "n": config.n,
-        "mixture": config.mixture.json_terms(),
-        "Q": config.q.matrix.tolist(),
-        "h": config.h.tolist(),
-        "workers": config.workers,
-        "format": config.fmt,
-        "search": asdict(config.search),
-    }
-    if config.task is not None:
-        out["task"] = config.task
-    if config.seed is not None:
-        out["seed"] = config.seed
-    if config.out is not None:
-        out["output"] = config.out
-    if config.path is not None:
-        out["path"] = {"xs": config.path.xs.tolist(), "Qs": config.path.qs.tolist()}
-    if config.lam is not None:
-        out["lambda"] = config.lam.tolist()
-    if config.budgets:
-        out["budgets"] = config.budgets
-    if config.sweep:
-        out["sweep"] = config.sweep
-    return out
 
 
 # ---------------------------------------------------------------------------

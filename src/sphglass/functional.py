@@ -12,9 +12,9 @@ L_k = L_{k+1} - x_k Delta_{k+1}, and membership in the admissible set
 requires L_0 to stay positive definite.  Because the increments Delta are
 PSD, the chain is monotone, so L_0 > 0 already forces every L_k > 0.  The
 increments are PSD for every path that passes ``geometry.validate_path``: each
-public function here checks its path once with ``check_path`` on entry, and
-the kernel trusts it.  ``_PathContext.member_factors`` is the one membership
-rule for L, a Cholesky factorization of L_0 less ``MEMBERSHIP_MARGIN``.
+public function here checks its path once on entry, and the kernel trusts
+it.  ``_PathContext.member_factors`` is the one membership rule for L, a
+Cholesky factorization of L_0 less ``MEMBERSHIP_MARGIN``.
 
 One kernel, ``_PathContext``, computes it: ``evaluate`` and
 ``closed_form_Y0`` read their terms from it, and the optimizer minimizes over
@@ -32,11 +32,14 @@ eigenvalues, and the optimizer's Newton solve, are ``_lapack``'s gufuncs, not
 the ``np.linalg`` wrappers.  ``gradient`` and ``hessian`` are separate, so the
 Newton loop builds a Hessian only for a step it takes.
 
-A context comes from a checked ``DiscretePath``, whose mixture pass
-``path_levels`` checks the chain, or, through ``_PathContext.unchecked``, from
-the (xs, qs) arrays of a chain its caller built valid, exactly symmetric and
-finite: the optimizer's search builds its candidates that way.  Either way it
-takes Q and, when the caller has it, Q^{-1} for the cold start.
+A context has one constructor, over the (xs, qs) arrays of a chain and their
+trusted mixture pass ``mixture._path_levels``.  A path enters through
+``_PathContext.of``, the one checked entry: ``ConstraintMatrix.of``,
+``check_field``, ``check_path`` and the mixture-size rule, once.  ``evaluate``,
+``closed_form_Y0``, the optimizer's public functions and ``verify`` build
+their contexts there.  The optimizer's search builds its candidates' chains
+valid by construction and calls the constructor itself, with Q^{-1} for the
+cold start.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, check_field, check_path
-from sphglass.mixture import MixtureSpec, check_symmetric, path_levels
+from sphglass.mixture import MixtureSpec, _check_copies, _path_levels, check_symmetric
 
 __all__ = [
     "NotInL",
@@ -215,8 +218,8 @@ class _PathContext:
     one (r + 1, n, n) stack, so it costs one stacked Cholesky factorization
     and one stacked triangular inverse (``_lapack.inv`` of the factors)
     whatever the number of levels.  The increments Delta_k, the theta levels
-    and xi'' of the middle levels come from one checked mixture pass
-    (``path_levels``) over the path's chain Q_0..Q_r.
+    and xi'' of the middle levels come from one mixture pass
+    (``mixture._path_levels``) over the path's chain Q_0..Q_r.
 
     ``feasible_value`` is the one place a multiplier is factored, and
     ``member_factors`` its raising form.  They hand back the value with the
@@ -224,8 +227,8 @@ class _PathContext:
     ``envelope_gradient`` take those factors, not a multiplier: the
     derivatives factor nothing and make no linear solve of their own.
 
-    What does not change with the multiplier is built once: per context in
-    ``_build``, Q / 2 (``half_q``, the trace term's <Lambda, Q / 2> and the
+    What does not change with the multiplier is built once: per context on
+    construction, Q / 2 (``half_q``, the trace term's <Lambda, Q / 2> and the
     gradient's constant, which ``rotated`` rebuilds in its basis); per size,
     the read-only ``MEMBERSHIP_MARGIN`` I (``_margin_eye``), the Newton
     basis (``_sym_basis``) and ``envelope_gradient``'s j <= m mask
@@ -235,23 +238,13 @@ class _PathContext:
     factors Q.
     """
 
-    def __init__(self, path: DiscretePath, qmat: np.ndarray, h: np.ndarray, spec: MixtureSpec, qinv=None):
-        self._build(path.xs, path.qs, qmat, np.asarray(h, dtype=float), path_levels(spec, path), qinv)
-
-    @classmethod
-    def unchecked(cls, xs, qs, qmat, h, levels, qinv) -> "_PathContext":
-        """The context of the path (xs, qs), without a ``DiscretePath`` or a check.
+    def __init__(self, xs, qs, qmat, h, levels, qinv=None):
+        """The context of the path (xs, qs), trusted as it stands; ``of`` checks.
 
         ``xs``, ``qs`` and the float field ``h`` must be what a valid
         ``DiscretePath`` would hold, and ``levels`` the ``mixture._path_levels``
-        of ``qs``: the caller vouches for the path rule, the exact symmetry
-        and the finiteness.  The arrays are kept, not copied.
+        of ``qs`` for a mixture of n copies.  The arrays are kept, not copied.
         """
-        ctx = cls.__new__(cls)
-        ctx._build(xs, qs, qmat, h, levels, qinv)
-        return ctx
-
-    def _build(self, xs, qs, qmat, h, levels, qinv) -> None:
         self.qmat = qmat
         self.half_q = 0.5 * qmat
         self.qinv = qinv
@@ -278,6 +271,22 @@ class _PathContext:
         self.theta_steps = _theta_steps(thetas)
         self.theta_const = _theta_sum(x_all, self.theta_steps)
         self.has_field = bool(self.h.any())
+
+    @classmethod
+    def of(cls, path: DiscretePath, q: ConstraintMatrix | np.ndarray | None, h, spec: MixtureSpec) -> "_PathContext":
+        """The context of a path where it enters the library: the one checked entry.
+
+        A raw ``q`` goes through ``ConstraintMatrix.of``; with ``q`` None the
+        end matrix is free and Q_r stands in for Q.  Then h, the path and the
+        mixture's size are checked, and one trusted mixture pass gives the
+        levels.
+        """
+        q = None if q is None else ConstraintMatrix.of(q)
+        qmat = path.qs[-1] if q is None else q.matrix
+        h = check_field(h, qmat.shape[0])
+        check_path(path, q)
+        _check_copies(spec, qmat.shape[0])
+        return cls(path.xs, path.qs, qmat, h, _path_levels(spec, path.qs))
 
     def _guard(self, guarded: np.ndarray) -> None:
         """Keep the chain tails ``guarded[1:]`` and, as all of ``guarded``,
@@ -490,13 +499,11 @@ def evaluate(
     """Evaluate the functional; raises NotInL / InvalidPath on bad inputs.
 
     A raw ``q`` goes through ``ConstraintMatrix.of``; an invalid constraint
-    or field vector raises ValueError.
+    or field vector raises ValueError, and a mixture that does not model
+    Q's n copies InvalidField.
     """
-    q = ConstraintMatrix.of(q)
-    h = check_field(h, q.n)
-    check_path(path, q)
-    lam = check_symmetric(lam, "Lambda")
-    return _PathContext(path, q.matrix, h, spec).breakdown(lam)
+    ctx = _PathContext.of(path, q, h, spec)
+    return ctx.breakdown(check_symmetric(lam, "Lambda"))
 
 
 def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
@@ -506,10 +513,12 @@ def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
     reproduces the annealed high-temperature value beta^2/2 for a single
     copy of the pure 2-spin model and is what the cascade log-moment
     recursion yields level by level.  Raises InvalidPath unless the path
-    passes ``validate_path`` (its end matrix is free).
+    passes ``validate_path`` (its end matrix is free), and InvalidField
+    unless the mixture models the path's n copies.
     """
     check_path(path)
-    _, thetas, _ = path_levels(spec, path)
+    _check_copies(spec, path.n)
+    _, thetas, _ = _path_levels(spec, path.qs)
     return _theta_sum(path.xs[1:], _theta_steps(thetas))
 
 
@@ -530,7 +539,6 @@ def closed_form_Y0(
     Raises InvalidPath unless the path passes ``validate_path``; its end
     matrix Q_r is free, not a constraint.
     """
-    check_path(path)
-    lam = check_symmetric(lam, "Lambda")
-    b = _PathContext(path, path.qs[-1], check_field(h, path.n), spec).breakdown(lam)
+    ctx = _PathContext.of(path, None, h, spec)
+    b = ctx.breakdown(check_symmetric(lam, "Lambda"))
     return b.logdet_term + b.field_term + b.cascade_term

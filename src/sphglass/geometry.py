@@ -12,7 +12,9 @@ immutable.
 
 ``validate_path`` is the one path rule and ``check_path`` its raising form:
 every public function that takes a path calls it once, where the path
-enters, and nothing downstream checks the path again.
+enters, and nothing downstream checks the path again.  The rule owns the
+exact symmetry of every level Q_k, so the mixture pass over a checked path
+(``mixture._path_levels``) does not test it.
 
 A raw constraint array enters the library in one way, ``ConstraintMatrix.of``,
 which validates it; the constraint keeps the eigenvalues it was validated
@@ -189,11 +191,13 @@ class PathReport:
 def validate_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray | None) -> PathReport:
     """Report every violated path invariant: the one path rule.
 
-    The rule is 0 = x_{-1} < x_0 < ... < x_r = 1 (strictly), Q_0 = 0, Q_r = Q
-    and every increment Q_k - Q_{k-1} exactly symmetric and PSD by
-    ``not_psd``.  With ``q`` None the end check is skipped and Q_r is free.
-    Never raises on the path; a raw ``q`` goes through
-    ``ConstraintMatrix.of``, so an invalid constraint raises ValueError.
+    The rule is 0 = x_{-1} < x_0 < ... < x_r = 1 (strictly), Q_0 = 0, Q_r = Q,
+    every level Q_k exactly symmetric and every increment Q_k - Q_{k-1} PSD
+    by ``not_psd``.  Symmetric levels make the increments exactly symmetric;
+    an increment next to an asymmetric level gets no PSD test.  With ``q``
+    None the end check is skipped and Q_r is free.  Never raises on the
+    path; a raw ``q`` goes through ``ConstraintMatrix.of``, so an invalid
+    constraint raises ValueError.
     """
     bad: list[PathViolation] = []
     xs, qs = path.xs, path.qs
@@ -214,14 +218,13 @@ def validate_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray | None) -
             mag = float(np.max(np.abs(qs[-1] - target))) if qs.shape[1] == target.shape[0] else float("inf")
             bad.append(PathViolation("q_end_equals_constraint", path.r, mag))
 
-    for k in range(1, qs.shape[0]):
-        inc = qs[k] - qs[k - 1]
-        if not np.array_equal(inc, inc.T):
-            bad.append(PathViolation("increment_symmetric", k, float(np.max(np.abs(inc - inc.T)))))
-            continue
-        eigs = np.linalg.eigvalsh(inc)
-        if not_psd(eigs):
-            bad.append(PathViolation("increment_psd", k, float(eigs[0])))
+    asymmetry = np.abs(qs - qs.swapaxes(1, 2)).max(axis=(1, 2))
+    for k in np.flatnonzero(asymmetry):
+        bad.append(PathViolation("q_symmetric", int(k), float(asymmetry[k])))
+    symmetric = asymmetry == 0.0
+    eigs = np.linalg.eigvalsh(np.diff(qs, axis=0))
+    for k in np.flatnonzero(not_psd(eigs) & symmetric[1:] & symmetric[:-1]):
+        bad.append(PathViolation("increment_psd", int(k) + 1, float(eigs[k, 0])))
 
     return PathReport(tuple(bad))
 
@@ -240,9 +243,9 @@ def check_path(path: DiscretePath, q: ConstraintMatrix | np.ndarray | None = Non
     """The raising form of ``validate_path``, applied where a path enters the library.
 
     Raises InvalidPath naming the first violated invariant and its index,
-    with the whole report attached.  A path that passes has PSD mixture
-    increments Delta_k (Schur product theorem), so the kernels downstream
-    trust it.
+    with the whole report attached.  A path that passes has exactly
+    symmetric, finite levels and PSD mixture increments Delta_k (Schur
+    product theorem), so the kernels downstream trust it.
     """
     report = validate_path(path, q)
     if not report.ok:

@@ -23,13 +23,17 @@ increments together with theta and xi'' of every level; ``xi_pair``,
 ``xi_matrix``, ``xi_prime_matrix``, ``xi_second_matrix``, ``theta_matrix``
 and ``delta_increments`` are thin users of the same pass, so every caller
 sees the same bits.  ``_path_levels`` is ``path_levels`` without the check,
-for the optimizer's own chains, which are exactly symmetric by construction.
+for chains already checked where they entered: a path that passes
+``geometry.check_path`` has exactly symmetric, finite levels, and the
+optimizer's own chains are exactly symmetric by construction.
 
 The module also owns the input rules that the whole package shares:
 ``check_symmetric`` (exact symmetry, of one matrix or a stack) and
 ``not_psd`` ("PSD up to rounding", with the one tolerance
-``PSD_TOLERANCE``), with which the constraint and the path rule decide, and
-``check_count`` and ``check_real``, which raise the one ``InvalidField``.
+``PSD_TOLERANCE``), with which the constraint and the path rule decide;
+``check_count`` and ``check_real``, which raise the one ``InvalidField``;
+and ``_check_copies``, the one rule that a mixture's n is Q's, which raises
+``InvalidField("mixture", ...)`` before any work.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 concurrently.
@@ -108,6 +112,12 @@ def check_count(value, field: str, minimum: int) -> int:
     if value < minimum:
         raise InvalidField(field, f"must be at least {minimum}, got {value!r}")
     return int(value)
+
+
+def _check_copies(spec: MixtureSpec, n: int) -> None:
+    """The one mixture-size rule: ``spec`` models the n copies of an n x n Q."""
+    if spec.n != n:
+        raise InvalidField("mixture", f"has n={spec.n} copies, Q is {n}x{n}")
 
 
 def check_real(value, field: str) -> float:

@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from sphglass.geometry import ConstraintMatrix, check_field
-from sphglass.mixture import InvalidField, MixtureSpec, check_count, check_real
+from sphglass.mixture import InvalidField, MixtureSpec, _check_copies, check_count, check_real
 from sphglass.parallel import log_mean_exp, run_tasks, standard_error, stream
 
 __all__ = [
@@ -352,12 +352,14 @@ def estimate_free_energy(
     result.  A raw ``q`` goes through ``ConstraintMatrix.of``.  Before any
     replicate runs, a budget that breaks its rule raises ``InvalidField``:
     N, ``disorder_reps`` and ``config_samples`` are counts (``check_count``)
-    with N in [4n, ``MAX_SITES``], and epsilon is a real > 0.  An invalid or
-    degenerate Q, an invalid h or a degree above ``MAX_DEGREE`` raises
-    ValueError.
+    with N in [4n, ``MAX_SITES``], and epsilon is a real > 0; so does a
+    mixture that does not model Q's n copies (``mixture._check_copies``).
+    An invalid or degenerate Q, an invalid h or a degree above
+    ``MAX_DEGREE`` raises ValueError.
     """
     q = ConstraintMatrix.of(q)
     h = check_field(h, q.n)
+    _check_copies(spec, q.n)
     n_sites = _check_budget(n_sites, spec.degrees, 4 * q.n)
     epsilon = check_real(epsilon, "epsilon")
     if not epsilon > 0:

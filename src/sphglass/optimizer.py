@@ -36,19 +36,22 @@ Structure of the double infimum:
   per-level values never increase.
 
 The public entry points ``inner_gradient``, ``inner_minimize`` and
-``detect_degenerate`` check their path with ``geometry.check_path`` on
-entry.  The search's own paths are valid by construction: Q_0 = 0, Q_r = Q,
-PSD increments, every gap at least ``X_GAP``, and every Q_k exactly
-symmetric (a scalar multiple of Q, or ``_sym`` of a product) and finite
-unless the family's own arithmetic overflows, which numpy reports where it
-happens.  So each objective call skips what would only re-check them: it
-builds no ``DiscretePath``, which would copy and freeze the arrays and test
-their finiteness, and its mixture pass (``mixture._path_levels``) does not
-test their symmetry.  It builds the candidate's context with
-``_PathContext.unchecked`` from the family's (xs, qs) arrays.  At r = 1 the
+``detect_degenerate`` build their path's context with the one checked entry
+``_PathContext.of``, which checks Q, h, the path and the mixture's size.
+``minimize_over_paths`` checks Q, h and the mixture's size
+(``mixture._check_copies``) before any work.  The search's own paths are
+valid by construction: Q_0 = 0, Q_r = Q, PSD increments, every gap at least
+``X_GAP``, and every Q_k exactly symmetric (a scalar multiple of Q, or
+``_sym`` of a product) and finite unless the family's own arithmetic
+overflows, which numpy reports where it happens.  So each objective call
+skips what would only re-check them: it builds no ``DiscretePath``, which
+would copy and freeze the arrays and test their finiteness, and its mixture
+pass (``mixture._path_levels``) does not test their symmetry.  It calls the
+``_PathContext`` constructor on the family's (xs, qs) arrays.  At r = 1 the
 chain is the fixed 0 -> Q, so its mixture pass runs once per level.  Q^{-1},
 the cold start's, is taken once per search.  A level's winning path is built
-as a ``DiscretePath`` once, after its starts.
+as a ``DiscretePath`` once, after its starts, and the final re-solve builds
+its context the way the candidates do.
 
 scipy's ``minimize`` is imported inside ``scipy_minimize``, the outer
 search's one call into scipy, so importing this module loads numpy only and
@@ -62,13 +65,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from sphglass.geometry import (
-    DEGENERACY_RTOL,
-    ConstraintMatrix,
-    DiscretePath,
-    check_field,
-    check_path,
-)
+from sphglass.geometry import DEGENERACY_RTOL, ConstraintMatrix, DiscretePath, check_field
 from sphglass.functional import (
     _Factors,
     _lapack,
@@ -81,6 +78,7 @@ from sphglass.functional import (
 from sphglass.mixture import (
     InvalidField,
     MixtureSpec,
+    _check_copies,
     _path_levels,
     check_count,
     check_real,
@@ -134,10 +132,7 @@ def inner_gradient(
     when lam is not in the admissible set, by the same rule as ``evaluate``.
     """
     lam = check_symmetric(lam, "Lambda")
-    q = ConstraintMatrix.of(q)
-    h = check_field(h, q.n)
-    check_path(path, q)
-    ctx = _PathContext(path, q.matrix, h, spec)
+    ctx = _PathContext.of(path, q, h, spec)
     return ctx.gradient(ctx.member_factors(lam))
 
 
@@ -289,10 +284,7 @@ def inner_minimize(
     InvalidPath for a path that fails ``validate_path``.
     """
     q = ConstraintMatrix.of(q)
-    h = check_field(h, q.n)
-    check_path(path, q)
-    ctx = _PathContext(path, q.matrix, h, spec)
-    report, _ = _inner_minimize_ctx(ctx, lam0=lambda_init)
+    report, _ = _inner_minimize_ctx(_PathContext.of(path, q, h, spec), lam0=lambda_init)
     if report.status == "diverging" and not q.is_degenerate():
         raise RuntimeError(
             "inner solve diverged on a positive definite constraint: "
@@ -341,8 +333,7 @@ def detect_degenerate(
     RuntimeError unless the values strictly decrease.
     """
     q = ConstraintMatrix.of(q)
-    h = check_field(h, q.n)
-    check_path(path, q)
+    ctx = _PathContext.of(path, q, h, spec)
     if not q.is_degenerate():
         return None
 
@@ -350,7 +341,7 @@ def detect_degenerate(
     # of vecs is the null direction
     eigs, vecs = np.linalg.eigh(q.matrix)
     mu_clamped = np.where(eigs > DEGENERACY_RTOL * eigs[-1], eigs, 0.0)
-    ctx = _PathContext(path, q.matrix, h, spec).rotated(vecs, mu_clamped)
+    ctx = ctx.rotated(vecs, mu_clamped)
 
     # Gershgorin padding against every chain tail, margin 1; the zero tail
     # of the last level keeps it nonnegative
@@ -632,6 +623,7 @@ def minimize_over_paths(
     config = config or PathSearchConfig()
     q = ConstraintMatrix.of(q)
     h = check_field(h, q.n)
+    _check_copies(spec, q.n)
     qmat = q.matrix
 
     # only a degenerate Q needs the certificate: checking the probe path of a
@@ -661,7 +653,7 @@ def minimize_over_paths(
             try:
                 xs, qs, state = family.chain(vec)
                 levels = _path_levels(spec, qs) if fixed_levels is None else fixed_levels
-                ctx = _PathContext.unchecked(xs, qs, qmat, h, levels, qinv)
+                ctx = _PathContext(xs, qs, qmat, h, levels, qinv)
                 rep, factored = _inner_minimize_ctx(ctx, lam0=warm_lambda[0])
                 warm_lambda[0] = rep.lambda_star
                 grad_x, grad_q = ctx.envelope_gradient(factored)
@@ -699,8 +691,8 @@ def minimize_over_paths(
     lowest = min(v for _, v in per_level)
     best_r, best_value = next((r, v) for r, v in per_level if v <= lowest + VALUE_TOLERANCE)
     best_path = level_best_paths[best_r]
-    ctx = _PathContext(best_path, qmat, h, spec, qinv)
-    inner, _ = _inner_minimize_ctx(ctx)
+    levels = _path_levels(spec, best_path.qs)
+    inner, _ = _inner_minimize_ctx(_PathContext(best_path.xs, best_path.qs, qmat, h, levels, qinv))
     return OptimizationReport(
         best_value=best_value,
         best_path=best_path,

@@ -173,7 +173,7 @@ def jacobi_suite(seed: int, count: int = 50, n_max: int = 4, x0: float = JACOBI_
         if top > 2.0:
             delta1 = delta1 * (2.0 / top)
         path, spec = _one_level(delta1, x0)
-        kernel_term = _PathContext(path, delta1, np.zeros(n), spec).breakdown(lam1).cascade_term
+        kernel_term = _PathContext.of(path, None, np.zeros(n), spec).breakdown(lam1).cascade_term
         limit = 0.5 * float(np.trace(np.linalg.solve(lam1, delta1)))
         err = abs(kernel_term - limit)
         checks.append(

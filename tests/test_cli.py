@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sphglass.cli import ConfigError, load_config, main, run, serialize_config
+from sphglass.cli import ConfigError, load_config, main, run
 from sphglass.functional import closed_form_Y0, theta_term
 from sphglass.reporting import render_float, to_json
 
@@ -97,10 +97,21 @@ def test_nonmonotone_q_chain_error_names_index():
         load_config(text)
 
 
-def test_round_trip():
-    cfg = load_config(config_text())
-    again = load_config(json.dumps(serialize_config(cfg)))
-    assert serialize_config(cfg) == serialize_config(again)
+def test_asymmetric_path_level_is_a_path_config_error(tmp_path, capsys):
+    # the middle level is off by 1e-18, below the rounding of its exactly
+    # symmetric increments: the path rule refuses it on load, with its report
+    path = {
+        "xs": [0.0, 0.3, 0.5, 0.7, 1.0],
+        "Qs": [[[0.0, 0.0], [0.0, 0.0]], [[0.25, 0.25], [0.25, 0.25]], [[0.5, 0.0], [1e-18, 0.5]], [[1.0, 0.5], [0.5, 1.0]]],
+    }
+    overrides = {"n": 2, "mixture": {"2": [0.3, 0.3]}, "Q": [[1.0, 0.5], [0.5, 1.0]], "h": [0.0, 0.0], "path": path}
+    cfg_file = tmp_path / "asymmetric.json"
+    cfg_file.write_text(config_text(task="evaluate", **{"lambda": [[3.0, 0.0], [0.0, 3.0]]}, **overrides))
+    assert main(["evaluate", "--config", str(cfg_file)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith('"path" invalid: path violates invariant \'q_symmetric\' at index 2')
+    assert error["details"] == {"ok": False, "violations": [{"invariant": "q_symmetric", "index": 2, "magnitude": 1e-18}]}
 
 
 def test_run_requires_seed_for_stochastic_tasks():

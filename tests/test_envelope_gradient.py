@@ -25,7 +25,7 @@ STEP = 1e-6
 
 def _solved(path, q, h, spec):
     """The context, the inner solve's report and its final iterate's factors."""
-    ctx = _PathContext(path, q, h, spec)
+    ctx = _PathContext.of(path, q, h, spec)
     return (ctx, *_inner_minimize_ctx(ctx))
 
 
@@ -79,7 +79,7 @@ def test_context_xi_second_is_the_mixture_kernel_bitwise(rng, n, r, degrees):
     q = random_constraint(rng, n).matrix
     spec = MixtureSpec(n, {p: rng.uniform(0.1, 1.0, size=n) for p in degrees})
     path = random_path(rng, q, r)
-    ctx = _PathContext(path, q, np.zeros(n), spec)
+    ctx = _PathContext.of(path, q, np.zeros(n), spec)
     assert ctx.xi_seconds.shape == (r - 1, n, n)
     assert np.array_equal(ctx.xi_seconds, xi_second_matrix(spec, path.qs[1:-1]))
 

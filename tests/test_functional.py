@@ -35,7 +35,7 @@ def scalar_path(x0: float = 0.5) -> DiscretePath:
 
 def test_lambda_chain_scalar():
     spec = MixtureSpec(1, {2: [1.0]})
-    ctx = _PathContext(scalar_path(0.5), np.array([[1.0]]), np.zeros(1), spec)
+    ctx = _PathContext.of(scalar_path(0.5), np.array([[1.0]]), np.zeros(1), spec)
     lam = np.array([[3.0]])
     assert (lam - ctx.tails)[0][0, 0] == pytest.approx(2.0, abs=0)
     assert ctx.feasible_value(lam) is not None
@@ -45,7 +45,7 @@ def test_lambda_chain_zero_mixture_is_constant(rng):
     q = random_constraint(rng, 3)
     path = random_path(rng, q.matrix, 3)
     lam = random_multiplier(rng, path, MixtureSpec.zero(3))
-    chain = lam - _PathContext(path, q.matrix, np.zeros(3), MixtureSpec.zero(3)).tails
+    chain = lam - _PathContext.of(path, q, np.zeros(3), MixtureSpec.zero(3)).tails
     for k in range(path.r + 1):
         assert np.array_equal(chain[k], lam)
 
@@ -57,7 +57,7 @@ def test_lambda_chain_forward_reconstruction(rng):
         path = random_path(rng, q.matrix, 2)
         spec = random_mixture(rng, 2)
         lam = random_multiplier(rng, path, spec)
-        chain = lam - _PathContext(path, q.matrix, np.zeros(2), spec).tails
+        chain = lam - _PathContext.of(path, q, np.zeros(2), spec).tails
         deltas = delta_increments(spec, path)
         rebuilt = chain[0] + sum(path.xs[k + 1] * deltas[k] for k in range(path.r))
         assert np.allclose(rebuilt, lam, atol=1e-14 * max(1.0, np.abs(lam).max()))
@@ -145,7 +145,7 @@ def test_margin_level_alone_rejects_a_multiplier(rng, n):
     q = random_constraint(rng, n)
     spec = random_mixture(rng, n)
     path = random_path(rng, q.matrix, 2)
-    ctx = _PathContext(path, q.matrix, np.array([0.2, -0.1, 0.3][:n]), spec)
+    ctx = _PathContext.of(path, q, np.array([0.2, -0.1, 0.3][:n]), spec)
     lam = ctx.tails[0] + 0.5 * MEMBERSHIP_MARGIN * np.eye(n)
     np.linalg.cholesky(lam - ctx.tails[0])
     with np.errstate(invalid="ignore"):
@@ -167,7 +167,7 @@ def test_rotated_context_keeps_its_constants(rng, n):
     mu, u = np.linalg.eigh(q.matrix)
     spec = random_mixture(rng, n)
     path = random_path(rng, q.matrix, 2)
-    ctx = _PathContext(path, q.matrix, np.array([0.2, -0.1, 0.3][:n]), spec)
+    ctx = _PathContext.of(path, q, np.array([0.2, -0.1, 0.3][:n]), spec)
     lam = random_multiplier(rng, path, spec)
     rotated = ctx.rotated(u, mu)
     lam_rotated = u.T @ lam @ u
@@ -205,7 +205,7 @@ def test_convexity_in_multiplier(rng):
 def _one_level_context(delta: np.ndarray, x0: float) -> _PathContext:
     """The kernel on the path 0 -> Delta at x_0 with xi'(Q) = Q, so Delta_1 = Delta."""
     path, spec = verify._one_level(delta, x0)
-    return _PathContext(path, delta, np.zeros(delta.shape[0]), spec)
+    return _PathContext.of(path, None, np.zeros(delta.shape[0]), spec)
 
 
 def _trace_limit(lam: np.ndarray, delta: np.ndarray) -> float:

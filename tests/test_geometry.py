@@ -5,6 +5,7 @@ from sphglass.geometry import (
     ConstraintMatrix,
     DiscretePath,
     InvalidPath,
+    PathViolation,
     check_path,
     is_degenerate_spectrum,
     validate_path,
@@ -113,6 +114,16 @@ def test_validate_reports_psd_increment_violation():
     # the reported magnitude is the negative eigenvalue of Q - Q_1
     expected = float(np.linalg.eigvalsh(q.matrix - q1)[0])
     assert bad[0].magnitude == pytest.approx(expected, rel=1e-12)
+
+
+def test_validate_reports_each_asymmetric_level_and_skips_its_increments():
+    # the rule owns the levels' symmetry: an asymmetric level is reported
+    # with its largest gap, and the increments next to it, which are not
+    # symmetric either, get no PSD test (their lower triangles are indefinite)
+    q = ConstraintMatrix(q2(0.5))
+    q1 = np.array([[0.5, 0.0], [2.0, 0.5]])
+    path = DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=np.stack([np.zeros((2, 2)), q1, q.matrix]))
+    assert validate_path(path, q).violations == (PathViolation("q_symmetric", 1, 2.0),)
 
 
 def test_validate_reports_wrong_endpoint():

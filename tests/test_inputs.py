@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sphglass import cascade, functional, geometry, mixture, montecarlo, optimizer
 from sphglass.cascade import CascadeSpec, nested_recursion_mc, theta_cascade_value
 from sphglass.functional import closed_form_Y0, evaluate, theta_term
 from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, validate_path
@@ -255,28 +256,100 @@ TAKES_PATH = {
 }
 TAKES_Q_AND_PATH = ("evaluate", "inner_minimize", "inner_gradient", "detect_degenerate")
 
-# (breakpoints, Q_0, Q_1, Q_2) of each invalid path, and the invariant it breaks
+# (breakpoints, Q_0..Q_r) of each invalid path, and the invariant it breaks
+# first for the entries that take Q and for those whose end matrix is free
+# (None: a free end takes the path).  The asymmetric levels of the last two
+# are off by less than the rounding of their increments, which are exactly
+# symmetric, so only the level rule sees them.
 BAD_PATHS = {
-    "decreasing-x": ([0.0, 0.6, 0.4, 1.0], 0.0 * GOOD_Q, Q_MID, GOOD_Q, "x_strictly_increasing"),
-    "x0-zero": ([0.0, 0.0, 0.6, 1.0], 0.0 * GOOD_Q, Q_MID, GOOD_Q, "x_strictly_increasing"),
-    "xr-not-one": ([0.0, 0.4, 0.6, 0.9], 0.0 * GOOD_Q, Q_MID, GOOD_Q, "x_end_one"),
-    "q0-not-zero": ([0.0, 0.4, 0.6, 1.0], 0.1 * GOOD_Q, Q_MID, GOOD_Q, "q0_zero"),
-    "qr-not-q": ([0.0, 0.4, 0.6, 1.0], 0.0 * GOOD_Q, Q_MID, 0.9 * GOOD_Q, "q_end_equals_constraint"),
-    "increment-not-psd": ([0.0, 0.4, 0.6, 1.0], 0.0 * GOOD_Q, 1.2 * GOOD_Q, GOOD_Q, "increment_psd"),
+    "decreasing-x": ([0.0, 0.6, 0.4, 1.0], [0.0 * GOOD_Q, Q_MID, GOOD_Q], "x_strictly_increasing", "x_strictly_increasing"),
+    "x0-zero": ([0.0, 0.0, 0.6, 1.0], [0.0 * GOOD_Q, Q_MID, GOOD_Q], "x_strictly_increasing", "x_strictly_increasing"),
+    "xr-not-one": ([0.0, 0.4, 0.6, 0.9], [0.0 * GOOD_Q, Q_MID, GOOD_Q], "x_end_one", "x_end_one"),
+    "q0-not-zero": ([0.0, 0.4, 0.6, 1.0], [0.1 * GOOD_Q, Q_MID, GOOD_Q], "q0_zero", "q0_zero"),
+    "qr-not-q": ([0.0, 0.4, 0.6, 1.0], [0.0 * GOOD_Q, Q_MID, 0.9 * GOOD_Q], "q_end_equals_constraint", None),
+    "increment-not-psd": ([0.0, 0.4, 0.6, 1.0], [0.0 * GOOD_Q, 1.2 * GOOD_Q, GOOD_Q], "increment_psd", "increment_psd"),
+    "middle-level-not-symmetric": (
+        [0.0, 0.3, 0.5, 0.7, 1.0],
+        [0.0 * GOOD_Q, 0.25 * np.ones((2, 2)), [[0.5, 0.0], [1e-18, 0.5]], GOOD_Q],
+        "q_symmetric",
+        "q_symmetric",
+    ),
+    "free-end-not-symmetric": (
+        [0.0, 0.4, 0.6, 1.0],
+        [0.0 * GOOD_Q, GOOD_Q, [[2.0, 1e-17], [2e-17, 2.0]]],
+        "q_end_equals_constraint",
+        "q_symmetric",
+    ),
 }
 
 
 @pytest.mark.parametrize("bad", BAD_PATHS)
 @pytest.mark.parametrize("entry", TAKES_PATH)
 def test_every_entry_point_applies_the_one_path_rule(entry, bad):
-    xs, q0, q1, q2, invariant = BAD_PATHS[bad]
-    path = DiscretePath(xs=xs, qs=np.stack([q0, q1, q2]))
-    if bad == "qr-not-q" and entry not in TAKES_Q_AND_PATH:
-        TAKES_PATH[entry](path)  # no Q: the end matrix is free
+    xs, qs, with_q, free_end = BAD_PATHS[bad]
+    invariant = with_q if entry in TAKES_Q_AND_PATH else free_end
+    path = DiscretePath(xs=xs, qs=np.stack(qs))
+    if invariant is None:
+        TAKES_PATH[entry](path)
         return
     with pytest.raises(InvalidPath, match=f"invariant '{invariant}'") as err:
         TAKES_PATH[entry](path)
     assert err.value.report.violations[0].invariant == invariant
+
+
+@pytest.mark.parametrize("entry", TAKES_PATH)
+def test_every_path_entry_checks_its_path_once_and_its_chain_never_again(monkeypatch, entry):
+    # the path rule runs once where the path enters, and it owns the levels'
+    # symmetry: no symmetry check sees the chain (a stack) afterwards
+    rules, stacks = [], []
+
+    def counting_validate_path(path, q=None):
+        rules.append(1)
+        return validate_path(path, q)
+
+    def counting_check_symmetric(a, *args):
+        stacks.append(np.ndim(a) == 3)
+        return check_symmetric(a, *args)
+
+    monkeypatch.setattr(geometry, "validate_path", counting_validate_path)
+    for module in (mixture, geometry, functional, optimizer, cascade):
+        monkeypatch.setattr(module, "check_symmetric", counting_check_symmetric)
+    path = DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=np.stack([np.zeros((2, 2)), Q_MID, GOOD_Q]))
+    TAKES_PATH[entry](path)
+    assert len(rules) == 1
+    assert not any(stacks)
+
+
+# every public function that takes a mixture with Q or a path, and Q or the
+# path's end matrix is 2 x 2
+TAKES_SPEC = {
+    "evaluate": lambda spec: evaluate(LAM, PATH, GOOD_Q, ZERO_H, spec),
+    "closed_form_Y0": lambda spec: closed_form_Y0(LAM, PATH, ZERO_H, spec),
+    "theta_term": lambda spec: theta_term(PATH, spec),
+    "inner_gradient": lambda spec: inner_gradient(LAM, PATH, GOOD_Q, ZERO_H, spec),
+    "inner_minimize": lambda spec: inner_minimize(PATH, GOOD_Q, ZERO_H, spec),
+    "detect_degenerate": lambda spec: detect_degenerate(GOOD_Q, PATH, ZERO_H, spec),
+    "minimize_over_paths": lambda spec: minimize_over_paths(GOOD_Q, ZERO_H, spec, SEARCH),
+    "estimate_free_energy": lambda spec: estimate_free_energy(GOOD_Q, 16, 0.01, spec, ZERO_H, 2, 50, seed=0),
+    "CascadeSpec": lambda spec: CascadeSpec(path=PATH, spec=spec, lam=LAM, h=ZERO_H),
+    "theta_cascade_value": lambda spec: theta_cascade_value(PATH, spec),
+}
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+@pytest.mark.parametrize("entry", TAKES_SPEC)
+def test_every_entry_point_applies_the_one_mixture_size_rule(monkeypatch, entry, copies):
+    # a mixture of the wrong size is refused before any search or draw, not
+    # broadcast against Q
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the mixture's size was checked")
+
+    monkeypatch.setattr(optimizer, "scipy_minimize", no_work)
+    monkeypatch.setattr(montecarlo, "run_tasks", no_work)
+    spec = MixtureSpec(copies, {2: [0.5] * copies})
+    with pytest.raises(InvalidField, match=f"^mixture has n={copies} copies, Q is 2x2$") as err:
+        TAKES_SPEC[entry](spec)
+    assert err.value.field == "mixture"
 
 
 # every public count argument: (call with the count, field, a valid count)

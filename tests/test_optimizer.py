@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sphglass.functional import NotInL, _lapack, closed_form_Y0, evaluate
-from sphglass.geometry import ConstraintMatrix, DiscretePath, check_path, validate_path
+from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path
 from sphglass.mixture import InvalidField, MixtureSpec
 from sphglass.optimizer import (
     _FAMILIES,
@@ -91,7 +91,7 @@ def test_hessian_matches_gradient_differences(rng):
         spec = random_mixture(rng, n)
         h = rng.uniform(-0.5, 0.5, size=n)
         lam = random_multiplier(rng, path, spec, margin=0.8)
-        ctx = _PathContext(path, q.matrix, h, spec)
+        ctx = _PathContext.of(path, q, h, spec)
         hess = ctx.hessian(ctx.member_factors(lam))
         eps = 1e-6
         for _ in range(3):
@@ -123,7 +123,7 @@ def test_path_context_value_matches_evaluate(rng, n, r):
             got = evaluate(lam, path, q, h, spec)
             for term, value in expected.to_dict().items():
                 assert getattr(got, term) == pytest.approx(value, rel=1e-12, abs=0), term
-            assert _PathContext(path, q.matrix, h, spec).member_factors(lam).value == pytest.approx(
+            assert _PathContext.of(path, q, h, spec).member_factors(lam).value == pytest.approx(
                 expected.total, rel=1e-12, abs=0
             )
             y0 = expected.logdet_term + expected.field_term + expected.cascade_term
@@ -144,7 +144,7 @@ def test_factors_carry_the_chain_inverses(rng, n, r):
     for path in (random_xs, tiny_x0):
         lam = random_multiplier(rng, path, spec, margin=0.5)
         for h in (np.zeros(n), rng.uniform(-0.5, 0.5, size=n)):
-            ctx = _PathContext(path, q.matrix, h, spec)
+            ctx = _PathContext.of(path, q, h, spec)
             factored = ctx.feasible_value(lam)
             assert factored is not None
             dense = np.linalg.inv(lam - ctx.tails)
@@ -169,11 +169,11 @@ def test_inner_solve_factors_each_point_once(rng, monkeypatch, warm):
     spec = random_mixture(rng, 2)
     h = np.array([0.2, -0.1])
     path = random_path(rng, q.matrix, 2)
-    lam0 = _inner_minimize_ctx(_PathContext(path, q.matrix, h, spec))[0].lambda_star
+    lam0 = _inner_minimize_ctx(_PathContext.of(path, q, h, spec))[0].lambda_star
     # a smaller x_0 shrinks only the tail of L_0, so lam0 stays feasible
     xs = path.xs.copy()
     xs[1] *= 0.9
-    ctx = _PathContext(DiscretePath(xs=xs, qs=path.qs), q.matrix, h, spec)
+    ctx = _PathContext.of(DiscretePath(xs=xs, qs=path.qs), q, h, spec)
 
     calls = {"cholesky": 0, "feasible_value": 0}
     feasible_value = _PathContext.feasible_value
@@ -209,10 +209,10 @@ def test_inner_solve_makes_one_inverse_per_feasibility_test_and_one_solve_per_ne
     spec = random_mixture(rng, 2)
     h = np.array([0.2, -0.1])
     path = random_path(rng, q.matrix, 2)
-    lam0 = _inner_minimize_ctx(_PathContext(path, q.matrix, h, spec))[0].lambda_star
+    lam0 = _inner_minimize_ctx(_PathContext.of(path, q, h, spec))[0].lambda_star
     xs = path.xs.copy()
     xs[1] *= 0.9
-    ctx = _PathContext(DiscretePath(xs=xs, qs=path.qs), q.matrix, h, spec)
+    ctx = _PathContext.of(DiscretePath(xs=xs, qs=path.qs), q, h, spec)
 
     calls = {"cholesky": 0, "eigvalsh": 0, "inv": 0, "solve": 0, "feasible_value": 0}
     feasible_value = _PathContext.feasible_value
@@ -248,10 +248,10 @@ def test_inner_solve_builds_one_hessian_per_newton_step(rng, monkeypatch, warm):
     spec = random_mixture(rng, 2)
     h = np.array([0.2, -0.1])
     path = random_path(rng, q.matrix, 2)
-    lam0 = _inner_minimize_ctx(_PathContext(path, q.matrix, h, spec))[0].lambda_star
+    lam0 = _inner_minimize_ctx(_PathContext.of(path, q, h, spec))[0].lambda_star
     xs = path.xs.copy()
     xs[1] *= 0.9
-    ctx = _PathContext(DiscretePath(xs=xs, qs=path.qs), q.matrix, h, spec)
+    ctx = _PathContext.of(DiscretePath(xs=xs, qs=path.qs), q, h, spec)
 
     calls = {"hessian": 0, "solve": 0}
     hessian, solve = _PathContext.hessian, _lapack.solve
@@ -289,40 +289,45 @@ def test_search_candidates_match_checked_contexts_bit_for_bit(rng, monkeypatch, 
     q = random_constraint(rng, n)
     spec = random_mixture(rng, n)
     h = rng.uniform(-0.5, 0.5, size=n) if field else np.zeros(n)
-    candidates: dict[int, list] = {}
-    unchecked = _PathContext.unchecked.__func__
+    built = []
+    init = _PathContext.__init__
 
-    def recording(cls, xs, qs, *args):
-        ctx = unchecked(cls, xs, qs, *args)
-        candidates.setdefault(ctx.r, []).append((xs, qs, ctx))
-        return ctx
+    def recording(ctx, xs, qs, *args):
+        init(ctx, xs, qs, *args)
+        built.append((xs, qs, ctx))
 
-    monkeypatch.setattr(_PathContext, "unchecked", classmethod(recording))
     config = PathSearchConfig(max_levels=3, restarts=1, max_iterations=4, q_parameterization=family)
-    minimize_over_paths(q, h, spec, config, seed=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(_PathContext, "__init__", recording)
+        report = minimize_over_paths(q, h, spec, config, seed=1)
+    # the last context is the final re-solve's, built the same way from the
+    # reported path
+    *searched, final = built
+    assert np.array_equal(final[0], report.best_path.xs) and np.array_equal(final[1], report.best_path.qs)
+    candidates: dict[int, list] = {}
+    for entry in searched:
+        candidates.setdefault(entry[2].r, []).append(entry)
     assert sorted(candidates) == [1, 2, 3]
     assert all(c[2].deltas is candidates[1][0][2].deltas for c in candidates[1])
-    for group in candidates.values():
-        for xs, qs, lean in group[:: max(1, len(group) // 4)]:
-            path = DiscretePath(xs=xs, qs=qs)
-            check_path(path, q)
-            checked = _PathContext(path, q.matrix, h, spec)
-            assert lean.qinv is not None and checked.qinv is None
-            assert np.array_equal(lean.lambda_start(), checked.lambda_start())
-            lean_rep, lean_factored = _inner_minimize_ctx(lean)
-            checked_rep, checked_factored = _inner_minimize_ctx(checked)
-            assert np.array_equal(lean_rep.lambda_star, checked_rep.lambda_star)
-            assert (lean_rep.value, lean_rep.iterations, lean_rep.status) == (
-                checked_rep.value,
-                checked_rep.iterations,
-                checked_rep.status,
-            )
-            for got, want in zip(lean_factored, checked_factored):
-                assert np.array_equal(got, want)
-            assert np.array_equal(lean.gradient(lean_factored), checked.gradient(checked_factored))
-            assert np.array_equal(lean.hessian(lean_factored), checked.hessian(checked_factored))
-            for got, want in zip(lean.envelope_gradient(lean_factored), checked.envelope_gradient(checked_factored)):
-                assert np.array_equal(got, want)
+    sampled = [final] + [entry for group in candidates.values() for entry in group[:: max(1, len(group) // 4)]]
+    for xs, qs, lean in sampled:
+        checked = _PathContext.of(DiscretePath(xs=xs, qs=qs), q, h, spec)
+        assert lean.qinv is not None and checked.qinv is None
+        assert np.array_equal(lean.lambda_start(), checked.lambda_start())
+        lean_rep, lean_factored = _inner_minimize_ctx(lean)
+        checked_rep, checked_factored = _inner_minimize_ctx(checked)
+        assert np.array_equal(lean_rep.lambda_star, checked_rep.lambda_star)
+        assert (lean_rep.value, lean_rep.iterations, lean_rep.status) == (
+            checked_rep.value,
+            checked_rep.iterations,
+            checked_rep.status,
+        )
+        for got, want in zip(lean_factored, checked_factored):
+            assert np.array_equal(got, want)
+        assert np.array_equal(lean.gradient(lean_factored), checked.gradient(checked_factored))
+        assert np.array_equal(lean.hessian(lean_factored), checked.hessian(checked_factored))
+        for got, want in zip(lean.envelope_gradient(lean_factored), checked.envelope_gradient(checked_factored)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("offset, status", [(None, "max_iterations"), (1e-6, "converged")], ids=["cold", "near"])
@@ -334,7 +339,7 @@ def test_inner_solve_that_runs_out_of_steps(rng, monkeypatch, offset, status):
 
     q = random_constraint(rng, 2)
     spec = random_mixture(rng, 2)
-    ctx = _PathContext(random_path(rng, q.matrix, 2), q.matrix, np.array([0.2, -0.1]), spec)
+    ctx = _PathContext.of(random_path(rng, q.matrix, 2), q, np.array([0.2, -0.1]), spec)
     lam0 = None if offset is None else _inner_minimize_ctx(ctx)[0].lambda_star + offset * np.eye(2)
     monkeypatch.setattr(optimizer, "INNER_MAX_ITERATIONS", 1)
     rep, _ = _inner_minimize_ctx(ctx, lam0=lam0)
@@ -358,7 +363,7 @@ def test_gradient_and_evaluate_share_the_membership_rule(rng, t):
     q = random_constraint(rng, 2)
     spec = random_mixture(rng, 2)
     path = random_path(rng, q.matrix, 2)
-    lam = _PathContext(path, q.matrix, np.zeros(2), spec).tails[0] + t * np.eye(2)
+    lam = _PathContext.of(path, q, np.zeros(2), spec).tails[0] + t * np.eye(2)
     outcomes = []
     for call in (inner_gradient, evaluate):
         try:
@@ -519,7 +524,7 @@ def test_detect_degenerate_moderate_ray_matches_evaluate():
         assert vals[1] - vals[2] >= 0.5 * np.log(100.0)
         # reconstruct the ray points and evaluate through the public functional
         eigs, vecs = np.linalg.eigh(q)
-        ctx = _PathContext(path, q, h, spec)
+        ctx = _PathContext.of(path, q, h, spec)
         base = np.zeros(n)
         for k in range(ctx.r + 1):
             s = vecs.T @ ctx.tails[k] @ vecs
@@ -1064,7 +1069,7 @@ def test_singular_newton_system_takes_the_steepest_descent_step(rng, monkeypatch
     spec = random_mixture(rng, 2)
     h = np.array([0.2, -0.1])
     path = random_path(rng, q.matrix, 2)
-    ctx = _PathContext(path, q.matrix, h, spec)
+    ctx = _PathContext.of(path, q, h, spec)
     lam0 = random_multiplier(rng, path, spec, margin=0.5)
     grad0 = ctx.gradient(ctx.member_factors(lam0))
 
