@@ -42,14 +42,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sphglass.functional import solve_pd, logdet_pd
-from sphglass.geometry import DiscretePath, _frozen, check_field, check_path
+from sphglass.geometry import DiscretePath, _frozen, check_field, check_multiplier, check_path
 from sphglass.mixture import (
     InvalidField,
     MixtureSpec,
     _check_copies,
     _path_levels,
     check_count,
-    check_symmetric,
 )
 from sphglass.parallel import log_mean_exp, standard_error, stream
 
@@ -84,7 +83,7 @@ class CascadeSpec:
     def __post_init__(self):
         check_path(self.path)
         _check_copies(self.spec, self.path.n)
-        object.__setattr__(self, "lam", _frozen(check_symmetric(self.lam, "Lambda")))
+        object.__setattr__(self, "lam", _frozen(check_multiplier(self.lam, self.path.n)))
         object.__setattr__(self, "h", _frozen(check_field(self.h, self.path.n)))
         deltas = _path_levels(self.spec, self.path.qs)[0]
         object.__setattr__(self, "increment_covariances", tuple(deltas))

@@ -54,8 +54,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, check_field, check_path
-from sphglass.mixture import MixtureSpec, _check_copies, _path_levels, check_symmetric
+from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, check_field, check_multiplier, check_path
+from sphglass.mixture import MixtureSpec, _check_copies, _path_levels
 
 __all__ = [
     "NotInL",
@@ -503,7 +503,7 @@ def evaluate(
     Q's n copies InvalidField.
     """
     ctx = _PathContext.of(path, q, h, spec)
-    return ctx.breakdown(check_symmetric(lam, "Lambda"))
+    return ctx.breakdown(check_multiplier(lam, ctx.n))
 
 
 def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
@@ -540,5 +540,5 @@ def closed_form_Y0(
     matrix Q_r is free, not a constraint.
     """
     ctx = _PathContext.of(path, None, h, spec)
-    b = ctx.breakdown(check_symmetric(lam, "Lambda"))
+    b = ctx.breakdown(check_multiplier(lam, ctx.n))
     return b.logdet_term + b.field_term + b.cascade_term

@@ -19,7 +19,8 @@ exact symmetry of every level Q_k, so the mixture pass over a checked path
 A raw constraint array enters the library in one way, ``ConstraintMatrix.of``,
 which validates it; the constraint keeps the eigenvalues it was validated
 with, so nothing decomposes Q again to decide degeneracy.  ``check_field`` is
-the one check of the field vector h.
+the one check of the field vector h, and ``check_multiplier`` the one check
+of a multiplier Lambda.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "DEGENERACY_RTOL",
     "is_degenerate_spectrum",
     "check_field",
+    "check_multiplier",
 ]
 
 # Q is degenerate when its smallest eigenvalue is at most this fraction of
@@ -72,6 +74,16 @@ def check_field(h: np.ndarray, n: int, name: str = "h") -> np.ndarray:
     if not np.all(np.isfinite(h)):
         raise ValueError(f"{name} contains non-finite entries")
     return h
+
+
+def check_multiplier(lam: np.ndarray, n: int) -> np.ndarray:
+    """The multiplier as a new float array; raises ValueError naming Lambda
+    unless it is an n x n matrix, finite and exactly symmetric
+    (``check_symmetric``)."""
+    lam = np.array(lam, dtype=float)
+    if lam.shape != (n, n):
+        raise ValueError(f"Lambda must be an {n}x{n} matrix, got shape {lam.shape}")
+    return check_symmetric(lam, "Lambda")
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,7 +53,12 @@ the cold start's, is taken once per search.  A level's winning path is built
 as a ``DiscretePath`` once, after its starts, and the final re-solve builds
 its context the way the candidates do.
 
-scipy's ``minimize`` is imported inside ``scipy_minimize``, the outer
+Each start of the search is one ``scipy_minimize`` run: the search's own
+reverse-communication loop over L-BFGS-B's compiled ``setulb``, which does
+what ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` does with the
+search's options, point for point, without its per-start and per-call
+wrappers.  A level builds its box, the arrays (lower, upper), once for all
+its starts.  ``setulb`` is imported inside ``scipy_minimize``, the outer
 search's one call into scipy, so importing this module loads numpy only and
 scipy.optimize loads on the first search.
 """
@@ -62,10 +67,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from sphglass.geometry import DEGENERACY_RTOL, ConstraintMatrix, DiscretePath, check_field
+from sphglass.geometry import DEGENERACY_RTOL, ConstraintMatrix, DiscretePath, check_field, check_multiplier
 from sphglass.functional import (
     _Factors,
     _lapack,
@@ -82,7 +88,6 @@ from sphglass.mixture import (
     _path_levels,
     check_count,
     check_real,
-    check_symmetric,
 )
 from sphglass.parallel import stream
 
@@ -131,9 +136,8 @@ def inner_gradient(
     Raises InvalidPath for a path that fails ``validate_path`` and NotInL
     when lam is not in the admissible set, by the same rule as ``evaluate``.
     """
-    lam = check_symmetric(lam, "Lambda")
     ctx = _PathContext.of(path, q, h, spec)
-    return ctx.gradient(ctx.member_factors(lam))
+    return ctx.gradient(ctx.member_factors(check_multiplier(lam, ctx.n)))
 
 
 @dataclass(frozen=True)
@@ -201,12 +205,14 @@ def _inner_minimize_ctx(ctx: _PathContext, lam0=None) -> tuple[InnerSolveReport,
     ``_lapack_errstate``, so a failed gufunc shows only as NaN: an
     infeasible trial as None from ``feasible_value``, a singular or
     non-finite Newton system as a step that is not a descent direction.
-    Returns the report and the final iterate's ``_Factors``, ready for
-    ``envelope_gradient``.
+    A warm start ``lam0`` is taken as it stands: the checked
+    ``lambda_init`` of ``inner_minimize`` or the search's previous
+    lambda*, each an exactly symmetric float matrix.  Returns the report and
+    the final iterate's ``_Factors``, ready for ``envelope_gradient``.
     """
     factored = None
     if lam0 is not None:
-        lam = _sym(np.asarray(lam0, dtype=float))
+        lam = lam0
         factored = ctx.feasible_value(lam)
     if factored is None:
         lam = ctx.lambda_start()
@@ -281,10 +287,14 @@ def inner_minimize(
     The objective is convex on the admissible set, so the local optimum found
     by damped Newton is global; for positive definite Q the solve never
     diverges, and a diverging report there raises RuntimeError.  Raises
-    InvalidPath for a path that fails ``validate_path``.
+    InvalidPath for a path that fails ``validate_path``, and ValueError
+    naming Lambda for a ``lambda_init`` that is not an exactly symmetric
+    n x n matrix (``check_multiplier``).
     """
     q = ConstraintMatrix.of(q)
-    report, _ = _inner_minimize_ctx(_PathContext.of(path, q, h, spec), lam0=lambda_init)
+    ctx = _PathContext.of(path, q, h, spec)
+    lam0 = None if lambda_init is None else check_multiplier(lambda_init, ctx.n)
+    report, _ = _inner_minimize_ctx(ctx, lam0=lam0)
     if report.status == "diverging" and not q.is_degenerate():
         raise RuntimeError(
             "inner solve diverged on a positive definite constraint: "
@@ -442,10 +452,14 @@ class _PathFamily:
     def default(self) -> np.ndarray:
         return np.concatenate([np.ones(self.r + 1), self._level_default()])
 
-    def bounds(self) -> list[tuple[float | None, float | None]]:
-        """The weights' box [floor, 1]; every level parameter is free."""
-        r = self.r
-        return [(self.floor, 1.0)] * (r + 1) + [(None, None)] * (self.n_params - r - 1)
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper): the weights' box [floor, 1]; every level parameter
+        is free, -inf to inf."""
+        lower = np.full(self.n_params, -np.inf)
+        upper = np.full(self.n_params, np.inf)
+        lower[: self.r + 1] = self.floor
+        upper[: self.r + 1] = 1.0
+        return lower, upper
 
     def starts(self, config: PathSearchConfig, seed: int) -> list[np.ndarray]:
         """Starts of the level-r search, each inside ``bounds()``.
@@ -589,18 +603,81 @@ class OptimizationReport:
         }
 
 
-def scipy_minimize(fun, x0: np.ndarray, **options):
-    """``scipy.optimize.minimize(fun, x0, **options)``, imported on the call.
+class _SearchResult(NamedTuple):
+    """The end of one L-BFGS-B run: the last point, its value, the objective
+    calls and the iterations."""
+
+    fun: float
+    x: np.ndarray
+    nfev: int
+    nit: int
+
+
+def scipy_minimize(fun, x0: np.ndarray, *, bounds: tuple[np.ndarray, np.ndarray], max_iterations: int):
+    """L-BFGS-B on ``fun(x) -> (value, gradient)`` inside the box ``bounds``.
+
+    ``bounds`` is (lower, upper), one entry per parameter, with -inf and inf
+    where a side is free.  This is the reverse-communication loop of
+    ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` (scipy 1.17)
+    over the compiled ``setulb``, imported on the call, with the search's
+    options: 10 corrections, 20 line-search steps, ``SEARCH_FTOL`` and
+    ``SEARCH_GTOL``, at most ``max_iterations`` iterations and
+    2 ``max_iterations`` objective calls.  It visits the same points, so it
+    returns the same bits, without ``minimize``'s per-start and per-call
+    wrappers.  The start is clipped into the box.  ``setulb`` asks for the
+    value at a point by ``task[0] == 3``, at the start first; like
+    ``minimize``'s cache, the loop does not score again a point equal to the
+    last one scored, and the objective gets a copy of the point.  At each
+    new iterate (``task[0] == 1``) the loop stops with code 504 after
+    ``max_iterations`` iterations, or with 502 once the calls exceed
+    2 ``max_iterations``; any other task ends the run.
 
     scipy.optimize takes most of a fresh interpreter's start-up, and only the
-    outer search needs it.  The result is scipy's ``OptimizeResult``; its
-    ``nfev`` is the number of objective calls.  The function is public so
-    that ``perfbench``'s tracer, which wraps every public name, counts those
-    calls as ``optimizer.objective_calls``.
+    outer search needs it.  ``nfev`` is the number of objective calls; the
+    function is public so that ``perfbench``'s tracer, which wraps every
+    public name, counts those calls as ``optimizer.objective_calls``.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize._lbfgsb import setulb
 
-    return minimize(fun, x0, **options)
+    m, maxls = 10, 20
+    lower, upper = bounds
+    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
+    # setulb's bound codes: 0 free, 1 lower only, 2 both, 3 upper only
+    nbd = (has_lower + 3 * has_upper - 2 * (has_lower & has_upper)).astype(np.int32)
+    low = np.where(has_lower, lower, 0.0)
+    up = np.where(has_upper, upper, 0.0)
+    x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
+    n = x.size
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    factr = SEARCH_FTOL / np.finfo(float).eps
+    max_calls = 2 * max_iterations
+
+    scored = np.full(n, np.nan)  # equal to no point, so the start is scored
+    f, g = 0.0, np.zeros(n)
+    nfev = nit = 0
+    while True:
+        setulb(m, x, low, up, nbd, f, g, factr, SEARCH_GTOL, wa, iwa, task, lsave, isave, dsave, maxls, ln_task)
+        if task[0] == 3:
+            if not np.array_equal(x, scored):
+                scored = x.copy()
+                f, g = fun(x.copy())
+                g = np.array(g, dtype=np.float64)
+                nfev += 1
+        elif task[0] == 1:
+            nit += 1
+            if nit >= max_iterations:
+                task[:] = 5, 504
+            elif nfev > max_calls:
+                task[:] = 5, 502
+        else:
+            break
+    return _SearchResult(fun=f, x=x, nfev=nfev, nit=nit)
 
 
 def minimize_over_paths(
@@ -663,20 +740,9 @@ def minimize_over_paths(
 
         level_value = np.inf
         level_x = None
+        bounds = family.bounds()
         for start in family.starts(config, seed):
-            res = scipy_minimize(
-                objective,
-                start,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=family.bounds(),
-                options={
-                    "maxiter": config.max_iterations,
-                    "maxfun": 2 * config.max_iterations,
-                    "ftol": SEARCH_FTOL,
-                    "gtol": SEARCH_GTOL,
-                },
-            )
+            res = scipy_minimize(objective, start, bounds=bounds, max_iterations=config.max_iterations)
             if res.fun < level_value:
                 level_value = float(res.fun)
                 level_x = res.x

@@ -6,12 +6,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import Bounds, minimize
 from scipy.special import gammaln
 
 from sphglass.functional import FunctionalBreakdown
 from sphglass.geometry import ConstraintMatrix, DiscretePath
 from sphglass.mixture import MixtureSpec, delta_increments, theta_matrix
 from sphglass.montecarlo import DisorderRealization
+from sphglass.optimizer import SEARCH_FTOL, SEARCH_GTOL
 from sphglass.parallel import stream
 
 
@@ -333,6 +335,20 @@ def cascade_free_energy_sim(path: DiscretePath, spec: MixtureSpec, K: int, m_eff
         log_weights = np.log(finite_cascade_weights(path, K, rep_seed))
         values.append(logsumexp(log_weights + np.sqrt(m_effective) * y) / m_effective)
     return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(reps))
+
+
+def scipy_lbfgsb_reference(fun, x0, *, bounds, max_iterations):
+    """The outer search's L-BFGS-B run through ``scipy.optimize.minimize``.
+
+    The judge of ``optimizer.scipy_minimize``, which drives the same compiled
+    ``setulb`` without ``minimize``'s wrappers: it takes the driver's
+    arguments, (lower, upper) with infinite free sides, and returns scipy's
+    ``OptimizeResult``, whose ``fun``, ``x``, ``nfev`` and ``nit`` the driver
+    must reproduce.
+    """
+    lower, upper = bounds
+    options = {"maxiter": max_iterations, "maxfun": 2 * max_iterations, "ftol": SEARCH_FTOL, "gtol": SEARCH_GTOL}
+    return minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=Bounds(lower, upper), options=options)
 
 
 @pytest.fixture

@@ -131,6 +131,42 @@ def test_every_entry_point_checks_the_field(entry, h, message):
         TAKES_H[entry](h)
 
 
+# every public function that takes a multiplier Lambda
+TAKES_LAMBDA = {
+    "evaluate": lambda lam: evaluate(lam, PATH, GOOD_Q, ZERO_H, SPEC),
+    "closed_form_Y0": lambda lam: closed_form_Y0(lam, PATH, ZERO_H, SPEC),
+    "inner_gradient": lambda lam: inner_gradient(lam, PATH, GOOD_Q, ZERO_H, SPEC),
+    "inner_minimize": lambda lam: inner_minimize(PATH, GOOD_Q, ZERO_H, SPEC, lambda_init=lam),
+    "CascadeSpec": lambda lam: CascadeSpec(path=PATH, spec=SPEC, lam=lam, h=ZERO_H),
+}
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (3.0 * np.eye(3), r"^Lambda must be an 2x2 matrix, got shape \(3, 3\)$"),
+        (np.stack([LAM, LAM]), r"^Lambda must be an 2x2 matrix, got shape \(2, 2, 2\)$"),
+        (np.array([2.0, 2.0]), r"^Lambda must be an 2x2 matrix, got shape \(2,\)$"),
+        (np.array([[2.0, 0.1], [0.0, 2.0]]), r"^Lambda must be exactly symmetric: entry \(0, 1\) = 0\.1"),
+        (np.array([[2.0, np.nan], [np.nan, 2.0]]), "^Lambda contains non-finite entries$"),
+    ],
+    ids=["wrong-size", "stack", "vector", "asymmetric", "nan"],
+)
+@pytest.mark.parametrize("entry", TAKES_LAMBDA)
+def test_every_entry_point_checks_the_multiplier(entry, lam, message):
+    # a Lambda of the wrong size is refused by name, not broadcast against
+    # the chain, and an asymmetric warm start is refused, not symmetrized
+    with pytest.raises(ValueError, match=message):
+        TAKES_LAMBDA[entry](lam)
+
+
+def test_a_checked_warm_start_is_not_aliased():
+    lam = LAM.copy()
+    report = inner_minimize(PATH, GOOD_Q, ZERO_H, SPEC, lambda_init=lam)
+    assert report.status == "converged"
+    assert not np.shares_memory(report.lambda_star, lam)
+
+
 def _equicorrelated_below_zero(n: int, c: float) -> tuple[np.ndarray, float]:
     """Unit-diagonal n x n matrix whose smallest eigenvalue is about -c * tol."""
     scale = n / (n - 1)  # the largest eigenvalue 1 - rho, to first order
@@ -313,7 +349,8 @@ def test_every_path_entry_checks_its_path_once_and_its_chain_never_again(monkeyp
 
     monkeypatch.setattr(geometry, "validate_path", counting_validate_path)
     for module in (mixture, geometry, functional, optimizer, cascade):
-        monkeypatch.setattr(module, "check_symmetric", counting_check_symmetric)
+        if hasattr(module, "check_symmetric"):  # Lambda's rule calls geometry's
+            monkeypatch.setattr(module, "check_symmetric", counting_check_symmetric)
     path = DiscretePath(xs=[0.0, 0.3, 0.7, 1.0], qs=np.stack([np.zeros((2, 2)), Q_MID, GOOD_Q]))
     TAKES_PATH[entry](path)
     assert len(rules) == 1

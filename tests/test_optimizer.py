@@ -30,6 +30,7 @@ from conftest import (
     random_multiplier,
     random_path,
     reference_breakdown,
+    scipy_lbfgsb_reference,
 )
 
 Q1 = ConstraintMatrix(np.array([[1.0]]))
@@ -807,10 +808,8 @@ def test_family_starts_lie_inside_their_bounds(rng, name, n, r):
     # r = 1 has no middle level, so no level parameter
     if r == 1:
         assert family.n_params == r + 1
-    bounds = family.bounds()
-    assert len(bounds) == family.n_params
-    lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds])
-    upper = np.array([np.inf if hi is None else hi for _, hi in bounds])
+    lower, upper = family.bounds()
+    assert lower.shape == upper.shape == (family.n_params,)
     for start in starts:
         assert start.shape == (family.n_params,)
         assert np.all(lower <= start) and np.all(start <= upper)
@@ -939,29 +938,34 @@ PAIR_SWEEP = {
 
 
 @pytest.mark.parametrize(
-    "config, pinned", [(SK_MINIMIZE, (106, 297, 297)), (PAIR_SWEEP, (84, 259, 259))], ids=["sk-minimize", "pair-sweep"]
+    "config, pinned",
+    [(SK_MINIMIZE, (106, 79, 297, 297)), (PAIR_SWEEP, (84, 66, 259, 259))],
+    ids=["sk-minimize", "pair-sweep"],
 )
 def test_search_work_is_pinned(monkeypatch, config, pinned):
-    # a trim of the path kernel keeps the search's work: its objective
-    # calls, the Newton steps of their inner solves and the Hessians built
+    # a trim of the path kernel or the search driver keeps the search's
+    # work: its objective calls, its L-BFGS-B iterations (a driver that
+    # matches the calls but drifts in its stop rule moves them), the Newton
+    # steps of the inner solves and the Hessians built
     import sphglass.optimizer as optimizer
     from sphglass import cli
 
-    counts = [0, 0, 0]
+    counts = [0, 0, 0, 0]
     search, solve, hessian = optimizer.scipy_minimize, optimizer._inner_minimize_ctx, _PathContext.hessian
 
     def counted_search(*args, **kwargs):
         res = search(*args, **kwargs)
         counts[0] += res.nfev
+        counts[1] += res.nit
         return res
 
     def counted_solve(ctx, lam0=None):
         report, factored = solve(ctx, lam0=lam0)
-        counts[1] += report.iterations
+        counts[2] += report.iterations
         return report, factored
 
     def counted_hessian(ctx, factored):
-        counts[2] += 1
+        counts[3] += 1
         return hessian(ctx, factored)
 
     monkeypatch.setattr(optimizer, "scipy_minimize", counted_search)
@@ -970,6 +974,109 @@ def test_search_work_is_pinned(monkeypatch, config, pinned):
     code, _ = cli.run(cli.load_config(json.dumps(config)))
     assert code == 0
     assert tuple(counts) == pinned
+
+
+def _bowl(center, radius=np.inf):
+    """A quartic bowl around ``center`` that scores (inf, zeros) outside the
+    ball of ``radius``, as the search's objective scores a failed candidate."""
+    center = np.asarray(center, dtype=float)
+
+    def fun(x):
+        if x @ x > radius**2:
+            return np.inf, np.zeros_like(x)
+        d = x - center
+        return float(d @ d + (d**4).sum()), 2.0 * d + 4.0 * d**3
+
+    return fun
+
+
+def _rosenbrock(x):
+    f = float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    g = np.zeros_like(x)
+    g[:-1] += -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return f, g
+
+
+def _wiggle(x):
+    # a line search on this takes several calls per iteration
+    return float(x @ x + np.sin(20.0 * x).sum()), 2.0 * x + 20.0 * np.cos(20.0 * x)
+
+
+INF = np.inf
+# objective, start, (lower, upper), max_iterations, and what the run must show
+DRIVER_CASES = {
+    # both sides, free, upper only and lower only; the start is outside on two
+    "boxed-and-free": (
+        _rosenbrock, [3.0, -2.0, 0.5, 1.5, 0.0], ([0.1, 0.1, -INF, -INF, -1.0], [1.0, 1.0, INF, 2.0, INF]), 200,
+        lambda res, scores, n: res.nit < n and np.isfinite(scores).all(),
+    ),
+    "start-outside-the-box": (
+        _bowl([0.5, -0.3, 2.0]), [5.0, -4.0, 0.0], ([-1.0, -1.0, 0.0], [1.0, 1.0, 1.0]), 60,
+        lambda res, scores, n: res.nit < n and res.x[2] == 1.0,
+    ),
+    "max-iterations-stop": (
+        _rosenbrock, [-1.2, 1.0, 0.5], ([-2.0, -INF, -INF], [2.0, INF, INF]), 4,
+        lambda res, scores, n: res.nit == n and res.nfev <= 2 * n,
+    ),
+    # the first iteration ends at exactly 2 n calls, which is not yet a stop
+    "max-calls-stop": (
+        _wiggle, [1.0, 1.0], ([-INF, -INF], [INF, INF]), 3,
+        lambda res, scores, n: res.nit == n - 1 and res.nfev > 2 * n,
+    ),
+    "inf-region": (
+        _bowl([2.0, 1.0], radius=1.5), [0.0, 0.0], ([-INF, -INF], [INF, INF]), 100,
+        lambda res, scores, n: res.nit < n and np.isinf(scores).any() and np.isfinite(res.fun),
+    ),
+    "inf-start": (
+        _bowl([2.0, 1.0], radius=0.5), [0.4, -0.4], ([-INF, -INF], [INF, INF]), 100,
+        lambda res, scores, n: res.nfev == 1 and res.nit == 0 and res.fun == np.inf,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DRIVER_CASES))
+def test_search_driver_matches_scipy_minimize(case):
+    # the search's own L-BFGS-B loop over setulb visits the points that
+    # scipy.optimize.minimize visits, and returns the same bits and counts
+    import sphglass.optimizer as optimizer
+
+    fun, start, (lower, upper), max_iterations, shows = DRIVER_CASES[case]
+    start, bounds = np.array(start), (np.array(lower), np.array(upper))
+    runs = {}
+    for side, run in (("driver", optimizer.scipy_minimize), ("judge", scipy_lbfgsb_reference)):
+        points, scores = [], []
+
+        def logged(x):
+            points.append(x.copy())
+            value, grad = fun(x)
+            scores.append(value)
+            return value, grad
+
+        res = run(logged, start.copy(), bounds=bounds, max_iterations=max_iterations)
+        runs[side] = res, points, np.array(scores)
+    (res, points, scores), (judge, judge_points, _) = runs["driver"], runs["judge"]
+    assert np.array_equal(res.x, judge.x)
+    assert (res.fun, res.nfev, res.nit) == (judge.fun, judge.nfev, judge.nit)
+    assert len(points) == len(judge_points) == res.nfev
+    assert all(np.array_equal(a, b) for a, b in zip(points, judge_points))
+    # the start is clipped into the box and scored first
+    assert np.array_equal(points[0], np.clip(start, *bounds))
+    assert shows(res, scores, max_iterations)
+
+
+@pytest.mark.parametrize("config", [SK_MINIMIZE, PAIR_SWEEP], ids=["sk-minimize", "pair-sweep"])
+def test_search_bodies_match_the_scipy_minimize_judge(monkeypatch, config):
+    import sphglass.optimizer as optimizer
+    from sphglass import cli, reporting
+
+    bodies = []
+    for search in (optimizer.scipy_minimize, scipy_lbfgsb_reference):
+        monkeypatch.setattr(optimizer, "scipy_minimize", search)
+        code, report = cli.run(cli.load_config(json.dumps(config)))
+        assert code == 0
+        bodies.append(reporting.to_json(report["body"]))
+    assert bodies[0] == bodies[1]
 
 
 def test_search_cholesky_count_on_the_exact_model(monkeypatch):
