@@ -5,9 +5,9 @@ whose double infimum over a positive-definite multiplier and a discrete
 monotone matrix path gives the limiting constrained free energy, and it ships
 independent Monte Carlo oracles for every closed form the functional uses:
 
-- ``mixture``    covariance kernels xi, xi', theta and path increment matrices
+- ``mixture``    covariance kernels xi, xi', xi'' and theta of a matrix
 - ``geometry``   constraint matrices and discrete monotone PSD paths
-- ``functional`` the path kernel, admissible set and functional evaluation
+- ``functional`` the path kernel, admissible set, evaluation, path increments
 - ``optimizer``  inner Newton solve over the multiplier, outer path search,
                  degeneracy dichotomy
 - ``cascade``    nested Monte Carlo recursion oracle and the exact cascade
@@ -18,7 +18,7 @@ independent Monte Carlo oracles for every closed form the functional uses:
 - ``cli``        config-driven subcommands with reproducible JSON/CSV reports
 """
 
-from sphglass.mixture import MixtureSpec, xi_matrix, xi_prime_matrix, theta_matrix, delta_increments
+from sphglass.mixture import MixtureSpec, xi_matrix, xi_prime_matrix, theta_matrix
 from sphglass.geometry import ConstraintMatrix, DiscretePath, validate_path, check_path
 from sphglass.functional import (
     FunctionalBreakdown,
@@ -26,6 +26,7 @@ from sphglass.functional import (
     InvalidPath,
     evaluate,
     theta_term,
+    delta_increments,
     closed_form_Y0,
 )
 from sphglass.optimizer import (

@@ -35,16 +35,15 @@ Newton loop builds a Hessian only for a step it takes.
 A context has one constructor, over the (xs, qs) arrays of a chain and their
 trusted mixture pass ``mixture._path_levels``.  A path enters through
 ``_PathContext.of``, the one checked entry: ``ConstraintMatrix.of``,
-``check_field``, ``check_path`` and the mixture-size rule, once.  ``evaluate``,
-``closed_form_Y0``, the optimizer's public functions and ``verify`` build
-their contexts there.  The optimizer's search builds its candidates' chains
-valid by construction and calls the constructor itself, with Q^{-1} for the
-cold start.
+``check_field``, ``check_path`` and the mixture-size rule, once.  Every public
+function that takes a path builds its context there, ``theta_term`` and
+``delta_increments`` included; ``mixture`` takes matrices only.  The
+optimizer's search and its degeneracy certificate (in the eigenbasis of Q)
+call the constructor themselves, on chains valid by construction.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
@@ -64,6 +63,7 @@ __all__ = [
     "MEMBERSHIP_MARGIN",
     "evaluate",
     "theta_term",
+    "delta_increments",
     "closed_form_Y0",
     "logdet_pd",
 ]
@@ -185,16 +185,6 @@ class FunctionalBreakdown:
         return asdict(self)
 
 
-def _theta_steps(thetas: np.ndarray) -> np.ndarray:
-    """s_k = Sum(theta(Q_{k+1}) - theta(Q_k)), k = 0..r-1, from the theta levels."""
-    return (thetas[1:] - thetas[:-1]).sum(axis=(1, 2))
-
-
-def _theta_sum(x_all: np.ndarray, theta_steps: np.ndarray) -> float:
-    """1/2 sum_k x_k s_k."""
-    return float((0.5 * x_all[:-1] * theta_steps).sum())
-
-
 class _Factors(NamedTuple):
     """The functional at one multiplier with what its derivatives take.
 
@@ -229,7 +219,7 @@ class _PathContext:
 
     What does not change with the multiplier is built once: per context on
     construction, Q / 2 (``half_q``, the trace term's <Lambda, Q / 2> and the
-    gradient's constant, which ``rotated`` rebuilds in its basis); per size,
+    gradient's constant); per size,
     the read-only ``MEMBERSHIP_MARGIN`` I (``_margin_eye``), the Newton
     basis (``_sym_basis``) and ``envelope_gradient``'s j <= m mask
     (``_upper_mask``).
@@ -244,6 +234,8 @@ class _PathContext:
         ``xs``, ``qs`` and the float field ``h`` must be what a valid
         ``DiscretePath`` would hold, and ``levels`` the ``mixture._path_levels``
         of ``qs`` for a mixture of n copies.  The arrays are kept, not copied.
+        The value, gradient and Hessian read neither ``qs`` nor the xi''
+        levels; only ``envelope_gradient`` does.
         """
         self.qmat = qmat
         self.half_q = 0.5 * qmat
@@ -260,7 +252,10 @@ class _PathContext:
         # Lambda_k = Lambda - tails[k]; guarded[r + 1] = tails[r] = 0
         guarded = np.zeros((r + 2, n, n))
         (x_all[:-1, None, None] * self.deltas)[::-1].cumsum(axis=0, out=guarded[r:0:-1])
-        self._guard(guarded)
+        # guarded[0] = tails[0] + margin I: lam less it is L_0 less the margin
+        np.add(guarded[1], _margin_eye(n), out=guarded[0])
+        self.tails = guarded[1:]
+        self.guarded_tails = guarded
         # logdet coefficients: the cascade sum telescopes into
         # sum_j w_j log|Lambda_j| with w_0 < 0 and w_j >= 0 otherwise
         half = 0.5 / x_all
@@ -268,8 +263,9 @@ class _PathContext:
         self.logdet_coeffs[1:] += half[:-1]
         # the value keeps the cascade in its increment form instead
         self.increment_coeffs = half[:-1] - 0.5
-        self.theta_steps = _theta_steps(thetas)
-        self.theta_const = _theta_sum(x_all, self.theta_steps)
+        # s_k = Sum(theta(Q_{k+1}) - theta(Q_k)), k = 0..r-1, and 1/2 sum_k x_k s_k
+        self.theta_steps = (thetas[1:] - thetas[:-1]).sum(axis=(1, 2))
+        self.theta_const = float((0.5 * x_all[:-1] * self.theta_steps).sum())
         self.has_field = bool(self.h.any())
 
     @classmethod
@@ -287,36 +283,6 @@ class _PathContext:
         check_path(path, q)
         _check_copies(spec, qmat.shape[0])
         return cls(path.xs, path.qs, qmat, h, _path_levels(spec, path.qs))
-
-    def _guard(self, guarded: np.ndarray) -> None:
-        """Keep the chain tails ``guarded[1:]`` and, as all of ``guarded``,
-        the stack ``feasible_value`` subtracts from lam.
-
-        ``guarded[0]`` becomes tails[0] + margin I, so lam less it is L_0
-        less the membership margin.
-        """
-        np.add(guarded[1], _margin_eye(self.n), out=guarded[0])
-        self.tails = guarded[1:]
-        self.guarded_tails = guarded
-
-    def rotated(self, u: np.ndarray, mu: np.ndarray) -> "_PathContext":
-        """This context conjugated by the orthonormal u, with Q = diag(mu).
-
-        Delta_k, the tails and h become u^T Delta_k u, u^T tails_k u and
-        u^T h; the breakpoints, theta levels and coefficients do not change.
-        xi'' acts entrywise, so it does not commute with the rotation: the
-        rotated context has no path levels and no ``envelope_gradient``.
-        """
-        out = copy.copy(self)
-        out.qs = out.xi_seconds = out.qinv = None
-        out.qmat = np.diag(mu)
-        out.half_q = 0.5 * out.qmat
-        out.h = u.T @ self.h
-        out.deltas = _sym(u.T @ self.deltas @ u)
-        guarded = np.empty_like(self.guarded_tails)
-        guarded[1:] = _sym(u.T @ self.tails @ u)
-        out._guard(guarded)
-        return out
 
     def lambda_start(self) -> np.ndarray:
         """The cold start tails[0] + Q^{-1}, inside L whatever the path."""
@@ -516,10 +482,18 @@ def theta_term(path: DiscretePath, spec: MixtureSpec) -> float:
     passes ``validate_path`` (its end matrix is free), and InvalidField
     unless the mixture models the path's n copies.
     """
-    check_path(path)
-    _check_copies(spec, path.n)
-    _, thetas, _ = _path_levels(spec, path.qs)
-    return _theta_sum(path.xs[1:], _theta_steps(thetas))
+    return _PathContext.of(path, None, np.zeros(path.n), spec).theta_const
+
+
+def delta_increments(spec: MixtureSpec, path: DiscretePath) -> np.ndarray:
+    """Increment matrices Delta_k = xi'(Q_k) - xi'(Q_{k-1}), k = 1..r.
+
+    Returns a read-only (r, n, n) array; ``[k - 1]`` is Delta_k, PSD
+    because the path passes ``validate_path``.  Raises InvalidPath unless
+    it does (its end matrix is free), and InvalidField unless the mixture
+    models the path's n copies.
+    """
+    return _PathContext.of(path, None, np.zeros(path.n), spec).deltas
 
 
 def closed_form_Y0(

@@ -40,6 +40,7 @@ __all__ = [
     "validate_path",
     "check_path",
     "DEGENERACY_RTOL",
+    "null_eigenvalues",
     "is_degenerate_spectrum",
     "check_field",
     "check_multiplier",
@@ -50,14 +51,19 @@ __all__ = [
 DEGENERACY_RTOL = 1e-12
 
 
+def null_eigenvalues(eigs: np.ndarray) -> np.ndarray:
+    """The one null-eigenvalue rule: the mask of ascending ``eigs`` at most DEGENERACY_RTOL times the largest."""
+    return eigs <= DEGENERACY_RTOL * eigs[-1]
+
+
 def is_degenerate_spectrum(eigs: np.ndarray) -> bool:
     """The one degeneracy predicate for a constraint, given its ascending eigenvalues.
 
-    Tests lambda_min <= DEGENERACY_RTOL * lambda_max.  A determinant test
-    would misfire on well-conditioned Q of larger n: equicorrelated Q with
-    rho = 0.9 has lambda_min = 0.1 at every n.
+    Q is degenerate when its smallest eigenvalue is null (``null_eigenvalues``).
+    A determinant test would misfire on well-conditioned Q of larger n:
+    equicorrelated Q with rho = 0.9 has lambda_min = 0.1 at every n.
     """
-    return bool(eigs[0] <= DEGENERACY_RTOL * eigs[-1])
+    return bool(null_eigenvalues(eigs)[0])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -17,15 +17,15 @@ xi' and are not checked again.
 
 One kernel does the arithmetic: ``_xi_terms`` accumulates xi, xi' and, on
 request, xi'' of a matrix, or a stack of matrices, in one loop over degrees.
-The public wrappers validate; ``_xi_terms`` trusts its caller.
-``path_levels`` runs it once on a path's (r + 1, n, n) chain and returns the
-increments together with theta and xi'' of every level; ``xi_pair``,
-``xi_matrix``, ``xi_prime_matrix``, ``xi_second_matrix``, ``theta_matrix``
-and ``delta_increments`` are thin users of the same pass, so every caller
-sees the same bits.  ``_path_levels`` is ``path_levels`` without the check,
-for chains already checked where they entered: a path that passes
-``geometry.check_path`` has exactly symmetric, finite levels, and the
-optimizer's own chains are exactly symmetric by construction.
+The public functions take matrices only and validate them; ``_xi_terms``
+trusts its caller, and every caller sees the same bits.  ``_path_levels``
+runs it once on a path's (r + 1, n, n) chain for the increments, theta and
+xi'' of every level, and trusts the chain: a path enters through
+``functional._PathContext.of``, whose ``geometry.check_path`` gives exactly
+symmetric, finite levels, and the optimizer's chains are exactly symmetric
+by construction.  This module cannot import ``geometry``, which imports its
+rules, so the functions of a path, ``delta_increments`` among them, live in
+``functional``.
 
 The module also owns the input rules that the whole package shares:
 ``check_symmetric`` (exact symmetry, of one matrix or a stack) and
@@ -54,8 +54,6 @@ __all__ = [
     "theta_matrix",
     "xi_pair",
     "xi_second_matrix",
-    "path_levels",
-    "delta_increments",
     "check_symmetric",
     "not_psd",
     "InvalidField",
@@ -320,28 +318,14 @@ def theta_matrix(spec: MixtureSpec, a: np.ndarray) -> np.ndarray:
 
 
 def _path_levels(spec: MixtureSpec, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``path_levels`` of the chain ``qs``, which the caller has checked."""
+    """Increments Delta_k, theta(Q_k) and xi''(Q_k) of a chain from one mixture pass.
+
+    Returns ``(deltas, thetas, xi_seconds)``: the read-only (r, n, n)
+    increments Delta_k = xi'(Q_k) - xi'(Q_{k-1}), k = 1..r, and the
+    (r + 1, n, n) stacks theta(Q_0..Q_r) and xi''(Q_0..Q_r), all from one
+    ``_xi_terms`` call on the chain ``qs``, which the caller has checked.
+    """
     xi, xi_prime, xi_second = _xi_terms(spec, qs, True)
     deltas = xi_prime[1:] - xi_prime[:-1]
     deltas.setflags(write=False)
     return deltas, qs * xi_prime - xi, xi_second
-
-
-def path_levels(spec: MixtureSpec, path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Increments Delta_k, theta(Q_k) and xi''(Q_k) of a path from one mixture pass.
-
-    Returns ``(deltas, thetas, xi_seconds)``: the read-only (r, n, n)
-    increments of ``delta_increments`` and the (r + 1, n, n) stacks
-    theta(Q_0..Q_r) and xi''(Q_0..Q_r), all from one ``_xi_terms`` call on
-    ``path.qs``, which is checked first.
-    """
-    return _path_levels(spec, check_symmetric(path.qs, "A", spec.n))
-
-
-def delta_increments(spec: MixtureSpec, path) -> np.ndarray:
-    """Increment matrices Delta_k = xi'(Q_k) - xi'(Q_{k-1}), k = 1..r.
-
-    Returns a read-only (r, n, n) array; ``[k - 1]`` is Delta_k.  Each
-    increment is PSD for a path that passes ``geometry.validate_path``.
-    """
-    return path_levels(spec, path)[0]

@@ -8,11 +8,11 @@ Structure of the double infimum:
   safeguard: any step that would push the end of the multiplier chain out of
   the positive-definite cone fails its Cholesky test and is halved.
 - ``detect_degenerate``: a degenerate constraint makes the infimum -inf.  The
-  divergence is certified constructively: rotate to the constraint
-  eigenbasis, pad the diagonal so every chain matrix keeps a Gershgorin
-  margin, then push the diagonal entry aligned with the null direction to
-  infinity.  The certificate's objective values along that ray, computed by
-  the functional's own kernel, strictly decrease.
+  divergence is certified constructively: in the constraint eigenbasis, its
+  null eigenvalues (``geometry.null_eigenvalues``) set to 0, pad the diagonal
+  so every chain matrix keeps a Gershgorin margin, then push the diagonal
+  entry of the null direction to infinity.  The values along that ray, of
+  the functional's own kernel built in that basis, strictly decrease.
 - ``minimize_over_paths``: the outer infimum over discrete paths is a
   restarted gradient search (L-BFGS-B over a smooth parameterization of the
   monotone chain and the breakpoints), with the inner Newton solve at every
@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sphglass.geometry import DEGENERACY_RTOL, ConstraintMatrix, DiscretePath, check_field, check_multiplier
+from sphglass.geometry import ConstraintMatrix, DiscretePath, check_field, check_multiplier, null_eigenvalues
 from sphglass.functional import (
     _Factors,
     _lapack,
@@ -334,13 +334,16 @@ def detect_degenerate(
 
     The ray fixes the constraint eigenbasis U with (U^T Q U)_{11} = 0, pads
     the diagonal D so every chain matrix keeps a positive Gershgorin margin,
-    and drives D_11 through ``d11_values``.  The values are those of the path
-    context conjugated by U at diag(D): in the original basis, entries as
-    large as D_11 would bury the O(1) eigenvalues of the chain in rounding.
-    The near-null eigenvalues of Q are clamped to exact zero, or a remnant
-    ~1e-16 times D_11 = 1e180 would dominate the trace term.  Raises
-    InvalidPath for a path that fails ``validate_path``, whatever Q, and
-    RuntimeError unless the values strictly decrease.
+    and drives D_11 through ``d11_values``.  The values are those at diag(D)
+    of the path context that the ``_PathContext`` constructor builds in the
+    basis U, with Q = diag(mu), U^T h and U^T Delta_k U (its qs and xi''
+    stay in the original frame; no value reads them): in the original basis,
+    entries as large as D_11 would bury the O(1) eigenvalues of the chain in
+    rounding.  The null eigenvalues of Q (``geometry.null_eigenvalues``) are
+    clamped to exact zero, or a remnant ~1e-16 times D_11 = 1e180 would
+    dominate the trace term.  Raises InvalidPath for a path that fails
+    ``validate_path``, whatever Q, and RuntimeError unless the values
+    strictly decrease.
     """
     q = ConstraintMatrix.of(q)
     ctx = _PathContext.of(path, q, h, spec)
@@ -350,8 +353,10 @@ def detect_degenerate(
     # the certificate's own eigenbasis; ascending eigenvalues, so column 0
     # of vecs is the null direction
     eigs, vecs = np.linalg.eigh(q.matrix)
-    mu_clamped = np.where(eigs > DEGENERACY_RTOL * eigs[-1], eigs, 0.0)
-    ctx = ctx.rotated(vecs, mu_clamped)
+    mu_clamped = np.where(null_eigenvalues(eigs), 0.0, eigs)
+    deltas, thetas, xi_seconds = _path_levels(spec, path.qs)
+    levels = (_sym(vecs.T @ deltas @ vecs), thetas, xi_seconds)
+    ctx = _PathContext(path.xs, path.qs, np.diag(mu_clamped), vecs.T @ ctx.h, levels)
 
     # Gershgorin padding against every chain tail, margin 1; the zero tail
     # of the last level keeps it nonnegative

@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from scipy.optimize import Bounds, minimize
 from scipy.special import gammaln
 
-from sphglass.functional import FunctionalBreakdown
+from sphglass.functional import FunctionalBreakdown, delta_increments
 from sphglass.geometry import ConstraintMatrix, DiscretePath
-from sphglass.mixture import MixtureSpec, delta_increments, theta_matrix
+from sphglass.mixture import MixtureSpec, theta_matrix
 from sphglass.montecarlo import DisorderRealization
 from sphglass.optimizer import SEARCH_FTOL, SEARCH_GTOL
 from sphglass.parallel import stream

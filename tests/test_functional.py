@@ -10,14 +10,16 @@ from sphglass.functional import (
     NotInL,
     _lapack,
     _PathContext,
+    _sym,
     _sym_basis,
     closed_form_Y0,
+    delta_increments,
     evaluate,
     logdet_pd,
     theta_term,
 )
 from sphglass.geometry import ConstraintMatrix, DiscretePath
-from sphglass.mixture import MixtureSpec, delta_increments
+from sphglass.mixture import MixtureSpec, _path_levels
 
 from conftest import (
     random_constraint,
@@ -160,16 +162,19 @@ def test_margin_level_alone_rejects_a_multiplier(rng, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_rotated_context_keeps_its_constants(rng, n):
-    # the rotated context holds Q = diag(mu) and its own Q / 2: at u^T L u
-    # its value is the original's and its gradient u^T G u, so a constant
-    # left in the original basis shows
+    # the eigenbasis context, built by the constructor as detect_degenerate
+    # builds it, holds Q = diag(mu), its own Q / 2, u^T h and u^T Delta_k u,
+    # but keeps qs and the xi'' levels in the original frame: at u^T L u its
+    # value is the original's and its gradient u^T G u, so a constant left in
+    # the original basis shows, and so would a value that read qs or xi''
     q = random_constraint(rng, n)
     mu, u = np.linalg.eigh(q.matrix)
     spec = random_mixture(rng, n)
     path = random_path(rng, q.matrix, 2)
     ctx = _PathContext.of(path, q, np.array([0.2, -0.1, 0.3][:n]), spec)
     lam = random_multiplier(rng, path, spec)
-    rotated = ctx.rotated(u, mu)
+    deltas, thetas, xi_seconds = _path_levels(spec, path.qs)
+    rotated = _PathContext(path.xs, path.qs, np.diag(mu), u.T @ ctx.h, (_sym(u.T @ deltas @ u), thetas, xi_seconds))
     lam_rotated = u.T @ lam @ u
     lam_rotated = (lam_rotated + lam_rotated.T) / 2.0
     factored = ctx.member_factors(lam)

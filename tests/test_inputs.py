@@ -2,22 +2,23 @@
 up to rounding", exact symmetry and counts, each checked in one place and the
 same way at every public entry point."""
 
+import importlib
+import inspect
+import pkgutil
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import sphglass
 from sphglass import cascade, functional, geometry, mixture, montecarlo, optimizer
 from sphglass.cascade import CascadeSpec, nested_recursion_mc, theta_cascade_value
-from sphglass.functional import closed_form_Y0, evaluate, theta_term
+from sphglass.functional import closed_form_Y0, delta_increments, evaluate, theta_term
 from sphglass.geometry import ConstraintMatrix, DiscretePath, InvalidPath, validate_path
 from sphglass.mixture import (
     InvalidField,
     MixtureSpec,
     check_symmetric,
-    delta_increments,
-    path_levels,
     theta_matrix,
     xi_matrix,
     xi_pair,
@@ -217,31 +218,22 @@ def test_one_symmetry_rule_rejects_non_finite_entries_first(entry, call):
             call(np.array([[1.0, bad], [bad, 1.0]]))
 
 
-def _chain(a):
-    # path_levels and delta_increments read only ``qs``; a DiscretePath would
-    # refuse the non-finite chain itself
-    return SimpleNamespace(qs=np.stack([np.zeros((2, 2)), a]))
-
-
 @pytest.mark.parametrize(
-    "call, stacked",
+    "call",
     [
-        (lambda a: xi_matrix(SPEC, a), False),
-        (lambda a: xi_prime_matrix(SPEC, a), False),
-        (lambda a: xi_second_matrix(SPEC, a), False),
-        (lambda a: theta_matrix(SPEC, a), False),
-        (lambda a: path_levels(SPEC, _chain(a)), True),
-        (lambda a: delta_increments(SPEC, _chain(a)), True),
+        lambda a: xi_matrix(SPEC, a),
+        lambda a: xi_prime_matrix(SPEC, a),
+        lambda a: xi_second_matrix(SPEC, a),
+        lambda a: theta_matrix(SPEC, a),
     ],
-    ids=["xi_matrix", "xi_prime_matrix", "xi_second_matrix", "theta_matrix", "path_levels", "delta_increments"],
+    ids=["xi_matrix", "xi_prime_matrix", "xi_second_matrix", "theta_matrix"],
 )
-def test_public_mixture_kernels_keep_their_checks(call, stacked):
+def test_public_mixture_kernels_keep_their_checks(call):
     # the mixture kernel trusts its caller; each public wrapper checks first
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="^A contains non-finite entries$"):
             call(np.array([[1.0, bad], [bad, 1.0]]))
-    at, mirror = ("1, 0, 1", "1, 1, 0") if stacked else ("0, 1", "1, 0")
-    message = rf"^A must be exactly symmetric: entry \({at}\) = 0\.3 but \({mirror}\) = 0\.2$"
+    message = r"^A must be exactly symmetric: entry \(0, 1\) = 0\.3 but \(1, 0\) = 0\.2$"
     with pytest.raises(ValueError, match=message):
         call(np.array([[1.0, 0.3], [0.2, 1.0]]))
 
@@ -287,6 +279,7 @@ TAKES_PATH = {
     "detect_degenerate": lambda p: detect_degenerate(GOOD_Q, p, ZERO_H, SPEC),
     "closed_form_Y0": lambda p: closed_form_Y0(LAM, p, ZERO_H, SPEC),
     "theta_term": lambda p: theta_term(p, SPEC),
+    "delta_increments": lambda p: delta_increments(SPEC, p),
     "CascadeSpec": lambda p: CascadeSpec(path=p, spec=SPEC, lam=LAM, h=ZERO_H),
     "theta_cascade_value": lambda p: theta_cascade_value(p, SPEC),
 }
@@ -363,6 +356,7 @@ TAKES_SPEC = {
     "evaluate": lambda spec: evaluate(LAM, PATH, GOOD_Q, ZERO_H, spec),
     "closed_form_Y0": lambda spec: closed_form_Y0(LAM, PATH, ZERO_H, spec),
     "theta_term": lambda spec: theta_term(PATH, spec),
+    "delta_increments": lambda spec: delta_increments(spec, PATH),
     "inner_gradient": lambda spec: inner_gradient(LAM, PATH, GOOD_Q, ZERO_H, spec),
     "inner_minimize": lambda spec: inner_minimize(PATH, GOOD_Q, ZERO_H, spec),
     "detect_degenerate": lambda spec: detect_degenerate(GOOD_Q, PATH, ZERO_H, spec),
@@ -387,6 +381,43 @@ def test_every_entry_point_applies_the_one_mixture_size_rule(monkeypatch, entry,
     with pytest.raises(InvalidField, match=f"^mixture has n={copies} copies, Q is 2x2$") as err:
         TAKES_SPEC[entry](spec)
     assert err.value.field == "mixture"
+
+
+# exported callables with a ``path`` or ``spec`` parameter that are in neither
+# table, and why
+NOT_ENTRIES = {
+    "geometry.validate_path": "the path rule itself",
+    "geometry.check_path": "the path rule's raising form",
+    "cli.RunConfig": "load_config checks the path, with check_path, before it fills the config",
+    "mixture.xi_pair": "a matrix kernel: it checks its matrix A against spec.n",
+    "mixture.xi_matrix": "a matrix kernel",
+    "mixture.xi_prime_matrix": "a matrix kernel",
+    "mixture.xi_second_matrix": "a matrix kernel",
+    "mixture.theta_matrix": "a matrix kernel",
+    "montecarlo.hamiltonian_batch": "it checks its sigmas against spec.n",
+}
+
+
+def test_every_public_path_or_spec_taker_is_in_an_entry_table():
+    # a new or moved public function that takes a path or a mixture must join
+    # the tables above, which apply the path rule and the mixture-size rule
+    # to it, or be named here with its reason
+    takers = set()
+    for info in pkgutil.iter_modules(sphglass.__path__):
+        module = importlib.import_module(f"sphglass.{info.name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # a constant, or an exception type
+                continue
+            if {"path", "spec"} & params.keys():
+                takers.add((f"{info.name}.{name}", name))
+    tabled = TAKES_PATH.keys() | TAKES_SPEC.keys()
+    untested = sorted(full for full, name in takers if full not in NOT_ENTRIES and name not in tabled)
+    assert not untested, f"public functions that take a path or a mixture but are in no entry table: {untested}"
+    stale = sorted(NOT_ENTRIES.keys() - {full for full, _ in takers})
+    assert not stale, f"excluded names that take no path or mixture: {stale}"
 
 
 # every public count argument: (call with the count, field, a valid count)

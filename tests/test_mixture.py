@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphglass.functional import delta_increments
 from sphglass.geometry import DiscretePath
 from sphglass.mixture import (
     InvalidField,
     MixtureSpec,
-    delta_increments,
+    _path_levels,
     int_power,
-    path_levels,
     theta_matrix,
     xi_matrix,
     xi_pair,
@@ -127,13 +127,14 @@ def test_delta_eigenvalues_oracle():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_one_pass_matches_single_kernels_bitwise(rng, n, r):
     # the stacked one-pass kernel against a per-matrix, per-function
-    # reference with the same arithmetic: every bit must agree
+    # reference with the same arithmetic, and the path's one mixture pass
+    # against the public functions of its chain: every bit must agree
     q = random_constraint(rng, n)
     path = random_path(rng, q.matrix, r)
     terms = {2: rng.uniform(0.1, 1.0, n), 4: rng.uniform(0.0, 0.5, n), 6: rng.uniform(0.0, 0.3, n)}
     spec = MixtureSpec(n, terms)
     xi, xi_prime = xi_pair(spec, path.qs)
-    deltas, thetas, seconds = path_levels(spec, path)
+    deltas, thetas, seconds = _path_levels(spec, path.qs)
     assert xi.shape == xi_prime.shape == thetas.shape == seconds.shape == (r + 1, n, n)
     ref_primes = []
     for k, a in enumerate(path.qs):
@@ -155,6 +156,8 @@ def test_one_pass_matches_single_kernels_bitwise(rng, n, r):
         assert np.array_equal(thetas[k], theta_matrix(spec, a))
     assert np.array_equal(deltas, np.diff(ref_primes, axis=0))
     assert np.array_equal(deltas, delta_increments(spec, path))
+    assert np.array_equal(thetas, theta_matrix(spec, path.qs))
+    assert np.array_equal(seconds, xi_second_matrix(spec, path.qs))
     assert not deltas.flags.writeable
 
 
