@@ -41,15 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sphglass.functional import solve_pd, logdet_pd
-from sphglass.geometry import DiscretePath, _frozen, check_field, check_multiplier, check_path
-from sphglass.mixture import (
-    InvalidField,
-    MixtureSpec,
-    _check_copies,
-    _path_levels,
-    check_count,
-)
+from sphglass.functional import _checked_levels, solve_pd, logdet_pd
+from sphglass.geometry import DiscretePath, _frozen, check_field, check_multiplier
+from sphglass.mixture import InvalidField, MixtureSpec, check_count
 from sphglass.parallel import log_mean_exp, standard_error, stream
 
 __all__ = ["CascadeSpec", "NestedMCResult", "nested_recursion_mc", "theta_cascade_value"]
@@ -81,11 +75,9 @@ class CascadeSpec:
     increment_covariances: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
-        check_path(self.path)
-        _check_copies(self.spec, self.path.n)
+        deltas = _checked_levels(self.path, None, self.spec)[0]
         object.__setattr__(self, "lam", _frozen(check_multiplier(self.lam, self.path.n)))
         object.__setattr__(self, "h", _frozen(check_field(self.h, self.path.n)))
-        deltas = _path_levels(self.spec, self.path.qs)[0]
         object.__setattr__(self, "increment_covariances", tuple(deltas))
 
 
@@ -269,8 +261,6 @@ def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
     ``validate_path`` (its end matrix is free), and InvalidField unless the
     mixture models the path's n copies.
     """
-    check_path(path)
-    _check_copies(spec, path.n)
     cov = _tree_covariances(path, spec)
     total = 0.0
     for k in range(path.r):
@@ -279,5 +269,6 @@ def theta_cascade_value(path: DiscretePath, spec: MixtureSpec) -> float:
 
 
 def _tree_covariances(path: DiscretePath, spec: MixtureSpec) -> np.ndarray:
-    """C_k = Sum(theta(Q_k)) for k = 0..r, from one stacked mixture pass."""
-    return np.array([float(np.sum(theta)) for theta in _path_levels(spec, path.qs)[1]])
+    """C_k = Sum(theta(Q_k)) for k = 0..r, from one stacked mixture pass
+    through the checked path entry."""
+    return np.array([float(np.sum(theta)) for theta in _checked_levels(path, None, spec)[1]])

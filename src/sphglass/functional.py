@@ -37,7 +37,11 @@ trusted mixture pass ``mixture._path_levels``.  A path enters through
 ``_PathContext.of``, the one checked entry: ``ConstraintMatrix.of``,
 ``check_field``, ``check_path`` and the mixture-size rule, once.  Every public
 function that takes a path builds its context there, ``theta_term`` and
-``delta_increments`` included; ``mixture`` takes matrices only.  The
+``delta_increments`` included; ``mixture`` takes matrices only.  The path
+checks and the mixture pass are ``_checked_levels``, the entry that
+``cascade.CascadeSpec`` and ``cascade.theta_cascade_value`` share with
+``of``: they build no context, because they keep their own multiplier and
+field, and their own theta sum, apart from the kernel's.  The
 optimizer's search and its degeneracy certificate (in the eigenbasis of Q)
 call the constructor themselves, on chains valid by construction.
 """
@@ -199,6 +203,19 @@ class _Factors(NamedTuple):
     inv: np.ndarray
 
 
+def _checked_levels(path: DiscretePath, q: ConstraintMatrix | None, spec: MixtureSpec):
+    """The one checked path entry: ``check_path`` against ``q`` (None: the end
+    matrix is free), the mixture-size rule, then the trusted mixture pass
+    ``mixture._path_levels`` of the path's chain.
+
+    ``_PathContext.of``, ``cascade.CascadeSpec`` and the tree covariances
+    of ``cascade.theta_cascade_value`` enter through it.
+    """
+    check_path(path, q)
+    _check_copies(spec, path.n)
+    return _path_levels(spec, path.qs)
+
+
 class _PathContext:
     """Per-path precomputation shared by objective, gradient and Hessian.
 
@@ -280,9 +297,7 @@ class _PathContext:
         q = None if q is None else ConstraintMatrix.of(q)
         qmat = path.qs[-1] if q is None else q.matrix
         h = check_field(h, qmat.shape[0])
-        check_path(path, q)
-        _check_copies(spec, qmat.shape[0])
-        return cls(path.xs, path.qs, qmat, h, _path_levels(spec, path.qs))
+        return cls(path.xs, path.qs, qmat, h, _checked_levels(path, q, spec))
 
     def lambda_start(self) -> np.ndarray:
         """The cold start tails[0] + Q^{-1}, inside L whatever the path."""

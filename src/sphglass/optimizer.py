@@ -58,15 +58,20 @@ reverse-communication loop over L-BFGS-B's compiled ``setulb``, which does
 what ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` does with the
 search's options, point for point, without its per-start and per-call
 wrappers.  A level builds its box, the arrays (lower, upper), once for all
-its starts.  ``setulb`` is imported inside ``scipy_minimize``, the outer
-search's one call into scipy, so importing this module loads numpy only and
-scipy.optimize loads on the first search.
+its starts.  ``setulb`` comes from ``_lbfgsb_kernel``, which loads scipy's
+compiled ``optimize/_lbfgsb`` extension by file on the first search, without
+running ``scipy/optimize/__init__``; so importing this module loads numpy
+only, and a search loads no scipy module.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -618,13 +623,40 @@ class _SearchResult(NamedTuple):
     nit: int
 
 
+@lru_cache(maxsize=1)
+def _lbfgsb_kernel():
+    """scipy's compiled L-BFGS-B extension, loaded by file.
+
+    The file is ``optimize/_lbfgsb`` with one of the interpreter's extension
+    suffixes, in the package directory that ``importlib.util.find_spec``
+    gives for scipy without importing it.  The module is executed but not
+    registered in ``sys.modules``, so ``scipy/optimize/__init__`` never
+    runs; a later ``import scipy.optimize`` loads its own copy beside it.
+    A missing file raises ImportError naming the directory and the stem
+    searched.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed; the search needs its compiled L-BFGS-B kernel")
+    directory = Path(scipy.submodule_search_locations[0]) / "optimize"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        file = directory / ("_lbfgsb" + suffix)
+        if file.is_file():
+            spec = importlib.util.spec_from_file_location("_lbfgsb", file)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    suffixes = ", ".join(importlib.machinery.EXTENSION_SUFFIXES)
+    raise ImportError(f"no compiled L-BFGS-B kernel _lbfgsb with a suffix of ({suffixes}) in {directory}")
+
+
 def scipy_minimize(fun, x0: np.ndarray, *, bounds: tuple[np.ndarray, np.ndarray], max_iterations: int):
     """L-BFGS-B on ``fun(x) -> (value, gradient)`` inside the box ``bounds``.
 
     ``bounds`` is (lower, upper), one entry per parameter, with -inf and inf
     where a side is free.  This is the reverse-communication loop of
     ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` (scipy 1.17)
-    over the compiled ``setulb``, imported on the call, with the search's
+    over the compiled ``setulb``, loaded on the first call, with the search's
     options: 10 corrections, 20 line-search steps, ``SEARCH_FTOL`` and
     ``SEARCH_GTOL``, at most ``max_iterations`` iterations and
     2 ``max_iterations`` objective calls.  It visits the same points, so it
@@ -637,12 +669,16 @@ def scipy_minimize(fun, x0: np.ndarray, *, bounds: tuple[np.ndarray, np.ndarray]
     ``max_iterations`` iterations, or with 502 once the calls exceed
     2 ``max_iterations``; any other task ends the run.
 
-    scipy.optimize takes most of a fresh interpreter's start-up, and only the
-    outer search needs it.  ``nfev`` is the number of objective calls; the
-    function is public so that ``perfbench``'s tracer, which wraps every
-    public name, counts those calls as ``optimizer.objective_calls``.
+    ``setulb`` comes from ``_lbfgsb_kernel``, by file, because importing
+    scipy.optimize would take most of a fresh interpreter's start-up and
+    about 40 MB of memory for this one function.  That ties the search to
+    scipy's private file layout, ``scipy/optimize/_lbfgsb<extension
+    suffix>``, as the loop ties it to ``setulb``'s arguments (scipy >= 1.15).
+    ``nfev`` is the number of objective calls; the function is public so that
+    ``perfbench``'s tracer, which wraps every public name, counts those calls
+    as ``optimizer.objective_calls``.
     """
-    from scipy.optimize._lbfgsb import setulb
+    setulb = _lbfgsb_kernel().setulb
 
     m, maxls = 10, 20
     lower, upper = bounds

@@ -1079,6 +1079,33 @@ def test_search_bodies_match_the_scipy_minimize_judge(monkeypatch, config):
     assert bodies[0] == bodies[1]
 
 
+def test_a_missing_lbfgsb_kernel_fails_loudly(monkeypatch, tmp_path):
+    # the kernel is looked up in scipy's package directory; point the lookup
+    # at one whose optimize/ is empty, with scipy.optimize not loaded, and the
+    # search must name what it searched and not import scipy.optimize instead
+    import importlib.machinery
+    import importlib.util
+    import sys
+
+    import sphglass.optimizer as optimizer
+
+    (tmp_path / "optimize").mkdir()
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy if name == "scipy" else None)
+    monkeypatch.delitem(sys.modules, "scipy.optimize", raising=False)
+    bounds = (np.full(1, -INF), np.full(1, INF))
+    optimizer._lbfgsb_kernel.cache_clear()
+    try:
+        with pytest.raises(ImportError) as failed:
+            optimizer.scipy_minimize(_bowl([1.0]), np.zeros(1), bounds=bounds, max_iterations=5)
+    finally:
+        optimizer._lbfgsb_kernel.cache_clear()
+    assert str(tmp_path / "optimize") in str(failed.value)
+    assert "_lbfgsb" in str(failed.value)
+    assert "scipy.optimize" not in sys.modules
+
+
 def test_search_cholesky_count_on_the_exact_model(monkeypatch):
     # the path gradient reuses the factors of the inner solve's final
     # iterate, so an objective call makes no Cholesky call of its own beyond

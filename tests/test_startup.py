@@ -1,8 +1,10 @@
 """What a fresh interpreter loads, and what it computes before scipy is loaded.
 
-``import sphglass`` loads numpy and the package only; each scipy submodule is
-imported inside the function that calls it, ``multiprocessing`` inside the
-fan-out branch of ``parallel.run_tasks`` and ``concurrent.futures`` inside
+``import sphglass`` loads numpy and the package only, and no task loads a
+scipy module: the search loads scipy's compiled L-BFGS-B kernel by file
+(``optimizer._lbfgsb_kernel``), not through ``scipy.optimize``.
+``multiprocessing`` is imported inside the fan-out branch of
+``parallel.run_tasks`` and ``concurrent.futures`` inside
 ``cascade.nested_recursion_mc``.  These tests run in a new interpreter,
 because the test session itself has long imported scipy.
 """
@@ -49,9 +51,16 @@ GUARD = """
         code, _ = cli.run(cli.load_config(configs[task]))
         assert code == 0, task
         steps["run " + task] = scipy_modules()
+    from sphglass import optimizer
+    kernel_before_minimize = optimizer._lbfgsb_kernel.cache_info().currsize
     code, _ = cli.run(minimize)
     assert code == 0
-    print(json.dumps({"steps": steps, "optimize_after_minimize": "scipy.optimize" in sys.modules}))
+    steps["run minimize"] = scipy_modules()
+    print(json.dumps({
+        "steps": steps,
+        "kernel_before_minimize": kernel_before_minimize,
+        "kernel_after_minimize": optimizer._lbfgsb_kernel.cache_info().currsize,
+    }))
 """
 
 
@@ -87,9 +96,50 @@ def test_scipy_is_loaded_only_by_the_code_that_calls_it():
     }
     out = run_fresh(GUARD, json.dumps({task: json.dumps(cfg) for task, cfg in configs.items()}))
     assert out["steps"] == {step: [] for step in out["steps"]}
-    assert len(out["steps"]) == 7
-    # the guard can see an import: the search loads scipy.optimize
-    assert out["optimize_after_minimize"]
+    assert len(out["steps"]) == 8
+    # the guard can see a load: the search loaded the compiled kernel
+    assert (out["kernel_before_minimize"], out["kernel_after_minimize"]) == (0, 1)
+
+
+KERNEL_COPIES = """
+    import json
+    import sys
+
+    from sphglass import cli, optimizer
+    from sphglass.reporting import to_json
+
+    def body():
+        code, report = cli.run(cli.load_config(sys.argv[1]))
+        assert code == 0
+        return to_json(report["body"])
+
+    bodies = {"cold": body()}
+    cold_scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    import scipy.optimize
+    import scipy.optimize._lbfgsb
+
+    # scipy.optimize's own copy of the kernel is loaded beside the search's
+    bodies["beside scipy.optimize"] = body()
+    optimizer._lbfgsb_kernel = lambda: scipy.optimize._lbfgsb
+    bodies["scipy.optimize's copy"] = body()
+    print(json.dumps({"bodies": bodies, "cold_scipy": cold_scipy}))
+"""
+
+
+def test_search_bits_do_not_depend_on_which_kernel_copy_runs():
+    config = {
+        "task": "minimize",
+        "n": 2,
+        "mixture": {"2": [0.5, 0.4], "4": [0.2, 0.15]},
+        "Q": [[1.0, 0.3], [0.3, 1.0]],
+        "h": [0.1, 0.0],
+        "seed": 1,
+        "search": {"max_levels": 2, "restarts": 1, "max_iterations": 30},
+    }
+    out = run_fresh(KERNEL_COPIES, json.dumps(config))
+    assert out["cold_scipy"] == []
+    cold = out["bodies"]["cold"]
+    assert out["bodies"] == {side: cold for side in out["bodies"]}
 
 
 LAZY_IMPORT = """
